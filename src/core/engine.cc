@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -112,6 +113,19 @@ struct IncrementalHooks {
   const std::map<std::string, uint64_t>* watermarks = nullptr;
 };
 
+/// Runs fn(0) .. fn(n-1) on the engine's thread source: a gang of the
+/// shared resident pool in serving mode (so concurrent sessions time-share
+/// the cores), dedicated threads for one-shot runs.
+void RunGang(const EngineOptions& options, uint32_t n, EvalStats* stats,
+             const std::function<void(uint32_t)>& fn) {
+  if (options.worker_pool != nullptr) {
+    if (n > options.worker_pool->capacity()) ++stats->pool_fallback_gangs;
+    options.worker_pool->Run(n, fn);
+  } else {
+    RunWorkers(n, fn);
+  }
+}
+
 /// Runs one SCC of the plan with n workers under the configured strategy.
 class SccExecutor {
  public:
@@ -156,15 +170,8 @@ class SccExecutor {
   }
 
   Status Run(EvalStats* stats) {
-    // Serving mode: the gang runs on the shared resident pool so concurrent
-    // sessions time-share the cores; one-shot runs spawn dedicated threads.
-    if (options_.worker_pool != nullptr) {
-      if (n_ > options_.worker_pool->capacity()) ++stats->pool_fallback_gangs;
-      options_.worker_pool->Run(n_, [this](uint32_t wid) { WorkerMain(wid); });
-    } else {
-      RunWorkers(n_, [this](uint32_t wid) { WorkerMain(wid); });
-    }
-    // Relaxed: RunWorkers joined every worker, which already orders their
+    RunGang(options_, n_, stats, [this](uint32_t wid) { WorkerMain(wid); });
+    // Relaxed: the gang joined every worker, which already orders their
     // writes before this read.
     if (aborted_.load(std::memory_order_relaxed)) {
       return Status::ResourceExhausted(
@@ -2019,17 +2026,9 @@ Status Engine::DredDelete(size_t scc_idx,
   }
 
   bool any_deleted = false;
-  std::map<std::string, std::set<std::vector<uint64_t>>> deleted;
   for (const std::string& pred : scc.derived_preds) {
-    auto& dset = deleted[pred];
     const Relation* d = closure_catalog.Find(DredDName(pred));
-    if (d != nullptr) {
-      for (uint64_t r = 0; r < d->size(); ++r) {
-        TupleRef row = d->Row(r);
-        dset.insert(std::vector<uint64_t>(row.data, row.data + row.arity));
-      }
-    }
-    any_deleted |= !dset.empty();
+    any_deleted |= d != nullptr && !d->empty();
   }
   if (!any_deleted) return Status::OK();
 
@@ -2037,7 +2036,9 @@ Status Engine::DredDelete(size_t scc_idx,
   // has a derivation avoiding every removed row, so the survivors are a
   // subset of the corrected fixpoint; re-running the SCC's rules from them
   // (against the corrected external relations) adds back exactly the
-  // over-deleted tuples that remain derivable.
+  // over-deleted tuples that remain derivable. Closure membership is one
+  // hashed probe per old row, into a FlatTupleSet over the closure's own
+  // __dred_d_* relation.
   DCD_ASSIGN_OR_RETURN(
       Program rederive,
       BuildRederiveProgram(st->program, st->analysis, scc.scc_id));
@@ -2045,15 +2046,28 @@ Status Engine::DredDelete(size_t scc_idx,
   const std::set<std::string> scc_pred_set(scc.derived_preds.begin(),
                                            scc.derived_preds.end());
   uint64_t survivor_count = 0;
-  std::vector<uint64_t> key;
   for (const std::string& pred : scc.derived_preds) {
     const Relation& old_rel = old_copies->at(pred);
-    const auto& dset = deleted[pred];
     Relation seeds(DredSeedName(pred), old_rel.schema());
-    for (uint64_t r = 0; r < old_rel.size(); ++r) {
-      TupleRef row = old_rel.Row(r);
-      key.assign(row.data, row.data + row.arity);
-      if (dset.count(key) == 0) seeds.Append(row);
+    const Relation* d = closure_catalog.Find(DredDName(pred));
+    if (d == nullptr || d->empty()) {
+      seeds.AppendAll(old_rel);
+    } else {
+      FlatTupleSet dset(d);
+      dset.Reserve(d->size());
+      for (uint64_t r = 0; r < d->size(); ++r) {
+        const TupleRef row = d->Row(r);
+        const uint64_t hash = row.Hash();
+        if (dset.Find(hash, row) == FlatTupleSet::kNotFound) {
+          dset.Insert(hash, r);
+        }
+      }
+      for (uint64_t r = 0; r < old_rel.size(); ++r) {
+        const TupleRef row = old_rel.Row(r);
+        if (dset.Find(row.Hash(), row) == FlatTupleSet::kNotFound) {
+          seeds.Append(row);
+        }
+      }
     }
     survivor_count += seeds.size();
     rederive_catalog.Put(std::move(seeds));
@@ -2080,59 +2094,82 @@ Status Engine::DredDelete(size_t scc_idx,
     (void)red_stats;
   }
 
-  // Step 3: install the corrected contents — catalog relation in place,
-  // retained partitions rebuilt fresh (support counts stay off; the caller
-  // already invalidated them for this SCC).
+  // Step 3: install the corrected contents. Every retained partition is
+  // rebuilt fresh (support counts stay off; the caller already invalidated
+  // them for this SCC) by its own thread, which merges only the corrected
+  // rows routed to it. The same thread then probes its new canonical
+  // partition for the old rows it owns: an old row it no longer holds is
+  // `gone`, and is handed to the downstream SCCs as removed.
+  const size_t num_preds = scc.derived_preds.size();
+  std::vector<const Relation*> corrected(num_preds);
+  std::vector<std::vector<uint8_t>> is_gone(num_preds);
   uint64_t corrected_total = 0;
-  for (const std::string& pred : scc.derived_preds) {
-    Relation* corrected = rederive_catalog.Find(pred);
-    if (corrected == nullptr) {
+  for (size_t p = 0; p < num_preds; ++p) {
+    const std::string& pred = scc.derived_preds[p];
+    corrected[p] = rederive_catalog.Find(pred);
+    if (corrected[p] == nullptr) {
       return Status::Internal("DRed rederive result '" + pred + "' missing");
     }
-    corrected_total += corrected->size();
-
-    std::set<std::vector<uint64_t>> corrected_set;
-    for (uint64_t r = 0; r < corrected->size(); ++r) {
-      TupleRef row = corrected->Row(r);
-      corrected_set.insert(
-          std::vector<uint64_t>(row.data, row.data + row.arity));
-    }
-    const Relation& old_rel = old_copies->at(pred);
-    Relation gone(pred, old_rel.schema());
-    for (uint64_t r = 0; r < old_rel.size(); ++r) {
-      TupleRef row = old_rel.Row(r);
-      key.assign(row.data, row.data + row.arity);
-      if (corrected_set.count(key) == 0) gone.Append(row);
-    }
-
-    for (int replica_id : scc.ReplicasOf(pred)) {
-      const ReplicaSpec& spec = scc.replicas[replica_id];
-      std::vector<std::unique_ptr<RecursiveTable>> fresh(n);
-      for (uint32_t w = 0; w < n; ++w) {
-        fresh[w] = std::make_unique<RecursiveTable>(
+    corrected_total += corrected[p]->size();
+    is_gone[p].assign(old_copies->at(pred).size(), 0);
+  }
+  const auto owner = [n](const ReplicaSpec& spec, TupleRef row) {
+    return spec.partition_constant
+               ? 0u
+               : PartitionOf(row.data[spec.partition_col], n);
+  };
+  std::vector<std::vector<std::unique_ptr<RecursiveTable>>> fresh(n);
+  RunGang(options_, n, stats, [&](uint32_t w) {
+    fresh[w].resize(scc.replicas.size());
+    for (size_t p = 0; p < num_preds; ++p) {
+      const std::string& pred = scc.derived_preds[p];
+      const Relation& rows = *corrected[p];
+      for (int replica_id : scc.ReplicasOf(pred)) {
+        const ReplicaSpec& spec = scc.replicas[replica_id];
+        auto table = std::make_unique<RecursiveTable>(
             pred, st->plan.schemas.at(pred), st->plan.agg_specs.at(pred),
             spec.partition_col, spec.needs_join_index, options_);
+        for (uint64_t r = 0; r < rows.size(); ++r) {
+          const TupleRef row = rows.Row(r);
+          if (owner(spec, row) == w) table->MergeWire(row.data);
+        }
+        table->ClearDelta();
+        fresh[w][replica_id] = std::move(table);
       }
-      for (uint64_t r = 0; r < corrected->size(); ++r) {
-        TupleRef row = corrected->Row(r);
-        const uint32_t w =
-            spec.partition_constant
-                ? 0u
-                : PartitionOf(row.data[spec.partition_col], n);
-        fresh[w]->MergeWire(row.data);
-      }
-      for (uint32_t w = 0; w < n; ++w) {
-        fresh[w]->ClearDelta();
-        st->replicas[scc_idx][w][replica_id] = std::move(fresh[w]);
+      const int canonical = scc.ReplicasOf(pred).front();
+      const ReplicaSpec& spec = scc.replicas[canonical];
+      const RecursiveTable& table = *fresh[w][canonical];
+      const Relation& old_rel = old_copies->at(pred);
+      for (uint64_t r = 0; r < old_rel.size(); ++r) {
+        const TupleRef row = old_rel.Row(r);
+        if (owner(spec, row) == w && table.FindRowId(row) == UINT64_MAX) {
+          is_gone[p][r] = 1;
+        }
       }
     }
+  });
+  // Hand-off: release the gang threads' writer claim; the next batch's
+  // workers (or the counting path) claim the partitions on first write.
+  for (uint32_t w = 0; w < n; ++w) {
+    for (size_t id = 0; id < fresh[w].size(); ++id) {
+      fresh[w][id]->RebindWriter();
+      st->replicas[scc_idx][w][id] = std::move(fresh[w][id]);
+    }
+  }
 
+  for (size_t p = 0; p < num_preds; ++p) {
+    const std::string& pred = scc.derived_preds[p];
     Relation* rel = catalog_->Find(pred);
     rel->Clear();
-    rel->AppendAll(*corrected);
+    rel->AppendAll(*corrected[p]);
     st->InvalidateIndexesOver(pred);
     st->rel_watermarks[pred] = rel->size();
 
+    const Relation& old_rel = old_copies->at(pred);
+    Relation gone(pred, old_rel.schema());
+    for (uint64_t r = 0; r < old_rel.size(); ++r) {
+      if (is_gone[p][r] != 0) gone.Append(old_rel.Row(r));
+    }
     if (!gone.empty()) removed_rows->emplace(pred, std::move(gone));
   }
   stats->rederived_tuples += corrected_total >= survivor_count

@@ -1,6 +1,7 @@
 #ifndef DCDATALOG_STORAGE_RELATION_H_
 #define DCDATALOG_STORAGE_RELATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -13,7 +14,8 @@ namespace dcdatalog {
 
 /// In-memory row store: fixed-width rows of `arity` 64-bit words packed into
 /// one flat vector. Rows are addressed by dense row id (insertion order).
-/// Deletion is not supported — semi-naive evaluation only ever appends.
+/// Semi-naive evaluation only ever appends; EraseRowsIf is the update
+/// path's in-place compaction.
 ///
 /// Not internally synchronized: during parallel evaluation each worker owns
 /// its partitioned Relation exclusively (the whole point of the paper's
@@ -63,6 +65,26 @@ class Relation {
   }
 
   void Clear() { data_.clear(); }
+
+  /// Removes every row for which `drop(TupleRef)` returns true, compacting
+  /// the survivors in place: they keep their relative order, and the
+  /// Relation keeps its address and buffer. `drop` sees each row once, in
+  /// row order.
+  template <typename Fn>
+  void EraseRowsIf(Fn&& drop) {
+    const uint32_t a = arity();
+    if (a == 0) return;
+    size_t out = 0;
+    for (size_t in = 0; in < data_.size(); in += a) {
+      if (drop(TupleRef{data_.data() + in, a})) continue;
+      if (out != in) {
+        std::copy_n(data_.begin() + in, a, data_.begin() + out);
+      }
+      out += a;
+    }
+    data_.resize(out);
+  }
+
   void Reserve(uint64_t rows) { data_.reserve(rows * arity()); }
 
   /// Appends every row of `other` (schemas must match in arity).

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/parse.h"
+
 namespace dcdatalog {
 
 Result<Schema> ParseSchemaSpec(const std::string& spec) {
@@ -55,9 +57,8 @@ Result<Relation> LoadRelationFile(const std::string& name,
       }
       switch (schema.type(c)) {
         case ColumnType::kInt: {
-          char* end = nullptr;
-          const int64_t v = std::strtoll(token.c_str(), &end, 10);
-          if (end == token.c_str() || *end != '\0') {
+          int64_t v = 0;
+          if (!ParseInt64Checked(token.c_str(), INT64_MIN, INT64_MAX, &v)) {
             return Status::ParseError("bad int '" + token + "' at " + path +
                                       ":" + std::to_string(line_no));
           }

@@ -1,10 +1,14 @@
 #include "storage/updates.h"
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
+
+#include "common/parse.h"
+#include "storage/flat_set.h"
 
 namespace dcdatalog {
 namespace {
@@ -16,6 +20,42 @@ bool IsSeparator(const std::string& line) {
     if (line[i] != ' ' && line[i] != '\t' && line[i] != '\r') return false;
   }
   return true;
+}
+
+/// Distinct tuples in first-seen order with hashed membership: the small
+/// probe side NetOutBatch and ApplyDeltasToCatalog scan a whole relation
+/// against, so a batch costs one pass per relation instead of one per op.
+class TupleIds {
+ public:
+  explicit TupleIds(const Relation& like)
+      : rows_(like.name(), like.schema()), index_(&rows_) {}
+  TupleIds(const TupleIds&) = delete;
+  TupleIds& operator=(const TupleIds&) = delete;
+
+  /// Id of `row`, adding it if new.
+  uint64_t Intern(TupleRef row) {
+    const uint64_t hash = row.Hash();
+    uint64_t id = index_.Find(hash, row);
+    if (id == FlatTupleSet::kNotFound) {
+      id = rows_.Append(row);
+      index_.Insert(hash, id);
+    }
+    return id;
+  }
+
+  /// Id of `row`, or FlatTupleSet::kNotFound.
+  uint64_t Find(TupleRef row) const { return index_.Find(row.Hash(), row); }
+
+  uint64_t size() const { return rows_.size(); }
+  TupleRef Row(uint64_t id) const { return rows_.Row(id); }
+
+ private:
+  Relation rows_;
+  FlatTupleSet index_;
+};
+
+TupleRef RefOf(const std::vector<uint64_t>& row) {
+  return TupleRef{row.data(), static_cast<uint32_t>(row.size())};
 }
 
 }  // namespace
@@ -106,9 +146,8 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
       const std::string& token = op.values[c];
       switch (schema.type(c)) {
         case ColumnType::kInt: {
-          char* end = nullptr;
-          const int64_t v = std::strtoll(token.c_str(), &end, 10);
-          if (end == token.c_str() || *end != '\0') {
+          int64_t v = 0;
+          if (!ParseInt64Checked(token.c_str(), INT64_MIN, INT64_MAX, &v)) {
             return Status::ParseError("bad int '" + token + "' in update for '" +
                                       op.relation + "'");
           }
@@ -137,50 +176,58 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
 
 Result<std::vector<RelationDelta>> NetOutBatch(const ResolvedUpdateBatch& batch,
                                                const Catalog& catalog) {
-  // Per relation: the stored multiplicity of every touched tuple, and its
-  // net presence after the ops seen so far (0 or 1 — set semantics).
+  // Per relation: the touched tuples in first-touch order and each one's
+  // net presence after the ops seen so far (set semantics — the last op on
+  // a tuple decides).
   struct RelState {
-    std::map<std::vector<uint64_t>, uint64_t> base_count;  // Touched only.
-    std::map<std::vector<uint64_t>, bool> present;
-    std::vector<std::vector<uint64_t>> touch_order;
+    const Relation* rel = nullptr;
+    std::unique_ptr<TupleIds> touched;
+    std::vector<uint8_t> present;
   };
   std::map<std::string, RelState> states;
 
   for (const ResolvedUpdateOp& op : batch.ops) {
     RelState& state = states[op.relation];
-    auto it = state.present.find(op.row);
-    if (it == state.present.end()) {
-      // First touch: count the stored copies once.
-      const Relation* rel = catalog.Find(op.relation);
-      if (rel == nullptr) {
+    if (state.rel == nullptr) {
+      state.rel = catalog.Find(op.relation);
+      if (state.rel == nullptr) {
         return Status::NotFound("update references unknown relation '" +
                                 op.relation + "'");
       }
-      uint64_t count = 0;
-      for (uint64_t r = 0; r < rel->size(); ++r) {
-        TupleRef row = rel->Row(r);
-        if (std::equal(op.row.begin(), op.row.end(), row.data)) ++count;
-      }
-      state.base_count[op.row] = count;
-      it = state.present.emplace(op.row, count > 0).first;
-      state.touch_order.push_back(op.row);
+      state.touched = std::make_unique<TupleIds>(*state.rel);
     }
-    it->second = op.is_insert;
+    if (op.row.size() != state.rel->arity()) {
+      return Status::InvalidArgument(
+          "update tuple for '" + op.relation + "' has " +
+          std::to_string(op.row.size()) + " values, relation has arity " +
+          std::to_string(state.rel->arity()));
+    }
+    const uint64_t id = state.touched->Intern(RefOf(op.row));
+    if (id == state.present.size()) state.present.push_back(0);
+    state.present[id] = op.is_insert ? 1 : 0;
   }
 
   std::vector<RelationDelta> deltas;
   for (auto& [name, state] : states) {
+    // One pass counts the stored copies of every touched tuple.
+    const TupleIds& touched = *state.touched;
+    std::vector<uint64_t> base(touched.size(), 0);
+    for (uint64_t r = 0; r < state.rel->size(); ++r) {
+      const uint64_t id = touched.Find(state.rel->Row(r));
+      if (id != FlatTupleSet::kNotFound) ++base[id];
+    }
     RelationDelta delta;
     delta.relation = name;
-    for (const std::vector<uint64_t>& row : state.touch_order) {
-      const uint64_t base = state.base_count[row];
-      const bool present = state.present[row];
-      if (present && base == 0) {
-        delta.added.push_back(row);
-      } else if (!present && base > 0) {
+    for (uint64_t id = 0; id < touched.size(); ++id) {
+      const TupleRef row = touched.Row(id);
+      if (state.present[id] != 0 && base[id] == 0) {
+        delta.added.emplace_back(row.data, row.data + row.arity);
+      } else if (state.present[id] == 0 && base[id] > 0) {
         // One removal entry per stored copy: each copy was driven through
         // the rules during evaluation and contributed its own derivations.
-        for (uint64_t k = 0; k < base; ++k) delta.removed.push_back(row);
+        for (uint64_t k = 0; k < base[id]; ++k) {
+          delta.removed.emplace_back(row.data, row.data + row.arity);
+        }
       }
     }
     if (!delta.added.empty() || !delta.removed.empty()) {
@@ -199,30 +246,24 @@ Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
                               delta.relation + "'");
     }
     if (!delta.removed.empty()) {
-      // Rebuild the row store in place; the Relation object (and therefore
-      // every cached Relation*) keeps its address.
-      std::map<std::vector<uint64_t>, uint64_t> to_remove;
-      for (const auto& row : delta.removed) ++to_remove[row];
-      std::vector<std::vector<uint64_t>> survivors;
-      std::vector<uint64_t> key(rel->arity());
-      for (uint64_t r = 0; r < rel->size(); ++r) {
-        TupleRef row = rel->Row(r);
-        key.assign(row.data, row.data + row.arity);
-        auto it = to_remove.find(key);
-        if (it != to_remove.end() && it->second > 0) {
-          --it->second;
-          continue;
-        }
-        survivors.push_back(key);
+      // Compact the row store in place, dropping as many stored copies of
+      // each removed tuple as the delta lists; survivors keep their order
+      // and the Relation (so every cached Relation*) keeps its address.
+      TupleIds targets(*rel);
+      std::vector<uint64_t> to_remove;
+      for (const auto& row : delta.removed) {
+        const uint64_t id = targets.Intern(RefOf(row));
+        if (id == to_remove.size()) to_remove.push_back(0);
+        ++to_remove[id];
       }
-      rel->Clear();
-      for (const auto& row : survivors) {
-        rel->Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
-      }
+      rel->EraseRowsIf([&](TupleRef row) {
+        const uint64_t id = targets.Find(row);
+        if (id == FlatTupleSet::kNotFound || to_remove[id] == 0) return false;
+        --to_remove[id];
+        return true;
+      });
     }
-    for (const auto& row : delta.added) {
-      rel->Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
-    }
+    for (const auto& row : delta.added) rel->Append(RefOf(row));
   }
   return Status::OK();
 }

@@ -83,9 +83,9 @@ struct RelationDelta {
 Result<std::vector<RelationDelta>> NetOutBatch(const ResolvedUpdateBatch& batch,
                                                const Catalog& catalog);
 
-/// Applies deltas to the catalog in place: removals rebuild the relation's
-/// row store (preserving the Relation object's address, so cached pointers
-/// stay valid), additions append. Used identically by the incremental
+/// Applies deltas to the catalog in place: removals compact the relation's
+/// row store (survivors keep their order, and the Relation object keeps its
+/// address, so cached pointers stay valid), additions append. Used identically by the incremental
 /// engine and by oracle recomputation, so both sides see the same EDB.
 Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
                             Catalog* catalog);

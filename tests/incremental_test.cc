@@ -3,16 +3,20 @@
 // over the same (post-update) EDB. The broad randomized coverage lives in
 // the update-sequence fuzzer (dcd_fuzz --updates); these are the handwritten
 // corners: empty batches, self-cancelling batches, deletes of absent rows,
-// DRed over-delete/re-derive across a disconnected component, sessions that
-// start from an empty EDB, and duplicate inserts under count/sum.
+// DRed over-delete/re-derive across a disconnected component, a DRed
+// over-delete that swallows a whole SCC, sessions that start from an empty
+// EDB, and duplicate inserts under count/sum.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "concurrent/worker_pool.h"
 #include "core/dcdatalog.h"
+#include "core/reference.h"
 #include "datalog/parser.h"
 #include "graph/generators.h"
 #include "storage/updates.h"
@@ -140,6 +144,80 @@ TEST(IncrementalTest, DeleteDisconnectsComponentDredRederives) {
   EXPECT_FALSE(tc.count({0, 10}));
   EXPECT_GT(stats.value().rederived_tuples, 0u);
   ExpectMatchesOracle(db, kTc, {"arc"}, {"tc"});
+}
+
+TEST(IncrementalTest, DredOverDeleteSwallowsWholeScc) {
+  // TC over a dense ring with chords is one SCC, so every tc tuple has a
+  // derivation through any edge: each delete over-deletes the whole SCC
+  // (no survivors) and the re-derivation rebuilds it from nothing. The
+  // first delete keeps the graph strongly connected; the second cuts every
+  // in-edge of vertex 0 and splits it. The downstream non-recursive `self`
+  // consumes the `gone` tc rows DRed hands on. Each batch is diffed against
+  // the single-threaded reference evaluator.
+  constexpr char kProgram[] =
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n"
+      "self(X) :- tc(X, X).\n";
+  constexpr uint64_t kN = 24;
+  const std::vector<std::string> scripts = {
+      "- arc 5 6\n- arc 11 14\n",                   // Stays one SCC.
+      "- arc 23 0\n- arc 21 0\n",                   // Nothing reaches 0.
+      "+ arc 23 0\n",                                // Rejoins.
+      "- arc 0 1\n- arc 0 3\n- arc 7 8\n",          // 0 reaches nothing.
+  };
+  // The last configuration runs on a resident pool, whose gang also
+  // installs the rebuilt partitions.
+  WorkerPool pool(4);
+  const std::vector<std::pair<CoordinationMode, WorkerPool*>> configs = {
+      {CoordinationMode::kGlobal, nullptr},
+      {CoordinationMode::kSsp, nullptr},
+      {CoordinationMode::kDws, nullptr},
+      {CoordinationMode::kDws, &pool},
+  };
+  for (const auto& [mode, worker_pool] : configs) {
+    SCOPED_TRACE(std::string(CoordinationModeName(mode)) +
+                 (worker_pool != nullptr ? " pooled" : ""));
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    opts.worker_pool = worker_pool;
+    DCDatalog db(opts);
+    Graph g;
+    for (uint64_t i = 0; i < kN; ++i) {
+      g.AddEdge(i, (i + 1) % kN);
+      g.AddEdge(i, (i + 3) % kN);
+    }
+    db.AddGraph(g, "arc");
+    ASSERT_TRUE(db.LoadProgramText(kProgram).ok());
+    ASSERT_TRUE(db.BeginIncremental().ok());
+    ASSERT_EQ(db.ResultFor("tc")->size(), kN * kN);
+    auto program = ParseProgram(kProgram, &db.dict());
+    ASSERT_TRUE(program.ok()) << program.status().ToString();
+
+    for (size_t b = 0; b < scripts.size(); ++b) {
+      SCOPED_TRACE("batch " + std::to_string(b));
+      const uint64_t tc_before = db.ResultFor("tc")->size();
+      auto stats = db.ApplyUpdates(Batch(scripts[b]));
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      if (b == 0) {
+        // Nothing survived the over-delete; all of tc was re-derived.
+        EXPECT_EQ(stats.value().rederived_tuples, tc_before);
+        EXPECT_EQ(db.ResultFor("tc")->size(), kN * kN);
+      }
+      if (b == 1) {
+        EXPECT_EQ(db.ResultFor("self")->size(), kN - 1);
+      }
+
+      Catalog edb;
+      Relation arc = *db.ResultFor("arc");
+      edb.Put(std::move(arc));
+      auto oracle = ReferenceEvaluate(program.value(), edb);
+      ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+      for (const char* out : {"tc", "self"}) {
+        EXPECT_EQ(RowSet(*db.ResultFor(out)), RowSet(oracle.value().at(out)))
+            << out;
+      }
+    }
+  }
 }
 
 TEST(IncrementalTest, UpdatesOnEmptyInitialEdb) {

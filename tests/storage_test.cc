@@ -1,5 +1,6 @@
 // Unit and property tests for src/storage: schema, relation, B+-tree,
-// hash index, dynamic index, flat merge structures, catalog.
+// hash index, dynamic index, flat merge structures, catalog, and the
+// update-batch helpers shared by the engine and the EDB store.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
+#include "storage/updates.h"
 
 namespace dcdatalog {
 namespace {
@@ -447,6 +449,197 @@ TEST(CatalogTest, CreateFindPut) {
   catalog.Put(std::move(replacement));
   EXPECT_EQ(catalog.Find("edges")->size(), 2u);
   EXPECT_EQ(catalog.Names().size(), 1u);
+}
+
+
+// --- Update-batch helpers (NetOutBatch / ApplyDeltasToCatalog) ---
+
+ResolvedUpdateOp Op(bool insert, const std::string& rel,
+                    std::vector<uint64_t> row) {
+  ResolvedUpdateOp op;
+  op.is_insert = insert;
+  op.relation = rel;
+  op.row = std::move(row);
+  return op;
+}
+
+std::vector<std::vector<uint64_t>> Rows(const Relation& rel) {
+  std::vector<std::vector<uint64_t>> out;
+  for (uint64_t r = 0; r < rel.size(); ++r) {
+    TupleRef row = rel.Row(r);
+    out.emplace_back(row.data, row.data + row.arity);
+  }
+  return out;
+}
+
+void PutArc(Catalog* catalog,
+            std::initializer_list<std::vector<uint64_t>> rows) {
+  Relation arc("arc", Schema::Ints(2));
+  for (const auto& row : rows) {
+    arc.Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
+  }
+  catalog->Put(std::move(arc));
+}
+
+TEST(ResolveUpdateBatchTest, RejectsOutOfRangeInts) {
+  // strtoll clamps to INT64_MAX/MIN on overflow; an update must reject the
+  // token instead of inserting or deleting the clamped value.
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}});
+  StringDict dict;
+  for (const char* script : {"+ arc 99999999999999999999 1\n",
+                             "- arc 1 -99999999999999999999\n"}) {
+    auto parsed = ParseUpdateScript(script);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    auto resolved =
+        ResolveUpdateBatch(parsed.value().batches[0], catalog, &dict);
+    EXPECT_FALSE(resolved.ok()) << script;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kParseError) << script;
+  }
+  auto parsed =
+      ParseUpdateScript("+ arc 9223372036854775807 -9223372036854775808\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto resolved = ResolveUpdateBatch(parsed.value().batches[0], catalog, &dict);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  EXPECT_EQ(IntFromWord(resolved.value().ops[0].row[0]), INT64_MAX);
+  EXPECT_EQ(IntFromWord(resolved.value().ops[0].row[1]), INT64_MIN);
+}
+
+TEST(NetOutBatchTest, TupleStoredKTimesYieldsKRemovals) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}, {5, 6}, {1, 2}});
+  ResolvedUpdateBatch batch;
+  batch.ops.push_back(Op(false, "arc", {1, 2}));
+  auto deltas = NetOutBatch(batch, catalog);
+  ASSERT_TRUE(deltas.ok()) << deltas.status().ToString();
+  ASSERT_EQ(deltas.value().size(), 1u);
+  const RelationDelta& d = deltas.value()[0];
+  EXPECT_EQ(d.relation, "arc");
+  EXPECT_TRUE(d.added.empty());
+  const std::vector<std::vector<uint64_t>> three(3, {1, 2});
+  EXPECT_EQ(d.removed, three);
+
+  Relation* before = catalog.Find("arc");
+  ASSERT_TRUE(ApplyDeltasToCatalog(deltas.value(), &catalog).ok());
+  EXPECT_EQ(catalog.Find("arc"), before);
+  const std::vector<std::vector<uint64_t>> survivors = {{3, 4}, {5, 6}};
+  EXPECT_EQ(Rows(*catalog.Find("arc")), survivors);
+}
+
+TEST(NetOutBatchTest, InsertThenDeleteInOneBatchCancels) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}});
+  ResolvedUpdateBatch batch;
+  batch.ops.push_back(Op(true, "arc", {7, 8}));
+  batch.ops.push_back(Op(false, "arc", {7, 8}));
+  // Delete-then-reinsert of a stored tuple cancels too.
+  batch.ops.push_back(Op(false, "arc", {1, 2}));
+  batch.ops.push_back(Op(true, "arc", {1, 2}));
+  auto deltas = NetOutBatch(batch, catalog);
+  ASSERT_TRUE(deltas.ok()) << deltas.status().ToString();
+  EXPECT_TRUE(deltas.value().empty());
+}
+
+TEST(NetOutBatchTest, DeletingAnAbsentRowIsANoOp) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}, {2, 3}});
+  ResolvedUpdateBatch batch;
+  batch.ops.push_back(Op(false, "arc", {9, 9}));
+  // Inserting a present tuple is a no-op as well.
+  batch.ops.push_back(Op(true, "arc", {2, 3}));
+  auto deltas = NetOutBatch(batch, catalog);
+  ASSERT_TRUE(deltas.ok()) << deltas.status().ToString();
+  EXPECT_TRUE(deltas.value().empty());
+
+  RelationDelta absent;
+  absent.relation = "arc";
+  absent.removed.push_back({9, 9});
+  ASSERT_TRUE(ApplyDeltasToCatalog({absent}, &catalog).ok());
+  const std::vector<std::vector<uint64_t>> unchanged = {{1, 2}, {2, 3}};
+  EXPECT_EQ(Rows(*catalog.Find("arc")), unchanged);
+}
+
+TEST(NetOutBatchTest, DeltasInTouchOrderPerRelationSortedByName) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}, {2, 3}});
+  Relation node("node", Schema::Ints(1));
+  node.Append({4});
+  catalog.Put(std::move(node));
+  ResolvedUpdateBatch batch;
+  batch.ops.push_back(Op(true, "node", {5}));
+  batch.ops.push_back(Op(true, "arc", {9, 1}));
+  batch.ops.push_back(Op(false, "arc", {2, 3}));
+  batch.ops.push_back(Op(true, "arc", {0, 1}));
+  batch.ops.push_back(Op(false, "node", {4}));
+  batch.ops.push_back(Op(false, "arc", {1, 2}));
+  auto deltas = NetOutBatch(batch, catalog);
+  ASSERT_TRUE(deltas.ok()) << deltas.status().ToString();
+  ASSERT_EQ(deltas.value().size(), 2u);
+  const RelationDelta& arc = deltas.value()[0];
+  EXPECT_EQ(arc.relation, "arc");
+  const std::vector<std::vector<uint64_t>> added = {{9, 1}, {0, 1}};
+  const std::vector<std::vector<uint64_t>> removed = {{2, 3}, {1, 2}};
+  EXPECT_EQ(arc.added, added);
+  EXPECT_EQ(arc.removed, removed);
+  EXPECT_EQ(deltas.value()[1].relation, "node");
+
+  ResolvedUpdateBatch unknown;
+  unknown.ops.push_back(Op(true, "missing", {1}));
+  EXPECT_FALSE(NetOutBatch(unknown, catalog).ok());
+}
+
+TEST(ApplyDeltasTest, CompactionKeepsSurvivorOrderAndAddress) {
+  Catalog catalog;
+  PutArc(&catalog, {{5, 1}, {1, 2}, {4, 4}, {3, 0}, {1, 2}, {2, 9}, {0, 7}});
+  Relation* before = catalog.Find("arc");
+  RelationDelta d;
+  d.relation = "arc";
+  d.removed = {{4, 4}, {1, 2}, {0, 7}};  // One of the two (1, 2) copies.
+  d.added = {{8, 8}};
+  ASSERT_TRUE(ApplyDeltasToCatalog({d}, &catalog).ok());
+  EXPECT_EQ(catalog.Find("arc"), before);
+  const std::vector<std::vector<uint64_t>> expected = {
+      {5, 1}, {3, 0}, {1, 2}, {2, 9}, {8, 8}};
+  EXPECT_EQ(Rows(*before), expected);
+
+  RelationDelta missing;
+  missing.relation = "missing";
+  missing.added = {{1, 1}};
+  EXPECT_FALSE(ApplyDeltasToCatalog({missing}, &catalog).ok());
+}
+
+TEST(ApplyDeltasTest, NetOutThenApplyMatchesSetSemantics) {
+  // Randomized: the applied catalog equals the op-by-op set model.
+  Rng rng(11);
+  for (int trial = 0; trial < 30; ++trial) {
+    Catalog catalog;
+    Relation arc("arc", Schema::Ints(2));
+    std::set<std::vector<uint64_t>> model;
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<uint64_t> row = {rng.Uniform(6), rng.Uniform(6)};
+      arc.Append(TupleRef{row.data(), 2});
+      model.insert(row);
+    }
+    catalog.Put(std::move(arc));
+    ResolvedUpdateBatch batch;
+    for (int i = 0; i < 20; ++i) {
+      const bool insert = rng.Uniform(2) == 0;
+      std::vector<uint64_t> row = {rng.Uniform(7), rng.Uniform(7)};
+      if (insert) {
+        model.insert(row);
+      } else {
+        model.erase(row);
+      }
+      batch.ops.push_back(Op(insert, "arc", std::move(row)));
+    }
+    auto deltas = NetOutBatch(batch, catalog);
+    ASSERT_TRUE(deltas.ok()) << deltas.status().ToString();
+    ASSERT_TRUE(ApplyDeltasToCatalog(deltas.value(), &catalog).ok());
+    const auto rows = Rows(*catalog.Find("arc"));
+    EXPECT_EQ(std::set<std::vector<uint64_t>>(rows.begin(), rows.end()),
+              model)
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -70,6 +70,27 @@ TEST(TextIoTest, RejectsMalformedRows) {
   std::remove(path.c_str());
 }
 
+TEST(TextIoTest, RejectsOutOfRangeInts) {
+  // strtoll clamps to INT64_MAX/MIN on overflow; the loader must reject the
+  // token instead of storing the clamped value.
+  const std::string path = TempPath("facts3.tsv");
+  StringDict dict;
+  for (const char* bad : {"99999999999999999999 1\n",
+                          "1 -99999999999999999999\n"}) {
+    WriteFile(path, bad);
+    auto rel = LoadRelationFile("r", Schema::Ints(2), path, &dict);
+    EXPECT_FALSE(rel.ok()) << bad;
+    EXPECT_EQ(rel.status().code(), StatusCode::kParseError) << bad;
+  }
+  // The extremes themselves still load.
+  WriteFile(path, "9223372036854775807 -9223372036854775808\n");
+  auto rel = LoadRelationFile("r", Schema::Ints(2), path, &dict);
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_EQ(IntFromWord(rel.value().Row(0)[0]), INT64_MAX);
+  EXPECT_EQ(IntFromWord(rel.value().Row(0)[1]), INT64_MIN);
+  std::remove(path.c_str());
+}
+
 TEST(TextIoTest, MissingFile) {
   StringDict dict;
   EXPECT_EQ(LoadRelationFile("r", Schema::Ints(1), "/no/such/file", &dict)
