@@ -2,12 +2,13 @@
 #define DCDATALOG_COMMON_PARSE_H_
 
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
 namespace dcdatalog {
 
-/// Checked integer parsing for command-line surfaces. std::atoi silently
+/// Checked number parsing for command-line surfaces. std::atoi silently
 /// turns garbage into 0 and accepts negatives/trailing junk — for flags
 /// like --workers that then picks a nonsensical configuration without a
 /// word. These helpers demand full consumption of the input, reject empty
@@ -52,6 +53,24 @@ inline bool ParseUint32Checked(const char* s, uint32_t min, uint32_t max,
   uint64_t v = 0;
   if (!ParseUint64Checked(s, min, max, &v)) return false;
   *out = static_cast<uint32_t>(v);
+  return true;
+}
+
+/// Parses a finite decimal floating-point number, requiring the whole
+/// string to be consumed (std::atof turns "0.0x1" into 0 without a word).
+/// The first character must be a digit, '-' or '.'.
+inline bool ParseDoubleChecked(const char* s, double* out) {
+  if (s == nullptr ||
+      !(*s == '-' || *s == '.' || (*s >= '0' && *s <= '9'))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (errno == ERANGE || end == s || *end != '\0' || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 

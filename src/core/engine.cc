@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/dred.h"
-
 #include "common/affinity.h"
 #include "common/chaos.h"
 #include "common/hash.h"
@@ -24,6 +22,7 @@
 #include "concurrent/spsc_queue.h"
 #include "concurrent/termination.h"
 #include "concurrent/worker_pool.h"
+#include "core/backward_forward.h"
 #include "core/dws_controller.h"
 #include "datalog/analysis.h"
 #include "planner/logical_plan.h"
@@ -1441,11 +1440,6 @@ bool AtMostOneAffectedAtomPerRule(const Program& program,
   return true;
 }
 
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
 }  // namespace
 
 /// Everything an incremental session retains between ApplyUpdates batches:
@@ -1525,6 +1519,16 @@ struct Engine::IncrementalState {
         per_worker[w][r] = replicas[s][w][r]->rows().size();
       }
     }
+  }
+
+  /// True when a rule outside the SCC consumes `pred` (positive body atom).
+  bool ConsumedDownstream(const SccPlan& scc, const std::string& pred) const {
+    auto it = consumers.find(pred);
+    if (it == consumers.end()) return false;
+    for (const std::string& head : it->second) {
+      if (scc.PredIdOf(head) < 0) return true;
+    }
+    return false;
   }
 
   /// True when some rule of the SCC consumes (positive body atom) one of
@@ -1696,10 +1700,19 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
                   p) != st->plan.update_ineligible_rels.end()) {
       fallback = true;
     }
+    // Backward/Forward needs a check version of every rule of the SCC.
+    if (removals && std::find(st->plan.check_ineligible_preds.begin(),
+                              st->plan.check_ineligible_preds.end(),
+                              p) != st->plan.check_ineligible_preds.end()) {
+      fallback = true;
+    }
   }
 
-  if (fallback) {
-    DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(deltas, catalog_));
+  // Applies the `pending` deltas and recomputes while rebuilding the
+  // retained state.
+  const auto recompute =
+      [&](const std::vector<RelationDelta>& pending) -> Result<EvalStats> {
+    DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(pending, catalog_));
     Result<EvalStats> rerun = RunRetaining();
     if (!rerun.ok()) {
       inc_.reset();  // Retained state is torn; the session cannot continue.
@@ -1708,9 +1721,11 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     EvalStats out = std::move(rerun).value();
     out.update_batches = stats.update_batches;
     out.delta_tuples_in = stats.delta_tuples_in;
+    out.rederived_tuples += stats.rederived_tuples;
     out.seconds = timer.ElapsedSeconds();
     return out;
-  }
+  };
+  if (fallback) return recompute(deltas);
 
   // --- Delete phase: restore the fixpoint under the removals alone. ---
   if (removals) {
@@ -1735,10 +1750,16 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     for (const auto& [name, rm] : removed_rows) {
       st->InvalidateIndexesOver(name);
     }
-    Status del = RunDeletePhase(&old_copies, &removed_rows, &stats);
+    Result<bool> del = RunDeletePhase(&old_copies, &removed_rows, &stats);
     if (!del.ok()) {
       inc_.reset();
-      return del;
+      return del.status();
+    }
+    if (!del.value()) {
+      // Backward/Forward gave up; the removals are already applied.
+      std::vector<RelationDelta> inserts = deltas;
+      for (RelationDelta& d : inserts) d.removed.clear();
+      return recompute(inserts);
     }
   }
 
@@ -1819,9 +1840,9 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
   return stats;
 }
 
-Status Engine::RunDeletePhase(std::map<std::string, Relation>* old_copies,
-                              std::map<std::string, Relation>* removed_rows,
-                              EvalStats* stats) {
+Result<bool> Engine::RunDeletePhase(
+    std::map<std::string, Relation>* old_copies,
+    std::map<std::string, Relation>* removed_rows, EvalStats* stats) {
   IncrementalState* st = inc_.get();
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
     const SccPlan& scc = st->plan.sccs[s];
@@ -1837,14 +1858,13 @@ Status Engine::RunDeletePhase(std::map<std::string, Relation>* old_copies,
                                      removed_names);
     if (counting) {
       DCD_RETURN_IF_ERROR(CountingDelete(s, old_copies, removed_rows, stats));
-    } else {
-      // DRed rebuilds the tables without counts; don't trust them again
-      // until the next full run.
-      st->counts_valid[s] = 0;
-      DCD_RETURN_IF_ERROR(DredDelete(s, old_copies, removed_rows, stats));
+      continue;
     }
+    DCD_ASSIGN_OR_RETURN(
+        bool done, BackwardForwardDelete(s, old_copies, removed_rows, stats));
+    if (!done) return false;
   }
-  return Status::OK();
+  return true;
 }
 
 Status Engine::CountingDelete(size_t scc_idx,
@@ -1858,7 +1878,7 @@ Status Engine::CountingDelete(size_t scc_idx,
   auto& tables = st->replicas[scc_idx];
 
   // Snapshot this SCC's predicates before correcting them: a downstream
-  // SCC's DRed closure may need the pre-batch values.
+  // SCC's forward pass reads the pre-batch values.
   for (const std::string& pred : scc.derived_preds) {
     if (old_copies->count(pred) == 0) {
       old_copies->emplace(pred, *catalog_->Find(pred));
@@ -1965,218 +1985,111 @@ Status Engine::CountingDelete(size_t scc_idx,
   return Status::OK();
 }
 
-Status Engine::DredDelete(size_t scc_idx,
-                          std::map<std::string, Relation>* old_copies,
-                          std::map<std::string, Relation>* removed_rows,
-                          EvalStats* stats) {
+Result<bool> Engine::BackwardForwardDelete(
+    size_t scc_idx, std::map<std::string, Relation>* old_copies,
+    std::map<std::string, Relation>* removed_rows, EvalStats* stats) {
   IncrementalState* st = inc_.get();
   const SccPlan& scc = st->plan.sccs[scc_idx];
   const uint32_t n = options_.num_workers;
-  const std::string old_prefix = DredOldName("");
-  const std::string rm_prefix = DredRmName("");
-  const std::string seed_prefix = DredSeedName("");
+  auto& tables = st->replicas[scc_idx];
 
-  for (const std::string& pred : scc.derived_preds) {
-    if (old_copies->count(pred) == 0) {
-      old_copies->emplace(pred, *catalog_->Find(pred));
+  // Check and Saturate read the other SCCs' relations after the removals:
+  // catch up the indexes the delta and check versions probe (the
+  // check-only ones are built here, on the first delete).
+  for (const auto* rules : {&scc.delta_rules, &scc.check_rules}) {
+    for (const PhysicalRule& rule : *rules) {
+      for (const Step& step : rule.steps) {
+        if (step.base_index_id < 0) continue;
+        DCD_RETURN_IF_ERROR(
+            st->base_indexes->SyncAppended(step.base_index_id, *catalog_));
+      }
+    }
+  }
+  // The forward drive of the removed rows reads them before the batch.
+  BaseIndexSet old_indexes(st->plan.base_indexes);
+  for (const PhysicalRule& rule : scc.update_rules) {
+    if (removed_rows->count(rule.driving_relation) == 0) continue;
+    for (const Step& step : rule.steps) {
+      if (step.base_index_id < 0) continue;
+      auto old = old_copies->find(step.relation);
+      const Relation* rel = old != old_copies->end()
+                                ? &old->second
+                                : catalog_->Find(step.relation);
+      if (rel == nullptr) {
+        return Status::Internal("relation '" + step.relation +
+                                "' missing on the delete path");
+      }
+      old_indexes.EnsureBuiltOver(step.base_index_id, *rel);
     }
   }
 
-  std::set<std::string> removed_names;
-  for (const auto& [name, rel] : *removed_rows) {
-    if (!rel.empty()) removed_names.insert(name);
-  }
+  BackwardForwardInput in;
+  in.scc = &scc;
+  in.num_workers = n;
+  in.tables = &tables;
+  in.removed = removed_rows;
+  in.catalog = catalog_;
+  in.indexes = st->base_indexes.get();
+  in.old_indexes = &old_indexes;
+  in.old_relations = old_copies;
+  const BackwardForwardResult bf = RunBackwardForward(in);
+  stats->rederived_tuples += bf.checked;
+  if (!bf.completed) return false;
+  // Lost derivations of surviving rows were never decremented.
+  st->counts_valid[scc_idx] = 0;
 
-  // Step 1: over-deletion closure, evaluated against the pre-batch
-  // snapshots — every tuple with a derivation through a removed row.
-  DCD_ASSIGN_OR_RETURN(
-      Program closure,
-      BuildDeleteClosureProgram(st->program, st->analysis, scc.scc_id,
-                                removed_names));
-  Catalog closure_catalog;
-  for (const Rule& rule : closure.rules) {
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind != BodyLiteral::Kind::kAtom) continue;
-      const std::string& name = lit.atom.predicate;
-      if (closure_catalog.Contains(name)) continue;
-      const Relation* src = nullptr;
-      if (StartsWith(name, old_prefix)) {
-        const std::string base = name.substr(old_prefix.size());
-        auto it = old_copies->find(base);
-        src = it != old_copies->end() ? &it->second : catalog_->Find(base);
-      } else if (StartsWith(name, rm_prefix)) {
-        auto it = removed_rows->find(name.substr(rm_prefix.size()));
-        src = it != removed_rows->end() ? &it->second : nullptr;
-      } else {
-        continue;  // __dred_d_* — derived by the closure itself.
-      }
-      if (src == nullptr) {
-        return Status::Internal("DRed closure input '" + name + "' missing");
-      }
-      Relation copy(name, src->schema());
-      copy.AppendAll(*src);
-      closure_catalog.Put(std::move(copy));
-    }
-  }
-  {
-    Engine closure_engine(&closure_catalog, options_);
-    DCD_ASSIGN_OR_RETURN(EvalStats closure_stats,
-                         closure_engine.Run(closure));
-    (void)closure_stats;
-  }
-
-  bool any_deleted = false;
-  for (const std::string& pred : scc.derived_preds) {
-    const Relation* d = closure_catalog.Find(DredDName(pred));
-    any_deleted |= d != nullptr && !d->empty();
-  }
-  if (!any_deleted) return Status::OK();
-
-  // Step 2: re-derivation from the survivors. A tuple outside the closure
-  // has a derivation avoiding every removed row, so the survivors are a
-  // subset of the corrected fixpoint; re-running the SCC's rules from them
-  // (against the corrected external relations) adds back exactly the
-  // over-deleted tuples that remain derivable. Closure membership is one
-  // hashed probe per old row, into a FlatTupleSet over the closure's own
-  // __dred_d_* relation.
-  DCD_ASSIGN_OR_RETURN(
-      Program rederive,
-      BuildRederiveProgram(st->program, st->analysis, scc.scc_id));
-  Catalog rederive_catalog;
-  const std::set<std::string> scc_pred_set(scc.derived_preds.begin(),
-                                           scc.derived_preds.end());
-  uint64_t survivor_count = 0;
-  for (const std::string& pred : scc.derived_preds) {
-    const Relation& old_rel = old_copies->at(pred);
-    Relation seeds(DredSeedName(pred), old_rel.schema());
-    const Relation* d = closure_catalog.Find(DredDName(pred));
-    if (d == nullptr || d->empty()) {
-      seeds.AppendAll(old_rel);
-    } else {
-      FlatTupleSet dset(d);
-      dset.Reserve(d->size());
-      for (uint64_t r = 0; r < d->size(); ++r) {
-        const TupleRef row = d->Row(r);
-        const uint64_t hash = row.Hash();
-        if (dset.Find(hash, row) == FlatTupleSet::kNotFound) {
-          dset.Insert(hash, r);
-        }
-      }
-      for (uint64_t r = 0; r < old_rel.size(); ++r) {
-        const TupleRef row = old_rel.Row(r);
-        if (dset.Find(row.Hash(), row) == FlatTupleSet::kNotFound) {
-          seeds.Append(row);
-        }
-      }
-    }
-    survivor_count += seeds.size();
-    rederive_catalog.Put(std::move(seeds));
-  }
-  for (const Rule& rule : rederive.rules) {
-    for (const BodyLiteral& lit : rule.body) {
-      if (lit.kind != BodyLiteral::Kind::kAtom) continue;
-      const std::string& name = lit.atom.predicate;
-      if (scc_pred_set.count(name) > 0) continue;
-      if (StartsWith(name, seed_prefix)) continue;
-      if (rederive_catalog.Contains(name)) continue;
-      const Relation* src = catalog_->Find(name);
-      if (src == nullptr) {
-        return Status::Internal("DRed rederive input '" + name + "' missing");
-      }
-      Relation copy(name, src->schema());
-      copy.AppendAll(*src);
-      rederive_catalog.Put(std::move(copy));
-    }
-  }
-  {
-    Engine rederive_engine(&rederive_catalog, options_);
-    DCD_ASSIGN_OR_RETURN(EvalStats red_stats, rederive_engine.Run(rederive));
-    (void)red_stats;
-  }
-
-  // Step 3: install the corrected contents. Every retained partition is
-  // rebuilt fresh (support counts stay off; the caller already invalidated
-  // them for this SCC) by its own thread, which merges only the corrected
-  // rows routed to it. The same thread then probes its new canonical
-  // partition for the old rows it owns: an old row it no longer holds is
-  // `gone`, and is handed to the downstream SCCs as removed.
-  const size_t num_preds = scc.derived_preds.size();
-  std::vector<const Relation*> corrected(num_preds);
-  std::vector<std::vector<uint8_t>> is_gone(num_preds);
-  uint64_t corrected_total = 0;
-  for (size_t p = 0; p < num_preds; ++p) {
-    const std::string& pred = scc.derived_preds[p];
-    corrected[p] = rederive_catalog.Find(pred);
-    if (corrected[p] == nullptr) {
-      return Status::Internal("DRed rederive result '" + pred + "' missing");
-    }
-    corrected_total += corrected[p]->size();
-    is_gone[p].assign(old_copies->at(pred).size(), 0);
-  }
-  const auto owner = [n](const ReplicaSpec& spec, TupleRef row) {
-    return spec.partition_constant
-               ? 0u
-               : PartitionOf(row.data[spec.partition_col], n);
-  };
-  std::vector<std::vector<std::unique_ptr<RecursiveTable>>> fresh(n);
-  RunGang(options_, n, stats, [&](uint32_t w) {
-    fresh[w].resize(scc.replicas.size());
-    for (size_t p = 0; p < num_preds; ++p) {
-      const std::string& pred = scc.derived_preds[p];
-      const Relation& rows = *corrected[p];
-      for (int replica_id : scc.ReplicasOf(pred)) {
-        const ReplicaSpec& spec = scc.replicas[replica_id];
-        auto table = std::make_unique<RecursiveTable>(
-            pred, st->plan.schemas.at(pred), st->plan.agg_specs.at(pred),
-            spec.partition_col, spec.needs_join_index, options_);
-        for (uint64_t r = 0; r < rows.size(); ++r) {
-          const TupleRef row = rows.Row(r);
-          if (owner(spec, row) == w) table->MergeWire(row.data);
-        }
-        table->ClearDelta();
-        fresh[w][replica_id] = std::move(table);
-      }
-      const int canonical = scc.ReplicasOf(pred).front();
-      const ReplicaSpec& spec = scc.replicas[canonical];
-      const RecursiveTable& table = *fresh[w][canonical];
-      const Relation& old_rel = old_copies->at(pred);
-      for (uint64_t r = 0; r < old_rel.size(); ++r) {
-        const TupleRef row = old_rel.Row(r);
-        if (owner(spec, row) == w && table.FindRowId(row) == UINT64_MAX) {
-          is_gone[p][r] = 1;
-        }
-      }
-    }
-  });
-  // Hand-off: release the gang threads' writer claim; the next batch's
-  // workers (or the counting path) claim the partitions on first write.
+  // Commit: D leaves every replica partition and the catalog relation, and
+  // goes downstream as this SCC's removed rows.
   for (uint32_t w = 0; w < n; ++w) {
-    for (size_t id = 0; id < fresh[w].size(); ++id) {
-      fresh[w][id]->RebindWriter();
-      st->replicas[scc_idx][w][id] = std::move(fresh[w][id]);
-    }
+    for (auto& table : tables[w]) table->RebindWriter();
   }
-
-  for (size_t p = 0; p < num_preds; ++p) {
+  for (size_t p = 0; p < scc.derived_preds.size(); ++p) {
     const std::string& pred = scc.derived_preds[p];
+    const std::vector<int> reps = scc.ReplicasOf(pred);
+    Relation gone(pred, st->plan.schemas.at(pred));
+    for (uint32_t w = 0; w < n; ++w) {
+      for (uint64_t row : bf.deleted[p][w]) {
+        gone.Append(tables[w][reps[0]]->rows().Row(row));
+      }
+    }
+    if (gone.empty()) continue;
+    for (uint32_t w = 0; w < n; ++w) {
+      tables[w][reps[0]]->CompactRemoveRows(bf.deleted[p][w]);
+    }
+    // The other replicas hold the same rows, partitioned on other columns.
+    for (size_t k = 1; k < reps.size(); ++k) {
+      const ReplicaSpec& spec = scc.replicas[reps[k]];
+      std::vector<std::vector<uint64_t>> ids(n);
+      for (uint64_t r = 0; r < gone.size(); ++r) {
+        const TupleRef row = gone.Row(r);
+        const uint32_t w = PartitionOf(row[spec.partition_col], n);
+        const uint64_t id = tables[w][reps[k]]->FindRowId(row);
+        DCD_DCHECK(id != UINT64_MAX);
+        if (id != UINT64_MAX) ids[w].push_back(id);
+      }
+      for (uint32_t w = 0; w < n; ++w) {
+        std::sort(ids[w].begin(), ids[w].end());
+        tables[w][reps[k]]->CompactRemoveRows(ids[w]);
+      }
+    }
     Relation* rel = catalog_->Find(pred);
-    rel->Clear();
-    rel->AppendAll(*corrected[p]);
+    if (st->ConsumedDownstream(scc, pred) && old_copies->count(pred) == 0) {
+      old_copies->emplace(pred, *rel);
+    }
+    FlatTupleSet gone_set(&gone);
+    gone_set.Reserve(gone.size());
+    for (uint64_t r = 0; r < gone.size(); ++r) {
+      gone_set.Insert(gone.Row(r).Hash(), r);
+    }
+    rel->EraseRowsIf([&gone_set](TupleRef row) {
+      return gone_set.Find(row.Hash(), row) != FlatTupleSet::kNotFound;
+    });
     st->InvalidateIndexesOver(pred);
     st->rel_watermarks[pred] = rel->size();
-
-    const Relation& old_rel = old_copies->at(pred);
-    Relation gone(pred, old_rel.schema());
-    for (uint64_t r = 0; r < old_rel.size(); ++r) {
-      if (is_gone[p][r] != 0) gone.Append(old_rel.Row(r));
-    }
-    if (!gone.empty()) removed_rows->emplace(pred, std::move(gone));
+    removed_rows->emplace(pred, std::move(gone));
   }
-  stats->rederived_tuples += corrected_total >= survivor_count
-                                 ? corrected_total - survivor_count
-                                 : 0;
   st->RecordSccWatermarks(scc_idx);
-  return Status::OK();
+  return true;
 }
 
 }  // namespace dcdatalog

@@ -69,8 +69,8 @@ struct EvalStats {
   /// Net EDB tuples in the applied batches after set-semantics netting
   /// (inserts of absent tuples + removed stored copies).
   uint64_t delta_tuples_in = 0;
-  /// Tuples the DRed delete path re-derived: over-deleted during closure,
-  /// then recovered by re-running the SCC's rules from the survivors.
+  /// Facts the Backward/Forward delete path had to re-prove: the checked
+  /// set C, summed over the SCCs a deletion reached.
   uint64_t rederived_tuples = 0;
   /// Morsels a loaded worker published from its driving-set tail for idle
   /// workers to steal (docs/INTERNALS.md §11; 0 under --steal=off).
@@ -138,7 +138,7 @@ class Engine {
   /// Applies one batch of EDB inserts/deletes and incrementally restores
   /// the fixpoint. Inserts re-enter the retained semi-naive loop through
   /// the update rules; deletes run support-count maintenance
-  /// (non-recursive SCCs) or DRed delete-and-rederive (recursive SCCs).
+  /// (non-recursive SCCs) or Backward/Forward (every other SCC).
   /// Batches the planner or eligibility analysis cannot handle
   /// incrementally fall back to a transparent full recompute — either way
   /// the maintained fixpoint is identical to a from-scratch Run over the
@@ -156,17 +156,18 @@ class Engine {
   /// state into inc_. Used by BeginIncremental and by the fallback path.
   Result<EvalStats> RunRetaining();
 
-  Status RunDeletePhase(std::map<std::string, Relation>* old_copies,
-                        std::map<std::string, Relation>* removed_rows,
-                        EvalStats* stats);
+  /// Restores the fixpoint under the batch's removals, SCC by SCC. False
+  /// when Backward/Forward gave up on an SCC: the caller must recompute.
+  Result<bool> RunDeletePhase(std::map<std::string, Relation>* old_copies,
+                              std::map<std::string, Relation>* removed_rows,
+                              EvalStats* stats);
   Status CountingDelete(size_t scc_idx,
                         std::map<std::string, Relation>* old_copies,
                         std::map<std::string, Relation>* removed_rows,
                         EvalStats* stats);
-  Status DredDelete(size_t scc_idx,
-                    std::map<std::string, Relation>* old_copies,
-                    std::map<std::string, Relation>* removed_rows,
-                    EvalStats* stats);
+  Result<bool> BackwardForwardDelete(
+      size_t scc_idx, std::map<std::string, Relation>* old_copies,
+      std::map<std::string, Relation>* removed_rows, EvalStats* stats);
 
   Catalog* catalog_;
   EngineOptions options_;

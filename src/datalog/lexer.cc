@@ -1,7 +1,10 @@
 #include "datalog/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+
+#include "common/parse.h"
 
 namespace dcdatalog {
 
@@ -155,7 +158,13 @@ Result<std::vector<Token>> Tokenize(std::string_view src) {
         t.float_value = std::strtod(text.c_str(), nullptr);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        int64_t value = 0;
+        if (!ParseInt64Checked(text.c_str(), INT64_MIN, INT64_MAX, &value)) {
+          return Status::ParseError("integer literal " + text +
+                                    " out of 64-bit range at line " +
+                                    std::to_string(line));
+        }
+        t.int_value = value;
       }
       tokens.push_back(std::move(t));
       continue;

@@ -193,12 +193,11 @@ class ConstraintPlacer {
   std::vector<int> pending_;
 };
 
-Result<LogicalRulePlan> BuildOneVersion(const Program& program,
-                                        const ProgramAnalysis& analysis,
-                                        int rule_index, int delta_atom) {
-  const Rule& rule = program.rules[rule_index];
-  const RuleInfo& rinfo = analysis.rule_infos()[rule_index];
-
+/// Plans one version of `rule` driven by body atom `delta_atom` (-1: a
+/// base rule). `recursive_atoms` are the body indices over the head's SCC.
+Result<LogicalRulePlan> BuildVersionOf(const Rule& rule,
+                                       const std::vector<int>& recursive_atoms,
+                                       int rule_index, int delta_atom) {
   LogicalRulePlan plan;
   plan.rule_index = rule_index;
   plan.delta_atom = delta_atom;
@@ -216,8 +215,8 @@ Result<LogicalRulePlan> BuildOneVersion(const Program& program,
     scan->atom = atom;
     scan->is_delta = body_idx == delta_atom;
     scan->is_recursive =
-        std::find(rinfo.recursive_atoms.begin(), rinfo.recursive_atoms.end(),
-                  body_idx) != rinfo.recursive_atoms.end();
+        std::find(recursive_atoms.begin(), recursive_atoms.end(),
+                  body_idx) != recursive_atoms.end();
 
     if (node == nullptr) {
       node = std::move(scan);
@@ -269,6 +268,14 @@ Result<LogicalRulePlan> BuildOneVersion(const Program& program,
   if (node != nullptr) project->children.push_back(std::move(node));
   plan.root = std::move(project);
   return plan;
+}
+
+Result<LogicalRulePlan> BuildOneVersion(const Program& program,
+                                        const ProgramAnalysis& analysis,
+                                        int rule_index, int delta_atom) {
+  return BuildVersionOf(program.rules[rule_index],
+                        analysis.rule_infos()[rule_index].recursive_atoms,
+                        rule_index, delta_atom);
 }
 
 }  // namespace
@@ -325,6 +332,44 @@ Result<LogicalRulePlan> BuildUpdateVersion(const Program& program,
       LogicalRulePlan plan,
       BuildOneVersion(program, analysis, rule_index, update_atom));
   plan.is_update = true;
+  return plan;
+}
+
+Result<LogicalRulePlan> BuildCheckVersion(const Program& program,
+                                          const ProgramAnalysis& analysis,
+                                          int rule_index) {
+  const Rule& rule = program.rules[rule_index];
+  const std::vector<int>& recursive =
+      analysis.rule_infos()[rule_index].recursive_atoms;
+  // The head becomes the driving atom; same-SCC atoms leave the body.
+  Rule check;
+  check.line = rule.line;
+  check.head.predicate = rule.head.predicate;
+  BodyLiteral driving;
+  driving.atom.predicate = rule.head.predicate;
+  for (const HeadArg& arg : rule.head.args) {
+    if (arg.agg != AggFunc::kNone) {
+      return Status::Unsupported("rule at line " + std::to_string(rule.line) +
+                                 ": aggregate heads have no check version");
+    }
+    driving.atom.args.push_back(arg.term());
+    check.head.args.push_back(HeadArg{AggFunc::kNone, arg.terms});
+  }
+  check.body.push_back(std::move(driving));
+  std::vector<Atom> same_scc;
+  for (size_t b = 0; b < rule.body.size(); ++b) {
+    if (std::find(recursive.begin(), recursive.end(), static_cast<int>(b)) !=
+        recursive.end()) {
+      same_scc.push_back(rule.body[b].atom);
+      continue;
+    }
+    check.body.push_back(rule.body[b].Clone());
+  }
+  DCD_ASSIGN_OR_RETURN(LogicalRulePlan plan,
+                       BuildVersionOf(check, {}, rule_index, 0));
+  plan.delta_atom = -1;  // Driven by a candidate fact, not by a δ.
+  plan.is_check = true;
+  plan.check_atoms = std::move(same_scc);
   return plan;
 }
 

@@ -54,6 +54,12 @@ struct LogicalRulePlan {
   /// *non-recursive* body atom, and the driving scan ranges over that
   /// relation's newly-arrived rows instead of a recursive table's δ.
   bool is_update = false;
+  /// Backward/Forward check version: the driving scan is the rule's head
+  /// atom (bound from one fact), the body keeps every literal over another
+  /// SCC, and the same-SCC atoms move to `check_atoms`, to be built from
+  /// the registers once the body has bound them (see BuildCheckVersion).
+  bool is_check = false;
+  std::vector<Atom> check_atoms;
   std::unique_ptr<LogicalOp> root;
 
   std::string ToString() const;
@@ -79,6 +85,19 @@ Result<std::vector<LogicalRulePlan>> BuildLogicalPlans(
 Result<LogicalRulePlan> BuildUpdateVersion(const Program& program,
                                            const ProgramAnalysis& analysis,
                                            int rule_index, int update_atom);
+
+/// Builds the head-bound "check version" of one rule for Backward/Forward
+/// deletion: driven by a candidate fact F of the head predicate, it
+/// enumerates the rule instances deriving F. Literals over other SCCs stay
+/// in the body and are joined as usual; the positive same-SCC atoms are
+/// not joined but returned in check_atoms, since each instance's
+/// same-SCC facts are looked up (and recursively checked) one by one by
+/// the caller. Planning fails when a same-SCC atom holds a wildcard, or a
+/// variable or constraint that neither the head nor the other-SCC body
+/// binds — such a rule has no check version.
+Result<LogicalRulePlan> BuildCheckVersion(const Program& program,
+                                          const ProgramAnalysis& analysis,
+                                          int rule_index);
 
 }  // namespace dcdatalog
 

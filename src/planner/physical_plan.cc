@@ -86,7 +86,9 @@ class RuleCompiler {
     out_.rule_index = logical.rule_index;
     out_.delta_atom = logical.delta_atom;
     out_.is_update = logical.is_update;
+    out_.is_check = logical.is_check;
     is_update_ = logical.is_update;
+    is_check_ = logical.is_check;
     var_reg_.clear();
     reg_types_.clear();
     first_scan_ = true;
@@ -125,6 +127,10 @@ class RuleCompiler {
     }
 
     DCD_RETURN_IF_ERROR_P(CompileNode(logical.root.get()));
+    for (const Atom& atom : logical.check_atoms) {
+      DCD_ASSIGN_OR_RETURN(HeadSpec fact, CompileCheckAtom(atom));
+      out_.check_atoms.push_back(std::move(fact));
+    }
     out_.num_regs = static_cast<uint32_t>(reg_types_.size());
     out_.reg_types = reg_types_;
 
@@ -158,6 +164,9 @@ class RuleCompiler {
       std::vector<char> need(reg_types_.size(), 0);
       for (const CompiledExpr& e : out_.head.wire_exprs) {
         MarkExprRegs(e, &need);
+      }
+      for (const HeadSpec& fact : out_.check_atoms) {
+        for (const CompiledExpr& e : fact.wire_exprs) MarkExprRegs(e, &need);
       }
       for (size_t i = out_.steps.size(); i-- > 0;) {
         Step& step = out_.steps[i];
@@ -380,7 +389,7 @@ class RuleCompiler {
     if (first_scan_) {
       first_scan_ = false;
       out_.driving_relation = atom.predicate;
-      if (scan->is_delta) {
+      if (scan->is_delta && !is_check_) {
         if (is_update_) {
           // Update versions drive a materialized relation's new rows, not a
           // replica δ. When a later step probes a recursive replica, the
@@ -454,6 +463,36 @@ class RuleCompiler {
                     &step.const_checks);
     out_.steps.push_back(std::move(step));
     return Status::OK();
+  }
+
+  /// Compiles a same-SCC body atom of a check version into one expression
+  /// per column, rebuilding the body fact from the registers. Columns are
+  /// raw words, exactly as a join's checks compare them (no coercion).
+  Result<HeadSpec> CompileCheckAtom(const Atom& atom) {
+    HeadSpec fact;
+    fact.predicate = atom.predicate;
+    fact.pred_id = scc_->PredIdOf(atom.predicate);
+    for (const Term& t : atom.args) {
+      CompiledExpr e;
+      if (t.kind == TermKind::kConstant) {
+        e.op = ExprOp::kConst;
+        e.const_word = t.constant.word;
+        e.type = t.constant.type;
+      } else {
+        auto it = t.IsVariable() ? var_reg_.find(t.var) : var_reg_.end();
+        if (it == var_reg_.end()) {
+          return Status::Unsupported(
+              "rule at line " + std::to_string(rule_->line) + ": goal '" +
+              atom.ToString() + "' is not bound by the head and the other "
+              "SCCs' goals, so the rule has no check version");
+        }
+        e.op = ExprOp::kVar;
+        e.reg = it->second;
+        e.type = reg_types_[e.reg];
+      }
+      fact.wire_exprs.push_back(std::move(e));
+    }
+    return fact;
   }
 
   Status EmitAntiJoin(const Atom& atom) {
@@ -683,6 +722,7 @@ class RuleCompiler {
   uint32_t driving_partition_col_ = 0;
   bool driving_needs_locality_ = false;
   bool is_update_ = false;
+  bool is_check_ = false;
   bool first_scan_ = true;
 };
 
@@ -731,6 +771,7 @@ std::string SccPlan::ToString() const {
   for (const auto& r : base_rules) os << "  base  " << r.ToString() << "\n";
   for (const auto& r : delta_rules) os << "  delta " << r.ToString() << "\n";
   for (const auto& r : update_rules) os << "  update " << r.ToString() << "\n";
+  for (const auto& r : check_rules) os << "  check " << r.ToString() << "\n";
   return os.str();
 }
 
@@ -838,6 +879,28 @@ Result<PhysicalPlan> BuildPhysicalPlan(
           }
           scc.update_rules.push_back(std::move(compiled).value());
         }
+      }
+
+      // Check versions for Backward/Forward deletion, one per rule. Check
+      // must see every instance deriving a fact, so one rule without a
+      // check version makes the whole SCC check-ineligible.
+      const size_t indexes_before = plan.base_indexes.size();
+      for (int r : info.rule_indices) {
+        auto compile_check = [&]() -> Result<PhysicalRule> {
+          DCD_ASSIGN_OR_RETURN(LogicalRulePlan logical,
+                               BuildCheckVersion(program, analysis, r));
+          return compiler.Compile(logical);
+        };
+        Result<PhysicalRule> compiled = compile_check();
+        if (!compiled.ok()) {
+          scc.check_rules.clear();
+          plan.base_indexes.resize(indexes_before);
+          for (const std::string& pred : scc.derived_preds) {
+            plan.check_ineligible_preds.push_back(pred);
+          }
+          break;
+        }
+        scc.check_rules.push_back(std::move(compiled).value());
       }
     }
 

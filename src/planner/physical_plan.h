@@ -148,6 +148,15 @@ struct PhysicalRule {
   /// the new rows by range.
   int update_partition_col = -1;
 
+  /// Backward/Forward check version (SccPlan::check_rules): the driving
+  /// tuple is a fact of the head predicate, the steps join the body's
+  /// literals over other SCCs, and each emission is one rule instance
+  /// deriving that fact. Its same-SCC body facts are not joined; each
+  /// check_atoms entry builds one of them from the registers (predicate,
+  /// pred_id and one wire expression per column, like a head).
+  bool is_check = false;
+  std::vector<HeadSpec> check_atoms;
+
   /// Driving source: a recursive replica's delta (delta versions), a base
   /// relation scanned in chunks (base rules), or the implicit unit row.
   std::string driving_relation;
@@ -193,6 +202,11 @@ struct SccPlan {
   /// driven over that relation's newly-arrived rows by ApplyUpdates.
   std::vector<PhysicalRule> update_rules;
 
+  /// Check versions (augmented plans only): one per rule of the SCC, read
+  /// by the Backward/Forward delete path. Their base indexes are built on
+  /// the first delete, never by a plain evaluation.
+  std::vector<PhysicalRule> check_rules;
+
   /// Carry-set metadata, indexed by replica id: the delta_rules indices
   /// driven by that replica's δ. The executor's morsel path uses it to run
   /// exactly one replica's rules over a stolen driving slice without
@@ -222,6 +236,12 @@ struct PhysicalPlan {
   /// falls back to full recomputation.
   std::vector<std::string> update_ineligible_rels;
 
+  /// Predicates of the SCCs where some rule has no check version (an
+  /// aggregate head, or a same-SCC atom the rest of the rule cannot bind).
+  /// A batch with deletions that affects any of these falls back to full
+  /// recomputation.
+  std::vector<std::string> check_ineligible_preds;
+
   std::string ToString() const;
 };
 
@@ -232,9 +252,11 @@ struct PhysicalPlan {
 /// otherwise), performs register allocation, and validates that recursive
 /// probes stay partition-local.
 /// With build_update_rules, each SCC additionally carries the compiled
-/// update versions of its rules (incremental-maintenance driving); rules
-/// whose update version cannot be compiled are recorded in
-/// PhysicalPlan::update_ineligible_rels rather than failing the plan.
+/// update versions of its rules (incremental-maintenance driving) and
+/// their check versions (Backward/Forward deletion); rules whose update or
+/// check version cannot be compiled are recorded in
+/// PhysicalPlan::update_ineligible_rels / check_ineligible_preds rather
+/// than failing the plan.
 Result<PhysicalPlan> BuildPhysicalPlan(
     const Program& program, const ProgramAnalysis& analysis,
     const std::vector<LogicalRulePlan>& logical_plans,

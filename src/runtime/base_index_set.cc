@@ -10,13 +10,20 @@ BaseIndexSet::BaseIndexSet(const std::vector<BaseIndexReq>& requests) {
 }
 
 Status BaseIndexSet::EnsureBuilt(int id, const Catalog& catalog) {
-  Entry& e = entries_[id];
-  if (e.built) return Status::OK();
-  e.relation = catalog.Find(e.req.relation);
-  if (e.relation == nullptr) {
-    return Status::NotFound("relation '" + e.req.relation +
+  if (entries_[id].built) return Status::OK();
+  const Relation* relation = catalog.Find(entries_[id].req.relation);
+  if (relation == nullptr) {
+    return Status::NotFound("relation '" + entries_[id].req.relation +
                             "' not materialized before index build");
   }
+  EnsureBuiltOver(id, *relation);
+  return Status::OK();
+}
+
+void BaseIndexSet::EnsureBuiltOver(int id, const Relation& relation) {
+  Entry& e = entries_[id];
+  if (e.built) return;
+  e.relation = &relation;
   if (e.req.is_hash) {
     e.hash.Build(*e.relation, e.req.col);
   } else {
@@ -28,7 +35,6 @@ Status BaseIndexSet::EnsureBuilt(int id, const Catalog& catalog) {
   }
   e.built = true;
   e.rows_indexed = e.relation->size();
-  return Status::OK();
 }
 
 Status BaseIndexSet::SyncAppended(int id, const Catalog& catalog) {

@@ -27,6 +27,12 @@ class BaseIndexSet {
   /// Builds index `id` from the catalog if it is not built yet.
   Status EnsureBuilt(int id, const Catalog& catalog);
 
+  /// Builds index `id` over `relation` instead of the catalog's relation of
+  /// that name, if it is not built yet: the deletion path's view of a
+  /// relation as it was before the batch removed rows from it. `relation`
+  /// must outlive every probe.
+  void EnsureBuiltOver(int id, const Relation& relation);
+
   /// Incremental-maintenance sync: EnsureBuilt, then index any rows the
   /// backing relation appended since the last build/sync (EDB insert
   /// batches, or upstream IDB relations extended in place). Requires the

@@ -330,8 +330,7 @@ void RecursiveTable::EnableSupportCounts() {
   exist_set_.EnableCounts();
 }
 
-uint64_t RecursiveTable::FindRowId(TupleRef tuple) const {
-  const uint64_t hash = tuple.Hash();
+uint64_t RecursiveTable::FindRowId(TupleRef tuple, uint64_t hash) const {
   if (use_flat_) return exist_set_.Find(hash, tuple);
   for (auto it = group_index_.LowerBound(U128{hash, 0});
        !it.AtEnd() && it.key().hi == hash; ++it) {
@@ -393,15 +392,6 @@ void RecursiveTable::CompactRemoveRows(
   if (use_cache_) std::fill(cache_slots_.begin(), cache_slots_.end(), 0);
   delta_.clear();
   batch_changed_rows_.clear();
-}
-
-void RecursiveTable::SeedDeltaWithAllRows() {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
-  const uint64_t n = rows_.size();
-  delta_.reserve(delta_.size() + n);
-  for (uint64_t r = 0; r < n; ++r) {
-    delta_.push_back(TupleBuf(rows_.Row(r)));
-  }
 }
 
 void RecursiveTable::ResetStats() {

@@ -116,7 +116,7 @@ class RecursiveTable {
   /// hit — bumps the row's derivation counter riding beside the flat
   /// existence set's slots. In a non-recursive stratum arrivals equal
   /// derivations exactly, so a deletion can decrement to zero instead of
-  /// running the DRed over-delete/re-derive cycle. Must be called before
+  /// searching for another proof (Backward/Forward). Must be called before
   /// the first merge.
   void EnableSupportCounts();
   bool support_counts_enabled() const { return maintain_counts_; }
@@ -133,7 +133,22 @@ class RecursiveTable {
 
   /// Row id of the stored tuple equal to `tuple`, or UINT64_MAX. Deletion
   /// paths use it to resolve a lost derivation to its row. kNone only.
-  uint64_t FindRowId(TupleRef tuple) const;
+  uint64_t FindRowId(TupleRef tuple) const {
+    return FindRowId(tuple, tuple.Hash());
+  }
+  /// The same, with `hash` = tuple.Hash() computed by the caller.
+  uint64_t FindRowId(TupleRef tuple, uint64_t hash) const;
+
+  /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash` (flat
+  /// backend; no-ops on btree): the existence slot first, then — once that
+  /// is cached — the row it names. Lookups that resolve a batch of tuples
+  /// issue each stage for the whole batch so the misses overlap.
+  void PrefetchFindSlot(uint64_t hash) const {
+    if (use_flat_) exist_set_.Prefetch(hash);
+  }
+  void PrefetchFindRow(uint64_t hash) const {
+    if (use_flat_) exist_set_.PrefetchRow(hash);
+  }
 
   /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
   /// merge/join indexes over the survivors; clears the existence cache and
@@ -141,11 +156,6 @@ class RecursiveTable {
   /// support counts, when enabled). kNone only — aggregate deletion falls
   /// back to full recomputation at the engine level.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
-
-  /// Seeds the delta with every stored row — the DRed re-derivation
-  /// restart, where surviving tuples must re-enter the semi-naive loop so
-  /// derivations that consumed over-deleted tuples can be rebuilt.
-  void SeedDeltaWithAllRows();
 
   /// Hands the partition to a new owning thread: incremental sessions
   /// retain tables across ApplyUpdates batches but spawn fresh workers for

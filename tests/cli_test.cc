@@ -1,6 +1,7 @@
 // End-to-end tests of the `dcd` command-line tool: generate a dataset,
 // run a program over it, write results, explain plans. The binary path is
-// injected by CMake as DCD_CLI_PATH.
+// injected by CMake as DCD_CLI_PATH; DCD_FUZZ_PATH names dcd_fuzz, whose
+// flag parsing is tested here too.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +14,8 @@
 namespace dcdatalog {
 namespace {
 
-#ifndef DCD_CLI_PATH
-#error "DCD_CLI_PATH must be defined by the build"
+#if !defined(DCD_CLI_PATH) || !defined(DCD_FUZZ_PATH)
+#error "DCD_CLI_PATH and DCD_FUZZ_PATH must be defined by the build"
 #endif
 
 struct CmdResult {
@@ -22,8 +23,8 @@ struct CmdResult {
   std::string output;  // stdout + stderr merged.
 };
 
-CmdResult RunCli(const std::string& args) {
-  const std::string cmd = std::string(DCD_CLI_PATH) + " " + args + " 2>&1";
+CmdResult RunTool(const char* tool, const std::string& args) {
+  const std::string cmd = std::string(tool) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   CmdResult result;
   if (pipe == nullptr) return result;
@@ -32,6 +33,10 @@ CmdResult RunCli(const std::string& args) {
   const int status = pclose(pipe);
   result.exit_code = WEXITSTATUS(status);
   return result;
+}
+
+CmdResult RunCli(const std::string& args) {
+  return RunTool(DCD_CLI_PATH, args);
 }
 
 std::string TempPath(const char* name) {
@@ -203,6 +208,39 @@ TEST(CliTest, GeneratorKinds) {
     std::remove(path.c_str());
   }
   EXPECT_NE(RunCli("generate nosuch:1 /tmp/x").exit_code, 0);
+}
+
+TEST(CliTest, GeneratorRejectsMalformedNumbers) {
+  const std::string path = TempPath("cli_gen_bad.tsv");
+  for (const char* kind :
+       {"gnp:abc", "gnp:200:0.0x1", "gnp:1e3:0.01", "rmat:200:-4",
+        "social:300:", "tree:+5", "zipf:100:10:alpha", "star:12junk"}) {
+    std::remove(path.c_str());
+    CmdResult gen =
+        RunCli(std::string("generate ") + kind + " " + path + " --seed 1");
+    EXPECT_EQ(gen.exit_code, 2) << kind << ": " << gen.output;
+    EXPECT_NE(gen.output.find("bad numeric argument"), std::string::npos)
+        << kind << ": " << gen.output;
+    // Nothing is generated or written.
+    EXPECT_FALSE(std::ifstream(path).good()) << kind;
+  }
+}
+
+TEST(CliTest, FuzzerRejectsMalformedNumericFlags) {
+  // `--seeds=abc` used to parse as 0 seeds: "0 runs over 0 seeds, 0
+  // failures", exit 0 — a CI step with a typo passed without testing.
+  for (const char* flag :
+       {"--seeds=abc", "--seeds=-1", "--seeds=+3", "--seeds=1e2",
+        "--start-seed=1x", "--max-vertices=ten", "--update-batches=4.5",
+        "--timeout-ms=\" 5\"", "--max-iters=abc", "--chaos-seed=x",
+        "--max-failures=-2"}) {
+    CmdResult r = RunTool(DCD_FUZZ_PATH, flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    EXPECT_NE(r.output.find("bad value for"), std::string::npos)
+        << flag << ": " << r.output;
+    EXPECT_EQ(r.output.find("runs over"), std::string::npos)
+        << flag << " ran anyway: " << r.output;
+  }
 }
 
 }  // namespace

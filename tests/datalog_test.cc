@@ -67,6 +67,27 @@ TEST(LexerTest, ErrorsAreReported) {
   EXPECT_FALSE(Tokenize("p :_ q").ok());
 }
 
+TEST(LexerTest, IntegerLiteralOutOfRangeIsAnError) {
+  // strtoll would clamp this to INT64_MAX without a word, and the rule
+  // below would then match the fact 9223372036854775807.
+  auto toks = Tokenize("p(X) :- q(X),\n  X = 99999999999999999999.");
+  ASSERT_FALSE(toks.ok());
+  EXPECT_NE(toks.status().message().find("99999999999999999999"),
+            std::string::npos)
+      << toks.status().ToString();
+  EXPECT_NE(toks.status().message().find("line 2"), std::string::npos)
+      << toks.status().ToString();
+  StringDict dict;
+  EXPECT_FALSE(
+      ParseProgram("p(X) :- q(X), X = 99999999999999999999.", &dict).ok());
+
+  // The largest representable literal still lexes exactly.
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max.value()[0].int_value, INT64_MAX);
+  EXPECT_FALSE(Tokenize("9223372036854775808").ok());
+}
+
 TEST(LexerTest, WildcardVsVariable) {
   auto toks = Tokenize("p(_, _Foo, X)");
   ASSERT_TRUE(toks.ok());

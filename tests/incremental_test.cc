@@ -3,12 +3,16 @@
 // over the same (post-update) EDB. The broad randomized coverage lives in
 // the update-sequence fuzzer (dcd_fuzz --updates); these are the handwritten
 // corners: empty batches, self-cancelling batches, deletes of absent rows,
-// DRed over-delete/re-derive across a disconnected component, a DRed
-// over-delete that swallows a whole SCC, sessions that start from an empty
-// EDB, and duplicate inserts under count/sum.
+// Backward/Forward deletes (a disconnected component, deletes inside one
+// SCC, cyclic self-support, two removed facts in one rule instance, gone
+// rows flowing into a downstream recursive SCC, a ~100K-deep proof search,
+// and a bridge delete that trips the recompute guard), sessions that start
+// from an empty EDB, and duplicate inserts under count/sum.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <functional>
 #include <set>
 #include <string>
 #include <utility>
@@ -122,10 +126,10 @@ TEST(IncrementalTest, DeleteOfNeverInsertedEdgeIsANoOp) {
   EXPECT_EQ(RowSet(*db.ResultFor("tc")), before);
 }
 
-TEST(IncrementalTest, DeleteDisconnectsComponentDredRederives) {
+TEST(IncrementalTest, DeleteDisconnectsComponentKeepsOtherProofs) {
   // Two chains joined by a bridge; alternative path 4->14 keeps some
-  // cross-component reachability alive, so DRed must over-delete through
-  // the bridge's closure and then re-derive the survivors.
+  // cross-component reachability alive, so Backward/Forward must find the
+  // other proofs of those facts and delete only the rest.
   DCDatalog db(Opts());
   Graph g;
   for (uint64_t i = 0; i < 5; ++i) g.AddEdge(i, i + 1);       // 0..5
@@ -146,14 +150,15 @@ TEST(IncrementalTest, DeleteDisconnectsComponentDredRederives) {
   ExpectMatchesOracle(db, kTc, {"arc"}, {"tc"});
 }
 
-TEST(IncrementalTest, DredOverDeleteSwallowsWholeScc) {
+TEST(IncrementalTest, DeletesInsideOneSccReproveTheSurvivors) {
   // TC over a dense ring with chords is one SCC, so every tc tuple has a
-  // derivation through any edge: each delete over-deletes the whole SCC
-  // (no survivors) and the re-derivation rebuilds it from nothing. The
-  // first delete keeps the graph strongly connected; the second cuts every
-  // in-edge of vertex 0 and splits it. The downstream non-recursive `self`
-  // consumes the `gone` tc rows DRed hands on. Each batch is diffed against
-  // the single-threaded reference evaluator.
+  // derivation through any edge (over-delete and re-derive would redo the
+  // whole SCC). Backward/Forward instead checks the facts that lost a
+  // derivation for another proof. The first delete keeps the graph
+  // strongly connected; the second cuts every in-edge of vertex 0 and
+  // splits it. The downstream non-recursive `self` consumes the deleted tc
+  // rows. Each batch is diffed against the single-threaded reference
+  // evaluator.
   constexpr char kProgram[] =
       "tc(X, Y) :- arc(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n"
@@ -199,8 +204,9 @@ TEST(IncrementalTest, DredOverDeleteSwallowsWholeScc) {
       auto stats = db.ApplyUpdates(Batch(scripts[b]));
       ASSERT_TRUE(stats.ok()) << stats.status().ToString();
       if (b == 0) {
-        // Nothing survived the over-delete; all of tc was re-derived.
-        EXPECT_EQ(stats.value().rederived_tuples, tc_before);
+        // Every fact survives; some, not all, had to be re-proved.
+        EXPECT_GT(stats.value().rederived_tuples, 0u);
+        EXPECT_LT(stats.value().rederived_tuples, tc_before);
         EXPECT_EQ(db.ResultFor("tc")->size(), kN * kN);
       }
       if (b == 1) {
@@ -217,6 +223,235 @@ TEST(IncrementalTest, DredOverDeleteSwallowsWholeScc) {
             << out;
       }
     }
+  }
+}
+
+// --- Backward/Forward deletes --------------------------------------------
+// Each case runs at 4 workers under every coordination strategy, and the
+// maintained result is diffed against the reference evaluator after every
+// batch.
+
+constexpr CoordinationMode kAllModes[] = {
+    CoordinationMode::kGlobal, CoordinationMode::kSsp, CoordinationMode::kDws};
+
+Relation Rows(const std::string& name, uint32_t arity,
+              const std::vector<std::vector<uint64_t>>& rows) {
+  Relation rel(name, Schema::Ints(arity));
+  for (const auto& row : rows) {
+    rel.Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
+  }
+  return rel;
+}
+
+/// Begins an incremental session of `program` over `edb` under `mode`,
+/// applies each script in turn and diffs every derived relation against
+/// the reference evaluator after the initial fixpoint and after every
+/// batch. Returns each batch's stats.
+std::vector<EvalStats> ApplyAndDiff(CoordinationMode mode,
+                                    const std::string& program,
+                                    const std::vector<Relation>& edb,
+                                    const std::vector<std::string>& scripts,
+                                    DCDatalog* db) {
+  std::vector<EvalStats> out;
+  for (const Relation& rel : edb) {
+    Relation copy = rel;
+    db->catalog().Put(std::move(copy));
+  }
+  EXPECT_TRUE(db->LoadProgramText(program).ok());
+  auto begin = db->BeginIncremental();
+  EXPECT_TRUE(begin.ok()) << begin.status().ToString();
+  auto parsed = ParseProgram(program, &db->dict());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!begin.ok() || !parsed.ok()) return out;
+  for (size_t b = 0; b <= scripts.size(); ++b) {
+    SCOPED_TRACE(std::string(CoordinationModeName(mode)) + " after batch " +
+                 std::to_string(b));
+    if (b > 0) {
+      auto stats = db->ApplyUpdates(Batch(scripts[b - 1]));
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) return out;
+      out.push_back(std::move(stats).value());
+    }
+    Catalog current;
+    for (const Relation& rel : edb) {
+      Relation copy = *db->ResultFor(rel.name());
+      current.Put(std::move(copy));
+    }
+    auto oracle = ReferenceEvaluate(parsed.value(), current);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    if (!oracle.ok()) return out;
+    for (const auto& [name, rel] : oracle.value()) {
+      EXPECT_EQ(RowSet(*db->ResultFor(name)), RowSet(rel)) << name;
+    }
+  }
+  return out;
+}
+
+TEST(IncrementalTest, BackwardForwardDeletesCyclicSelfSupport) {
+  // 0->1, 1->2, 2->1. After deleting 0->1, tc(0,1) and tc(0,2) only
+  // support each other through the 1<->2 cycle; Check must not let that
+  // cycle prove them.
+  const std::vector<Relation> edb = {
+      Rows("arc", 2, {{0, 1}, {1, 2}, {2, 1}})};
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    const auto stats = ApplyAndDiff(mode, kTc, edb, {"- arc 0 1\n"}, &db);
+    ASSERT_EQ(stats.size(), 1u);
+    const auto tc = RowSet(*db.ResultFor("tc"));
+    EXPECT_FALSE(tc.count({0, 1}));
+    EXPECT_FALSE(tc.count({0, 2}));
+    EXPECT_EQ(tc.size(), 4u);  // {1,2} x {1,2}.
+    EXPECT_GT(stats[0].rederived_tuples, 0u);
+  }
+}
+
+TEST(IncrementalTest, BackwardForwardSeesBothRemovedFactsOfOneInstance) {
+  // Same generation: both rules join two arcs. Removing both arcs of one
+  // instance in one batch hides the instance from each arc's forward drive
+  // unless the other arc is read as it was before the batch. Batch 0 does
+  // it to the recursive rule (sg(3,4) via arc(1,3), sg(1,2), arc(2,4)),
+  // batch 2 to the base rule (sg(1,2) via arc(0,1), arc(0,2)), whose loss
+  // cascades into sg(3,4).
+  constexpr char kSg[] =
+      "sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.\n"
+      "sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).\n";
+  const std::vector<Relation> edb = {
+      Rows("arc", 2, {{0, 1}, {0, 2}, {1, 3}, {2, 4}})};
+  const std::vector<std::string> scripts = {
+      "- arc 1 3\n- arc 2 4\n",
+      "+ arc 1 3\n+ arc 2 4\n",
+      "- arc 0 1\n- arc 0 2\n",
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    const auto stats = ApplyAndDiff(mode, kSg, edb, scripts, &db);
+    ASSERT_EQ(stats.size(), scripts.size());
+    EXPECT_EQ(db.ResultFor("sg")->size(), 0u);
+  }
+}
+
+TEST(IncrementalTest, BackwardForwardGoneRowsFeedADownstreamRecursiveScc) {
+  // The tc rows a delete removes are the removed input of the recursive
+  // `r`, which follows `link` edges from what 0 reaches, including a
+  // 10<->11 cycle that must not keep itself alive.
+  constexpr char kProgram[] =
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n"
+      "r(Y) :- tc(0, Y).\n"
+      "r(Y) :- r(X), link(X, Y).\n";
+  const std::vector<Relation> edb = {
+      Rows("arc", 2, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}}),
+      Rows("link", 2, {{3, 10}, {10, 11}, {11, 10}, {5, 12}, {2, 13}})};
+  const std::vector<std::string> scripts = {
+      "- arc 1 2\n",               // r loses 2, 3, 4, 10, 11, 13.
+      "+ arc 1 2\n- arc 0 5\n",   // They return; 5 and 12 go.
+      "- link 10 11\n- arc 3 4\n",
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    const auto stats = ApplyAndDiff(mode, kProgram, edb, scripts, &db);
+    ASSERT_EQ(stats.size(), scripts.size());
+    if (stats.empty()) continue;
+    // After batch 2 only 0's arcs and links past 3 remain reachable.
+    EXPECT_EQ(RowSet(*db.ResultFor("r")),
+              (std::set<std::vector<uint64_t>>{{1}, {2}, {3}, {10}, {13}}));
+  }
+}
+
+/// A 200K-vertex ring entered from s = kRing at 0 and at kRing / 2.
+constexpr uint64_t kRing = 200000;
+
+/// Runs `fn` on a thread with a 2 MiB stack: a recursion ~100K levels
+/// deep needs more than that at any frame size, so it would overflow.
+void RunOnSmallStack(const std::function<void()>& fn) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 2 << 20), 0);
+  pthread_t thread;
+  const auto trampoline = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, trampoline,
+                           const_cast<std::function<void()>*>(&fn)),
+            0);
+  pthread_join(thread, nullptr);
+  pthread_attr_destroy(&attr);
+}
+
+void CheckDeepRingDelete(CoordinationMode mode) {
+  // Deleting s->0 leaves every reach fact proved through the other entry,
+  // but the backward search from reach(0) walks at least 100K facts deep
+  // around the ring before it gets there — on an explicit stack, not the
+  // C++ call stack.
+  // The reference evaluator is far too slow for a 100K-round fixpoint; the
+  // expected result is known: s and every ring vertex.
+  EngineOptions opts = Opts(4);
+  opts.coordination = mode;
+  DCDatalog db(opts);
+  std::vector<std::vector<uint64_t>> arcs = {{kRing, 0}, {kRing, kRing / 2}};
+  for (uint64_t i = 0; i < kRing; ++i) arcs.push_back({i, (i + 1) % kRing});
+  db.catalog().Put(Rows("arc", 2, arcs));
+  db.catalog().Put(Rows("start", 1, {{kRing}}));
+  ASSERT_TRUE(db.LoadProgramText("reach(X) :- start(X).\n"
+                                 "reach(Y) :- reach(X), arc(X, Y).\n")
+                  .ok());
+  ASSERT_TRUE(db.BeginIncremental().ok());
+  ASSERT_EQ(db.ResultFor("reach")->size(), kRing + 1) << "initial fixpoint";
+  const UpdateBatch batch = Batch("- arc " + std::to_string(kRing) + " 0\n");
+  Result<EvalStats> stats = Status::Internal("delete did not run");
+  RunOnSmallStack([&] { stats = db.ApplyUpdates(batch); });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(db.ResultFor("reach")->size(), kRing + 1);
+  EXPECT_GE(stats.value().rederived_tuples, kRing / 2);
+  EXPECT_EQ(stats.value().num_sccs, 0u);  // Maintained, not recomputed.
+}
+
+TEST(IncrementalTest, BackwardForwardDeepProofUsesNoRecursion) {
+  CheckDeepRingDelete(CoordinationMode::kGlobal);
+}
+
+// Under SSP and DWS the 100K-round initial fixpoint of this ring loses
+// tuples: the asynchronous tuple-loss defect on the ROADMAP, which
+// predates Backward/Forward (the parent commit loses them too). Enable
+// these once that defect is fixed.
+TEST(IncrementalTest, DISABLED_BackwardForwardDeepProofUnderSsp) {
+  CheckDeepRingDelete(CoordinationMode::kSsp);
+}
+TEST(IncrementalTest, DISABLED_BackwardForwardDeepProofUnderDws) {
+  CheckDeepRingDelete(CoordinationMode::kDws);
+}
+
+TEST(IncrementalTest, BackwardForwardGuardRecomputesBridgeDelete) {
+  // Twenty sources feed u = 50, whose bridge 50->60 leads into a chain of
+  // eleven vertices. Deleting the bridge deletes 231 of 306 tc facts:
+  // once more is deleted than survives, Backward/Forward gives up and the
+  // batch recomputes (a delete-only batch runs SCCs only then). The
+  // session must stay usable for the next batches.
+  std::vector<std::vector<uint64_t>> arcs = {{50, 60}};
+  for (uint64_t s = 100; s < 120; ++s) arcs.push_back({s, 50});
+  for (uint64_t v = 60; v < 70; ++v) arcs.push_back({v, v + 1});
+  const std::vector<Relation> edb = {Rows("arc", 2, arcs)};
+  const std::vector<std::string> scripts = {
+      "- arc 50 60\n",   // Trips the guard.
+      "+ arc 50 60\n",   // Incremental insert after the recompute.
+      "- arc 100 50\n",  // 12 of 306 facts: maintained in place.
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    const auto stats = ApplyAndDiff(mode, kTc, edb, scripts, &db);
+    ASSERT_EQ(stats.size(), scripts.size());
+    EXPECT_GT(stats[0].num_sccs, 0u);
+    EXPECT_EQ(stats[2].num_sccs, 0u);
+    EXPECT_EQ(db.ResultFor("tc")->size(), 306u - 12u);
   }
 }
 

@@ -321,6 +321,56 @@ TEST_F(PlannerTest, EmptinessTestCompilesToAntiScan) {
   EXPECT_TRUE(saw_scan);
 }
 
+TEST_F(PlannerTest, CheckVersionsAreHeadBoundAndCompiledOnlyWhenAugmented) {
+  Load(
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), arc(Z, Y).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plain = BuildPhysicalPlan(program_, *analysis_, logical.value());
+  ASSERT_TRUE(plain.ok());
+  EXPECT_TRUE(plain.value().sccs[0].check_rules.empty());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan.value().check_ineligible_preds.empty());
+  const SccPlan& scc = plan.value().sccs[0];
+  ASSERT_EQ(scc.check_rules.size(), 2u);
+  // A check version adds no replica: same-SCC goals are not joined.
+  EXPECT_EQ(scc.replicas.size(), plain.value().sccs[0].replicas.size());
+  for (const PhysicalRule& rule : scc.check_rules) {
+    EXPECT_TRUE(rule.is_check);
+    EXPECT_EQ(rule.driving_relation, "tc");  // Driven by the head fact.
+    EXPECT_EQ(rule.driving_replica, -1);
+    ASSERT_EQ(rule.steps.size(), 1u);
+    // Both versions join arc once the head bound X and Y.
+    EXPECT_EQ(rule.steps[0].relation, "arc");
+  }
+  // The recursive rule's tc(X, Z) is rebuilt from the registers.
+  const PhysicalRule& rec = scc.check_rules[1];
+  ASSERT_EQ(rec.check_atoms.size(), 1u);
+  EXPECT_EQ(rec.check_atoms[0].predicate, "tc");
+  EXPECT_EQ(rec.check_atoms[0].wire_exprs.size(), 2u);
+  EXPECT_EQ(rec.steps[0].probe_col, 1u);  // arc(Z, Y) probed on Y.
+  EXPECT_TRUE(scc.check_rules[0].check_atoms.empty());
+}
+
+TEST_F(PlannerTest, RulesWithUnboundSameSccGoalsHaveNoCheckVersion) {
+  // Non-linear TC: nothing but tc binds Z, so tc(X, Z) cannot be looked up
+  // by key, and deletes into this SCC must recompute.
+  Load(
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), tc(Z, Y).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan.value().sccs[0].check_rules.empty());
+  EXPECT_EQ(plan.value().check_ineligible_preds,
+            std::vector<std::string>{"tc"});
+}
+
 TEST_F(PlannerTest, ExplainablePlanToString) {
   Load(
       "tc(X, Y) :- arc(X, Y).\n"

@@ -98,8 +98,8 @@ HOT_ROOTS = [
     "Distributor::Emit",
     "Distributor::EmitBatch",
     "Distributor::Flush",
-    # Engine strategy loops and the per-iteration helpers (PR 7's
-    # RunUpdateRules drives the incremental DRed path).
+    # Engine strategy loops and the per-iteration helpers (RunUpdateRules
+    # drives the inserts of an incremental update batch).
     "SccExecutor::LocalIteration",
     "SccExecutor::GatherAll",
     "SccExecutor::PushWithBackpressure",

@@ -605,6 +605,22 @@ int CmdGenerate(const std::string& kind_spec, const std::string& path,
   }
   parts.push_back(cur);
   const std::string& kind = parts[0];
+  // Numeric kind arguments are checked before anything is generated:
+  // "gnp:1e3" must fail, not become a graph of one vertex.
+  const size_t real_at = kind == "gnp" ? 2 : kind == "zipf" ? 3 : 0;
+  for (size_t i = 1; i < parts.size(); ++i) {
+    uint64_t count = 0;
+    double real = 0;
+    const bool ok =
+        i == real_at
+            ? ParseDoubleChecked(parts[i].c_str(), &real)
+            : ParseUint64Checked(parts[i].c_str(), 0, UINT64_MAX, &count);
+    if (!ok) {
+      std::fprintf(stderr, "bad numeric argument '%s' in %s\n",
+                   parts[i].c_str(), kind_spec.c_str());
+      return 2;
+    }
+  }
   auto arg = [&](size_t i, uint64_t def) -> uint64_t {
     return parts.size() > i ? std::strtoull(parts[i].c_str(), nullptr, 10)
                             : def;

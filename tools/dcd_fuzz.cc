@@ -61,6 +61,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/chaos.h"
@@ -274,12 +275,31 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
       }
       return nullptr;
     };
+    // Numeric flags: a value that is not a whole non-negative number fails
+    // the command line, so a typo cannot become a run that tests nothing.
+    const std::pair<const char*, uint64_t*> numeric[] = {
+        {"--seeds", &flags->seeds},
+        {"--start-seed", &flags->start_seed},
+        {"--max-vertices", &flags->max_vertices},
+        {"--update-batches", &flags->update_batches},
+        {"--timeout-ms", &flags->timeout_ms},
+        {"--max-iters", &flags->max_iters},
+        {"--chaos-seed", &flags->chaos_seed},
+        {"--max-failures", &flags->max_failures},
+    };
+    bool matched = false;
+    for (const auto& [name, field] : numeric) {
+      const char* v = value(name);
+      if (v == nullptr) continue;
+      if (!ParseUint64Checked(v, 0, UINT64_MAX, field)) {
+        std::fprintf(stderr, "bad value for %s: '%s'\n", name, v);
+        return false;
+      }
+      matched = true;
+    }
+    if (matched) continue;
     const char* v = nullptr;
-    if ((v = value("--seeds"))) {
-      flags->seeds = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--start-seed"))) {
-      flags->start_seed = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--modes"))) {
+    if ((v = value("--modes"))) {
       if (!ParseModes(v, &flags->modes)) return false;
     } else if ((v = value("--workers"))) {
       if (!ParseWorkers(v, &flags->workers)) return false;
@@ -289,26 +309,14 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
       if (!ParsePipelines(v, &flags->pipelines)) return false;
     } else if ((v = value("--steal"))) {
       if (!ParseSteals(v, &flags->steals)) return false;
-    } else if ((v = value("--max-vertices"))) {
-      flags->max_vertices = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--update-batches"))) {
-      flags->update_batches = std::strtoull(v, nullptr, 10);
     } else if ((v = value("--updates-file"))) {
       flags->replay_updates = v;
-    } else if ((v = value("--timeout-ms"))) {
-      flags->timeout_ms = std::strtoull(v, nullptr, 10);
-    } else if ((v = value("--max-iters"))) {
-      flags->max_iters = std::strtoull(v, nullptr, 10);
     } else if (arg == "--chaos") {
       flags->chaos = true;
-    } else if ((v = value("--chaos-seed"))) {
-      flags->chaos_seed = std::strtoull(v, nullptr, 10);
     } else if ((v = value("--inject-bug"))) {
       flags->inject_bug = v;
     } else if ((v = value("--out-dir"))) {
       flags->out_dir = v;
-    } else if ((v = value("--max-failures"))) {
-      flags->max_failures = std::strtoull(v, nullptr, 10);
     } else if (arg == "--no-fork") {
       flags->no_fork = true;
     } else if (arg == "--verbose") {
