@@ -27,7 +27,10 @@ namespace dcdatalog {
 ///    ever sits in a ring.
 ///  * A consumer calls AddConsumed(self, n) with the tuple total of the
 ///    blocks it drained and Deactivate(self) only once it holds no
-///    unprocessed tuples.
+///    unprocessed tuples. Before AddConsumed it calls Activate(self): its
+///    own earlier Deactivate may have overwritten the producer's Activate
+///    for a block that was already in the ring, and the raised consumed
+///    count must never be visible with the consumer's flag still down.
 ///  * Self-loop tuples (emitter == destination) never touch the detector:
 ///    they are local state by the time the emitting iteration's Flush
 ///    returns, exactly like a delta row the worker derived for itself.

@@ -642,6 +642,11 @@ class SccExecutor {
       }
     }
     if (total > 0) {
+      // Flag before count (TerminationDetector's consumer rule):
+      // InactiveWait's Deactivate may have cleared the producer's
+      // Activate for a block drained here, whose tuples now sit
+      // unprocessed in our delta.
+      detector_.Activate(ctx->wid);
       detector_.AddConsumed(ctx->wid, total);
       ctx->metrics.drain_batch.Add(total);
       ctx->Instant(TraceEventKind::kDrain, total, scc_ordinal_);

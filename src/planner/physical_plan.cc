@@ -1,7 +1,6 @@
 #include "planner/physical_plan.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/logging.h"
@@ -99,33 +98,6 @@ class RuleCompiler {
     CollectScans(logical.root.get(), &scans);
     DCD_RETURN_IF_ERROR_P(AnalyzePartitioning(logical, scans));
 
-    // Per-rule join-method heuristic (paper §5.2.1): if two or more base
-    // atoms share the same join-key variable (their first variable that
-    // also occurs in another atom), probes on that variable use hash joins.
-    hash_probe_vars_.clear();
-    {
-      std::map<std::string, int> key_var_counts;
-      for (size_t s = 0; s < scans.size(); ++s) {
-        if (scans[s]->is_recursive) continue;
-        for (const Term& t : scans[s]->atom.args) {
-          if (!t.IsVariable()) continue;
-          bool shared = false;
-          for (size_t o = 0; o < scans.size() && !shared; ++o) {
-            if (o != s && ColOfVar(scans[o]->atom, t.var) >= 0) {
-              shared = true;
-            }
-          }
-          if (shared) {
-            ++key_var_counts[t.var];
-            break;  // One join key per atom.
-          }
-        }
-      }
-      for (const auto& [v, cnt] : key_var_counts) {
-        if (cnt >= 2) hash_probe_vars_.insert(v);
-      }
-    }
-
     DCD_RETURN_IF_ERROR_P(CompileNode(logical.root.get()));
     for (const Atom& atom : logical.check_atoms) {
       DCD_ASSIGN_OR_RETURN(HeadSpec fact, CompileCheckAtom(atom));
@@ -140,13 +112,12 @@ class RuleCompiler {
     for (Step& step : out_.steps) {
       switch (step.kind) {
         case StepKind::kProbeBaseHash:
-        case StepKind::kProbeBaseBTree:
         case StepKind::kScanBase:
         case StepKind::kProbeRecursive:
           step.expanding = true;
           out_.has_expanding_steps = true;
           break;
-        case StepKind::kAntiJoinBTree:
+        case StepKind::kAntiJoinIndex:
         case StepKind::kAntiJoinScan:
         case StepKind::kFilter:
         case StepKind::kBind:
@@ -182,7 +153,6 @@ class RuleCompiler {
         // Liveness before the step: clear its writes, then mark its reads.
         switch (step.kind) {
           case StepKind::kProbeBaseHash:
-          case StepKind::kProbeBaseBTree:
           case StepKind::kScanBase:
           case StepKind::kProbeRecursive:
             for (const OutputBinding& b : step.outputs) need[b.reg] = 0;
@@ -191,7 +161,7 @@ class RuleCompiler {
               need[step.probe_reg] = 1;
             }
             break;
-          case StepKind::kAntiJoinBTree:
+          case StepKind::kAntiJoinIndex:
           case StepKind::kAntiJoinScan:
             for (const EqCheck& c : step.eq_checks) need[c.reg] = 1;
             if (!step.probe_is_const && step.probe_reg >= 0) {
@@ -297,14 +267,12 @@ class RuleCompiler {
     return static_cast<int>(scc_->replicas.size()) - 1;
   }
 
-  int RequestBaseIndex(const std::string& rel, uint32_t col, bool is_hash) {
+  int RequestBaseIndex(const std::string& rel, uint32_t col) {
     for (size_t i = 0; i < plan_->base_indexes.size(); ++i) {
       const BaseIndexReq& req = plan_->base_indexes[i];
-      if (req.relation == rel && req.col == col && req.is_hash == is_hash) {
-        return static_cast<int>(i);
-      }
+      if (req.relation == rel && req.col == col) return static_cast<int>(i);
     }
-    plan_->base_indexes.push_back(BaseIndexReq{rel, col, is_hash});
+    plan_->base_indexes.push_back(BaseIndexReq{rel, col});
     return static_cast<int>(plan_->base_indexes.size()) - 1;
   }
 
@@ -416,7 +384,6 @@ class RuleCompiler {
     int probe_reg = -1;
     bool probe_is_const = false;
     uint64_t probe_const = 0;
-    std::string probe_var;
     for (size_t c = 0; c < atom.args.size(); ++c) {
       const Term& t = atom.args[c];
       if (t.IsVariable()) {
@@ -424,7 +391,6 @@ class RuleCompiler {
         if (it != var_reg_.end()) {
           probe_col = static_cast<int>(c);
           probe_reg = it->second;
-          probe_var = t.var;
           break;
         }
       } else if (t.kind == TermKind::kConstant) {
@@ -450,10 +416,9 @@ class RuleCompiler {
     } else if (probe_col < 0) {
       step.kind = StepKind::kScanBase;  // Nested-loop join.
     } else {
-      const bool hash = !probe_var.empty() && hash_probe_vars_.count(probe_var) > 0;
-      step.kind = hash ? StepKind::kProbeBaseHash : StepKind::kProbeBaseBTree;
-      step.base_index_id = RequestBaseIndex(
-          atom.predicate, static_cast<uint32_t>(probe_col), hash);
+      step.kind = StepKind::kProbeBaseHash;
+      step.base_index_id =
+          RequestBaseIndex(atom.predicate, static_cast<uint32_t>(probe_col));
     }
     step.probe_col = probe_col < 0 ? 0 : static_cast<uint32_t>(probe_col);
     step.probe_reg = probe_reg;
@@ -530,11 +495,10 @@ class RuleCompiler {
       // !p(_, _): succeeds only when p is empty.
       step.kind = StepKind::kAntiJoinScan;
     } else {
-      step.kind = StepKind::kAntiJoinBTree;
+      step.kind = StepKind::kAntiJoinIndex;
       step.probe_col = static_cast<uint32_t>(probe_col);
-      step.base_index_id = RequestBaseIndex(
-          atom.predicate, static_cast<uint32_t>(probe_col),
-          /*is_hash=*/false);
+      step.base_index_id =
+          RequestBaseIndex(atom.predicate, static_cast<uint32_t>(probe_col));
     }
     out_.steps.push_back(std::move(step));
     return Status::OK();
@@ -718,7 +682,6 @@ class RuleCompiler {
   PhysicalRule out_;
   std::map<std::string, int> var_reg_;
   std::vector<ColumnType> reg_types_;
-  std::set<std::string> hash_probe_vars_;
   uint32_t driving_partition_col_ = 0;
   bool driving_needs_locality_ = false;
   bool is_update_ = false;
@@ -781,7 +744,7 @@ std::string PhysicalPlan::ToString() const {
   os << "base indexes:";
   for (size_t i = 0; i < base_indexes.size(); ++i) {
     os << " [" << i << "]" << base_indexes[i].relation << "@"
-       << base_indexes[i].col << (base_indexes[i].is_hash ? "(hash)" : "(btree)");
+       << base_indexes[i].col;
   }
   os << "\n";
   return os.str();

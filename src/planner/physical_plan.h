@@ -42,10 +42,9 @@ struct ConstCheck {
 /// Kinds of pipeline steps executed per driving tuple (paper §5.2).
 enum class StepKind : uint8_t {
   kProbeBaseHash,   // Hash-join probe of a base-relation index.
-  kProbeBaseBTree,  // Index-join probe of a base-relation B+-tree.
   kScanBase,        // Nested-loop fallback: full scan of a base relation.
   kProbeRecursive,  // Probe a recursive-table replica's join index.
-  kAntiJoinBTree,   // Stratified negation via index: reject on any match.
+  kAntiJoinIndex,   // Stratified negation via index: reject on any match.
   kAntiJoinScan,    // Stratified negation via full scan.
   kFilter,          // Constraint evaluation.
   kBind,            // Assignment: evaluate expr into a fresh register.
@@ -180,12 +179,11 @@ struct PhysicalRule {
   std::string ToString() const;
 };
 
-/// Request for a global read-only index over a base relation. The engine
-/// builds these before the owning SCC starts evaluating.
+/// Request for a global read-only hash index over a base relation. The
+/// engine builds these before the owning SCC starts evaluating.
 struct BaseIndexReq {
   std::string relation;
   uint32_t col = 0;
-  bool is_hash = false;  // false: B+-tree (index join); true: hash join.
 };
 
 /// Everything the engine needs to evaluate one SCC.
@@ -246,11 +244,11 @@ struct PhysicalPlan {
 };
 
 /// Compiles the logical plans into a physical plan (paper §5.2): assigns
-/// partition columns and replicas, selects join methods via the paper's
-/// heuristic (hash join when two or more base atoms in a rule probe on the
-/// same key variable, index join when an index is available, nested loop
-/// otherwise), performs register allocation, and validates that recursive
-/// probes stay partition-local.
+/// partition columns and replicas, selects join methods (a hash-index probe
+/// whenever a base atom has a bound column, nested loop otherwise — unlike
+/// the paper's §5.2.1 heuristic, which keeps a B+-tree index join for
+/// unshared keys; see DESIGN.md), performs register allocation, and
+/// validates that recursive probes stay partition-local.
 /// With build_update_rules, each SCC additionally carries the compiled
 /// update versions of its rules (incremental-maintenance driving) and
 /// their check versions (Backward/Forward deletion); rules whose update or

@@ -24,15 +24,7 @@ void BaseIndexSet::EnsureBuiltOver(int id, const Relation& relation) {
   Entry& e = entries_[id];
   if (e.built) return;
   e.relation = &relation;
-  if (e.req.is_hash) {
-    e.hash.Build(*e.relation, e.req.col);
-  } else {
-    e.btree = std::make_unique<BPlusTree<uint64_t, uint64_t>>();
-    const uint64_t n = e.relation->size();
-    for (uint64_t r = 0; r < n; ++r) {
-      e.btree->Insert(e.relation->Row(r)[e.req.col], r);
-    }
-  }
+  e.hash.Build(*e.relation, e.req.col);
   e.built = true;
   e.rows_indexed = e.relation->size();
 }
@@ -46,13 +38,7 @@ Status BaseIndexSet::SyncAppended(int id, const Catalog& catalog) {
     return Status::Internal("relation '" + e.req.relation +
                             "' shrank under a built index; Invalidate first");
   }
-  if (e.req.is_hash) {
-    e.hash.Append(*e.relation, e.req.col, e.rows_indexed);
-  } else {
-    for (uint64_t r = e.rows_indexed; r < n; ++r) {
-      e.btree->Insert(e.relation->Row(r)[e.req.col], r);
-    }
-  }
+  e.hash.Append(*e.relation, e.req.col, e.rows_indexed);
   e.rows_indexed = n;
   return Status::OK();
 }
@@ -63,7 +49,6 @@ void BaseIndexSet::Invalidate(int id) {
   e.rows_indexed = 0;
   e.relation = nullptr;
   e.hash = HashIndex();
-  e.btree.reset();
 }
 
 }  // namespace dcdatalog

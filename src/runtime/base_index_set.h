@@ -1,25 +1,23 @@
 #ifndef DCDATALOG_RUNTIME_BASE_INDEX_SET_H_
 #define DCDATALOG_RUNTIME_BASE_INDEX_SET_H_
 
-#include <memory>
 #include <type_traits>
 #include <vector>
 
 #include "common/status.h"
 #include "planner/physical_plan.h"
-#include "storage/btree.h"
 #include "storage/catalog.h"
 #include "storage/hash_index.h"
 
 namespace dcdatalog {
 
-/// The global read-only indexes over base relations that join probes use
-/// (Algorithm 1 line 3). "Base" here means any relation that is input to
-/// the SCC being evaluated: EDB tables and the materialized results of
-/// earlier SCCs. Indexes are built lazily — EnsureBuilt runs before an SCC
-/// starts, because an earlier SCC may only just have materialized the
-/// relation — and are then probed concurrently by all workers without
-/// synchronization.
+/// The global read-only hash indexes over base relations that join probes
+/// and anti-joins use (Algorithm 1 line 3). "Base" here means any relation
+/// that is input to the SCC being evaluated: EDB tables and the materialized
+/// results of earlier SCCs. Indexes are built lazily — EnsureBuilt runs
+/// before an SCC starts, because an earlier SCC may only just have
+/// materialized the relation — and are then probed concurrently by all
+/// workers without synchronization.
 class BaseIndexSet {
  public:
   explicit BaseIndexSet(const std::vector<BaseIndexReq>& requests);
@@ -50,33 +48,20 @@ class BaseIndexSet {
   /// stops the iteration early (anti-joins stop at the first witness).
   template <typename Fn>
   void ForEachMatch(int id, uint64_t key, Fn&& fn) const {
-    const auto visit = [&fn](TupleRef row) {
+    const Entry& e = entries_[id];
+    e.hash.ForEachMatch(key, [&](uint64_t row_id) {
       if constexpr (std::is_void_v<std::invoke_result_t<Fn&, TupleRef>>) {
-        fn(row);
+        fn(e.relation->Row(row_id));
         return true;
       } else {
-        return fn(row);
+        return fn(e.relation->Row(row_id));
       }
-    };
-    const Entry& e = entries_[id];
-    if (e.req.is_hash) {
-      e.hash.ForEachMatch(key, [&](uint64_t row_id) {
-        return visit(e.relation->Row(row_id));
-      });
-    } else {
-      e.btree->ForEachEqual(key, [&](const uint64_t& row_id) {
-        return visit(e.relation->Row(row_id));
-      });
-    }
+    });
   }
 
-  /// Prefetches index `id`'s probe slot for `key` (hash indexes only; a
-  /// B+-tree probe has no single home slot, so it is a no-op there). Issued
-  /// by the batch pipeline several lanes ahead of the probe pass.
-  void Prefetch(int id, uint64_t key) const {
-    const Entry& e = entries_[id];
-    if (e.req.is_hash) e.hash.Prefetch(key);
-  }
+  /// Prefetches index `id`'s bucket head for `key`. Issued by the batch
+  /// pipeline several lanes ahead of the probe pass.
+  void Prefetch(int id, uint64_t key) const { entries_[id].hash.Prefetch(key); }
 
  private:
   struct Entry {
@@ -85,7 +70,6 @@ class BaseIndexSet {
     bool built = false;
     uint64_t rows_indexed = 0;  // Watermark for SyncAppended.
     HashIndex hash;
-    std::unique_ptr<BPlusTree<uint64_t, uint64_t>> btree;
   };
 
   std::vector<Entry> entries_;

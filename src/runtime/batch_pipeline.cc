@@ -116,7 +116,7 @@ void BatchPipelineRunner::RunSteps(size_t step_idx, uint32_t depth) {
       case StepKind::kBind:
         RunBind(step, lv);
         break;
-      case StepKind::kAntiJoinBTree:
+      case StepKind::kAntiJoinIndex:
       case StepKind::kAntiJoinScan:
         RunAntiJoin(step, step_idx, lv);
         break;
@@ -169,51 +169,35 @@ void BatchPipelineRunner::RunExpanding(size_t step_idx, uint32_t depth) {
     }
   };
 
-  if (recursive || step.kind == StepKind::kProbeBaseHash) {
-    // Prefetchable probes: gather every surviving key up front (tight
-    // columnar loop), then probe with slots prefetched
-    // kBatchPrefetchDistance lanes ahead so the dependent bucket loads
-    // overlap instead of serializing. Keys live in the INPUT level's
-    // scratch: a downstream flush may run a deeper probe that gathers keys
-    // of its own, and per-level storage keeps this pass's keys intact
-    // across it.
-    uint64_t* keys = in.keys.data();
-    if (step.probe_is_const) {
-      for (uint32_t i = 0; i < n; ++i) keys[i] = step.probe_const;
-    } else {
-      const uint64_t* kcol =
-          in.regs.data() + static_cast<size_t>(step.probe_reg) * kLanes;
-      for (uint32_t i = 0; i < n; ++i) keys[i] = kcol[in.sel[i]];
-    }
-    for (uint32_t i = 0; i < n; ++i) {
-      if (i + kBatchPrefetchDistance < n) {
-        const uint64_t ahead = keys[i + kBatchPrefetchDistance];
-        if (recursive) {
-          table->PrefetchJoin(ahead);
-        } else {
-          ctx_->base_indexes->Prefetch(step.base_index_id, ahead);
-        }
-      }
-      const uint32_t lane = in.sel[i];
-      const uint64_t key = keys[i];
-      if (recursive) {
-        table->ForEachJoinMatch(key, [&](TupleRef r) { on_match(lane, r); });
-      } else {
-        ctx_->base_indexes->ForEachMatch(step.base_index_id, key,
-                                         [&](TupleRef r) { on_match(lane, r); });
-      }
-    }
+  // Hash probes (base index or replica join index): gather every surviving
+  // key up front (tight columnar loop), then probe with slots prefetched
+  // kBatchPrefetchDistance lanes ahead so the dependent bucket loads
+  // overlap instead of serializing. Keys live in the INPUT level's
+  // scratch: a downstream flush may run a deeper probe that gathers keys
+  // of its own, and per-level storage keeps this pass's keys intact
+  // across it.
+  uint64_t* keys = in.keys.data();
+  if (step.probe_is_const) {
+    for (uint32_t i = 0; i < n; ++i) keys[i] = step.probe_const;
   } else {
-    // B+-tree probes have no single home slot to prefetch, so the key
-    // gather/prefetch staging would be pure overhead — read each key
-    // straight out of its register bank.
     const uint64_t* kcol =
-        step.probe_is_const
-            ? nullptr
-            : in.regs.data() + static_cast<size_t>(step.probe_reg) * kLanes;
-    for (uint32_t i = 0; i < n; ++i) {
-      const uint32_t lane = in.sel[i];
-      const uint64_t key = kcol != nullptr ? kcol[lane] : step.probe_const;
+        in.regs.data() + static_cast<size_t>(step.probe_reg) * kLanes;
+    for (uint32_t i = 0; i < n; ++i) keys[i] = kcol[in.sel[i]];
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    if (i + kBatchPrefetchDistance < n) {
+      const uint64_t ahead = keys[i + kBatchPrefetchDistance];
+      if (recursive) {
+        table->PrefetchJoin(ahead);
+      } else {
+        ctx_->base_indexes->Prefetch(step.base_index_id, ahead);
+      }
+    }
+    const uint32_t lane = in.sel[i];
+    const uint64_t key = keys[i];
+    if (recursive) {
+      table->ForEachJoinMatch(key, [&](TupleRef r) { on_match(lane, r); });
+    } else {
       ctx_->base_indexes->ForEachMatch(step.base_index_id, key,
                                        [&](TupleRef r) { on_match(lane, r); });
     }
@@ -272,7 +256,7 @@ void BatchPipelineRunner::RunAntiJoin(const Step& step, size_t step_idx,
   uint32_t out = 0;
   const uint32_t n = lv.sel_size;
   const uint64_t* bank = lv.regs.data();
-  if (step.kind == StepKind::kAntiJoinBTree) {
+  if (step.kind == StepKind::kAntiJoinIndex) {
     uint64_t* keys = lv.keys.data();
     if (step.probe_is_const) {
       for (uint32_t i = 0; i < n; ++i) keys[i] = step.probe_const;

@@ -25,8 +25,7 @@ DCD_HOT_ROOT void ExecuteFrom(const PhysicalRule& rule,
       ctx.regs[step.bind_reg] = EvalExpr(step.lhs, ctx.regs);
       ExecuteFrom(rule, ctx, step_idx + 1, emit);
       return;
-    case StepKind::kProbeBaseHash:
-    case StepKind::kProbeBaseBTree: {
+    case StepKind::kProbeBaseHash: {
       const uint64_t key =
           step.probe_is_const ? step.probe_const : ctx.regs[step.probe_reg];
       ctx.base_indexes->ForEachMatch(
@@ -48,7 +47,7 @@ DCD_HOT_ROOT void ExecuteFrom(const PhysicalRule& rule,
       }
       return;
     }
-    case StepKind::kAntiJoinBTree: {
+    case StepKind::kAntiJoinIndex: {
       const uint64_t key =
           step.probe_is_const ? step.probe_const : ctx.regs[step.probe_reg];
       bool found = false;

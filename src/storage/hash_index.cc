@@ -15,23 +15,12 @@ void HashIndex::Build(const Relation& relation, uint32_t key_col) {
   Finish();
 }
 
-void HashIndex::BuildFromPairs(
-    const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
-  keys_.resize(pairs.size());
-  row_ids_.resize(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    keys_[i] = pairs[i].first;
-    row_ids_[i] = pairs[i].second;
-  }
-  Finish();
-}
-
 void HashIndex::Append(const Relation& relation, uint32_t key_col,
                        uint64_t from_row) {
   const uint64_t n = relation.size();
   if (from_row >= n) return;
-  keys_.reserve(n);
-  row_ids_.reserve(n);
+  // No exact reserve: many small insert batches must grow the arrays
+  // geometrically, not reallocate and copy them on every batch.
   for (uint64_t r = from_row; r < n; ++r) {
     keys_.push_back(relation.Row(r)[key_col]);
     row_ids_.push_back(r);

@@ -23,9 +23,6 @@ class HashIndex {
   /// Builds the index over `relation`, keyed by column `key_col`.
   void Build(const Relation& relation, uint32_t key_col);
 
-  /// Builds over explicit (key, row_id) pairs.
-  void BuildFromPairs(const std::vector<std::pair<uint64_t, uint64_t>>& pairs);
-
   /// Appends rows [from_row, relation.size()) of `relation` to an already
   /// built index — the incremental-maintenance path syncing a base index
   /// after an EDB insert batch, instead of rebuilding the whole index. When

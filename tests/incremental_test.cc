@@ -417,14 +417,15 @@ TEST(IncrementalTest, BackwardForwardDeepProofUsesNoRecursion) {
   CheckDeepRingDelete(CoordinationMode::kGlobal);
 }
 
-// Under SSP and DWS the 100K-round initial fixpoint of this ring loses
-// tuples: the asynchronous tuple-loss defect on the ROADMAP, which
-// predates Backward/Forward (the parent commit loses them too). Enable
-// these once that defect is fixed.
-TEST(IncrementalTest, DISABLED_BackwardForwardDeepProofUnderSsp) {
+// Under SSP and DWS the 100K-round initial fixpoint of this ring is also
+// a regression test for termination detection: a thin frontier passes
+// from worker to worker, so a round that counts drained tuples as
+// consumed while the consumer's active flag is down ends the SCC early
+// and loses rows (see TerminationDetector).
+TEST(IncrementalTest, BackwardForwardDeepProofUnderSsp) {
   CheckDeepRingDelete(CoordinationMode::kSsp);
 }
-TEST(IncrementalTest, DISABLED_BackwardForwardDeepProofUnderDws) {
+TEST(IncrementalTest, BackwardForwardDeepProofUnderDws) {
   CheckDeepRingDelete(CoordinationMode::kDws);
 }
 

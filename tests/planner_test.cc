@@ -168,14 +168,13 @@ TEST_F(PlannerTest, HashJoinHeuristicForSharedKeyVariable) {
     }
   }
   EXPECT_TRUE(saw_hash);
-  bool has_hash_index = false;
-  for (const auto& req : plan.value().base_indexes) {
-    if (req.is_hash) has_hash_index = true;
-  }
-  EXPECT_TRUE(has_hash_index);
+  EXPECT_EQ(plan.value().base_indexes.size(), 1u);  // arc@0, shared.
 }
 
-TEST_F(PlannerTest, BTreeIndexJoinIsDefault) {
+TEST_F(PlannerTest, UnsharedKeyProbesHashIndex) {
+  // TC's delta rule probes arc on a key no other base atom shares. The
+  // paper's §5.2.1 heuristic would pick a B+-tree index join here; the
+  // planner serves every bound base probe from a hash index instead.
   Load(
       "tc(X, Y) :- arc(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), arc(Z, Y).");
@@ -184,7 +183,16 @@ TEST_F(PlannerTest, BTreeIndexJoinIsDefault) {
   const SccPlan& scc = plan.value().sccs.back();
   ASSERT_EQ(scc.delta_rules.size(), 1u);
   ASSERT_EQ(scc.delta_rules[0].steps.size(), 1u);
-  EXPECT_EQ(scc.delta_rules[0].steps[0].kind, StepKind::kProbeBaseBTree);
+  const Step& probe = scc.delta_rules[0].steps[0];
+  EXPECT_EQ(probe.kind, StepKind::kProbeBaseHash);
+  EXPECT_EQ(probe.relation, "arc");
+  EXPECT_EQ(probe.probe_col, 0u);
+  // The only index the plan requests is that hash index.
+  const auto& requests = plan.value().base_indexes;
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(probe.base_index_id, 0);
+  EXPECT_EQ(requests[0].relation, "arc");
+  EXPECT_EQ(requests[0].col, 0u);
 }
 
 TEST_F(PlannerTest, CartesianFallsBackToScan) {
@@ -292,7 +300,7 @@ TEST_F(PlannerTest, NegationCompilesToAntiJoin) {
   for (const auto& scc : plan.value().sccs) {
     for (const auto& rule : scc.base_rules) {
       for (const auto& step : rule.steps) {
-        if (step.kind == StepKind::kAntiJoinBTree) {
+        if (step.kind == StepKind::kAntiJoinIndex) {
           saw_anti = true;
           EXPECT_EQ(step.relation, "tc");
           EXPECT_GE(step.probe_reg, 0);

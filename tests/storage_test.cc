@@ -215,6 +215,41 @@ TEST(HashIndexTest, EmptyRelation) {
   EXPECT_FALSE(index.Contains(0));
 }
 
+/// The insert path: many small Append batches — crossing the load-factor
+/// rebuild in Finish() several times, with duplicate keys and no-op calls
+/// at the watermark — must index exactly the rows a fresh Build would.
+TEST(HashIndexTest, AppendInSmallBatchesMatchesBuild) {
+  Relation rel("r", Schema::Ints(2));
+  Rng rng(11);
+  for (uint64_t i = 0; i < 3; ++i) rel.Append({rng.Uniform(40), i});
+  HashIndex appended;
+  appended.Build(rel, 0);
+  uint64_t indexed = rel.size();
+  while (rel.size() < 3000) {
+    const uint64_t batch = 1 + rng.Uniform(7);
+    for (uint64_t b = 0; b < batch; ++b) {
+      rel.Append({rng.Uniform(40), rel.size()});
+    }
+    appended.Append(rel, 0, indexed);
+    indexed = rel.size();
+    appended.Append(rel, 0, indexed);  // Nothing new: must not change a thing.
+  }
+  HashIndex fresh;
+  fresh.Build(rel, 0);
+  ASSERT_EQ(appended.size(), rel.size());
+  const auto rows_of = [](const HashIndex& index, uint64_t key) {
+    std::multiset<uint64_t> rows;
+    index.ForEachMatch(key, [&](uint64_t row) {
+      rows.insert(row);
+      return true;
+    });
+    return rows;
+  };
+  for (uint64_t k = 0; k < 41; ++k) {
+    EXPECT_EQ(rows_of(appended, k), rows_of(fresh, k)) << "key " << k;
+  }
+}
+
 TEST(HashIndexTest, PropertyMatchesMultimap) {
   Relation rel("r", Schema::Ints(2));
   std::multimap<uint64_t, uint64_t> oracle;

@@ -84,6 +84,7 @@ HOT_PATH_FILES = {
     "src/runtime/base_index_set.cc",
     "src/storage/flat_set.h",
     "src/storage/flat_map.h",
+    "src/storage/hash_index.h",
     "src/storage/updates.h",
     "src/storage/updates.cc",
     "src/core/engine.cc",
