@@ -224,7 +224,10 @@ class SccExecutor {
     BatchPipelineRunner batch_runner;
     std::unique_ptr<Distributor> distributor;
     DwsController dws;
-    std::vector<std::vector<TupleBuf>> gather_scratch;  // Per replica.
+    /// Per replica: wire tuples awaiting the next merge, packed back to
+    /// back at the replica's wire arity (self-loop tuples and drained ring
+    /// blocks alike).
+    std::vector<std::vector<uint64_t>> gather_scratch;
     std::vector<MsgBlock> block_scratch;
     uint64_t local_iter = 0;
     int64_t idle_ns = 0;
@@ -490,7 +493,8 @@ class SccExecutor {
                                              const uint64_t* wire,
                                              uint32_t arity) {
     auto* ctx = static_cast<WorkerContext*>(c);
-    ctx->gather_scratch[replica].push_back(TupleBuf::FromWords(wire, arity));
+    std::vector<uint64_t>& batch = ctx->gather_scratch[replica];
+    batch.insert(batch.end(), wire, wire + arity);
   }
 
   void RunBaseRules(WorkerContext* ctx) {
@@ -602,10 +606,11 @@ class SccExecutor {
     }
   }
 
-  /// Drains every incoming buffer once, unpacks the blocks, and merges into
-  /// the replicas (together with any tuples the self-loop bypass already
-  /// parked in the gather scratch). Returns the number of ring tuples
-  /// consumed — the quantity charged to the termination detector.
+  /// Drains every incoming buffer once, appends the blocks' packed
+  /// payloads to the gather scratch, and merges the scratch into the
+  /// replicas (together with any tuples the self-loop bypass already parked
+  /// there). Returns the number of ring tuples consumed — the quantity
+  /// charged to the termination detector.
   DCD_HOT_ROOT uint64_t GatherAll(WorkerContext* ctx) {
     DCD_CHAOS_POINT(kGather);
     uint64_t total = 0;
@@ -616,10 +621,11 @@ class SccExecutor {
       q.ring.PopBatch(&ctx->block_scratch);
       uint64_t drained = 0;
       for (const MsgBlock& block : ctx->block_scratch) {
-        auto& batch = ctx->gather_scratch[block.tag];
-        for (uint32_t t = 0; t < block.count; ++t) {
-          batch.push_back(TupleBuf::FromWords(block.Tuple(t), block.arity));
-        }
+        // The block payload is already dense at the wire arity: one range
+        // append, no per-tuple unpacking.
+        std::vector<uint64_t>& batch = ctx->gather_scratch[block.tag];
+        batch.insert(batch.end(), block.w,
+                     block.w + static_cast<size_t>(block.count) * block.arity);
         drained += block.count;
       }
       if (drained > 0) q.tuples.fetch_sub(drained, std::memory_order_relaxed);
@@ -635,9 +641,11 @@ class SccExecutor {
     // unaffected: the tuples left their rings either way.
     if (!ctx->defer_merges) {
       for (size_t r = 0; r < ctx->gather_scratch.size(); ++r) {
-        auto& batch = ctx->gather_scratch[r];
+        std::vector<uint64_t>& batch = ctx->gather_scratch[r];
         if (batch.empty()) continue;
-        (*ctx->replicas)[r]->MergeBatch(batch);
+        RecursiveTable& table = *(*ctx->replicas)[r];
+        const uint32_t arity = table.wire_arity();
+        table.MergeBatch(batch.data(), batch.size() / arity, arity);
         batch.clear();
       }
     }

@@ -3,6 +3,7 @@
 #include "common/chaos.h"
 #include "common/logging.h"
 #include "common/value.h"
+#include "runtime/batch_pipeline.h"
 
 #if DCD_CHAOS_ENABLED
 #include <cstdlib>
@@ -115,24 +116,23 @@ void Distributor::Route(const PerPredicate& pp, const uint64_t* wire) {
 void Distributor::EmitResolved(PerPredicate& pp, const AggSpec& spec,
                                const uint64_t* wire) {
   ++tuples_emitted_;
-  const bool foldable = partial_agg_ && (spec.func == AggFunc::kMin ||
-                                         spec.func == AggFunc::kMax);
-  if (!foldable) {
+  if (!Foldable(spec)) {
     Route(pp, wire);
     return;
   }
-  U128 group;
-  group.hi = spec.group_arity > 0 ? wire[0] : 0;
-  group.lo = spec.group_arity > 1 ? wire[1] : 0;
-  const uint32_t value_col = spec.stored_arity - 1;
-  auto [it, inserted] = pp.partial.try_emplace(group);
+  const uint32_t arity = pp.wire_arity;
+  bool inserted = false;
+  const uint64_t* offset =
+      pp.fold.FindOrInsert(GroupOf(spec, wire), pp.staged.size(), &inserted);
   if (inserted) {
-    it->second = TupleBuf::FromWords(wire, spec.wire_arity);
+    pp.staged.insert(pp.staged.end(), wire, wire + arity);
     return;
   }
   ++tuples_folded_;
-  if (Better(spec, wire[value_col], it->second.v[value_col])) {
-    it->second = TupleBuf::FromWords(wire, spec.wire_arity);
+  uint64_t* best = pp.staged.data() + *offset;
+  const uint32_t value_col = spec.stored_arity - 1;
+  if (Better(spec, wire[value_col], best[value_col])) {
+    std::memcpy(best, wire, arity * sizeof(uint64_t));
   }
 }
 
@@ -149,7 +149,16 @@ DCD_HOT_ROOT void Distributor::EmitBatch(const HeadSpec& head,
   if (count == 0) return;
   PerPredicate& pp = StateFor(head);
   DCD_DCHECK(wire_arity == pp.wire_arity);
+  // Folding probes one group slot per tuple: prefetch it a few tuples
+  // ahead so the probe's DRAM miss overlaps the folds before it.
+  const bool fold = Foldable(head.agg);
   for (uint32_t i = 0; i < count; ++i) {
+    if (fold && i + kBatchPrefetchDistance < count) {
+      pp.fold.Prefetch(GroupOf(
+          head.agg,
+          wires + static_cast<size_t>(i + kBatchPrefetchDistance) *
+                      wire_arity));
+    }
     EmitResolved(pp, head.agg, wires + static_cast<size_t>(i) * wire_arity);
   }
 }
@@ -157,11 +166,12 @@ DCD_HOT_ROOT void Distributor::EmitBatch(const HeadSpec& head,
 DCD_HOT_ROOT void Distributor::Flush() {
   DCD_AFFINITY_GUARD(owner_affinity_);
   for (PerPredicate& pp : per_pred_) {
-    if (pp.head == nullptr || pp.partial.empty()) continue;
-    for (const auto& [group, buf] : pp.partial) {
-      Route(pp, buf.v);
+    if (pp.staged.empty()) continue;
+    for (size_t off = 0; off < pp.staged.size(); off += pp.wire_arity) {
+      Route(pp, pp.staged.data() + off);
     }
-    pp.partial.clear();
+    pp.staged.clear();
+    pp.fold.Clear();
   }
   // Ship every partial block: nothing may linger in staging across the
   // iteration boundary, or termination detection and DWS's queue-size

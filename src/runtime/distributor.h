@@ -2,16 +2,14 @@
 #define DCDATALOG_RUNTIME_DISTRIBUTOR_H_
 
 #include <cstring>
-#include <unordered_map>
 #include <vector>
 
 #include "common/affinity.h"
 #include "common/chaos.h"
-#include "common/hash.h"
 #include "common/hot_path.h"
 #include "planner/physical_plan.h"
 #include "runtime/message.h"
-#include "storage/btree.h"
+#include "storage/flat_map.h"
 #include "storage/tuple.h"
 
 namespace dcdatalog {
@@ -84,11 +82,6 @@ class Distributor {
   uint64_t self_loop_tuples() const { return self_loop_tuples_; }
 
  private:
-  struct U128Hash {
-    size_t operator()(const U128& k) const {
-      return static_cast<size_t>(HashCombine(k.hi, k.lo));
-    }
-  };
   struct PerPredicate {
     const HeadSpec* head = nullptr;  // Any rule's head for this predicate.
     uint32_t wire_arity = 0;
@@ -96,7 +89,13 @@ class Distributor {
                                   // Route — the division is per-predicate
                                   // state, not per-tuple work.
     std::vector<int> replica_ids;
-    std::unordered_map<U128, TupleBuf, U128Hash> partial;
+    /// Partial aggregation (min/max heads): this iteration's best wire per
+    /// group, packed back to back (wire_arity words each) in first-seen
+    /// order, and the fold map from group key to the word offset of that
+    /// group's wire. Flush routes `staged` and clears both; both keep their
+    /// capacity across iterations.
+    std::vector<uint64_t> staged;
+    FlatGroupMap fold;
   };
 
   void Route(const PerPredicate& pp, const uint64_t* wire);
@@ -105,6 +104,18 @@ class Distributor {
   /// and batch entry points).
   void EmitResolved(PerPredicate& pp, const AggSpec& spec,
                     const uint64_t* wire);
+
+  bool Foldable(const AggSpec& spec) const {
+    return partial_agg_ &&
+           (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax);
+  }
+
+  static U128 GroupOf(const AggSpec& spec, const uint64_t* wire) {
+    U128 group;
+    group.hi = spec.group_arity > 0 ? wire[0] : 0;
+    group.lo = spec.group_arity > 1 ? wire[1] : 0;
+    return group;
+  }
 
   MsgBlock& StagingFor(uint32_t dest, uint32_t replica) {
     return staging_[static_cast<size_t>(dest) * num_replicas_ + replica];

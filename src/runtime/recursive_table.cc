@@ -403,8 +403,8 @@ void RecursiveTable::ResetStats() {
                      flat_contrib_.probe_cmps();
 }
 
-void RecursiveTable::MergeMinMaxBatchByScan(
-    const std::vector<TupleBuf>& wires) {
+void RecursiveTable::MergeMinMaxBatchByScan(const uint64_t* words,
+                                            size_t count, uint32_t stride) {
   // Unoptimized baseline (Table 4 ablation, "w/o"): reduce the batch to its
   // best value per group, then find existing groups with one linear scan of
   // the stored rows instead of index lookups.
@@ -414,16 +414,17 @@ void RecursiveTable::MergeMinMaxBatchByScan(
     bool matched = false;
   };
   std::unordered_map<uint64_t, PendingBest> best;  // keyed by group hash
-  best.reserve(wires.size());
+  best.reserve(count);
   const uint32_t value_col = spec_.stored_arity - 1;
-  for (const TupleBuf& w : wires) {
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t* w = words + i * stride;
     ++merges_;
-    const U128 g = GroupKey(w.v);
+    const U128 g = GroupKey(w);
     const uint64_t gh = HashCombine(g.hi, g.lo);
-    auto [it, inserted] = best.try_emplace(gh, PendingBest{w.v[value_col], w.v});
-    if (!inserted && BetterValue(w.v[value_col], it->second.value)) {
-      it->second.value = w.v[value_col];
-      it->second.wire = w.v;
+    auto [it, inserted] = best.try_emplace(gh, PendingBest{w[value_col], w});
+    if (!inserted && BetterValue(w[value_col], it->second.value)) {
+      it->second.value = w[value_col];
+      it->second.wire = w;
     }
   }
   // One pass over all stored rows: update groups present in the batch.
@@ -462,9 +463,11 @@ void RecursiveTable::MergeMinMaxBatchByScan(
   }
 }
 
-DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires) {
+DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
+                                             size_t count, uint32_t stride) {
   DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
-  if (wires.empty()) return;
+  if (count == 0) return;
+  DCD_DCHECK(stride >= spec_.wire_arity);
   if (spec_.func == AggFunc::kNone) {
     // Plain dedup: every accept is a distinct new row, no amplification.
     // Pipelined probe: hash the whole batch up front, then prefetch each
@@ -473,17 +476,17 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires)
     // instead of serializing (hash-join probe pipelining). A mid-batch
     // rehash only strands the few in-flight prefetches — later ones use
     // the new mask automatically.
-    const size_t n = wires.size();
-    batch_hashes_.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      batch_hashes_[i] = TupleRef{wires[i].v, spec_.stored_arity}.Hash();
+    batch_hashes_.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      batch_hashes_[i] =
+          TupleRef{words + i * stride, spec_.stored_arity}.Hash();
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (use_flat_ && i + kPrefetchDistance < n) {
+    for (size_t i = 0; i < count; ++i) {
+      if (use_flat_ && i + kPrefetchDistance < count) {
         exist_set_.Prefetch(batch_hashes_[i + kPrefetchDistance]);
       }
       ++merges_;
-      MergeNone(wires[i].v, batch_hashes_[i]);
+      MergeNone(words + i * stride, batch_hashes_[i]);
     }
     return;
   }
@@ -493,9 +496,9 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const std::vector<TupleBuf>& wires)
   batch_changed_rows_.clear();
   if (!use_agg_index_ &&
       (spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax)) {
-    MergeMinMaxBatchByScan(wires);
+    MergeMinMaxBatchByScan(words, count, stride);
   } else {
-    for (const TupleBuf& w : wires) MergeWire(w.v);
+    for (size_t i = 0; i < count; ++i) MergeWire(words + i * stride);
   }
   batch_mode_ = false;
   std::sort(batch_changed_rows_.begin(), batch_changed_rows_.end());

@@ -49,11 +49,19 @@ class RecursiveTable {
                  uint32_t partition_col, bool needs_join_index,
                  const EngineOptions& options);
 
-  /// Merges a batch of wire tuples. With enable_aggregate_index this is a
-  /// per-tuple indexed merge; without it, aggregate groups are merged by a
-  /// single linear scan over the stored rows (the paper's unoptimized
-  /// baseline for the Table 4 ablation).
-  void MergeBatch(const std::vector<TupleBuf>& wires);
+  /// Merges `count` wire tuples packed `stride` words apart (stride ≥
+  /// wire_arity(); the gather path packs them densely at the wire arity).
+  /// With enable_aggregate_index this is a per-tuple indexed merge;
+  /// without it, aggregate groups are merged by a single linear scan over
+  /// the stored rows (the paper's unoptimized baseline for the Table 4
+  /// ablation).
+  void MergeBatch(const uint64_t* words, size_t count, uint32_t stride);
+
+  /// The same over one TupleBuf per wire.
+  void MergeBatch(const std::vector<TupleBuf>& wires) {
+    MergeBatch(wires.empty() ? nullptr : wires.front().v, wires.size(),
+               kMaxArity);
+  }
 
   /// Merges one wire tuple through the indexed path. Returns true if the
   /// table changed (and the delta grew).
@@ -214,7 +222,8 @@ class RecursiveTable {
   void InsertGroup(const U128& group, uint64_t row_id);
 
   /// Linear-scan merge for min/max batches (ablation path).
-  void MergeMinMaxBatchByScan(const std::vector<TupleBuf>& wires);
+  void MergeMinMaxBatchByScan(const uint64_t* words, size_t count,
+                              uint32_t stride);
 
   // Existence cache (§6.2.2): direct-mapped, one slot = candidate row id+1.
   bool CacheCheckDuplicate(TupleRef tuple, uint64_t hash) const;

@@ -16,12 +16,18 @@ namespace dcdatalog {
 /// cache-friendly replacement for the merge path's B+-tree indexes:
 ///   min/max:   group key        → row id of the group's current row
 ///   count/sum: (group, contrib) → contributor's last value word
+/// and, as the Distributor's partial-aggregation fold map,
+///   min/max:   group key        → offset of the group's staged wire
 /// Linear probing over 32-byte slots (key + value + occupancy, two per
-/// cache line); tombstone-free (merge never deletes); grows at ~60 % load.
-/// Values are updated in place through the returned pointer, which stays
-/// valid until the next FindOrInsert or Reserve (those may rehash).
+/// cache line); tombstone-free (nothing deletes single keys); grows at
+/// ~60 % load. A slot is occupied when its `used` word equals the map's
+/// current epoch, so Clear() empties the map in O(1) and keeps its
+/// capacity. Values are updated in place through the returned pointer,
+/// which stays valid until the next FindOrInsert or Reserve (those may
+/// rehash).
 ///
-/// Not internally synchronized — one per worker partition.
+/// Not internally synchronized — one per worker partition or per-worker
+/// Distributor predicate.
 class FlatGroupMap {
  public:
   FlatGroupMap() {
@@ -48,11 +54,18 @@ class FlatGroupMap {
     __builtin_prefetch(&slots_[Hash(key) & mask_], 0, 3);
   }
 
+  /// Empties the map without touching its slots: every slot stamped with
+  /// an older epoch reads as free from now on.
+  void Clear() {
+    ++epoch_;
+    size_ = 0;
+  }
+
   /// Returns a pointer to the value stored under `key`, or nullptr.
   uint64_t* Find(const U128& key) {
     for (uint64_t s = Hash(key) & mask_;; s = (s + 1) & mask_) {
       Slot& slot = slots_[s];
-      if (!slot.used) return nullptr;
+      if (slot.used != epoch_) return nullptr;
       ++probe_cmps_;
       if (slot.key == key) return &slot.value;
     }
@@ -71,10 +84,10 @@ class FlatGroupMap {
     if ((size_ + 1) * 5 >= slots_.size() * 3) Rehash(slots_.size() * 2);
     for (uint64_t s = Hash(key) & mask_;; s = (s + 1) & mask_) {
       Slot& slot = slots_[s];
-      if (!slot.used) {
+      if (slot.used != epoch_) {
         slot.key = key;
         slot.value = value;
-        slot.used = 1;
+        slot.used = epoch_;
         ++size_;
         *inserted = true;
         return &slot.value;
@@ -93,7 +106,8 @@ class FlatGroupMap {
   struct Slot {
     U128 key;
     uint64_t value = 0;
-    uint64_t used = 0;  // Full word keeps the slot 32 B / naturally aligned.
+    uint64_t used = 0;  // Epoch of the insert; 0 never matches. A full
+                        // word keeps the slot 32 B / naturally aligned.
   };
 
   static uint64_t Hash(const U128& key) { return HashCombine(key.hi, key.lo); }
@@ -105,9 +119,9 @@ class FlatGroupMap {
     slots_.assign(new_slots, Slot{});
     mask_ = new_slots - 1;
     for (const Slot& slot : old) {
-      if (!slot.used) continue;
+      if (slot.used != epoch_) continue;
       uint64_t s = Hash(slot.key) & mask_;
-      while (slots_[s].used) s = (s + 1) & mask_;
+      while (slots_[s].used == epoch_) s = (s + 1) & mask_;
       slots_[s] = slot;
     }
   }
@@ -115,6 +129,7 @@ class FlatGroupMap {
   std::vector<Slot> slots_;
   uint64_t mask_ = 0;
   uint64_t size_ = 0;
+  uint64_t epoch_ = 1;
   mutable uint64_t probe_cmps_ = 0;
 };
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "planner/physical_plan.h"
@@ -318,6 +321,64 @@ TEST_P(RecursiveTableModes, RandomizedMinParityWithOracle) {
   }
 }
 
+TEST_P(RecursiveTableModes, StridedMergeMatchesTupleBufAdapter) {
+  // The gather path merges wires packed densely at the wire arity; tests
+  // and benches merge one TupleBuf per wire. Both forms must leave the
+  // table in the same state after every batch, empty batches included.
+  struct Case {
+    AggSpec spec;
+    Schema schema;
+  };
+  const Schema int_double(
+      {{"g", ColumnType::kInt}, {"v", ColumnType::kDouble}});
+  const std::vector<Case> cases = {
+      {SpecFor(AggFunc::kNone, 2), Schema::Ints(2)},
+      {SpecFor(AggFunc::kMin, 2), Schema::Ints(2)},
+      {SpecFor(AggFunc::kCount, 2), Schema::Ints(2)},
+      {SpecFor(AggFunc::kSum, 2, ColumnType::kDouble), int_double},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.spec.func));
+    RecursiveTable dense("r", c.schema, c.spec, 0, false, Opts());
+    RecursiveTable boxed("r", c.schema, c.spec, 0, false, Opts());
+    const uint32_t arity = c.spec.wire_arity;
+    Rng rng(31);
+    for (size_t n : std::vector<size_t>{0, 1, 17, 40, 0, 25}) {
+      std::vector<uint64_t> words;
+      std::vector<TupleBuf> bufs;
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t w[3] = {rng.Uniform(8), rng.Uniform(8), 0};
+        if (c.spec.func == AggFunc::kMin) w[1] = WordFromInt(rng.Uniform(50));
+        if (c.spec.func == AggFunc::kSum) {
+          w[2] = WordFromDouble(static_cast<double>(rng.Uniform(16)) * 0.25);
+        }
+        words.insert(words.end(), w, w + arity);
+        bufs.push_back(TupleBuf::FromWords(w, arity));
+      }
+      dense.MergeBatch(words.data(), n, arity);
+      boxed.MergeBatch(bufs);
+      ASSERT_EQ(dense.accepts(), boxed.accepts());
+      ASSERT_EQ(dense.merges(), boxed.merges());
+      const uint32_t stored = c.spec.stored_arity;
+      ASSERT_EQ(dense.rows().size(), boxed.rows().size());
+      for (uint64_t r = 0; r < dense.rows().size(); ++r) {
+        for (uint32_t col = 0; col < stored; ++col) {
+          ASSERT_EQ(dense.rows().Row(r)[col], boxed.rows().Row(r)[col]);
+        }
+      }
+      ASSERT_EQ(dense.delta_size(), boxed.delta_size());
+      for (size_t d = 0; d < dense.delta_size(); ++d) {
+        for (uint32_t col = 0; col < stored; ++col) {
+          ASSERT_EQ(dense.delta()[d].v[col], boxed.delta()[d].v[col]);
+        }
+      }
+      dense.ClearDelta();
+      boxed.ClearDelta();
+    }
+    EXPECT_GT(dense.rows().size(), 0u);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Ablations, RecursiveTableModes,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
@@ -520,6 +581,68 @@ TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
   EXPECT_EQ(IntFromWord(sent_[1].words[2]), 4);
   EXPECT_EQ(dist.tuples_folded(), 2u);
   EXPECT_EQ(dist.tuples_routed(), 2u);
+}
+
+TEST_F(DistributorTest, FoldDoesNotSpanFlush) {
+  // The fold map clears at every Flush: a group's worse value in the next
+  // iteration still ships, because nothing from the last one survives.
+  Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
+                   Unpack(), SelfSink());
+  uint64_t w1[3] = {1, 2, WordFromInt(4)};
+  dist.Emit(head_, w1);
+  dist.Flush();
+  ASSERT_EQ(sent_.size(), 2u);  // One wire per replica.
+  sent_.clear();
+  uint64_t w2[3] = {1, 2, WordFromInt(9)};
+  dist.Emit(head_, w2);
+  dist.Flush();
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(IntFromWord(sent_[0].words[2]), 9);
+  EXPECT_EQ(IntFromWord(sent_[1].words[2]), 9);
+  EXPECT_EQ(dist.tuples_folded(), 0u);
+}
+
+TEST_F(DistributorTest, EmitBatchFoldsLikePerTupleEmit) {
+  // 300 tuples over 150 groups: the fold map outgrows its initial slots
+  // mid-batch, so the batch form's prefetch-ahead runs across a rehash.
+  std::vector<uint64_t> wires;
+  std::map<std::pair<uint64_t, uint64_t>, int64_t> best;
+  Rng rng(5);
+  for (uint64_t i = 0; i < 300; ++i) {
+    const uint64_t g = i % 150;
+    const int64_t v = static_cast<int64_t>(rng.Uniform(1000));
+    wires.insert(wires.end(), {g, g + 7, WordFromInt(v)});
+    auto [it, fresh] = best.try_emplace({g, g + 7}, v);
+    if (!fresh) it->second = std::min(it->second, v);
+  }
+  using Shipped = std::tuple<uint32_t, uint32_t, std::vector<uint64_t>>;
+  auto run = [&](bool batched) {
+    sent_.clear();
+    Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
+                     Unpack(), SelfSink());
+    if (batched) {
+      dist.EmitBatch(head_, wires.data(), 300, 3);
+    } else {
+      for (size_t off = 0; off < wires.size(); off += 3) {
+        dist.Emit(head_, wires.data() + off);
+      }
+    }
+    dist.Flush();
+    EXPECT_EQ(dist.tuples_folded(), 150u);
+    std::vector<Shipped> out;
+    for (const SunkTuple& t : sent_) out.emplace_back(t.dest, t.tag, t.words);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<Shipped> per_tuple = run(false);
+  const std::vector<Shipped> batched = run(true);
+  EXPECT_EQ(per_tuple, batched);
+  // Each group ships once per replica, carrying its minimum.
+  ASSERT_EQ(batched.size(), 2 * best.size());
+  for (const Shipped& t : batched) {
+    const std::vector<uint64_t>& w = std::get<2>(t);
+    EXPECT_EQ(IntFromWord(w[2]), (best.at({w[0], w[1]})));
+  }
 }
 
 TEST_F(DistributorTest, NonAggregateTuplesShipOnFlush) {

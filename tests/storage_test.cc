@@ -459,6 +459,66 @@ TEST(FlatGroupMapTest, GrowthPreservesEntries) {
   }
 }
 
+TEST(FlatGroupMapTest, ClearEmptiesButKeepsSlots) {
+  FlatGroupMap map;
+  bool inserted = false;
+  for (uint64_t k = 0; k < 100; ++k) {
+    map.FindOrInsert(U128{k, 1}, k, &inserted);
+  }
+  const uint64_t slots = map.slot_count();
+  map.Clear();
+  EXPECT_EQ(map.size(), 0u);
+  EXPECT_EQ(map.slot_count(), slots);  // No shrink, no reallocation.
+  for (uint64_t k = 0; k < 100; ++k) {
+    ASSERT_EQ(map.Find(U128{k, 1}), nullptr) << k;
+  }
+  // An old key is a fresh insert again, carrying the new value.
+  for (uint64_t k = 0; k < 100; ++k) {
+    const uint64_t* v = map.FindOrInsert(U128{k, 1}, k + 1000, &inserted);
+    ASSERT_TRUE(inserted) << k;
+    ASSERT_EQ(*v, k + 1000);
+  }
+  EXPECT_EQ(map.size(), 100u);
+  EXPECT_EQ(map.slot_count(), slots);
+}
+
+TEST(FlatGroupMapTest, RehashAfterClearDropsEarlierEpochs) {
+  // Each round clears, then inserts enough fresh keys (plus half of the
+  // previous round's) to force at least one Rehash. A rehash must carry
+  // only the current epoch's entries: no key from an earlier round may
+  // resurface, and re-inserted keys carry this round's value.
+  FlatGroupMap map;
+  bool inserted = false;
+  for (uint64_t k = 0; k < 30; ++k) map.FindOrInsert(U128{k, 0}, 0, &inserted);
+  for (uint64_t round = 1; round <= 3; ++round) {
+    const uint64_t slots = map.slot_count();
+    map.Clear();
+    const uint64_t base = round * 10000;
+    const uint64_t fresh = slots;  // Past the 60 % load threshold.
+    for (uint64_t k = 0; k < fresh; ++k) {
+      map.FindOrInsert(U128{base + k, 0}, round, &inserted);
+      ASSERT_TRUE(inserted);
+    }
+    const uint64_t prev = (round - 1) * 10000;
+    for (uint64_t k = 0; k < 15; ++k) {
+      const uint64_t* v = map.FindOrInsert(U128{prev + k, 0}, round, &inserted);
+      ASSERT_TRUE(inserted) << "round " << round << " key " << prev + k;
+      ASSERT_EQ(*v, round);
+    }
+    EXPECT_GT(map.slot_count(), slots);
+    EXPECT_EQ(map.size(), fresh + 15);
+    for (uint64_t k = 15; k < 30; ++k) {
+      ASSERT_EQ(map.Find(U128{prev + k, 0}), nullptr)
+          << "round " << round << " key " << prev + k;
+    }
+    for (uint64_t k = 0; k < fresh; ++k) {
+      const uint64_t* v = map.Find(U128{base + k, 0});
+      ASSERT_NE(v, nullptr);
+      ASSERT_EQ(*v, round);
+    }
+  }
+}
+
 TEST(FlatGroupMapTest, ReserveRoundsUpToPowerOfTwo) {
   FlatGroupMap map;
   map.Reserve(300);

@@ -70,16 +70,14 @@ BANNED_TARGET_RE = re.compile(
 ALLOWED_CALLS = [
     (r"SccExecutor::(DistSelfSinkThunk|LocalIteration|GatherAll)\(",
      r"^operator (new|delete)",
-     "vector<TupleBuf> gather/scratch doubling branch inlined — amortized "
-     "O(1) per tuple, capacity retained across iterations"),
+     "gather scratch (vector<uint64_t> of packed wire words) doubling "
+     "branch inlined — amortized O(1) per tuple, capacity retained across "
+     "iterations; LocalIteration's per-replica delta snapshots, allocated "
+     "and freed once per iteration"),
     (r"Distributor::EmitResolved\(",
-     r"^operator new",
-     "partial-aggregation fold map node: one try_emplace per new group, "
-     "folded tuples hit the existing node"),
-    (r"Distributor::Flush\(",
-     r"^operator delete",
-     "partial.clear() at the iteration boundary frees fold-map nodes once "
-     "per flush, never per routed tuple"),
+     r"^operator (new|delete)",
+     "staged-wire vector<uint64_t> doubling branch inlined — one append "
+     "per new fold group, capacity retained across iterations"),
     (r"RecursiveTable::Merge(None|Count|Sum|MinMaxBatchByScan)\(",
      r"^operator (new|delete)",
      "B+-tree node allocation on the non-default ablation-backend branch "
