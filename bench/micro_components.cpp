@@ -536,12 +536,13 @@ void BM_EngineTcTraceOn(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineTcTraceOn)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// --- Incremental maintenance (PR 7) ---------------------------------------
+// --- Incremental maintenance ---------------------------------------------
 //
-// The headline incremental-vs-recompute comparison: a single fresh-endpoint
-// edge insert into a large precomputed TC fixpoint, maintained through the
+// The incremental-vs-recompute comparison: a single fresh-endpoint edge
+// insert into a large precomputed TC fixpoint, maintained through the
 // retained semi-naive loop, against recomputing that fixpoint from scratch.
-// Same graph, same options; BENCH_PR7.json reports the ratio.
+// Same graph, same options. Not gated here: perfbench's tc-updates
+// `insert_ms` is the bound on the insert path.
 
 const Graph& IncrementalBenchGraph() {
   static const Graph g = GenerateGnp(1000, 0.003, 17);

@@ -16,17 +16,6 @@ uint64_t AffinitySelfThreadId() {
   return id;
 }
 
-namespace {
-// Depth counter rather than a bool so nested scopes compose; thread-local,
-// so no atomicity is needed.
-thread_local int t_morsel_depth = 0;
-}  // namespace
-
-bool AffinityThreadIsMorselExecutor() { return t_morsel_depth > 0; }
-
-AffinityMorselScope::AffinityMorselScope() { ++t_morsel_depth; }
-AffinityMorselScope::~AffinityMorselScope() { --t_morsel_depth; }
-
 void ThreadAffinity::Die(uint64_t owner, uint64_t self, const char* file,
                          int line) const {
   // Raw fprintf, not DCD_LOG: the process is about to abort and the log
@@ -37,18 +26,6 @@ void ThreadAffinity::Die(uint64_t owner, uint64_t self, const char* file,
                file, line, role_,
                static_cast<unsigned long long>(owner),
                static_cast<unsigned long long>(self));
-  std::fflush(stderr);
-  std::abort();
-}
-
-void ThreadAffinity::DieMorsel(const char* file, int line) const {
-  std::fprintf(stderr,
-               "[affinity] %s:%d: thread-affinity violation: thread %llu is "
-               "tagged kMorselExecutor (read-only) but reached writer role "
-               "'%s'\n",
-               file, line,
-               static_cast<unsigned long long>(AffinitySelfThreadId()),
-               role_);
   std::fflush(stderr);
   std::abort();
 }

@@ -38,24 +38,6 @@ namespace dcdatalog {
 /// order) — far more readable in an abort message than std::thread::id.
 uint64_t AffinitySelfThreadId();
 
-/// True while the calling thread is inside an AffinityMorselScope — i.e. it
-/// is executing a stolen morsel against another worker's replica and holds
-/// the read-only kMorselExecutor role (docs/INTERNALS.md §11). Writer-role
-/// guards (DCD_AFFINITY_GUARD_WRITE) abort when this is set, regardless of
-/// slot ownership: a thief must never mutate the victim's tables.
-bool AffinityThreadIsMorselExecutor();
-
-/// RAII kMorselExecutor tag. Entered by a thief for exactly the duration of
-/// one stolen morsel's execution; nests (a morsel never spawns a morsel, but
-/// the counter keeps the invariant local).
-class AffinityMorselScope {
- public:
-  AffinityMorselScope();
-  ~AffinityMorselScope();
-  AffinityMorselScope(const AffinityMorselScope&) = delete;
-  AffinityMorselScope& operator=(const AffinityMorselScope&) = delete;
-};
-
 /// One ownership slot: unowned until the first guarded access, then bound
 /// to that thread until Rebind(). Guarded accesses from any other thread
 /// abort. The slot itself is safe to poll from any thread — ownership is a
@@ -85,15 +67,6 @@ class ThreadAffinity {
     Die(owner, self, file, line);
   }
 
-  /// Check() plus the kMorselExecutor restriction: a thread tagged as a
-  /// morsel executor may never reach a writer role, even one it owns — the
-  /// thief reads the victim's replica and writes only through its own
-  /// Distributor, which carries plain Check() guards.
-  void CheckWrite(const char* file, int line) {
-    if (AffinityThreadIsMorselExecutor()) DieMorsel(file, line);
-    Check(file, line);
-  }
-
   /// Releases ownership at a legitimate hand-off point (e.g. a test reusing
   /// one queue across sequential producer threads). The caller is
   /// responsible for the hand-off happening-after all owner accesses.
@@ -102,7 +75,6 @@ class ThreadAffinity {
  private:
   [[noreturn]] void Die(uint64_t owner, uint64_t self, const char* file,
                         int line) const;
-  [[noreturn]] void DieMorsel(const char* file, int line) const;
 
   std::atomic<uint64_t> owner_{0};
   const char* const role_;
@@ -117,26 +89,15 @@ class ThreadAffinity {
 /// Asserts the calling thread owns the slot, claiming it on first use.
 #define DCD_AFFINITY_GUARD(name) (name).Check(__FILE__, __LINE__)
 
-/// Writer-role variant: additionally aborts if the calling thread is tagged
-/// kMorselExecutor (read-only). Use on every mutation path of structures a
-/// stolen morsel may probe.
-#define DCD_AFFINITY_GUARD_WRITE(name) (name).CheckWrite(__FILE__, __LINE__)
-
 /// Releases the slot for a deliberate ownership hand-off.
 #define DCD_AFFINITY_REBIND(name) (name).Rebind()
-
-/// Tags the current scope's thread as a read-only morsel executor.
-#define DCD_AFFINITY_MORSEL_SCOPE() \
-  ::dcdatalog::AffinityMorselScope dcd_affinity_morsel_scope_
 
 #else  // !DCD_AFFINITY_ENABLED
 
 #define DCD_AFFINITY_OWNER(name, role) \
   static_assert(true, "affinity disabled")
 #define DCD_AFFINITY_GUARD(name) ((void)0)
-#define DCD_AFFINITY_GUARD_WRITE(name) ((void)0)
 #define DCD_AFFINITY_REBIND(name) ((void)0)
-#define DCD_AFFINITY_MORSEL_SCOPE() ((void)0)
 
 #endif  // DCD_AFFINITY_ENABLED
 

@@ -37,16 +37,6 @@ const char* PipelineExecutorName(PipelineExecutor executor) {
   return "unknown";
 }
 
-const char* NumaModeName(NumaMode mode) {
-  switch (mode) {
-    case NumaMode::kAuto:
-      return "auto";
-    case NumaMode::kOff:
-      return "off";
-  }
-  return "unknown";
-}
-
 EngineOptions EngineOptions::Resolved() const {
   EngineOptions out = *this;
   if (out.num_workers == 0) {
@@ -56,7 +46,6 @@ EngineOptions EngineOptions::Resolved() const {
   if (out.spsc_capacity < 2) out.spsc_capacity = 2;
   if (out.existence_cache_slots < 1) out.existence_cache_slots = 1;
   if (out.ssp_slack < 1) out.ssp_slack = 1;
-  if (out.steal_morsel_tuples < 16) out.steal_morsel_tuples = 16;
   return out;
 }
 
@@ -70,8 +59,6 @@ std::string EngineOptions::ToString() const {
      << ", exist_cache=" << (enable_existence_cache ? "on" : "off")
      << ", merge_backend=" << MergeIndexBackendName(merge_index_backend)
      << ", pipeline=" << PipelineExecutorName(pipeline_executor)
-     << ", steal=" << (enable_steal ? "on" : "off")
-     << ", numa=" << NumaModeName(numa)
      << ", trace=" << (enable_trace ? "on" : "off") << "}";
   return os.str();
 }

@@ -38,18 +38,6 @@ enum class PipelineExecutor : uint8_t {
 
 const char* PipelineExecutorName(PipelineExecutor executor);
 
-/// NUMA placement policy for engine-owned worker threads.
-enum class NumaMode : uint8_t {
-  kAuto = 0,  // Probe /sys/devices/system/node; on multi-socket machines pin
-              // workers breadth-first across nodes so first-touch replica /
-              // ring / staging allocations land socket-local. Single-socket
-              // machines (and pool-scheduled gangs) degrade to kOff.
-  kOff = 1,   // Never pin; leave placement to the OS scheduler (ablation
-              // baseline).
-};
-
-const char* NumaModeName(NumaMode mode);
-
 /// Engine-wide tuning knobs. Defaults reproduce the configuration the paper
 /// evaluates (DWS with all §6 optimizations on).
 struct EngineOptions {
@@ -97,27 +85,6 @@ struct EngineOptions {
 
   /// Existence-cache slots per worker (direct-mapped).
   uint32_t existence_cache_slots = 1 << 15;
-
-  /// Skew-adaptive morsel stealing: a worker whose driving-tuple backlog for
-  /// an iteration exceeds the adaptive threshold publishes the tail of its
-  /// driving set as fixed-size morsels; idle workers claim them with one CAS
-  /// and execute them read-only against the owner's replica, emitting
-  /// derived tuples through their own Distributor so merge ownership never
-  /// moves (docs/INTERNALS.md §11). Off is the ablation baseline
-  /// (`--steal=off` reproduces the strictly owner-computes numbers).
-  bool enable_steal = true;
-
-  /// Morsel granularity: driving tuples per published morsel.
-  uint32_t steal_morsel_tuples = 1024;
-
-  /// Minimum per-replica driving backlog (tuples) before a worker publishes
-  /// morsels. 0 = adaptive: derived from the live DWS ω estimate so uniform
-  /// workloads, where every worker has comparable backlog, publish nothing.
-  uint64_t steal_min_backlog = 0;
-
-  /// NUMA placement policy. Only affects engine-spawned dedicated threads;
-  /// pool-scheduled gangs are never re-pinned.
-  NumaMode numa = NumaMode::kAuto;
 
   /// Safety valve for non-terminating programs; 0 = unlimited.
   uint64_t max_global_iterations = 0;

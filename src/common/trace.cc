@@ -28,10 +28,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "dws_decision";
     case TraceEventKind::kAdmission:
       return "admission";
-    case TraceEventKind::kMorselPublish:
-      return "morsel_publish";
-    case TraceEventKind::kSteal:
-      return "steal";
   }
   return "unknown";
 }
@@ -50,8 +46,6 @@ bool TraceEventIsSpan(TraceEventKind kind) {
     case TraceEventKind::kSccEnd:
     case TraceEventKind::kDwsDecision:
     case TraceEventKind::kAdmission:
-    case TraceEventKind::kMorselPublish:
-    case TraceEventKind::kSteal:
       return false;
   }
   return false;

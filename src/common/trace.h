@@ -27,11 +27,6 @@ enum class TraceEventKind : uint8_t {
                    // or queued (proceed=false) a session, carrying the same
                    // rho/lambda/mu queueing-model state the DWS decisions
                    // report — one vocabulary for both decision layers.
-  kMorselPublish,  // Instant: a loaded worker published steal morsels from
-                   // its driving-set tail (tuples = driving tuples offered).
-  kSteal,          // Instant: an idle worker claimed and executed a stolen
-                   // morsel (tuples = driving tuples executed; scc field
-                   // still the SCC; `omega` carries the victim worker id).
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

@@ -78,21 +78,6 @@ class TerminationDetector {
     Activate(dest);
   }
 
-  /// Stolen-morsel accounting (docs/INTERNALS.md §11). A published morsel of
-  /// `n` driving tuples is in-flight work exactly like a pushed block: the
-  /// owner raises the produced count *before* the release-store that makes
-  /// the morsel claimable, so no termination round can succeed while an
-  /// unclaimed or executing morsel exists. Whoever finishes the morsel —
-  /// thief, or owner reclaiming its own publication — balances the count
-  /// through its own consumed counter. The executor-side call must come
-  /// after the morsel's derived tuples have been flushed (they are then
-  /// covered by the ordinary block accounting or already merged locally).
-  void OnMorselPublished(uint64_t n) { AddProduced(n); }
-
-  void OnMorselExecuted(uint32_t worker, uint64_t n) {
-    AddConsumed(worker, n);
-  }
-
   bool IsActive(uint32_t worker) const {
     return active_[worker].v.load(std::memory_order_acquire);
   }

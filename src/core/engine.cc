@@ -16,7 +16,6 @@
 #include "common/hash.h"
 #include "common/hot_path.h"
 #include "common/logging.h"
-#include "common/numa_topology.h"
 #include "common/timer.h"
 #include "concurrent/barrier.h"
 #include "concurrent/spsc_queue.h"
@@ -51,40 +50,6 @@ struct BlockQueue {
   /// Producer adds each pushed block's tuple count; the consumer subtracts
   /// on drain. Relaxed ordering: statistics only, never a protocol input.
   std::atomic<uint64_t> tuples{0};
-};
-
-/// One published morsel: a [begin, end) slice of the owner's driving-delta
-/// snapshot for one replica (docs/INTERNALS.md §11). Life cycle is a strict
-/// one-way CAS ladder per publication:
-///   kEmpty --owner store--> kPublished --one CAS--> kClaimed --> kDone
-/// The owner raises the termination detector's produced count before the
-/// kPublished release-store, and only the single CAS winner (an idle thief,
-/// or the owner reclaiming at iteration end) executes the slice, so the
-/// slice runs exactly once and no termination round can succeed with a
-/// morsel in flight. The snapshot pointer targets the owner's stack-held
-/// LocalIteration snapshot, which outlives every slot: the owner does not
-/// leave the iteration until each published slot has returned to kEmpty.
-struct alignas(64) MorselSlot {
-  static constexpr uint32_t kEmpty = 0;
-  static constexpr uint32_t kPublished = 1;
-  static constexpr uint32_t kClaimed = 2;
-  static constexpr uint32_t kDone = 3;
-
-  std::atomic<uint32_t> state{kEmpty};
-  uint32_t replica = 0;
-  uint32_t begin = 0;
-  uint32_t end = 0;
-  const std::vector<TupleBuf>* snapshot = nullptr;
-};
-
-/// Per-worker steal slots. `available` is a fast-reject gate for thieves
-/// (one acquire load skips scanning the slots of unloaded victims); only a
-/// successful claim decrements it, so it can transiently overstate but
-/// never undercount claimable slots.
-struct alignas(64) StealBoard {
-  static constexpr uint32_t kSlots = 8;
-  std::atomic<uint32_t> available{0};
-  MorselSlot slots[kSlots];
 };
 
 /// Wiring between one SccExecutor run and the engine's incremental session
@@ -151,19 +116,11 @@ class SccExecutor {
     per_queue_blocks_ =
         std::max<uint32_t>(8, per_queue_tuples / (kMsgBlockWords / 2));
     // Rings are NOT built here: each worker constructs its own inbound
-    // column at WorkerMain start so the ring slots (value-semantics
-    // MsgBlocks, the bulk of the grid's memory) are first-touch local to
-    // their consumer's NUMA node; the startup barrier publishes them
-    // before any producer can push (docs/INTERNALS.md §11).
+    // column at WorkerMain start, so the n² ring allocations (the
+    // value-semantics MsgBlock slots, the bulk of the grid's memory) run in
+    // parallel across the gang instead of serially on this thread; the
+    // startup barrier publishes them before any producer can push.
     queues_.resize(static_cast<size_t>(n_) * n_);
-    steal_boards_.reserve(n_);
-    for (uint32_t i = 0; i < n_; ++i) {
-      steal_boards_.push_back(std::make_unique<StealBoard>());
-    }
-    if (options_.numa == NumaMode::kAuto &&
-        options_.worker_pool == nullptr && n_ > 1) {
-      numa_topo_ = NumaTopology::Probe();
-    }
     worker_replicas_.resize(n_);
     worker_stats_.resize(n_);
   }
@@ -206,9 +163,6 @@ class SccExecutor {
     uint64_t merge_probe_cmps = 0;
     uint64_t pipeline_batches = 0;
     uint64_t pipeline_rows_selected = 0;
-    uint64_t morsels_published = 0;
-    uint64_t morsels_stolen = 0;
-    uint64_t tuples_stolen = 0;
     int64_t idle_ns = 0;
   };
 
@@ -231,19 +185,6 @@ class SccExecutor {
     std::vector<MsgBlock> block_scratch;
     uint64_t local_iter = 0;
     int64_t idle_ns = 0;
-    /// True while this worker must not merge into its replicas: from the
-    /// moment it publishes (or claims) morsels that probe replica tables
-    /// read-only, until the last such morsel completes. GatherAll then
-    /// drains rings into gather_scratch without the MergeBatch pass; the
-    /// deferred tuples merge on the first GatherAll after the flag clears.
-    bool defer_merges = false;
-    /// Owner-side bound per replica while morsels are outstanding: the
-    /// prefix of the delta snapshot this worker runs itself (published
-    /// tails belong to whoever claims them).
-    std::vector<uint64_t> steal_limit;
-    uint64_t morsels_published = 0;
-    uint64_t morsels_stolen = 0;
-    uint64_t tuples_stolen = 0;
     /// Per-worker event ring: single-writer (this worker), snapshotted by
     /// the executor after the join. Disabled (capacity 0, no allocation)
     /// unless EngineOptions::enable_trace is set.
@@ -306,21 +247,10 @@ class SccExecutor {
   }
 
   void WorkerMain(uint32_t wid) {
-    // NUMA placement first, before any allocation: the replicas, register
-    // banks, distributor staging blocks, and this worker's inbound rings
-    // are all first-touched below, so pinning here makes every one of them
-    // node-local. Dedicated threads only — a shared pool's threads serve
-    // many sessions and are never re-pinned. Single-node topologies make
-    // this a no-op (MultiNode is false).
-    if (numa_topo_.MultiNode()) {
-      PinThreadToNode(numa_topo_, numa_topo_.NodeForWorker(wid));
-    }
-    // Consumer-local ring construction: worker w builds its own inbound
-    // column (queues_[j*n + w] for all j), so ring slots — the 2 KiB block
-    // array each queue owns — live on the consumer's node and a producer's
-    // push is the only cross-socket transfer, always a whole block. The
-    // barrier publishes the unique_ptr stores (release on arrival, acquire
-    // on departure) before any producer can route a tuple.
+    // Worker w builds its own inbound column (queues_[j*n + w] for all j),
+    // so the gang allocates the n² rings — each owns a 2 KiB block array —
+    // in parallel. The barrier publishes the unique_ptr stores (release on
+    // arrival, acquire on departure) before any producer can route a tuple.
     for (uint32_t j = 0; j < n_; ++j) {
       queues_[static_cast<size_t>(j) * n_ + wid] =
           std::make_unique<BlockQueue>(per_queue_blocks_);
@@ -356,7 +286,6 @@ class SccExecutor {
     }
     ctx.replicas = &replicas;
     ctx.gather_scratch.resize(replicas.size());
-    ctx.steal_limit.resize(replicas.size());
 
     // EDB cardinality hints: presize each replica for roughly the rows its
     // base rules will feed it (driving-relation sizes, hash-partitioned
@@ -450,9 +379,6 @@ class SccExecutor {
     }
     ws.pipeline_batches = ctx.batch_runner.batches();
     ws.pipeline_rows_selected = ctx.batch_runner.rows_selected();
-    ws.morsels_published = ctx.morsels_published;
-    ws.morsels_stolen = ctx.morsels_stolen;
-    ws.tuples_stolen = ctx.tuples_stolen;
   }
 
   /// Non-allocating emit thunks (EmitSink / BatchEmitSink): plain function
@@ -632,22 +558,13 @@ class SccExecutor {
       ctx->dws.OnDrain(j, drained, now);
       total += drained;
     }
-    // While morsels against this worker's replicas are outstanding (its own
-    // publications, or a claim it is executing), merging would mutate
-    // tables a concurrent read-only executor is probing — so the drain
-    // stops here and the scratch carries the tuples until the first
-    // GatherAll after the flag clears (the same deferred-merge treatment
-    // self-loop tuples always get). Ring and detector accounting above are
-    // unaffected: the tuples left their rings either way.
-    if (!ctx->defer_merges) {
-      for (size_t r = 0; r < ctx->gather_scratch.size(); ++r) {
-        std::vector<uint64_t>& batch = ctx->gather_scratch[r];
-        if (batch.empty()) continue;
-        RecursiveTable& table = *(*ctx->replicas)[r];
-        const uint32_t arity = table.wire_arity();
-        table.MergeBatch(batch.data(), batch.size() / arity, arity);
-        batch.clear();
-      }
+    for (size_t r = 0; r < ctx->gather_scratch.size(); ++r) {
+      std::vector<uint64_t>& batch = ctx->gather_scratch[r];
+      if (batch.empty()) continue;
+      RecursiveTable& table = *(*ctx->replicas)[r];
+      const uint32_t arity = table.wire_arity();
+      table.MergeBatch(batch.data(), batch.size() / arity, arity);
+      batch.clear();
     }
     if (total > 0) {
       // Flag before count (TerminationDetector's consumer rule):
@@ -690,263 +607,6 @@ class SccExecutor {
     return total;
   }
 
-  // --- Skew-adaptive morsel stealing (docs/INTERNALS.md §11) ---------------
-
-  /// Publishes the tail of this iteration's driving snapshots as fixed-size
-  /// morsels when the backlog exceeds the adaptive threshold. Returns the
-  /// number of slots published (0 = nothing offered; the iteration runs
-  /// exactly as before). On publish, the worker enters deferred-merge mode:
-  /// from the first kPublished release-store until ResolveMorsels clears
-  /// it, thieves may be probing this worker's replica tables, so no merge
-  /// may mutate them.
-  DCD_HOT_ROOT uint32_t PublishMorsels(
-      WorkerContext* ctx, std::vector<std::vector<TupleBuf>>* snapshots,
-      uint64_t processed) {
-    if (!options_.enable_steal || n_ <= 1) return 0;
-    const uint64_t morsel = options_.steal_morsel_tuples;
-    // Adaptive threshold: an explicit floor if configured, else twice the
-    // live DWS ω estimate (the controller's tuples-per-iteration operating
-    // point, fed by the drain/iteration statistics every strategy collects)
-    // with a two-morsel floor. Uniform workloads keep every worker's
-    // backlog near ω, so nothing is published and steal-on stays at
-    // steal-off cost; a hub partition's backlog dwarfs ω and spills.
-    const uint64_t threshold =
-        options_.steal_min_backlog != 0
-            ? options_.steal_min_backlog
-            : std::max<uint64_t>(
-                  2 * morsel,
-                  2 * static_cast<uint64_t>(std::max(0.0, ctx->dws.omega())));
-    if (processed <= threshold) return 0;
-    StealBoard& board = *steal_boards_[ctx->wid];
-    uint32_t pubs = 0;
-    uint64_t offered = 0;
-    for (size_t r = 0;
-         r < snapshots->size() && pubs < StealBoard::kSlots; ++r) {
-      const auto& snap = (*snapshots)[r];
-      if (snap.size() >= UINT32_MAX) continue;  // Slot offsets are 32-bit.
-      // The owner keeps at least its fair 1/n share (and one morsel) —
-      // stealing pays off only for the excess a single owner would
-      // otherwise serialize.
-      const uint64_t keep = std::max<uint64_t>(morsel, snap.size() / n_);
-      while (pubs < StealBoard::kSlots &&
-             ctx->steal_limit[r] >= keep + morsel) {
-        MorselSlot& s = board.slots[pubs];
-        ctx->steal_limit[r] -= morsel;
-        s.replica = static_cast<uint32_t>(r);
-        s.begin = static_cast<uint32_t>(ctx->steal_limit[r]);
-        s.end = static_cast<uint32_t>(ctx->steal_limit[r] + morsel);
-        s.snapshot = &snap;
-        if (pubs == 0) ctx->defer_merges = true;
-        // Produced rises before the slot becomes claimable, so a
-        // termination round can never miss an in-flight morsel.
-        detector_.OnMorselPublished(morsel);
-        s.state.store(MorselSlot::kPublished, std::memory_order_release);
-        ++pubs;
-        offered += morsel;
-      }
-    }
-    if (pubs == 0) return 0;
-    // Thief fast-reject gate; claims synchronize on the per-slot CAS, this
-    // is only a hint (reset by ResolveMorsels, never written by thieves).
-    board.available.store(pubs, std::memory_order_release);
-    ctx->morsels_published += pubs;
-    ctx->Instant(TraceEventKind::kMorselPublish, offered, scc_ordinal_);
-    return pubs;
-  }
-
-  /// Executes one morsel: the delta rules driven by the morsel's replica,
-  /// over snapshot[begin, end), probing `tables` — the OWNER's replicas —
-  /// strictly read-only, and emitting through the CALLING worker's own
-  /// Distributor so derived tuples take the normal partition routing and
-  /// merge ownership never moves. Alloc-free on the steady path: the
-  /// caller's register bank and batch runner are reused, and
-  /// PreparePipeline's catalog lookup short-circuits for index-join rules
-  /// exactly as in LocalIteration.
-  DCD_HOT_ROOT void RunMorsel(WorkerContext* ctx,
-                              std::vector<std::unique_ptr<RecursiveTable>>*
-                                  tables,
-                              const MorselSlot& m) {
-    PipelineContext pctx;
-    pctx.catalog = catalog_;
-    pctx.base_indexes = base_indexes_;
-    pctx.replicas = tables;
-    pctx.regs = ctx->regs.data();
-    const uint32_t arity = (*tables)[m.replica]->stored_arity();
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
-    for (int rule_idx : scc_.delta_rules_by_replica[m.replica]) {
-      const PhysicalRule& rule = scc_.delta_rules[rule_idx];
-      PreparePipeline(rule, &pctx);
-      if (batch) {
-        const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        for (uint32_t t = m.begin; t < m.end; ++t) {
-          ctx->batch_runner.Push((*m.snapshot)[t].Ref(arity));
-        }
-        ctx->batch_runner.Finish();
-      } else {
-        RuleEmitCtx ectx{ctx, &rule};
-        const EmitSink emit{&EmitTupleThunk, &ectx};
-        for (uint32_t t = m.begin; t < m.end; ++t) {
-          RunPipelineForTuple(rule, pctx, (*m.snapshot)[t].Ref(arity), emit);
-        }
-      }
-    }
-  }
-
-  /// Mid-iteration slot re-arm (the steal board is refillable, not
-  /// one-shot): while the owner grinds its kept prefix it periodically
-  /// sweeps the board, retires kDone slots (the thief already balanced the
-  /// detector), and republishes the freed slots with fresh tail morsels
-  /// from the CURRENT rule's remaining range. Thieves that drain fast thus
-  /// keep receiving work instead of idling after the initial eight slots —
-  /// without this, one publish round caps the offload at kSlots morsels
-  /// per iteration no matter how deep the hub backlog is. Only called when
-  /// the driving replica has exactly one delta rule, so the handed-off
-  /// tail [new_limit, old_limit) has not been (and will not be) driven by
-  /// any other rule the owner already ran. `done_prefix` is the owner's
-  /// progress through the kept prefix; every re-arm leaves the owner at
-  /// least one morsel of runway so it never starves into the resolve wait.
-  /// Returns the new slot high-water mark for ResolveMorsels.
-  DCD_HOT_ROOT uint32_t TopUpMorsels(WorkerContext* ctx,
-                                     const std::vector<TupleBuf>& snap,
-                                     size_t r, uint64_t done_prefix,
-                                     uint32_t pubs) {
-    if (snap.size() >= UINT32_MAX) return pubs;  // Slot offsets are 32-bit.
-    const uint64_t morsel = options_.steal_morsel_tuples;
-    StealBoard& board = *steal_boards_[ctx->wid];
-    uint32_t armed = 0;
-    uint64_t offered = 0;
-    for (uint32_t i = 0; i < StealBoard::kSlots; ++i) {
-      MorselSlot& s = board.slots[i];
-      const uint32_t st = s.state.load(std::memory_order_acquire);
-      if (st == MorselSlot::kDone) {
-        // Thief finished and fully accounted this slice; the slot is ours
-        // again (only the owner transitions kDone -> kEmpty).
-        s.state.store(MorselSlot::kEmpty, std::memory_order_relaxed);
-      } else if (st != MorselSlot::kEmpty) {
-        continue;  // kPublished or kClaimed: still in flight.
-      }
-      if (ctx->steal_limit[r] < done_prefix + 2 * morsel) continue;
-      ctx->steal_limit[r] -= morsel;
-      s.replica = static_cast<uint32_t>(r);
-      s.begin = static_cast<uint32_t>(ctx->steal_limit[r]);
-      s.end = static_cast<uint32_t>(ctx->steal_limit[r] + morsel);
-      s.snapshot = &snap;
-      detector_.OnMorselPublished(morsel);
-      s.state.store(MorselSlot::kPublished, std::memory_order_release);
-      if (i + 1 > pubs) pubs = i + 1;
-      ++armed;
-      offered += morsel;
-    }
-    if (armed > 0) {
-      board.available.store(pubs, std::memory_order_release);
-      ctx->morsels_published += armed;
-      ctx->Instant(TraceEventKind::kMorselPublish, offered, scc_ordinal_);
-    }
-    return pubs;
-  }
-
-  /// Owner-side epilogue of a publishing iteration: every published slot is
-  /// either reclaimed (one CAS wins the race against thieves, then the
-  /// owner runs the slice itself) or, if a thief won, waited on until
-  /// kDone. The wait drains this worker's rings so a thief blocked pushing
-  /// to us always progresses; it ignores the abort flag because the thief
-  /// is bounded either way (its pushes return immediately once aborted).
-  /// Clears deferred-merge mode — the snapshots the slots point into stay
-  /// alive (caller's frame) until after this returns.
-  DCD_HOT_ROOT void ResolveMorsels(WorkerContext* ctx, uint32_t pubs) {
-    StealBoard& board = *steal_boards_[ctx->wid];
-    for (uint32_t i = 0; i < pubs; ++i) {
-      MorselSlot& s = board.slots[i];
-      if (s.state.load(std::memory_order_acquire) == MorselSlot::kEmpty) {
-        // Re-armed and retired by a TopUpMorsels sweep; already balanced.
-        continue;
-      }
-      uint32_t expected = MorselSlot::kPublished;
-      if (s.state.compare_exchange_strong(expected, MorselSlot::kClaimed,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        // Unclaimed: the owner runs its own publication. Same read-only
-        // scope as a thief — the shared tables must not be mutated while
-        // later slots may still be claimed.
-        DCD_AFFINITY_MORSEL_SCOPE();
-        RunMorsel(ctx, ctx->replicas, s);
-        detector_.OnMorselExecuted(ctx->wid, s.end - s.begin);
-        s.state.store(MorselSlot::kEmpty, std::memory_order_relaxed);
-        continue;
-      }
-      while (s.state.load(std::memory_order_acquire) != MorselSlot::kDone) {
-        if (GatherAll(ctx) == 0) std::this_thread::yield();
-      }
-      s.state.store(MorselSlot::kEmpty, std::memory_order_relaxed);
-    }
-    board.available.store(0, std::memory_order_release);
-    ctx->defer_merges = false;
-  }
-
-  /// Idle-side steal attempt: scan the other workers' boards and claim one
-  /// published morsel with a single CAS. The claim loop is alloc-, mutex-
-  /// and virtual-free — an unloaded victim costs one acquire load. Returns
-  /// true if a morsel was executed (the caller should re-gather: the
-  /// deferred scratch now holds unmerged tuples).
-  DCD_HOT_ROOT bool TrySteal(WorkerContext* ctx) {
-    if (!options_.enable_steal || n_ <= 1) return false;
-    for (uint32_t d = 1; d < n_; ++d) {
-      const uint32_t victim = (ctx->wid + d) % n_;
-      StealBoard& board = *steal_boards_[victim];
-      if (board.available.load(std::memory_order_acquire) == 0) continue;
-      for (uint32_t i = 0; i < StealBoard::kSlots; ++i) {
-        MorselSlot& s = board.slots[i];
-        if (s.state.load(std::memory_order_acquire) !=
-            MorselSlot::kPublished) {
-          continue;
-        }
-        uint32_t expected = MorselSlot::kPublished;
-        if (!s.state.compare_exchange_strong(expected, MorselSlot::kClaimed,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-          continue;
-        }
-        // Claimed. Activate first: from here until OnMorselExecuted
-        // balances the published produced count, no termination round may
-        // pass with this morsel's derivations unaccounted.
-        detector_.Activate(ctx->wid);
-        const uint64_t count = s.end - s.begin;
-        {
-          // Read-only executor role for the victim's tables; our own
-          // merges are deferred too, since GatherAll runs inside the
-          // backpressure path while the scope is active.
-          DCD_AFFINITY_MORSEL_SCOPE();
-          ctx->defer_merges = true;
-          RunMorsel(ctx, &worker_replicas_[victim], s);
-          // Flush before the consumed-side accounting: once the detector
-          // is balanced, nothing may linger in this worker's staging.
-          ctx->distributor->Flush();
-          ctx->defer_merges = false;
-        }
-        detector_.OnMorselExecuted(ctx->wid, count);
-        ctx->morsels_stolen += 1;
-        ctx->tuples_stolen += count;
-        if (ctx->ring.enabled()) {
-          const int64_t now = MonotonicNanos();
-          TraceEvent ev;
-          ev.kind = TraceEventKind::kSteal;
-          ev.worker = ctx->wid;
-          ev.scc = scc_ordinal_;
-          ev.start_ns = now;
-          ev.end_ns = now;
-          ev.tuples = count;
-          ev.omega = static_cast<double>(victim);
-          ctx->ring.Append(ev);
-        }
-        s.state.store(MorselSlot::kDone, std::memory_order_release);
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// One local semi-naive iteration: snapshot the deltas, run every delta
   /// rule against its driving snapshot, flush the distributor.
   DCD_HOT_ROOT void LocalIteration(WorkerContext* ctx) {
@@ -956,12 +616,7 @@ class SccExecutor {
     for (size_t r = 0; r < ctx->replicas->size(); ++r) {
       snapshots[r] = (*ctx->replicas)[r]->TakeDelta();
       processed += snapshots[r].size();
-      ctx->steal_limit[r] = snapshots[r].size();
     }
-    // Skew adaptation: a backlog past the adaptive threshold publishes its
-    // tail as morsels before the rules run, shrinking steal_limit so this
-    // worker only drives the prefix it kept (docs/INTERNALS.md §11).
-    uint32_t pubs = PublishMorsels(ctx, &snapshots, processed);
 
     PipelineContext pctx;
     pctx.catalog = catalog_;
@@ -974,51 +629,24 @@ class SccExecutor {
     for (const PhysicalRule& rule : scc_.delta_rules) {
       const size_t dr = rule.driving_replica;
       const auto& snapshot = snapshots[dr];
-      if (ctx->steal_limit[dr] == 0) continue;
+      if (snapshot.empty()) continue;
       PreparePipeline(rule, &pctx);
       const uint32_t arity = (*ctx->replicas)[dr]->stored_arity();
-      // Re-arming tail morsels mid-rule is only sound when no other rule
-      // drives this replica: the handed-off range must not already have
-      // been driven (dup work) nor still be owed to a later rule (the
-      // thief runs every delta rule for the replica over its slice).
-      const bool top_up =
-          pubs > 0 && scc_.delta_rules_by_replica[dr].size() == 1;
-      const uint64_t chunk = options_.steal_morsel_tuples;
       if (batch) {
         const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
         ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        uint64_t t = 0;
-        while (t < ctx->steal_limit[dr]) {
-          // steal_limit shrinks under TopUpMorsels, so re-read per chunk.
-          const uint64_t stop =
-              top_up ? std::min(ctx->steal_limit[dr], t + chunk)
-                     : ctx->steal_limit[dr];
-          for (; t < stop; ++t) {
-            ctx->batch_runner.Push(snapshot[t].Ref(arity));
-          }
-          if (top_up && t < ctx->steal_limit[dr]) {
-            pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);
-          }
+        for (const TupleBuf& t : snapshot) {
+          ctx->batch_runner.Push(t.Ref(arity));
         }
         ctx->batch_runner.Finish();
       } else {
         RuleEmitCtx ectx{ctx, &rule};
         const EmitSink emit{&EmitTupleThunk, &ectx};
-        uint64_t t = 0;
-        while (t < ctx->steal_limit[dr]) {
-          const uint64_t stop =
-              top_up ? std::min(ctx->steal_limit[dr], t + chunk)
-                     : ctx->steal_limit[dr];
-          for (; t < stop; ++t) {
-            RunPipelineForTuple(rule, pctx, snapshot[t].Ref(arity), emit);
-          }
-          if (top_up && t < ctx->steal_limit[dr]) {
-            pubs = TopUpMorsels(ctx, snapshot, dr, t, pubs);
-          }
+        for (const TupleBuf& t : snapshot) {
+          RunPipelineForTuple(rule, pctx, t.Ref(arity), emit);
         }
       }
     }
-    if (pubs > 0) ResolveMorsels(ctx, pubs);
     ctx->distributor->Flush();
     const int64_t end = MonotonicNanos();
     ctx->dws.OnIteration(end - start, processed);
@@ -1045,10 +673,6 @@ class SccExecutor {
         detector_.Activate(ctx->wid);
         return true;
       }
-      // Parked with nothing to do: convert the spin into useful work on a
-      // loaded worker's backlog. On success, loop — the next GatherAll
-      // merges the deferred scratch and re-checks our own delta.
-      if (TrySteal(ctx)) continue;
       // Producers re-activate us on every push (Algorithm 2 line 15), and
       // the pushed tuples may all be duplicates — so the flag must be
       // cleared again after every drain that leaves the delta empty, or
@@ -1066,13 +690,7 @@ class SccExecutor {
   DCD_HOT_ROOT void GlobalLoop(WorkerContext* ctx) {
     // A waiter at either barrier keeps draining its inbound buffers so
     // producers blocked on a full ring always make progress.
-    // A barrier waiter also probes the steal boards: under Global, the
-    // whole gang idles at the post-iteration barrier while one hub owner
-    // grinds — exactly the serialization morsel stealing removes.
-    const auto drain_idle = [this, ctx] {
-      GatherAll(ctx);
-      TrySteal(ctx);
-    };
+    const auto drain_idle = [this, ctx] { GatherAll(ctx); };
     // Everyone finishes the base phase before round 1.
     {
       IdleScope idle(this, ctx, TraceEventKind::kBarrierWait);
@@ -1130,9 +748,6 @@ class SccExecutor {
           }
           GatherAll(ctx);  // Keep collecting while blocked.
           if (detector_.Done()) return;
-          // Slack-blocked is idle time too; the slowest worker the slack
-          // bound is waiting on is the likeliest publisher.
-          TrySteal(ctx);
           std::this_thread::yield();
         }
       }
@@ -1178,18 +793,13 @@ class SccExecutor {
                !Aborted()) {
           const int64_t elapsed = MonotonicNanos() - wait_start;
           if (elapsed >= std::min(ctx->dws.tau_ns(), budget_ns)) break;
-          // A wait slice that can execute a stolen morsel skips the sleep:
-          // the τ budget was going to be burned idle either way, and the
-          // steal feeds this worker's rings faster than waiting would.
-          if (!TrySteal(ctx)) {
-            // The τ-capped sleep IS DWS's coordination mechanism, not
-            // incidental blocking — the strategy trades a bounded wait for
-            // a bigger batch.
-            DCD_COLD_CALL("DWS τ-capped wait slice is the strategy itself, Algorithm 2 line 7");
-            // dcd-lint: allow(hot-path-mutex): DWS bounded wait, Algorithm 2 line 7
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                options_.dws_max_wait_slice_us));
-          }
+          // The τ-capped sleep IS DWS's coordination mechanism, not
+          // incidental blocking — the strategy trades a bounded wait for a
+          // bigger batch.
+          DCD_COLD_CALL("DWS τ-capped wait slice is the strategy itself, Algorithm 2 line 7");
+          // dcd-lint: allow(hot-path-mutex): DWS bounded wait, Algorithm 2 line 7
+          std::this_thread::sleep_for(std::chrono::microseconds(
+              options_.dws_max_wait_slice_us));
           GatherAll(ctx);
           delta = DeltaTotal(*ctx);
         }
@@ -1268,9 +878,6 @@ class SccExecutor {
       stats->merge_probe_cmps += ws.merge_probe_cmps;
       stats->pipeline_batches += ws.pipeline_batches;
       stats->pipeline_rows_selected += ws.pipeline_rows_selected;
-      stats->morsels_published += ws.morsels_published;
-      stats->morsels_stolen += ws.morsels_stolen;
-      stats->tuples_stolen += ws.tuples_stolen;
       stats->idle_wait_seconds += static_cast<double>(ws.idle_ns) * 1e-9;
       stats->trace_dropped += ws.trace_dropped;
       stats->trace.insert(stats->trace.end(), ws.trace.begin(),
@@ -1289,12 +896,8 @@ class SccExecutor {
   const uint32_t n_;
   const uint32_t scc_ordinal_ = 0;
   uint32_t per_queue_blocks_ = 8;
-  /// Probed only for dedicated-thread multi-worker runs with numa=auto;
-  /// empty (MultiNode false) otherwise.
-  NumaTopology numa_topo_;
 
   std::vector<std::unique_ptr<BlockQueue>> queues_;
-  std::vector<std::unique_ptr<StealBoard>> steal_boards_;
   TerminationDetector detector_;
   SpinBarrier barrier_;
   std::atomic<uint64_t> round_delta_{0};

@@ -72,13 +72,11 @@ struct EvalStats {
   /// Facts the Backward/Forward delete path had to re-prove: the checked
   /// set C, summed over the SCCs a deletion reached.
   uint64_t rederived_tuples = 0;
-  /// Morsels a loaded worker published from its driving-set tail for idle
-  /// workers to steal (docs/INTERNALS.md §11; 0 under --steal=off).
+  /// Always 0: morsel stealing was removed from the engine. The three
+  /// fields stay only because perfbench's frozen `core.steal_*` metrics
+  /// read them; delete them together in the next benchmark change.
   uint64_t morsels_published = 0;
-  /// Published morsels claimed and executed by a worker other than the
-  /// owner (the rest were reclaimed by their owner at iteration end).
   uint64_t morsels_stolen = 0;
-  /// Driving tuples executed through stolen morsels.
   uint64_t tuples_stolen = 0;
   /// Evaluation gangs that exceeded the shared WorkerPool's capacity and
   /// fell back to dedicated threads (oversubscription signal; 0 when no

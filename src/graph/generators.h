@@ -42,15 +42,15 @@ Graph GenerateSocialGraph(uint64_t num_vertices, uint64_t avg_degree,
 /// short chain through the sinks so recursion runs a few iterations. Under
 /// hash partitioning every δ-tuple with the hub in the join column lands on
 /// one worker, so TC over this graph is the adversarial single-hot-partition
-/// workload morsel stealing targets: the hub owner's iteration-1 backlog is
-/// ~`spokes` driving tuples while every other worker parks.
+/// workload: the hub owner's iteration-1 backlog is ~`spokes` driving
+/// tuples while every other worker parks.
 Graph GenerateStarHub(uint64_t spokes, uint64_t seed);
 
 /// Zipf-degree digraph: n vertices; each vertex draws its out-degree from a
 /// (truncated) Zipf/zeta distribution with exponent `alpha` scaled so the
 /// hottest vertices reach ~`max_degree`, destinations uniform. A smoother
-/// skew than the star — several hot partitions of different sizes — which
-/// exercises threshold adaptation rather than one pathological hub.
+/// skew than the star: several hot partitions of different sizes rather
+/// than one pathological hub.
 Graph GenerateZipfDegree(uint64_t num_vertices, double alpha,
                          uint64_t max_degree, uint64_t seed);
 

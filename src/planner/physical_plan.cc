@@ -897,16 +897,6 @@ Result<PhysicalPlan> BuildPhysicalPlan(
       }
     }
 
-    // Carry-set index: delta rules grouped by driving replica, for the
-    // executor's morsel path. Built last — the replica list is final here.
-    scc.delta_rules_by_replica.assign(scc.replicas.size(), {});
-    for (size_t dr = 0; dr < scc.delta_rules.size(); ++dr) {
-      const int rep = scc.delta_rules[dr].driving_replica;
-      if (rep >= 0 && rep < static_cast<int>(scc.replicas.size())) {
-        scc.delta_rules_by_replica[rep].push_back(static_cast<int>(dr));
-      }
-    }
-
     plan.sccs.push_back(std::move(scc));
   }
   return plan;

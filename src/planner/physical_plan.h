@@ -205,12 +205,6 @@ struct SccPlan {
   /// the first delete, never by a plain evaluation.
   std::vector<PhysicalRule> check_rules;
 
-  /// Carry-set metadata, indexed by replica id: the delta_rules indices
-  /// driven by that replica's δ. The executor's morsel path uses it to run
-  /// exactly one replica's rules over a stolen driving slice without
-  /// scanning the whole delta-rule list per morsel.
-  std::vector<std::vector<int>> delta_rules_by_replica;
-
   /// Replica ids for a predicate, in registration order (the first one is
   /// the canonical replica whose union forms the final relation).
   std::vector<int> ReplicasOf(const std::string& pred) const;

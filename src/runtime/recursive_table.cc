@@ -56,7 +56,7 @@ bool RecursiveTable::BetterValue(uint64_t candidate, uint64_t current) const {
 }
 
 void RecursiveTable::ReserveHint(uint64_t expected_rows) {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+  DCD_AFFINITY_GUARD(writer_affinity_);
   if (expected_rows == 0) return;
   rows_.Reserve(expected_rows);
   if (use_join_index_) join_index_.Reserve(expected_rows);
@@ -307,7 +307,7 @@ bool RecursiveTable::MergeSum(const uint64_t* wire) {
 }
 
 DCD_HOT_ROOT bool RecursiveTable::MergeWire(const uint64_t* wire) {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+  DCD_AFFINITY_GUARD(writer_affinity_);
   ++merges_;
   switch (spec_.func) {
     case AggFunc::kNone:
@@ -341,7 +341,7 @@ uint64_t RecursiveTable::FindRowId(TupleRef tuple, uint64_t hash) const {
 
 void RecursiveTable::CompactRemoveRows(
     const std::vector<uint64_t>& dead_row_ids) {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+  DCD_AFFINITY_GUARD(writer_affinity_);
   DCD_CHECK(spec_.func == AggFunc::kNone)
       << "compaction is only defined for kNone tables";
   if (dead_row_ids.empty()) return;
@@ -465,7 +465,7 @@ void RecursiveTable::MergeMinMaxBatchByScan(const uint64_t* words,
 
 DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
                                              size_t count, uint32_t stride) {
-  DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+  DCD_AFFINITY_GUARD(writer_affinity_);
   if (count == 0) return;
   DCD_DCHECK(stride >= spec_.wire_arity);
   if (spec_.func == AggFunc::kNone) {

@@ -77,7 +77,7 @@ class RecursiveTable {
   const std::vector<TupleBuf>& delta() const { return delta_; }
   uint64_t delta_size() const { return delta_.size(); }
   void ClearDelta() {
-    DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+    DCD_AFFINITY_GUARD(writer_affinity_);
     delta_.clear();
   }
 
@@ -85,7 +85,7 @@ class RecursiveTable {
   /// iterates the snapshot while backpressure-driven gathers may grow the
   /// fresh delta concurrently (same thread, interleaved calls).
   std::vector<TupleBuf> TakeDelta() {
-    DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+    DCD_AFFINITY_GUARD(writer_affinity_);
     std::vector<TupleBuf> out = std::move(delta_);
     delta_.clear();
     return out;
@@ -135,7 +135,7 @@ class RecursiveTable {
   /// Decrements a row's support count, returning the new count (0 = the
   /// row lost its last derivation and must be compacted away).
   uint64_t DecrementSupport(uint64_t row_id) {
-    DCD_AFFINITY_GUARD_WRITE(writer_affinity_);
+    DCD_AFFINITY_GUARD(writer_affinity_);
     return exist_set_.DecrementCount(row_id);
   }
 

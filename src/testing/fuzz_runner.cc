@@ -102,13 +102,6 @@ RunOutcome RunEngineOnce(const FuzzCase& c, const RunConfig& config,
   options.merge_index_backend = config.merge_backend;
   options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
   DCDatalog db(options);
   Status load = c.Load(&db);
   if (!load.ok()) {
@@ -145,13 +138,6 @@ RunOutcome RunEngineTraced(const FuzzCase& c, const RunConfig& config,
   options.merge_index_backend = config.merge_backend;
   options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
   options.enable_trace = true;
   DCDatalog db(options);
   Status load = c.Load(&db);
@@ -218,13 +204,6 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
   options.merge_index_backend = config.merge_backend;
   options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
-  options.enable_steal = config.steal;
-  if (config.steal) {
-    // Fuzz-sized deltas never cross the production publish threshold; force
-    // the morsel machinery to actually run (see RunConfig::steal).
-    options.steal_min_backlog = 1;
-    options.steal_morsel_tuples = 16;
-  }
   DCDatalog db(options);
   Status load = c.Load(&db);
   if (!load.ok()) {

@@ -37,11 +37,6 @@ struct RunConfig {
   /// against the same oracle, so the vectorized executor and the
   /// tuple-at-a-time baseline stay multiset-equivalent by construction.
   PipelineExecutor pipeline = PipelineExecutor::kBatch;
-  /// Morsel-stealing axis. When true the runner also forces the publish
-  /// threshold and morsel size down (steal_min_backlog = 1, 16-tuple
-  /// morsels) so fuzz-sized EDBs actually publish and claim morsels —
-  /// production thresholds would make stealing a no-op at this scale.
-  bool steal = true;
   /// Safety valve forwarded to EngineOptions so a termination-detection bug
   /// surfaces as kEngineError instead of spinning forever (the fork-based
   /// driver additionally wall-clock-kills true hangs).

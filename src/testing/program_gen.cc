@@ -324,13 +324,16 @@ Graph GenerateEdb(Rng* rng, uint64_t max_vertices) {
       g.AddEdge(rng->Uniform(n), rng->Uniform(n));
     }
   } else if (d < 0.74) {
-    // Star/hub: all join work for the hub lands on one partition — the
-    // adversarial input for morsel stealing. Small enough that the oracle's
+    // Star/hub: all join work for the hub lands on one partition, so one
+    // worker stays busy while the rest park and re-check termination with
+    // ring traffic still in flight — the schedule the detector's
+    // flag-before-count rule must survive. Small enough that the oracle's
     // closure stays cheap (closure is ~spokes² over the sinks).
     g = GenerateStarHub(8 + rng->Uniform(cap / 4), rng->Next());
   } else if (d < 0.8) {
-    // Zipf out-degrees: several hot partitions of different sizes, so the
-    // adaptive publish threshold (not just one pathological hub) is hit.
+    // Zipf out-degrees: several hot partitions of different sizes, so
+    // workers reach their local fixpoints at staggered times and the
+    // termination protocol runs under uneven, not just one-hub, skew.
     const uint64_t n = 16 + rng->Uniform(cap / 2);
     g = GenerateZipfDegree(n, 0.8 + 0.8 * rng->NextDouble(),
                            2 + rng->Uniform(n / 3), rng->Next());

@@ -90,42 +90,6 @@ TEST_F(AffinityDeathTest, ForeignRecursiveTableWriteAborts) {
       "thread-affinity violation.*recursive-table-writer");
 }
 
-TEST_F(AffinityDeathTest, MorselExecutorWriteAborts) {
-  // A thief executing a stolen morsel is tagged kMorselExecutor
-  // (read-only): it probes the victim's replica but must never write it —
-  // derived tuples go through its own distributor. Reaching any writer
-  // role from inside the scope is the ownership bug the tag exists to
-  // catch, even on the thread that legitimately owns the writer role
-  // outside the scope.
-  RecursiveTable t("r", Schema::Ints(2), PlainSpec(2), 0, false,
-                   EngineOptions{});
-  const std::vector<TupleBuf> batch = {{1, 2}};
-  t.MergeBatch(batch);  // Main thread claims the writer role.
-  const std::vector<TupleBuf> more = {{3, 4}};
-  const auto write_inside_morsel_scope = [&t, &more] {
-    DCD_AFFINITY_MORSEL_SCOPE();
-    t.MergeBatch(more);
-  };
-  EXPECT_DEATH(
-      write_inside_morsel_scope(),
-      "thread-affinity violation.*kMorselExecutor.*recursive-table-writer");
-}
-
-TEST_F(AffinityDeathTest, MorselScopeEndsWithScope) {
-  // Writer roles work again once the morsel scope unwinds — the tag is
-  // scoped to the stolen morsel's execution, not sticky on the thread.
-  RecursiveTable t("r", Schema::Ints(2), PlainSpec(2), 0, false,
-                   EngineOptions{});
-  {
-    DCD_AFFINITY_MORSEL_SCOPE();
-    EXPECT_TRUE(AffinityThreadIsMorselExecutor());
-  }
-  EXPECT_FALSE(AffinityThreadIsMorselExecutor());
-  const std::vector<TupleBuf> batch = {{1, 2}};
-  t.MergeBatch(batch);
-  EXPECT_EQ(t.rows().size(), 1u);
-}
-
 TEST_F(AffinityDeathTest, ForeignConsumedCounterAborts) {
   TerminationDetector det(2);
   det.AddConsumed(0, 5);  // Main thread claims worker 0's counter.

@@ -69,9 +69,9 @@ TEST(EdgeCaseTest, SelfLoopOnlyGraph) {
 }
 
 TEST(EdgeCaseTest, SingleWorkerDws) {
-  // DWS with one worker: the delta-work-stealing machinery degenerates to
-  // a sequential loop with nobody to steal from or send to — everything
-  // must flow through the self-loop bypass.
+  // DWS with one worker: the weighted-wait machinery degenerates to a
+  // sequential loop with nobody to wait for or send to — everything must
+  // flow through the self-loop bypass.
   Graph g = GenerateGnp(50, 0.08, 0x51D);
   AssignRandomWeights(&g, 20, 0x1E5);
   EngineOptions options;

@@ -135,7 +135,7 @@ TEST(GeneratorsTest, StarHubShape) {
   EXPECT_GE(a.num_edges(), 2 * spokes);
   EXPECT_LE(a.num_edges(), 2 * spokes + spokes / 8);
   // One vertex is both the target of `spokes` edges and the source of
-  // `spokes` edges — the hub whose δ-backlog morsel stealing spreads out.
+  // `spokes` edges — the hub whose δ-backlog lands on a single worker.
   std::map<uint64_t, uint64_t> indeg, outdeg;
   for (const Edge& e : a.edges()) {
     ++outdeg[e.src];

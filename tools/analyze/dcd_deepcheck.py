@@ -108,13 +108,6 @@ HOT_ROOTS = [
     "SccExecutor::SspLoop",
     "SccExecutor::DwsLoop",
     "SccExecutor::RunUpdateRules",
-    # Morsel stealing (PR 10): publish/claim/execute/resolve all sit inside
-    # the strategy wait loops — the claim CAS runs once per idle probe.
-    "SccExecutor::PublishMorsels",
-    "SccExecutor::TrySteal",
-    "SccExecutor::RunMorsel",
-    "SccExecutor::ResolveMorsels",
-    "SccExecutor::TopUpMorsels",
     # Emit sinks: function-pointer boundary, see note above.
     "SccExecutor::EmitTupleThunk",
     "SccExecutor::EmitBatchThunk",
@@ -159,9 +152,11 @@ EVALSTATS_COUNTER_SITES = {
     "update_batches": None,     # once per ApplyUpdates batch (cold driver)
     "delta_tuples_in": None,    # per-batch aggregate in the cold driver
     "rederived_tuples": None,   # per delete-phase batch (cold driver)
-    "morsels_published": "SccExecutor::PublishMorsels",
-    "morsels_stolen": "SccExecutor::TrySteal",
-    "tuples_stolen": "SccExecutor::TrySteal",
+    # Always 0 since morsel stealing was removed; kept only for perfbench's
+    # frozen core.steal_* metrics, so no hot function feeds them.
+    "morsels_published": None,
+    "morsels_stolen": None,
+    "tuples_stolen": None,
     "pool_fallback_gangs": None,  # once per oversized gang (cold dispatch)
 }
 

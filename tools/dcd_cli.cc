@@ -43,10 +43,6 @@
 //                      flat; btree is the Table 4 ablation baseline)
 //   --pipeline-executor batch|tuple    rule-pipeline executor (default
 //                      batch; tuple is the ablation baseline)
-//   --steal on|off     skew-adaptive morsel stealing (default on; off is
-//                      the skew-ablation baseline)
-//   --numa auto|off    NUMA-aware worker placement and first-touch ring
-//                      allocation (default auto; no-op on single-socket)
 //   --out pred=path    write one predicate to a file (repeatable)
 //   --updates FILE     after the initial fixpoint, stream EDB update
 //                      batches from FILE ("+ rel v..." / "- rel v..." per
@@ -202,28 +198,6 @@ bool ParseCommon(int argc, char** argv, int start, Options* opts) {
       } else {
         std::fprintf(stderr,
                      "--pipeline-executor expects batch|tuple, got '%s'\n",
-                     v ? v : "(nothing)");
-        return false;
-      }
-    } else if (arg == "--steal") {
-      const char* v = next();
-      if (v && std::strcmp(v, "on") == 0) {
-        opts->engine.enable_steal = true;
-      } else if (v && std::strcmp(v, "off") == 0) {
-        opts->engine.enable_steal = false;
-      } else {
-        std::fprintf(stderr, "--steal expects on|off, got '%s'\n",
-                     v ? v : "(nothing)");
-        return false;
-      }
-    } else if (arg == "--numa") {
-      const char* v = next();
-      if (v && std::strcmp(v, "auto") == 0) {
-        opts->engine.numa = NumaMode::kAuto;
-      } else if (v && std::strcmp(v, "off") == 0) {
-        opts->engine.numa = NumaMode::kOff;
-      } else {
-        std::fprintf(stderr, "--numa expects auto|off, got '%s'\n",
                      v ? v : "(nothing)");
         return false;
       }

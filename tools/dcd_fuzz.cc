@@ -25,9 +25,6 @@
 //   --pipelines=a,b    subset of batch,tuple — the rule-pipeline executors
 //                      each case runs under (default both, diffing the
 //                      vectorized executor against the tuple baseline)
-//   --steal=a,b        subset of on,off — the morsel-stealing axis (default
-//                      both). "on" forces the publish threshold down so
-//                      fuzz-sized deltas actually exercise the steal path
 //   --max-vertices=N   EDB size cap for the generator (default 60)
 //   --update-batches=N generate a streaming-update script of up to N EDB
 //                      batches per case and diff incremental maintenance
@@ -137,7 +134,6 @@ struct FuzzFlags {
                                              MergeIndexBackend::kBtree};
   std::vector<PipelineExecutor> pipelines = {PipelineExecutor::kBatch,
                                              PipelineExecutor::kTuple};
-  std::vector<bool> steals = {true, false};
   uint64_t max_vertices = 60;
   uint64_t update_batches = 0;
   uint64_t timeout_ms = 20000;
@@ -223,25 +219,6 @@ bool ParsePipelines(const std::string& list,
   return !out->empty();
 }
 
-bool ParseSteals(const std::string& list, std::vector<bool>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string s = list.substr(pos, comma - pos);
-    if (s == "on") {
-      out->push_back(true);
-    } else if (s == "off") {
-      out->push_back(false);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
 bool ParseWorkers(const std::string& list, std::vector<uint32_t>* out) {
   out->clear();
   size_t pos = 0;
@@ -307,8 +284,6 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
       if (!ParseBackends(v, &flags->backends)) return false;
     } else if ((v = value("--pipelines"))) {
       if (!ParsePipelines(v, &flags->pipelines)) return false;
-    } else if ((v = value("--steal"))) {
-      if (!ParseSteals(v, &flags->steals)) return false;
     } else if ((v = value("--updates-file"))) {
       flags->replay_updates = v;
     } else if (arg == "--chaos") {
@@ -477,18 +452,15 @@ std::string ModeFlag(CoordinationMode mode) {
 
 RunConfig MakeConfig(const FuzzFlags& flags, CoordinationMode mode,
                      uint32_t workers, MergeIndexBackend backend,
-                     PipelineExecutor pipeline, bool steal) {
+                     PipelineExecutor pipeline) {
   RunConfig config;
   config.mode = mode;
   config.num_workers = workers;
   config.merge_backend = backend;
   config.pipeline = pipeline;
-  config.steal = steal;
   config.max_global_iterations = flags.max_iters;
   return config;
 }
-
-const char* StealName(bool steal) { return steal ? "on" : "off"; }
 
 size_t RuleCount(const std::string& program) {
   return static_cast<size_t>(
@@ -500,8 +472,8 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
                 const FuzzCase& original, RunResult verdict,
                 CoordinationMode mode, uint32_t orig_workers,
                 MergeIndexBackend backend, PipelineExecutor pipeline,
-                bool steal, const FuzzCase& reduced,
-                uint32_t reduced_workers, uint32_t probes) {
+                const FuzzCase& reduced, uint32_t reduced_workers,
+                uint32_t probes) {
   const std::string base = flags.out_dir + "/" + stem;
   {
     std::ofstream dl(base + ".dl");
@@ -523,7 +495,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << "mode: " << ModeName(mode) << "\n"
          << "merge backend: " << MergeIndexBackendName(backend) << "\n"
          << "pipeline executor: " << PipelineExecutorName(pipeline) << "\n"
-         << "steal: " << StealName(steal) << "\n"
          << "workers: " << orig_workers << " (minimized to "
          << reduced_workers << ")\n"
          << "shrink probes: " << probes << "\n"
@@ -542,7 +513,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << " --workers=" << reduced_workers
          << " --backends=" << MergeIndexBackendName(backend)
          << " --pipelines=" << PipelineExecutorName(pipeline)
-         << " --steal=" << StealName(steal)
          << (reduced.updates.batches.empty()
                  ? ""
                  : " --updates-file=" + base + ".updates")
@@ -563,7 +533,7 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
 void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
                     const FuzzCase& reduced, CoordinationMode mode,
                     uint32_t workers, MergeIndexBackend backend,
-                    PipelineExecutor pipeline, bool steal) {
+                    PipelineExecutor pipeline) {
   const std::string path = flags.out_dir + "/" + stem + ".trace.json";
   const pid_t pid = fork();
   if (pid < 0) {
@@ -573,8 +543,7 @@ void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
   if (pid == 0) {
     EvalStats stats;
     const RunOutcome out = testing_gen::RunEngineTraced(
-        reduced, MakeConfig(flags, mode, workers, backend, pipeline, steal),
-        &stats);
+        reduced, MakeConfig(flags, mode, workers, backend, pipeline), &stats);
     // Only a completed run yields stats; mismatches complete (the diff is
     // the parent's verdict, not the engine's), so the common failure modes
     // all get a timeline.
@@ -655,17 +624,13 @@ int RunReplay(const FuzzFlags& flags) {
     for (uint32_t workers : flags.workers) {
       for (MergeIndexBackend backend : flags.backends) {
         for (PipelineExecutor pipeline : flags.pipelines) {
-          for (bool steal : flags.steals) {
-            const RunResult r = RunIsolated(
-                c, MakeConfig(flags, mode, workers, backend, pipeline, steal),
-                oracle, flags, run_index++);
-            std::printf("replay %s x%u %s %s steal-%s: %s\n",
-                        ModeName(mode).c_str(), workers,
-                        MergeIndexBackendName(backend),
-                        PipelineExecutorName(pipeline), StealName(steal),
-                        RunResultName(r));
-            if (IsFailure(r)) ++failures;
-          }
+          const RunResult r = RunIsolated(
+              c, MakeConfig(flags, mode, workers, backend, pipeline), oracle,
+              flags, run_index++);
+          std::printf("replay %s x%u %s %s: %s\n", ModeName(mode).c_str(),
+                      workers, MergeIndexBackendName(backend),
+                      PipelineExecutorName(pipeline), RunResultName(r));
+          if (IsFailure(r)) ++failures;
         }
       }
     }
@@ -725,19 +690,17 @@ int FuzzMain(int argc, char** argv) {
       for (uint32_t workers : flags.workers) {
       for (MergeIndexBackend backend : flags.backends) {
       for (PipelineExecutor pipeline : flags.pipelines) {
-      for (bool steal : flags.steals) {
         const RunConfig config =
-            MakeConfig(flags, mode, workers, backend, pipeline, steal);
+            MakeConfig(flags, mode, workers, backend, pipeline);
         const RunResult r =
             RunIsolated(c, config, oracle, flags, run_index++);
         ++runs;
         if (flags.verbose || IsFailure(r)) {
-          std::printf("seed %llu %s x%u %s %s steal-%s: %s\n",
+          std::printf("seed %llu %s x%u %s %s: %s\n",
                       static_cast<unsigned long long>(seed),
                       ModeName(mode).c_str(), workers,
                       MergeIndexBackendName(backend),
-                      PipelineExecutorName(pipeline), StealName(steal),
-                      RunResultName(r));
+                      PipelineExecutorName(pipeline), RunResultName(r));
         }
         if (!IsFailure(r)) continue;
 
@@ -762,16 +725,15 @@ int FuzzMain(int argc, char** argv) {
               candidate, /*max_rounds=*/100000, &probe_oracle);
           if (probe_ref.kind != OutcomeKind::kAgree) return false;
           const RunConfig probe =
-              MakeConfig(flags, mode, probe_workers, backend, pipeline,
-                         steal);
+              MakeConfig(flags, mode, probe_workers, backend, pipeline);
           return IsFailure(RunIsolated(candidate, probe, probe_oracle,
                                        flags, run_index++));
         };
-        std::printf("seed %llu %s x%u %s %s steal-%s: shrinking...\n",
+        std::printf("seed %llu %s x%u %s %s: shrinking...\n",
                     static_cast<unsigned long long>(seed),
                     ModeName(mode).c_str(), workers,
                     MergeIndexBackendName(backend),
-                    PipelineExecutorName(pipeline), StealName(steal));
+                    PipelineExecutorName(pipeline));
         std::fflush(stdout);
         const testing_gen::MinimizeResult reduced =
             testing_gen::Minimize(c, workers, still_fails);
@@ -779,13 +741,11 @@ int FuzzMain(int argc, char** argv) {
                                  ModeFlag(mode) + "_w" +
                                  std::to_string(workers) + "_" +
                                  MergeIndexBackendName(backend) + "_" +
-                                 PipelineExecutorName(pipeline) + "_steal-" +
-                                 StealName(steal);
+                                 PipelineExecutorName(pipeline);
         WriteRepro(flags, stem, c, r, mode, workers, backend, pipeline,
-                   steal, reduced.reduced, reduced.num_workers,
-                   reduced.probes);
+                   reduced.reduced, reduced.num_workers, reduced.probes);
         DumpReproTrace(flags, stem, reduced.reduced, mode,
-                       reduced.num_workers, backend, pipeline, steal);
+                       reduced.num_workers, backend, pipeline);
         std::printf(
             "seed %llu %s x%u: minimized to %zu rules / %llu edges / %u "
             "workers (%u probes) -> %s/%s.*\n",
@@ -801,7 +761,6 @@ int FuzzMain(int argc, char** argv) {
                       static_cast<unsigned long long>(runs));
           return 1;
         }
-      }
       }
       }
       }

@@ -140,15 +140,9 @@ HOT_LOOP_FUNCTIONS = {
     # RunUpdateRules drives every post-watermark EDB row through a rule
     # pipeline per incremental batch; PreparePipeline inside it is
     # once-per-rule and allocation there does not match textually.
-    # PublishMorsels is deliberately absent from the per-tuple set: it runs
-    # once per iteration with a bounded (kSlots) loop; the claim path
-    # (TrySteal) and execution (RunMorsel) run inside the idle-spin loops
-    # and must stay alloc/mutex/virtual-free.
     "src/core/engine.cc": [
         "GatherAll", "PushWithBackpressure", "LocalIteration", "InactiveWait",
         "GlobalLoop", "SspLoop", "DwsLoop", "UpdateDws", "RunUpdateRules",
-        "PublishMorsels", "TrySteal", "RunMorsel", "ResolveMorsels",
-        "TopUpMorsels",
     ],
     # The trace ring's Append and the histogram's Add run inside every one
     # of the engine hot loops above; they must stay allocation-free.
