@@ -72,8 +72,9 @@ struct IncrementalHooks {
   /// watermarks instead of the base rules over whole relations, and
   /// materialization is left to the engine (watermark-append).
   bool update_mode = false;
-  /// Relation name -> row count before this batch's appends. Missing
-  /// entries mean "nothing new".
+  /// Relation name -> row count before this batch's new rows (an
+  /// aggregate's changed groups are moved past it too). Missing entries
+  /// mean "nothing new".
   const std::map<std::string, uint64_t>* watermarks = nullptr;
 };
 
@@ -1088,11 +1089,20 @@ struct Engine::IncrementalState {
   /// Base-index ids by backing relation, for targeted invalidation.
   std::map<std::string, std::vector<int>> indexes_by_rel;
 
+  /// Where each retained row of an aggregate predicate sits in its
+  /// catalog relation: [worker][row id] → catalog row, and back. Built on
+  /// the predicate's first incremental sync after a full run, when the
+  /// catalog holds the canonical replica's partitions back to back; every
+  /// full run drops them.
+  struct CatalogLayout {
+    std::vector<std::vector<uint64_t>> pos;
+    std::vector<std::pair<uint32_t, uint64_t>> owner;
+  };
+  std::map<std::string, CatalogLayout> layouts;
+
   // Eligibility metadata, read off the program text once.
   std::set<std::string> negated_rels;  // Appears under negation.
   std::set<std::string> agg_preds;     // Aggregate-headed predicates.
-  std::set<std::string> sum_preds;     // kSum-headed predicates.
-  std::set<std::string> body_preds;    // Appears as a positive body atom.
   std::map<std::string, std::set<std::string>> consumers;  // Body → heads.
 
   /// Closes `affected` over body→head consumption edges: anything derived
@@ -1126,15 +1136,119 @@ struct Engine::IncrementalState {
     for (int id : it->second) base_indexes->Invalidate(id);
   }
 
+  /// Records each retained table's row count and restarts the change log
+  /// of its aggregate tables: the next batch's new rows lie past the
+  /// watermark, its changed groups in the log.
   void RecordSccWatermarks(size_t s) {
     auto& per_worker = replica_watermarks[s];
     per_worker.resize(replicas[s].size());
     for (size_t w = 0; w < replicas[s].size(); ++w) {
       per_worker[w].resize(replicas[s][w].size());
       for (size_t r = 0; r < replicas[s][w].size(); ++r) {
-        per_worker[w][r] = replicas[s][w][r]->rows().size();
+        RecursiveTable& table = *replicas[s][w][r];
+        per_worker[w][r] = table.rows().size();
+        if (table.agg_spec().func != AggFunc::kNone) table.StartChangeLog();
       }
     }
+  }
+
+  /// True when some update rule of the SCC has rows past its driving
+  /// relation's watermark, i.e. the batch gave this SCC work.
+  bool SccHasNewInput(const SccPlan& scc, const Catalog& catalog) const {
+    for (const PhysicalRule& rule : scc.update_rules) {
+      const Relation* rel = catalog.Find(rule.driving_relation);
+      auto wm = rel_watermarks.find(rule.driving_relation);
+      if (rel != nullptr && wm != rel_watermarks.end() &&
+          rel->size() > wm->second) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// Brings aggregate predicate `pred`'s catalog relation up to SCC `s`'s
+  /// retained tables after an insert batch. Groups whose value changed move
+  /// to the tail with their new value, new groups are appended after them,
+  /// and the relation watermark is left in front of both, so a downstream
+  /// update rule drives exactly those rows. Costs O(changed + new) once the
+  /// layout exists; indexes over `pred` are dropped only when a group moved.
+  Status SyncAggregate(const SccPlan& scc, size_t s, const std::string& pred,
+                       Relation* rel) {
+    const int canonical = scc.ReplicasOf(pred).front();
+    auto& tables = replicas[s];
+    const uint32_t n = static_cast<uint32_t>(tables.size());
+    std::vector<std::vector<uint64_t>> changed(n);
+    uint64_t moved = 0;
+    uint64_t fresh = 0;
+    for (uint32_t w = 0; w < n; ++w) {
+      RecursiveTable& table = *tables[w][canonical];
+      changed[w] = table.TakeChangedRows();
+      moved += changed[w].size();
+      fresh += table.rows().size() - replica_watermarks[s][w][canonical];
+    }
+    if (moved == 0 && fresh == 0) return Status::OK();
+
+    auto [it, built] = layouts.try_emplace(pred);
+    CatalogLayout& layout = it->second;
+    if (built) {
+      layout.pos.resize(n);
+      for (uint32_t w = 0; w < n; ++w) {
+        const uint64_t rows = replica_watermarks[s][w][canonical];
+        layout.pos[w].resize(rows);
+        for (uint64_t r = 0; r < rows; ++r) {
+          layout.pos[w][r] = layout.owner.size();
+          layout.owner.emplace_back(w, r);
+        }
+      }
+      if (layout.owner.size() != rel->size()) {
+        return Status::Internal("catalog relation '" + pred +
+                                "' does not match its retained tables");
+      }
+    }
+
+    // Partition: every changed row ends up in [tail, size). One already
+    // there stays; one in front swaps places with an unchanged tail row.
+    const uint64_t size = rel->size();
+    const uint64_t tail = size - moved;
+    std::vector<uint64_t> at;
+    at.reserve(moved);
+    for (uint32_t w = 0; w < n; ++w) {
+      for (uint64_t r : changed[w]) at.push_back(layout.pos[w][r]);
+    }
+    std::sort(at.begin(), at.end());
+    const size_t in_front =
+        std::lower_bound(at.begin(), at.end(), tail) - at.begin();
+    size_t next_in_tail = in_front;
+    uint64_t t = tail;
+    for (size_t i = 0; i < in_front; ++i) {
+      while (next_in_tail < at.size() && at[next_in_tail] == t) {
+        ++next_in_tail;
+        ++t;
+      }
+      const auto front = layout.owner[at[i]];
+      const auto back = layout.owner[t];
+      rel->SetRow(at[i], rel->Row(t));
+      layout.owner[at[i]] = back;
+      layout.pos[back.first][back.second] = at[i];
+      layout.owner[t] = front;
+      layout.pos[front.first][front.second] = t;
+      ++t;
+    }
+    for (uint64_t p = tail; p < size; ++p) {
+      const auto [w, r] = layout.owner[p];
+      rel->SetRow(p, tables[w][canonical]->rows().Row(r));
+    }
+    for (uint32_t w = 0; w < n; ++w) {
+      const Relation& rows = tables[w][canonical]->rows();
+      for (uint64_t r = replica_watermarks[s][w][canonical]; r < rows.size();
+           ++r) {
+        layout.pos[w].push_back(rel->Append(rows.Row(r)));
+        layout.owner.emplace_back(w, r);
+      }
+    }
+    rel_watermarks[pred] = tail;
+    if (moved > 0) InvalidateIndexesOver(pred);
+    return Status::OK();
   }
 
   /// True when a rule outside the SCC consumes `pred` (positive body atom).
@@ -1189,11 +1303,6 @@ Result<EvalStats> Engine::BeginIncremental(const Program& program) {
   for (const Rule& rule : state->program.rules) {
     if (rule.head.HasAggregate()) {
       state->agg_preds.insert(rule.head.predicate);
-      for (const HeadArg& arg : rule.head.args) {
-        if (arg.agg == AggFunc::kSum) {
-          state->sum_preds.insert(rule.head.predicate);
-        }
-      }
     }
     for (const BodyLiteral& lit : rule.body) {
       if (lit.kind != BodyLiteral::Kind::kAtom) continue;
@@ -1201,7 +1310,6 @@ Result<EvalStats> Engine::BeginIncremental(const Program& program) {
         state->negated_rels.insert(lit.atom.predicate);
         continue;
       }
-      state->body_preds.insert(lit.atom.predicate);
       state->consumers[lit.atom.predicate].insert(rule.head.predicate);
     }
   }
@@ -1225,6 +1333,7 @@ Result<EvalStats> Engine::RunRetaining() {
   st->replicas.resize(st->plan.sccs.size());
   st->replica_watermarks.assign(st->plan.sccs.size(), {});
   st->counts_valid.assign(st->plan.sccs.size(), 0);
+  st->layouts.clear();
   const bool flat =
       options_.merge_index_backend == MergeIndexBackend::kFlat;
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
@@ -1276,8 +1385,20 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     }
   }
 
+  // The session's built base indexes count the stored copies of the
+  // touched tuples, instead of a scan of every touched relation.
+  const CopyCounter probe = [st](const std::string& name,
+                                 const Relation& rel, TupleRef row,
+                                 uint64_t* copies) {
+    auto it = st->indexes_by_rel.find(name);
+    if (it == st->indexes_by_rel.end()) return false;
+    for (int id : it->second) {
+      if (st->base_indexes->CountEqualRows(id, rel, row, copies)) return true;
+    }
+    return false;
+  };
   DCD_ASSIGN_OR_RETURN(std::vector<RelationDelta> deltas,
-                       NetOutBatch(batch, *catalog_));
+                       NetOutBatch(batch, *catalog_, probe));
   for (const RelationDelta& d : deltas) {
     stats.delta_tuples_in += d.added.size() + d.removed.size();
   }
@@ -1302,14 +1423,15 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     if (fallback) break;
     // A change under negation is non-monotone on the positive side.
     if (st->negated_rels.count(p) > 0) fallback = true;
-    // min/max/count absorb extra derivations monotonically, but a change
-    // flowing *through* an aggregate (consumed downstream) can retract
-    // previously-derived facts, and a kSum merge replaces a contributor's
-    // value — neither is a monotone re-entry.
-    if (st->agg_preds.count(p) > 0 && st->body_preds.count(p) > 0) {
+    // Inserts lower a min (raise a max) in place; the planner lists the
+    // aggregates with a reader that is not monotone in that value, and the
+    // sum predicates, whose merge replaces a contributor's value. A
+    // removal can retract any aggregate value.
+    if (std::find(st->plan.insert_recompute_preds.begin(),
+                  st->plan.insert_recompute_preds.end(),
+                  p) != st->plan.insert_recompute_preds.end()) {
       fallback = true;
     }
-    if (st->sum_preds.count(p) > 0) fallback = true;
     if (removals && st->agg_preds.count(p) > 0) fallback = true;
     if (std::find(st->plan.update_ineligible_rels.begin(),
                   st->plan.update_ineligible_rels.end(),
@@ -1397,7 +1519,9 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     st->PropagateAffected(&insert_affected);
     for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
       const SccPlan& scc = st->plan.sccs[s];
-      if (!st->SccConsumesAny(scc, insert_affected)) continue;
+      // Most inserts into a min aggregate change no group, and then its
+      // readers have nothing to drive.
+      if (!st->SccHasNewInput(scc, *catalog_)) continue;
       if (st->counts_valid[s] != 0 &&
           !AtMostOneAffectedAtomPerRule(st->program, st->analysis, scc,
                                         insert_affected)) {
@@ -1422,9 +1546,8 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
       }
       ++stats.num_sccs;
       // Materialize: kNone predicates append the retained tables' rows
-      // past the replica watermarks in place; aggregate predicates (always
-      // leaves here — an affected aggregate consumed downstream forces
-      // fallback) rewrite fully, since merges update values in place.
+      // past the replica watermarks in place; aggregate predicates move
+      // their changed groups to the tail and append their new ones.
       for (const std::string& pred : scc.derived_preds) {
         const int canonical = scc.ReplicasOf(pred).front();
         Relation* rel = catalog_->Find(pred);
@@ -1438,11 +1561,11 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
             }
           }
         } else {
-          rel->Clear();
-          for (uint32_t w = 0; w < options_.num_workers; ++w) {
-            rel->AppendAll(st->replicas[s][w][canonical]->rows());
+          Status sync = st->SyncAggregate(scc, s, pred, rel);
+          if (!sync.ok()) {
+            inc_.reset();
+            return sync;
           }
-          st->rel_watermarks[pred] = rel->size();
         }
       }
       st->RecordSccWatermarks(s);

@@ -1,6 +1,7 @@
 #include "planner/physical_plan.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/logging.h"
@@ -37,6 +38,76 @@ int ColOfVar(const Atom& atom, const std::string& v) {
     }
   }
   return -1;
+}
+
+/// Occurrences of variable `v` across the rule body: atom arguments and
+/// constraint expressions.
+int BodyUses(const Rule& rule, const std::string& v) {
+  int uses = 0;
+  std::vector<std::string> vars;
+  for (const BodyLiteral& lit : rule.body) {
+    if (lit.kind == BodyLiteral::Kind::kAtom) {
+      for (const Term& t : lit.atom.args) uses += t.IsVariable() && t.var == v;
+      continue;
+    }
+    vars.clear();
+    lit.constraint.lhs->CollectVars(&vars);
+    lit.constraint.rhs->CollectVars(&vars);
+    uses += static_cast<int>(std::count(vars.begin(), vars.end(), v));
+  }
+  return uses;
+}
+
+/// True when the aggregate value of body atom `atom` reaches the rule only
+/// as the head aggregate's argument: a variable used nowhere else in the
+/// body and in no head group column. Such a reader of a min (max) value
+/// with a min (max) head is monotone in it.
+bool ValueOnlyFeedsHeadAggregate(const Rule& rule, const Atom& atom) {
+  const Term& value = atom.args.back();
+  const Term& agg = rule.head.args.back().term();
+  if (!value.IsVariable() || !agg.IsVariable() || agg.var != value.var) {
+    return false;
+  }
+  if (BodyUses(rule, value.var) != 1) return false;
+  for (size_t i = 0; i + 1 < rule.head.args.size(); ++i) {
+    const Term& t = rule.head.args[i].term();
+    if (t.IsVariable() && t.var == value.var) return false;
+  }
+  return true;
+}
+
+/// Aggregate predicates an insert cannot maintain incrementally. A lower
+/// min (higher max) is one more semi-naive step for a reader in the
+/// predicate's own SCC with the same head function (PreM, as in a scratch
+/// run), and for a reader in a later SCC with the same head function whose
+/// only use of the value is that head aggregate. Any other positive read
+/// of a min/max value, any read of a count, and every sum predicate (a
+/// merge replaces a contributor's value) keep the recompute.
+std::vector<std::string> InsertRecomputePreds(
+    const Program& program, const ProgramAnalysis& analysis,
+    const std::map<std::string, AggSpec>& specs) {
+  std::set<std::string> out;
+  for (const auto& [name, spec] : specs) {
+    if (spec.func == AggFunc::kSum) out.insert(name);
+  }
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Rule& rule = program.rules[r];
+    const AggFunc head = specs.at(rule.head.predicate).func;
+    for (const BodyLiteral& lit : rule.body) {
+      if (lit.kind != BodyLiteral::Kind::kAtom || lit.negated) continue;
+      auto it = specs.find(lit.atom.predicate);
+      if (it == specs.end() || it->second.func == AggFunc::kNone) continue;
+      const AggFunc func = it->second.func;
+      bool monotone = false;
+      if ((func == AggFunc::kMin || func == AggFunc::kMax) && head == func) {
+        monotone = analysis.predicate(lit.atom.predicate).scc_id ==
+                       analysis.rule_infos()[r].head_scc ||
+                   ValueOnlyFeedsHeadAggregate(rule, lit.atom);
+      }
+      if (!monotone) out.insert(lit.atom.predicate);
+    }
+  }
+  return {out.begin(), out.end()};
 }
 
 AggSpec MakeAggSpec(const Program& program, const ProgramAnalysis& analysis,
@@ -779,6 +850,10 @@ Result<PhysicalPlan> BuildPhysicalPlan(
     plan.schemas[name] = analysis.SchemaOf(name);
   }
   plan.outputs = program.outputs;
+  if (build_update_rules) {
+    plan.insert_recompute_preds =
+        InsertRecomputePreds(program, analysis, plan.agg_specs);
+  }
 
   // One SccPlan per SCC that defines rules, in evaluation order.
   for (size_t s = 0; s < analysis.sccs().size(); ++s) {

@@ -234,6 +234,14 @@ struct PhysicalPlan {
   /// recomputation.
   std::vector<std::string> check_ineligible_preds;
 
+  /// Aggregate predicates whose inserts still need full recomputation (see
+  /// InsertRecomputePreds in physical_plan.cc): a min/max predicate with a
+  /// reader that is not monotone in its value, a count predicate with any
+  /// reader, and every sum predicate. An insert batch affecting any of
+  /// these falls back; other min/max predicates absorb inserts in place
+  /// and hand only their changed groups downstream.
+  std::vector<std::string> insert_recompute_preds;
+
   std::string ToString() const;
 };
 
@@ -248,7 +256,7 @@ struct PhysicalPlan {
 /// their check versions (Backward/Forward deletion); rules whose update or
 /// check version cannot be compiled are recorded in
 /// PhysicalPlan::update_ineligible_rels / check_ineligible_preds rather
-/// than failing the plan.
+/// than failing the plan, and the plan lists insert_recompute_preds.
 Result<PhysicalPlan> BuildPhysicalPlan(
     const Program& program, const ProgramAnalysis& analysis,
     const std::vector<LogicalRulePlan>& logical_plans,

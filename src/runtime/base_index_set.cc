@@ -43,6 +43,25 @@ Status BaseIndexSet::SyncAppended(int id, const Catalog& catalog) {
   return Status::OK();
 }
 
+bool BaseIndexSet::CountEqualRows(int id, const Relation& relation,
+                                  TupleRef row, uint64_t* count) const {
+  const Entry& e = entries_[id];
+  if (!e.built || e.relation != &relation ||
+      relation.size() < e.rows_indexed) {
+    return false;
+  }
+  uint64_t n = 0;
+  e.hash.ForEachMatch(row[e.req.col], [&](uint64_t r) {
+    n += relation.Row(r) == row ? 1 : 0;
+    return true;
+  });
+  for (uint64_t r = e.rows_indexed; r < relation.size(); ++r) {
+    n += relation.Row(r) == row ? 1 : 0;
+  }
+  *count = n;
+  return true;
+}
+
 void BaseIndexSet::Invalidate(int id) {
   Entry& e = entries_[id];
   e.built = false;

@@ -43,6 +43,13 @@ class BaseIndexSet {
 
   bool IsBuilt(int id) const { return entries_[id].built; }
 
+  /// Counts the rows of `relation` equal to `row` when index `id` is built
+  /// over that very relation: probes the indexed prefix and scans only the
+  /// rows appended since the last sync. Returns false, counting nothing,
+  /// when the index cannot answer.
+  bool CountEqualRows(int id, const Relation& relation, TupleRef row,
+                      uint64_t* count) const;
+
   /// fn(TupleRef row) for each row of the indexed relation whose key column
   /// equals `key`. fn may return void (visit everything) or bool — false
   /// stops the iteration early (anti-joins stop at the first witness).

@@ -67,7 +67,9 @@ void RecursiveTable::ReserveHint(uint64_t expected_rows) {
       break;
     case AggFunc::kMin:
     case AggFunc::kMax:
-      flat_group_.Reserve(expected_rows);
+      // Not presized: groups are usually far fewer than driving rows (CC:
+      // one per vertex, against two hinted rows per edge), and a 32-byte
+      // slot per hinted row costs megabytes of page faults per evaluation.
       break;
     case AggFunc::kCount:
     case AggFunc::kSum:
@@ -103,6 +105,7 @@ uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
 
 void RecursiveTable::PushDelta(uint64_t row_id) {
   ++accepts_;
+  if (row_id < change_floor_) changed_rows_.push_back(row_id);
   if (batch_mode_) {
     batch_changed_rows_.push_back(row_id);
     return;
@@ -392,6 +395,14 @@ void RecursiveTable::CompactRemoveRows(
   if (use_cache_) std::fill(cache_slots_.begin(), cache_slots_.end(), 0);
   delta_.clear();
   batch_changed_rows_.clear();
+}
+
+std::vector<uint64_t> RecursiveTable::TakeChangedRows() {
+  std::vector<uint64_t> out = std::move(changed_rows_);
+  changed_rows_.clear();
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 void RecursiveTable::ResetStats() {

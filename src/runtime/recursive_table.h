@@ -70,7 +70,9 @@ class RecursiveTable {
   /// EDB-cardinality presizing hint: reserves row storage, the join index,
   /// and the active flat merge structures for ~`expected_rows` entries so
   /// the first iterations of a TC-style run don't pay growth rehashes.
-  /// A hint, not a cap — structures still grow past it on demand.
+  /// A min/max group map is left to grow: it holds one entry per group,
+  /// not per driving row. A hint, not a cap — structures still grow past
+  /// it on demand.
   void ReserveHint(uint64_t expected_rows);
 
   // --- Delta (δR_i) ---
@@ -165,6 +167,19 @@ class RecursiveTable {
   /// back to full recomputation at the engine level.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
 
+  /// Starts a change log: from now on, every in-place change to a row
+  /// already stored (an aggregate merge that bettered or bumped its value)
+  /// records the row id. Rows appended later are not logged; they lie past
+  /// the caller's row-count watermark. Called by the engine between runs.
+  void StartChangeLog() {
+    change_floor_ = rows_.size();
+    changed_rows_.clear();
+  }
+
+  /// Row ids changed in place since StartChangeLog, sorted and
+  /// deduplicated; leaves the log empty.
+  std::vector<uint64_t> TakeChangedRows();
+
   /// Hands the partition to a new owning thread: incremental sessions
   /// retain tables across ApplyUpdates batches but spawn fresh workers for
   /// each one (debug-only; see ThreadAffinity::Rebind).
@@ -207,7 +222,8 @@ class RecursiveTable {
   /// immediately; inside MergeBatch each changed row enters once, after the
   /// whole batch merged — otherwise m updates to one aggregate group would
   /// spawn m delta rows and the join fan-out would grow exponentially with
-  /// the iteration count (catastrophic for sum-in-recursion).
+  /// the iteration count (catastrophic for sum-in-recursion). A row below
+  /// the change-log floor also enters the change log.
   void PushDelta(uint64_t row_id);
 
   bool MergeNone(const uint64_t* wire, uint64_t hash);
@@ -277,6 +293,12 @@ class RecursiveTable {
   uint64_t cache_hits_ = 0;
   uint64_t probe_cmps_ = 0;  // btree-path comparisons; flat counts live
                              // inside the flat structures.
+
+  // Change log (StartChangeLog): rows below the floor that changed in
+  // place. The floor stays 0, and nothing is logged, outside incremental
+  // sessions.
+  uint64_t change_floor_ = 0;
+  std::vector<uint64_t> changed_rows_;
 
   // Incremental sessions: support counting (kNone + flat) and the
   // probe-comparison baseline ResetStats subtracts so merge_probe_cmps()

@@ -6,6 +6,13 @@ namespace dcdatalog {
 
 void HashIndex::Build(const Relation& relation, uint32_t key_col) {
   const uint64_t n = relation.size();
+  // Capacity up to the rehash threshold (half the buckets Finish sizes):
+  // virtual memory only until touched, and the appends of the first
+  // insert batches after a build then neither reallocate nor copy.
+  const uint64_t capacity = n == 0 ? 0 : std::bit_ceil(n * 2) / 2;
+  keys_.reserve(capacity);
+  row_ids_.reserve(capacity);
+  next_.reserve(capacity);
   keys_.resize(n);
   row_ids_.resize(n);
   for (uint64_t r = 0; r < n; ++r) {

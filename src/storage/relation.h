@@ -64,6 +64,13 @@ class Relation {
     data_[row_id * arity() + col] = word;
   }
 
+  /// Overwrites a whole row in place (an incremental session moving an
+  /// aggregate group's row to the relation's tail).
+  void SetRow(uint64_t row_id, TupleRef row) {
+    DCD_DCHECK(row_id < size() && row.arity == arity());
+    std::copy_n(row.data, row.arity, data_.begin() + row_id * arity());
+  }
+
   void Clear() { data_.clear(); }
 
   /// Removes every row for which `drop(TupleRef)` returns true, compacting

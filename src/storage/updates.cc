@@ -1,5 +1,6 @@
 #include "storage/updates.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -23,8 +24,9 @@ bool IsSeparator(const std::string& line) {
 }
 
 /// Distinct tuples in first-seen order with hashed membership: the small
-/// probe side NetOutBatch and ApplyDeltasToCatalog scan a whole relation
-/// against, so a batch costs one pass per relation instead of one per op.
+/// probe side NetOutBatch (without an index) and ApplyDeltasToCatalog scan a
+/// whole relation against, so a batch costs one pass per relation instead
+/// of one per op.
 class TupleIds {
  public:
   explicit TupleIds(const Relation& like)
@@ -174,8 +176,9 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
   return resolved;
 }
 
-Result<std::vector<RelationDelta>> NetOutBatch(const ResolvedUpdateBatch& batch,
-                                               const Catalog& catalog) {
+Result<std::vector<RelationDelta>> NetOutBatch(
+    const ResolvedUpdateBatch& batch, const Catalog& catalog,
+    const CopyCounter& count_copies) {
   // Per relation: the touched tuples in first-touch order and each one's
   // net presence after the ops seen so far (set semantics — the last op on
   // a tuple decides).
@@ -209,12 +212,20 @@ Result<std::vector<RelationDelta>> NetOutBatch(const ResolvedUpdateBatch& batch,
 
   std::vector<RelationDelta> deltas;
   for (auto& [name, state] : states) {
-    // One pass counts the stored copies of every touched tuple.
+    // The stored copies of every touched tuple: probed one by one, or
+    // counted in one pass over the relation.
     const TupleIds& touched = *state.touched;
     std::vector<uint64_t> base(touched.size(), 0);
-    for (uint64_t r = 0; r < state.rel->size(); ++r) {
-      const uint64_t id = touched.Find(state.rel->Row(r));
-      if (id != FlatTupleSet::kNotFound) ++base[id];
+    bool probed = count_copies != nullptr;
+    for (uint64_t id = 0; probed && id < touched.size(); ++id) {
+      probed = count_copies(name, *state.rel, touched.Row(id), &base[id]);
+    }
+    if (!probed) {
+      std::fill(base.begin(), base.end(), 0);
+      for (uint64_t r = 0; r < state.rel->size(); ++r) {
+        const uint64_t id = touched.Find(state.rel->Row(r));
+        if (id != FlatTupleSet::kNotFound) ++base[id];
+      }
     }
     RelationDelta delta;
     delta.relation = name;

@@ -1,6 +1,7 @@
 #ifndef DCDATALOG_STORAGE_UPDATES_H_
 #define DCDATALOG_STORAGE_UPDATES_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -74,14 +75,24 @@ struct RelationDelta {
   std::vector<std::vector<uint64_t>> removed;
 };
 
+/// Counts the stored copies of `row` in `relation` (the catalog's relation
+/// named `name`) without scanning it, e.g. through an index over it.
+/// Returns false when it cannot.
+using CopyCounter = std::function<bool(
+    const std::string& name, const Relation& relation, TupleRef row,
+    uint64_t* copies)>;
+
 /// Nets out a batch against the catalog's current contents under set
 /// semantics in op order: inserting an already-present tuple is a no-op,
 /// deleting an absent tuple is a no-op, and insert-then-delete of the same
 /// tuple within the batch cancels. Returns one delta per touched relation
 /// (relations whose net effect is empty are omitted), sorted by name. Does
-/// not modify the catalog.
-Result<std::vector<RelationDelta>> NetOutBatch(const ResolvedUpdateBatch& batch,
-                                               const Catalog& catalog);
+/// not modify the catalog. The stored copies of the touched tuples come
+/// from `count_copies` where it answers for all of a relation's tuples,
+/// and from one scan of the relation otherwise.
+Result<std::vector<RelationDelta>> NetOutBatch(
+    const ResolvedUpdateBatch& batch, const Catalog& catalog,
+    const CopyCounter& count_copies = nullptr);
 
 /// Applies deltas to the catalog in place: removals compact the relation's
 /// row store (survivors keep their order, and the Relation object keeps its

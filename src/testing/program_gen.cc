@@ -18,7 +18,9 @@ namespace {
 struct PredShape {
   std::string name;
   uint32_t arity = 0;
-  bool is_agg = false;  // (key, aggregated-value) pair.
+  /// For a (key, aggregated-value) pair, its function: "min", "max" or
+  /// "count". Empty for a plain predicate.
+  std::string func;
 };
 
 /// Builds one program's rules. Each Emit* appends rule lines and registers
@@ -56,15 +58,15 @@ class ProgramBuilder {
   std::string PickBinarySource() {
     std::vector<std::string> candidates = {"arc"};
     for (const PredShape& p : derived_) {
-      if (!p.is_agg && p.arity == 2) candidates.push_back(p.name);
+      if (p.func.empty() && p.arity == 2) candidates.push_back(p.name);
     }
     // Bias toward arc so recursion usually closes over the raw graph.
     if (rng_->Chance(0.6)) return "arc";
     return candidates[rng_->Uniform(candidates.size())];
   }
 
-  void Register(std::string name, uint32_t arity, bool is_agg) {
-    derived_.push_back(PredShape{std::move(name), arity, is_agg});
+  void Register(std::string name, uint32_t arity, std::string func = "") {
+    derived_.push_back(PredShape{std::move(name), arity, std::move(func)});
   }
 
   void EmitBlock() {
@@ -134,7 +136,7 @@ class ProgramBuilder {
       lines_.push_back(name + "(X, Y) :- " + name + "(X, Z), " + src +
                        "(Y, Z).");
     }
-    Register(name, 2, false);
+    Register(name, 2);
   }
 
   /// Unary reachability from a constant seed vertex.
@@ -148,7 +150,7 @@ class ProgramBuilder {
                        std::to_string(VertexConst()) + ".");
     }
     lines_.push_back(name + "(Y) :- " + name + "(X), " + src + "(X, Y).");
-    Register(name, 1, false);
+    Register(name, 1);
   }
 
   /// Shortest-distance-shaped min recursion with arithmetic on the value.
@@ -177,7 +179,7 @@ class ProgramBuilder {
                               1, static_cast<int64_t>(4 * n_)));
     }
     lines_.push_back(rec + ".");
-    Register(name, 2, true);
+    Register(name, 2, "min");
   }
 
   /// Connected-components-shaped label propagation: min or max over a
@@ -196,7 +198,7 @@ class ProgramBuilder {
       lines_.push_back(name + "(Y, " + func + "<Z>) :- " + name +
                        "(X, Z), " + src + "(Y, X).");
     }
-    Register(name, 2, true);
+    Register(name, 2, func);
   }
 
   /// Distinct-contributor count over one or two sources; the two-rule form
@@ -210,30 +212,25 @@ class ProgramBuilder {
       lines_.push_back(name + "(X, count<Y>) :- " + PickBinarySource() +
                        "(Y, X).");
     }
-    Register(name, 2, true);
+    Register(name, 2, "count");
   }
 
   /// Non-recursive consumer of earlier strata: projection + comparison,
-  /// joins, constant probes, aggregate-value filters, and (when allowed)
-  /// stratified negation.
+  /// joins, constant probes, readers of aggregate values, and (when
+  /// allowed) stratified negation.
   void EmitFilterJoin() {
     const std::string name = NextName();
     std::vector<const PredShape*> binaries;
     std::vector<const PredShape*> aggs;
     for (const PredShape& p : derived_) {
-      if (p.is_agg) {
+      if (!p.func.empty()) {
         aggs.push_back(&p);
       } else if (p.arity == 2) {
         binaries.push_back(&p);
       }
     }
-    if (!aggs.empty() && rng_->Chance(0.35)) {
-      const PredShape& a = *aggs[rng_->Uniform(aggs.size())];
-      lines_.push_back(name + "(X) :- " + a.name + "(X, C), C <= " +
-                       std::to_string(rng_->UniformRange(
-                           0, static_cast<int64_t>(4 * n_))) +
-                       ".");
-      Register(name, 1, false);
+    if (!aggs.empty() && rng_->Chance(0.6)) {
+      EmitAggregateReader(name, *aggs[rng_->Uniform(aggs.size())]);
       return;
     }
     const std::string q =
@@ -251,25 +248,52 @@ class ProgramBuilder {
                                         ->name;
       lines_.push_back(name + "(X, Y) :- " + q + "(X, Y), !" + r +
                        "(Y, X).");
-      Register(name, 2, false);
+      Register(name, 2);
       return;
     }
     const double d = rng_->NextDouble();
     if (d < 0.35) {
       lines_.push_back(name + "(X, Y) :- " + q + "(X, Y), X >= " +
                        std::to_string(VertexConst()) + ".");
-      Register(name, 2, false);
+      Register(name, 2);
     } else if (d < 0.7) {
       const std::string r =
           binaries.empty() ? "arc"
                            : binaries[rng_->Uniform(binaries.size())]->name;
       lines_.push_back(name + "(X, Z) :- " + q + "(X, Y), " + r +
                        "(Y, Z).");
-      Register(name, 2, false);
+      Register(name, 2);
     } else {
       lines_.push_back(name + "(Y) :- " + q + "(" +
                        std::to_string(VertexConst()) + ", Y).");
-      Register(name, 1, false);
+      Register(name, 1);
+    }
+  }
+
+  /// One reader of aggregate `a`'s value, on either side of the insert
+  /// gate (see InsertRecomputePreds): roll-ups with a's own min/max
+  /// function take a's inserts incrementally; a value filter, a plain
+  /// copy, or a roll-up of a count make every insert recompute.
+  void EmitAggregateReader(const std::string& name, const PredShape& a) {
+    const std::string func = a.func == "count" ? "min" : a.func;
+    const double d = rng_->NextDouble();
+    if (d < 0.2) {
+      lines_.push_back(name + "(X) :- " + a.name + "(X, C), C <= " +
+                       std::to_string(rng_->UniformRange(
+                           0, static_cast<int64_t>(4 * n_))) +
+                       ".");
+      Register(name, 1);
+    } else if (d < 0.5) {
+      lines_.push_back(name + "(X, " + func + "<C>) :- " + a.name +
+                       "(X, C).");
+      Register(name, 2, func);
+    } else if (d < 0.8) {
+      lines_.push_back(name + "(Y, " + func + "<C>) :- " + a.name +
+                       "(X, C), " + PickBinarySource() + "(X, Y).");
+      Register(name, 2, func);
+    } else {
+      lines_.push_back(name + "(X, C) :- " + a.name + "(X, C).");
+      Register(name, 2);
     }
   }
 
@@ -281,8 +305,8 @@ class ProgramBuilder {
     lines_.push_back(a + "(X, Y) :- " + src + "(X, Y).");
     lines_.push_back(b + "(X, Y) :- " + a + "(X, Z), " + src + "(Z, Y).");
     lines_.push_back(a + "(X, Y) :- " + b + "(X, Z), " + src + "(Z, Y).");
-    Register(a, 2, false);
-    Register(b, 2, false);
+    Register(a, 2);
+    Register(b, 2);
   }
 
   Rng* rng_;

@@ -7,7 +7,9 @@
 // SCC, cyclic self-support, two removed facts in one rule instance, gone
 // rows flowing into a downstream recursive SCC, a ~100K-deep proof search,
 // and a bridge delete that trips the recompute guard), sessions that start
-// from an empty EDB, and duplicate inserts under count/sum.
+// from an empty EDB, duplicate inserts under count/sum, and inserts
+// through min aggregates (CC with its roll-up, weighted SSSP, a
+// non-monotone reader, insert-then-delete).
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -246,12 +248,14 @@ Relation Rows(const std::string& name, uint32_t arity,
 /// Begins an incremental session of `program` over `edb` under `mode`,
 /// applies each script in turn and diffs every derived relation against
 /// the reference evaluator after the initial fixpoint and after every
-/// batch. Returns each batch's stats.
+/// batch. Returns each batch's stats; `initial` gets the initial
+/// fixpoint's.
 std::vector<EvalStats> ApplyAndDiff(CoordinationMode mode,
                                     const std::string& program,
                                     const std::vector<Relation>& edb,
                                     const std::vector<std::string>& scripts,
-                                    DCDatalog* db) {
+                                    DCDatalog* db,
+                                    EvalStats* initial = nullptr) {
   std::vector<EvalStats> out;
   for (const Relation& rel : edb) {
     Relation copy = rel;
@@ -263,6 +267,7 @@ std::vector<EvalStats> ApplyAndDiff(CoordinationMode mode,
   auto parsed = ParseProgram(program, &db->dict());
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   if (!begin.ok() || !parsed.ok()) return out;
+  if (initial != nullptr) *initial = begin.value();
   for (size_t b = 0; b <= scripts.size(); ++b) {
     SCOPED_TRACE(std::string(CoordinationModeName(mode)) + " after batch " +
                  std::to_string(b));
@@ -361,6 +366,138 @@ TEST(IncrementalTest, BackwardForwardGoneRowsFeedADownstreamRecursiveScc) {
     // After batch 2 only 0's arcs and links past 3 remain reachable.
     EXPECT_EQ(RowSet(*db.ResultFor("r")),
               (std::set<std::vector<uint64_t>>{{1}, {2}, {3}, {10}, {13}}));
+  }
+}
+
+// --- Inserts through min/max aggregates ----------------------------------
+// An insert lowers a min in place, and only the changed groups go on to
+// readers that are monotone in the value. `merges` tells the paths apart:
+// an incremental batch merges what it re-drives, a recompute about as
+// much as the initial fixpoint.
+
+constexpr char kCc[] =
+    "cc2(Y, min<Y>) :- arc(Y, _).\n"
+    "cc2(Y, min<Y>) :- arc(_, Y).\n"
+    "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n"
+    "cc2(Y, min<Z>) :- cc2(X, Z), arc(Y, X).\n"
+    "cc(Y, min<Z>) :- cc2(Y, Z).\n";
+
+/// 12 chains of 8 vertices: component c spans 10c+10 .. 10c+17 and is
+/// labelled 10c+10.
+Relation Chains() {
+  std::vector<std::vector<uint64_t>> edges;
+  for (uint64_t c = 0; c < 12; ++c) {
+    for (uint64_t i = 0; i < 7; ++i) {
+      edges.push_back({10 * c + 10 + i, 10 * c + 11 + i});
+    }
+  }
+  return Rows("arc", 2, edges);
+}
+
+TEST(IncrementalTest, MinInsertsChangeOnlyTheGroupsTheyLower) {
+  const std::vector<std::string> scripts = {
+      "+ arc 15 12\n",                 // Inside component 0: no change.
+      "+ arc 3 125\n",                 // 120..127 drop to the new 3.
+      "+ arc 500 501\n+ arc 501 502\n",  // A new component.
+      "+ arc 25 3\n",                  // 20..27 join 3's component.
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    EvalStats initial;
+    const auto stats =
+        ApplyAndDiff(mode, kCc, {Chains()}, scripts, &db, &initial);
+    ASSERT_EQ(stats.size(), scripts.size());
+    for (const EvalStats& batch : stats) {
+      EXPECT_LT(batch.merges * 4, initial.merges);
+    }
+    EXPECT_EQ(stats[0].num_sccs, 1u);  // Nothing reached the roll-up.
+    const auto cc = RowSet(*db.ResultFor("cc"));
+    for (uint64_t v : {3, 20, 27, 120, 127}) EXPECT_TRUE(cc.count({v, 3}));
+    EXPECT_TRUE(cc.count({502, 500}));
+    EXPECT_TRUE(cc.count({37, 30}));
+  }
+}
+
+TEST(IncrementalTest, WeightedShortestPathInsertsStayIncremental) {
+  constexpr char kSssp[] =
+      "sp(To, min<C>) :- To = 0, C = 0.\n"
+      "sp(To2, min<C>) :- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.\n"
+      "results(To, min<C>) :- sp(To, C).\n";
+  std::vector<std::vector<uint64_t>> edges;
+  for (uint64_t v = 0; v < 50; ++v) edges.push_back({v, v + 1, 5});
+  const std::vector<std::string> scripts = {
+      "+ warc 0 40 3\n",                   // 40..50 get closer.
+      "+ warc 50 60 1\n+ warc 60 61 2\n",  // New vertices.
+      "+ warc 10 11 100\n",                // A longer parallel edge.
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    EvalStats initial;
+    const auto stats = ApplyAndDiff(mode, kSssp, {Rows("warc", 3, edges)},
+                                    scripts, &db, &initial);
+    ASSERT_EQ(stats.size(), scripts.size());
+    for (const EvalStats& batch : stats) {
+      EXPECT_LT(batch.merges * 4, initial.merges);
+    }
+    const auto results = RowSet(*db.ResultFor("results"));
+    EXPECT_TRUE(results.count({45, 28}));  // 3 + 5 * 5.
+    EXPECT_TRUE(results.count({61, 56}));
+  }
+}
+
+TEST(IncrementalTest, NonMonotoneAggregateReaderRecomputes) {
+  // q copies cc2's value into a plain relation, which cannot drop the row
+  // a lowered label supersedes: every insert affecting cc2 recomputes.
+  const std::string program =
+      std::string(kCc) + "q(X, C) :- cc2(X, C).\n";
+  const std::vector<std::string> scripts = {
+      "+ arc 3 125\n",
+      "+ arc 15 12\n",
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    EvalStats initial;
+    const auto stats =
+        ApplyAndDiff(mode, program, {Chains()}, scripts, &db, &initial);
+    ASSERT_EQ(stats.size(), scripts.size());
+    for (const EvalStats& batch : stats) {
+      EXPECT_EQ(batch.num_sccs, initial.num_sccs);
+      EXPECT_GT(batch.merges * 2, initial.merges);
+    }
+    const auto q = RowSet(*db.ResultFor("q"));
+    EXPECT_TRUE(q.count({125, 3}));
+    EXPECT_FALSE(q.count({125, 120}));
+  }
+}
+
+TEST(IncrementalTest, InsertThenDeleteThroughMinAggregate) {
+  // The delete recomputes (removals through an aggregate always do) and
+  // restores the old labels; the next insert is incremental again.
+  const std::vector<std::string> scripts = {
+      "+ arc 3 125\n",
+      "- arc 3 125\n",
+      "+ arc 3 125\n+ arc 120 25\n",
+  };
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    EvalStats initial;
+    const auto stats =
+        ApplyAndDiff(mode, kCc, {Chains()}, scripts, &db, &initial);
+    ASSERT_EQ(stats.size(), scripts.size());
+    EXPECT_LT(stats[0].merges * 4, initial.merges);
+    EXPECT_GT(stats[1].merges * 2, initial.merges);
+    EXPECT_LT(stats[2].merges * 4, initial.merges);
+    const auto cc = RowSet(*db.ResultFor("cc"));
+    EXPECT_TRUE(cc.count({25, 3}));
+    EXPECT_TRUE(cc.count({125, 3}));
   }
 }
 

@@ -379,6 +379,47 @@ TEST_F(PlannerTest, RulesWithUnboundSameSccGoalsHaveNoCheckVersion) {
             std::vector<std::string>{"tc"});
 }
 
+TEST_F(PlannerTest, InsertRecomputeListsAggregatesWithNonMonotoneReaders) {
+  const auto recompute = [this](const std::string& src) {
+    Load(src);
+    auto logical = Logical();
+    EXPECT_TRUE(logical.ok());
+    auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                  /*build_update_rules=*/true);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? plan.value().insert_recompute_preds
+                     : std::vector<std::string>{"<plan failed>"};
+  };
+  const std::string cc =
+      "cc2(Y, min<Y>) :- arc(Y, _).\n"
+      "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n";
+  using Names = std::vector<std::string>;
+  // Monotone readers: cc2's own recursive rule, a roll-up, a roll-up
+  // through a join, and an arithmetic use inside the SCC (SSSP).
+  EXPECT_EQ(recompute(cc + "cc(Y, min<Z>) :- cc2(Y, Z).\n"), Names{});
+  EXPECT_EQ(recompute(cc + "up(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n"),
+            Names{});
+  EXPECT_EQ(recompute("sp(T, min<C>) :- T = 0, C = 0.\n"
+                      "sp(T, min<C>) :- sp(F, C1), warc(F, T, W), "
+                      "C = C1 + W.\n"),
+            Names{});
+  // A leaf count is maintained in place too.
+  EXPECT_EQ(recompute("deg(X, count<Y>) :- arc(X, Y).\n"), Names{});
+  // Readers that are not monotone in the value.
+  EXPECT_EQ(recompute(cc + "q(X, C) :- cc2(X, C).\n"), Names{"cc2"});
+  EXPECT_EQ(recompute(cc + "q(X, max<Z>) :- cc2(X, Z).\n"), Names{"cc2"});
+  EXPECT_EQ(recompute(cc + "q(X, min<Z>) :- cc2(X, Z), Z > 3.\n"),
+            Names{"cc2"});
+  EXPECT_EQ(recompute(cc + "q(Y, min<Z>) :- cc2(X, Z), arc(Z, Y).\n"),
+            Names{"cc2"});
+  EXPECT_EQ(recompute(cc + "q(Z, min<Z>) :- cc2(X, Z).\n"), Names{"cc2"});
+  EXPECT_EQ(recompute("deg(X, count<Y>) :- arc(X, Y).\n"
+                      "q(X, min<C>) :- deg(X, C).\n"),
+            Names{"deg"});
+  EXPECT_EQ(recompute("w(X, sum<(Y, K)>) :- arc(X, Y), K = 1.\n"),
+            Names{"w"});
+}
+
 TEST_F(PlannerTest, ExplainablePlanToString) {
   Load(
       "tc(X, Y) :- arc(X, Y).\n"

@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "planner/physical_plan.h"
+#include "runtime/base_index_set.h"
 #include "runtime/distributor.h"
 #include "runtime/expr_eval.h"
 #include "runtime/recursive_table.h"
@@ -463,6 +464,37 @@ TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
   EXPECT_GT(t.merge_probe_cmps(), 0u);
 }
 
+TEST_P(RecursiveTableModes, ChangeLogListsRowsChangedInPlace) {
+  RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
+                   false, Opts());
+  std::vector<TupleBuf> b1 = {
+      {1, WordFromInt(9)}, {2, WordFromInt(4)}, {3, WordFromInt(5)}};
+  t.MergeBatch(b1);
+  EXPECT_TRUE(t.TakeChangedRows().empty());  // No log started yet.
+  const auto row_of = [&t](uint64_t group) {
+    for (uint64_t r = 0; r < t.rows().size(); ++r) {
+      if (t.rows().Row(r)[0] == group) return r;
+    }
+    return UINT64_MAX;
+  };
+
+  t.StartChangeLog();
+  // Group 3 improves twice, group 2 not at all, group 4 is new; group 1
+  // improves through the single-wire path.
+  std::vector<TupleBuf> b2 = {{3, WordFromInt(2)},
+                              {2, WordFromInt(8)},
+                              {4, WordFromInt(1)},
+                              {3, WordFromInt(1)}};
+  t.MergeBatch(b2);
+  const TupleBuf lower{1, WordFromInt(0)};
+  EXPECT_TRUE(t.MergeWire(lower.v));
+  std::vector<uint64_t> expect = {row_of(1), row_of(3)};
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(t.TakeChangedRows(), expect);
+  EXPECT_EQ(t.rows().size(), 4u);
+  EXPECT_TRUE(t.TakeChangedRows().empty());
+}
+
 TEST(RecursiveTableTest, CacheHitsAreCounted) {
   EngineOptions opts;
   opts.enable_existence_cache = true;
@@ -475,6 +507,34 @@ TEST(RecursiveTableTest, CacheHitsAreCounted) {
   EXPECT_GE(t.cache_hits(), 3u);
   EXPECT_EQ(t.merges(), 4u);
   EXPECT_EQ(t.accepts(), 1u);
+}
+
+// --- BaseIndexSet ----------------------------------------------------------
+
+TEST(BaseIndexSetTest, CountEqualRowsProbesOnlyItsOwnRelation) {
+  Catalog catalog;
+  Relation arc("arc", Schema::Ints(2));
+  for (const auto& [a, b] : std::vector<std::pair<uint64_t, uint64_t>>{
+           {1, 2}, {1, 3}, {1, 2}, {4, 2}}) {
+    arc.Append({a, b});
+  }
+  catalog.Put(std::move(arc));
+  Relation* rel = catalog.Find("arc");
+  BaseIndexSet indexes({BaseIndexReq{"arc", 0}});
+  uint64_t copies = 7;
+  const uint64_t one_two[] = {1, 2};
+  const TupleRef row{one_two, 2};
+  EXPECT_FALSE(indexes.CountEqualRows(0, *rel, row, &copies));  // Unbuilt.
+  EXPECT_EQ(copies, 7u);
+  ASSERT_TRUE(indexes.EnsureBuilt(0, catalog).ok());
+  ASSERT_TRUE(indexes.CountEqualRows(0, *rel, row, &copies));
+  EXPECT_EQ(copies, 2u);
+  // Rows appended since the build are scanned, not missed.
+  rel->Append({1, 2});
+  ASSERT_TRUE(indexes.CountEqualRows(0, *rel, row, &copies));
+  EXPECT_EQ(copies, 3u);
+  const Relation other = *rel;
+  EXPECT_FALSE(indexes.CountEqualRows(0, other, row, &copies));
 }
 
 // --- Distributor ---------------------------------------------------------

@@ -621,6 +621,50 @@ TEST(NetOutBatchTest, TupleStoredKTimesYieldsKRemovals) {
   EXPECT_EQ(Rows(*catalog.Find("arc")), survivors);
 }
 
+TEST(NetOutBatchTest, CopyCounterReplacesTheScan) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}});
+  ResolvedUpdateBatch batch;
+  batch.ops.push_back(Op(false, "arc", {1, 2}));
+  batch.ops.push_back(Op(true, "arc", {5, 6}));
+  batch.ops.push_back(Op(true, "arc", {3, 4}));
+  auto scanned = NetOutBatch(batch, catalog);
+  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+  ASSERT_EQ(scanned.value().size(), 1u);
+
+  // A counter answering for every touched tuple is asked once per tuple,
+  // and its counts decide the delta.
+  int calls = 0;
+  const CopyCounter count = [&calls](const std::string& name,
+                                     const Relation& rel, TupleRef row,
+                                     uint64_t* copies) {
+    EXPECT_EQ(name, "arc");
+    ++calls;
+    *copies = 0;
+    for (uint64_t r = 0; r < rel.size(); ++r) *copies += rel.Row(r) == row;
+    return true;
+  };
+  auto probed = NetOutBatch(batch, catalog, count);
+  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
+  EXPECT_EQ(calls, 3);
+  ASSERT_EQ(probed.value().size(), 1u);
+  EXPECT_EQ(probed.value()[0].added, scanned.value()[0].added);
+  EXPECT_EQ(probed.value()[0].removed, scanned.value()[0].removed);
+  EXPECT_EQ(probed.value()[0].removed.size(), 2u);
+
+  // One that declines leaves the relation to the scan.
+  const CopyCounter decline = [](const std::string&, const Relation&,
+                                 TupleRef, uint64_t* copies) {
+    *copies = 99;
+    return false;
+  };
+  auto fallback = NetOutBatch(batch, catalog, decline);
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  ASSERT_EQ(fallback.value().size(), 1u);
+  EXPECT_EQ(fallback.value()[0].added, scanned.value()[0].added);
+  EXPECT_EQ(fallback.value()[0].removed, scanned.value()[0].removed);
+}
+
 TEST(NetOutBatchTest, InsertThenDeleteInOneBatchCancels) {
   Catalog catalog;
   PutArc(&catalog, {{1, 2}});
