@@ -41,6 +41,8 @@ const char* ChaosSiteName(ChaosSite site) {
       return "strategy_loop";
     case ChaosSite::kGather:
       return "gather";
+    case ChaosSite::kDeleteShard:
+      return "delete_shard";
     case ChaosSite::kNumSites:
       break;
   }

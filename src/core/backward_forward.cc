@@ -1,7 +1,9 @@
 #include "core/backward_forward.h"
 
 #include <algorithm>
+#include <atomic>
 
+#include "common/chaos.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "runtime/message.h"
@@ -24,10 +26,29 @@ constexpr uint8_t kQueued = 8;   // Entered the candidate queue once.
 
 constexpr uint32_t kNoWatch = UINT32_MAX;
 
-class BackwardForward {
+/// What the shards of one delete share: the input and the guard.
+struct Shared {
+  const BackwardForwardInput& in;
+  uint32_t num_shards = 1;
+  uint64_t total_rows = 0;                // |I|.
+  std::atomic<uint64_t> num_deleted{0};  // |D|, over every shard.
+
+  /// The guard: once more is deleted than survives, recomputing the SCC
+  /// costs less than checking on.
+  bool Tripped() const {
+    return 2 * num_deleted.load(std::memory_order_relaxed) > total_rows;
+  }
+};
+
+/// One shard of a delete: the facts whose shard column hashes to it.
+class Shard {
  public:
-  explicit BackwardForward(const BackwardForwardInput& in)
-      : in_(in), scc_(*in.scc), n_(in.num_workers) {
+  Shard(Shared& shared, uint32_t shard)
+      : shared_(shared),
+        in_(shared.in),
+        scc_(*in_.scc),
+        n_(in_.num_workers),
+        shard_(shard) {
     const size_t num_preds = scc_.derived_preds.size();
     canonical_.resize(num_preds);
     state_.resize(num_preds * n_);
@@ -36,10 +57,8 @@ class BackwardForward {
       canonical_[p] = scc_.ReplicasOf(scc_.derived_preds[p]).front();
       for (uint32_t w = 0; w < n_; ++w) {
         const uint64_t rows = Table(p * n_ + w).rows().size();
-        DCD_CHECK(rows < UINT32_MAX);
         state_[p * n_ + w].assign(rows, 0);
         watch_head_[p * n_ + w].assign(rows, kNoWatch);
-        total_rows_ += rows;
       }
     }
 
@@ -82,32 +101,26 @@ class BackwardForward {
     }
   }
 
-  BackwardForwardResult Run() {
-    BackwardForwardResult result;
-    result.deleted.assign(scc_.derived_preds.size(),
-                          std::vector<std::vector<uint64_t>>(n_));
+  /// Runs the shard to its end, or until the guard trips in any shard:
+  /// fills `out` with its D (unsorted) and its |C|.
+  void Run(BackwardForwardResult* out) {
+    out->deleted.assign(scc_.derived_preds.size(),
+                        std::vector<std::vector<uint64_t>>(n_));
     DriveRemoved();
-    uint64_t num_deleted = 0;
     while (!candidates_.empty()) {
+      DCD_CHAOS_POINT(kDeleteShard);
+      if (shared_.Tripped()) break;
       const FactRef f = candidates_.back();
       candidates_.pop_back();
       if ((State(f) & kChecked) == 0) Check(f);
       if ((State(f) & kProved) != 0) continue;
       State(f) |= kDeleted;
-      result.deleted[f.part / n_][f.part % n_].push_back(f.row);
-      // The guard: once more is deleted than survives, recomputing the
-      // SCC costs less than checking on.
-      if (2 * ++num_deleted > total_rows_) {
-        result.completed = false;
-        break;
-      }
+      out->deleted[f.part / n_][f.part % n_].push_back(f.row);
+      shared_.num_deleted.fetch_add(1, std::memory_order_relaxed);
+      if (shared_.Tripped()) break;
       Forward(f);
     }
-    result.checked = num_checked_;
-    for (auto& per_worker : result.deleted) {
-      for (auto& rows : per_worker) std::sort(rows.begin(), rows.end());
-    }
-    return result;
+    out->checked = num_checked_;
   }
 
  private:
@@ -134,7 +147,7 @@ class BackwardForward {
   /// Emission context. Emits only record: no pipeline runs inside
   /// another, so all rules share one register file.
   struct RuleEmit {
-    BackwardForward* self;
+    Shard* self;
     const PhysicalRule* rule;
   };
   /// A same-SCC body fact an instance names, awaiting its lookup in I:
@@ -150,6 +163,13 @@ class BackwardForward {
   }
   TupleRef Tuple(FactRef f) const { return Table(f.part).rows().Row(f.row); }
   uint8_t& State(FactRef f) { return state_[f.part][f.row]; }
+
+  /// True when this shard owns the facts agreeing with `tuple` on the
+  /// shard column.
+  bool Owns(const uint64_t* tuple) const {
+    return shared_.num_shards == 1 ||
+           PartitionOf(tuple[scc_.shard_col], shared_.num_shards) == shard_;
+  }
 
   /// The canonical partition holding `tuple` of SCC predicate `pred_id`.
   uint32_t PartOf(int pred_id, const uint64_t* tuple) const {
@@ -174,9 +194,12 @@ class BackwardForward {
   /// Queues the head of a forward instance as a candidate.
   static void HeadThunk(void* c, const uint64_t* regs) {
     auto* e = static_cast<RuleEmit*>(c);
-    BackwardForward* self = e->self;
+    Shard* self = e->self;
     uint64_t wire[kMaxWireWords];
     BuildWireTuple(e->rule->head, regs, wire);
+    // Every shard drives every removed row and keeps the heads it owns;
+    // Forward's heads are always its own.
+    if (!self->Owns(wire)) return;
     FactRef h;
     // Forward instances lie in the pre-batch fixpoint, so I holds their
     // heads.
@@ -194,7 +217,7 @@ class BackwardForward {
   /// for lookup, their existence slots prefetched.
   static void InstanceThunk(void* c, const uint64_t* regs) {
     auto* e = static_cast<RuleEmit*>(c);
-    BackwardForward* self = e->self;
+    Shard* self = e->self;
     const std::vector<HeadSpec>& atoms = e->rule->check_atoms;
     // The planner admits at most two same-SCC goals per rule.
     DCD_DCHECK(atoms.size() <= 2);
@@ -209,6 +232,8 @@ class BackwardForward {
       self->pending_words_.resize(offset + arity);
       uint64_t* tuple = &self->pending_words_[offset];
       BuildWireTuple(atom, regs, tuple);
+      // The shard column is proof-invariant: the fact is this shard's.
+      DCD_DCHECK(self->Owns(tuple));
       const uint32_t part = self->PartOf(atom.pred_id, tuple);
       const uint64_t hash = HashWords(tuple, arity);
       self->Table(part).PrefetchFindSlot(hash);
@@ -382,13 +407,14 @@ class BackwardForward {
     }
   }
 
+  Shared& shared_;
   const BackwardForwardInput& in_;
   const SccPlan& scc_;
-  const uint32_t n_;
+  const uint32_t n_;                         // Partitions per predicate.
+  const uint32_t shard_;
   std::vector<int> canonical_;               // By pred id.
   std::vector<std::vector<uint8_t>> state_;  // By part, indexed by row.
-  uint64_t total_rows_ = 0;                  // |I|.
-  uint64_t num_checked_ = 0;                 // |C|.
+  uint64_t num_checked_ = 0;                 // |C| of this shard.
 
   // Per-rule pipeline contexts, prepared once.
   std::vector<PipelineContext> check_ctx_;
@@ -420,7 +446,38 @@ class BackwardForward {
 }  // namespace
 
 BackwardForwardResult RunBackwardForward(const BackwardForwardInput& in) {
-  return BackwardForward(in).Run();
+  const SccPlan& scc = *in.scc;
+  Shared shared{in};
+  if (scc.shard_col >= 0) shared.num_shards = in.num_workers;
+  for (const std::string& pred : scc.derived_preds) {
+    const int canonical = scc.ReplicasOf(pred).front();
+    for (const auto& replicas : *in.tables) {
+      const uint64_t rows = replicas[canonical]->rows().size();
+      DCD_CHECK(rows < UINT32_MAX);
+      shared.total_rows += rows;
+    }
+  }
+  std::vector<BackwardForwardResult> shards(shared.num_shards);
+  in.run_gang(shared.num_shards, [&](uint32_t s) {
+    Shard(shared, s).Run(&shards[s]);
+  });
+
+  BackwardForwardResult result = std::move(shards[0]);
+  result.completed = !shared.Tripped();
+  for (uint32_t s = 1; s < shared.num_shards; ++s) {
+    result.checked += shards[s].checked;
+    for (size_t p = 0; p < result.deleted.size(); ++p) {
+      for (uint32_t w = 0; w < in.num_workers; ++w) {
+        std::vector<uint64_t>& rows = result.deleted[p][w];
+        const std::vector<uint64_t>& more = shards[s].deleted[p][w];
+        rows.insert(rows.end(), more.begin(), more.end());
+      }
+    }
+  }
+  for (auto& per_worker : result.deleted) {
+    for (auto& rows : per_worker) std::sort(rows.begin(), rows.end());
+  }
+  return result;
 }
 
 }  // namespace dcdatalog

@@ -2,6 +2,7 @@
 #define DCDATALOG_CORE_BACKWARD_FORWARD_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,10 +41,21 @@ namespace dcdatalog {
 /// it (canonical replica partition, row id): the partition's existence set
 /// already hashes the tuple to its row, so the state needs no second hash.
 ///
+/// Shards: when the SCC has a proof-invariant column (SccPlan::shard_col),
+/// Check and Forward from a fact only touch facts with the same value in
+/// it, so the work splits into one shard per worker, keyed on
+/// PartitionOf(value). Each shard drives every removed row and keeps the
+/// candidates in its own bucket; its state bytes, watch lists and stacks
+/// are its own. The guard counts D over all shards. Without such a column,
+/// or with one worker, one shard owns every fact.
+///
 /// Nothing retained is changed: the caller commits D.
 struct BackwardForwardInput {
   const SccPlan* scc = nullptr;
   uint32_t num_workers = 1;
+  /// Runs fn(0) .. fn(k - 1) on k threads at once: the engine's gang.
+  std::function<void(uint32_t k, const std::function<void(uint32_t)>& fn)>
+      run_gang;
   /// The SCC's retained partitions [worker][replica]: the pre-batch I.
   const std::vector<std::vector<std::unique_ptr<RecursiveTable>>>* tables =
       nullptr;
@@ -63,7 +75,8 @@ struct BackwardForwardInput {
 
 struct BackwardForwardResult {
   /// False when the guard gave up: more facts were deleted than survive
-  /// (|D| > |I \ D|), so a recompute is cheaper. `deleted` is then partial.
+  /// (|D| > |I \ D|), so a recompute is cheaper. `deleted` and `checked`
+  /// are then partial.
   bool completed = true;
   /// |C|: the facts the delete had to re-prove.
   uint64_t checked = 0;

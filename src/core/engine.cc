@@ -1771,6 +1771,10 @@ Result<bool> Engine::BackwardForwardDelete(
   in.indexes = st->base_indexes.get();
   in.old_indexes = &old_indexes;
   in.old_relations = old_copies;
+  in.run_gang = [this, stats](uint32_t k,
+                              const std::function<void(uint32_t)>& fn) {
+    RunGang(options_, k, stats, fn);
+  };
   const BackwardForwardResult bf = RunBackwardForward(in);
   stats->rederived_tuples += bf.checked;
   if (!bf.completed) return false;

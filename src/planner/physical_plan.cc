@@ -1,6 +1,7 @@
 #include "planner/physical_plan.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <sstream>
 
@@ -760,6 +761,34 @@ class RuleCompiler {
   bool first_scan_ = true;
 };
 
+/// SccPlan::shard_col of the SCC `info`: its lowest proof-invariant
+/// column, or -1 when some predicate aggregates or no column qualifies.
+int ShardColumn(const Program& program, const ProgramAnalysis& analysis,
+                const PhysicalPlan& plan, const SccInfo& info) {
+  for (const std::string& pred : info.predicates) {
+    if (plan.agg_specs.at(pred).func != AggFunc::kNone) return -1;
+  }
+  size_t width = SIZE_MAX;
+  for (int r : info.rule_indices) {
+    width = std::min(width, program.rules[r].head.args.size());
+  }
+  for (size_t c = 0; c < width; ++c) {
+    bool invariant = true;
+    for (int r : info.rule_indices) {
+      const Rule& rule = program.rules[r];
+      const Term& head = rule.head.args[c].term();
+      for (int b : analysis.rule_infos()[r].recursive_atoms) {
+        const Term& body = rule.body[b].atom.args[c];
+        if (!head.IsVariable() || !body.IsVariable() || body.var != head.var) {
+          invariant = false;
+        }
+      }
+    }
+    if (invariant) return static_cast<int>(c);
+  }
+  return -1;
+}
+
 }  // namespace
 
 std::vector<int> SccPlan::ReplicasOf(const std::string& pred) const {
@@ -794,7 +823,9 @@ std::string PhysicalRule::ToString() const {
 
 std::string SccPlan::ToString() const {
   std::ostringstream os;
-  os << "SCC " << scc_id << (recursive ? " (recursive)" : "") << "\n";
+  os << "SCC " << scc_id << (recursive ? " (recursive)" : "");
+  if (shard_col >= 0) os << " shard col " << shard_col;
+  os << "\n";
   os << "  replicas:";
   for (size_t i = 0; i < replicas.size(); ++i) {
     os << " [" << i << "]" << replicas[i].predicate << "@"
@@ -863,6 +894,7 @@ Result<PhysicalPlan> BuildPhysicalPlan(
     scc.scc_id = static_cast<int>(s);
     scc.recursive = info.recursive;
     scc.derived_preds = info.predicates;
+    scc.shard_col = ShardColumn(program, analysis, plan, info);
 
     RuleCompiler compiler(program, analysis, &plan, &scc);
     for (const LogicalRulePlan& logical : logical_plans) {

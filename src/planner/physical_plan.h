@@ -205,6 +205,15 @@ struct SccPlan {
   /// the first delete, never by a plain evaluation.
   std::vector<PhysicalRule> check_rules;
 
+  /// The lowest proof-invariant column of a set-semantics SCC, or -1 (an
+  /// aggregate SCC, or no such column). Column c is proof-invariant when
+  /// every same-SCC body atom of every rule carries the head's column-c
+  /// variable in its own column c: TC's `tc(X, Y) :- tc(X, Z), arc(Z, Y)`
+  /// keeps X in column 0. Check and Forward from a fact then only touch
+  /// facts with the same column-c value, so Backward/Forward splits its
+  /// work into one shard per worker keyed on that column.
+  int shard_col = -1;
+
   /// Replica ids for a predicate, in registration order (the first one is
   /// the canonical replica whose union forms the final relation).
   std::vector<int> ReplicasOf(const std::string& pred) const;

@@ -334,7 +334,7 @@ void RecursiveTable::EnableSupportCounts() {
 }
 
 uint64_t RecursiveTable::FindRowId(TupleRef tuple, uint64_t hash) const {
-  if (use_flat_) return exist_set_.Find(hash, tuple);
+  if (use_flat_) return exist_set_.Lookup(hash, tuple);
   for (auto it = group_index_.LowerBound(U128{hash, 0});
        !it.AtEnd() && it.key().hi == hash; ++it) {
     if (rows_.Row(it.value()) == tuple) return it.value();

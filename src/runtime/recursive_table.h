@@ -142,7 +142,8 @@ class RecursiveTable {
   }
 
   /// Row id of the stored tuple equal to `tuple`, or UINT64_MAX. Deletion
-  /// paths use it to resolve a lost derivation to its row. kNone only.
+  /// paths use it to resolve a lost derivation to its row. kNone only. It
+  /// leaves merge_probe_cmps() alone, so concurrent readers are safe.
   uint64_t FindRowId(TupleRef tuple) const {
     return FindRowId(tuple, tuple.Hash());
   }

@@ -83,6 +83,18 @@ class FlatTupleSet {
     }
   }
 
+  /// Find without counting comparisons, for lookups that are not merges:
+  /// they stay out of probe_cmps() and may run on several threads at once.
+  uint64_t Lookup(uint64_t hash, TupleRef tuple) const {
+    for (uint64_t s = hash & mask_;; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.row == kEmptyRow) return kNotFound;
+      if (slot.hash == hash && backing_->Row(slot.row) == tuple) {
+        return slot.row;
+      }
+    }
+  }
+
   /// Inserts `row_id` under `hash`. The caller must have established via
   /// Find that no equal tuple is present (merge probes exactly once).
   DCD_HOT_ROOT void Insert(uint64_t hash, uint64_t row_id) {

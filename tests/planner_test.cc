@@ -379,6 +379,62 @@ TEST_F(PlannerTest, RulesWithUnboundSameSccGoalsHaveNoCheckVersion) {
             std::vector<std::string>{"tc"});
 }
 
+TEST_F(PlannerTest, ShardColumnIsTheLowestProofInvariantColumn) {
+  struct Case {
+    const char* program;
+    const char* pred;
+    int shard_col;
+  };
+  const Case cases[] = {
+      // tc.dl: X stays in column 0 of every tc the rule touches.
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- tc(X, Z), arc(Z, Y).",
+       "tc", 0},
+      // Left-recursive TC keeps Y in column 1.
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- arc(X, Z), tc(Z, Y).",
+       "tc", 1},
+      // The fuzz generator's extra shape keeps X in column 0 too.
+      {"p(X, Y) :- arc(X, Y).\n"
+       "p(X, Y) :- p(X, Z), arc(Z, Y).\n"
+       "p(X, Y) :- p(X, Z), arc(Y, Z).",
+       "p", 0},
+      // Mutual recursion: every predicate of the SCC agrees on column 0.
+      {"odd(X, Y) :- arc(X, Y).\n"
+       "even(X, Y) :- odd(X, Z), arc(Z, Y).\n"
+       "odd(X, Y) :- even(X, Z), arc(Z, Y).",
+       "odd", 0},
+      // Non-linear TC: tc(Z, Y) moves column 0, tc(X, Z) column 1.
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- tc(X, Z), tc(Z, Y).",
+       "tc", -1},
+      {"sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.\n"
+       "sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).",
+       "sg", -1},
+      {"reach(X) :- organizer(X).\n"
+       "reach(Y) :- reach(X), arc(X, Y).",
+       "reach", -1},
+      // An aggregate SCC is never sharded.
+      {"cc2(Y, min<Y>) :- arc(Y, _).\n"
+       "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).",
+       "cc2", -1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.program);
+    Load(c.program);
+    auto plan = Physical();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const SccPlan* scc = nullptr;
+    for (const SccPlan& s : plan.value().sccs) {
+      if (s.PredIdOf(c.pred) >= 0) scc = &s;
+    }
+    ASSERT_NE(scc, nullptr);
+    EXPECT_EQ(scc->shard_col, c.shard_col);
+    EXPECT_EQ(scc->ToString().find("shard col") != std::string::npos,
+              c.shard_col >= 0);
+  }
+}
+
 TEST_F(PlannerTest, InsertRecomputeListsAggregatesWithNonMonotoneReaders) {
   const auto recompute = [this](const std::string& src) {
     Load(src);

@@ -87,9 +87,10 @@ TEST(ProgramGenTest, EveryCaseLoads) {
 TEST(ProgramGenTest, FamiliesAreDiverse) {
   // The harness only earns its keep if the corpus actually exercises the
   // distinct code paths (aggregate kinds, negation, non-linear recursion,
-  // weighted arcs, degenerate EDBs, aggregate roll-ups). Thresholds sit
-  // well below the measured frequencies over seeds 1..60 (min 24, max 10,
-  // count 16, negation 5, non-linear 8, warc 9, empty EDB 1, roll-up 5),
+  // weighted arcs, degenerate EDBs, aggregate roll-ups, sharded
+  // Backward/Forward deletes). Thresholds sit well below the measured
+  // frequencies over seeds 1..60 (min 24, max 10, count 16, negation 5,
+  // non-linear 8, warc 9, empty EDB 1, roll-up 5, sharded SCC 39),
   // so they only fire if the generator's family mix genuinely collapses.
   int with_min = 0, with_max = 0, with_count = 0, with_neg = 0;
   int with_nonlinear = 0, with_warc = 0, with_empty_edb = 0;
@@ -98,6 +99,9 @@ TEST(ProgramGenTest, FamiliesAreDiverse) {
   // reader.
   int with_rollup = 0;
   const std::regex rollup("<C>\\) :- p[0-9]+\\(X, C\\)");
+  // A recursive SCC whose deletes run one Backward/Forward shard per
+  // worker: `dcd_fuzz --update-batches` reaches the sharded path.
+  int with_sharded = 0;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     const FuzzCase c = CaseForSeed(seed);
     if (std::regex_search(c.program, rollup)) ++with_rollup;
@@ -108,6 +112,13 @@ TEST(ProgramGenTest, FamiliesAreDiverse) {
     if (c.program.find("warc") != std::string::npos) ++with_warc;
     if (HasNonlinearRule(c.program)) ++with_nonlinear;
     if (c.graph.num_edges() == 0) ++with_empty_edb;
+    DCDatalog db(EngineOptions{});
+    ASSERT_TRUE(c.Load(&db).ok()) << "seed " << seed;
+    auto plan = db.ExplainPhysical();
+    ASSERT_TRUE(plan.ok()) << "seed " << seed;
+    if (plan.value().find("(recursive) shard col") != std::string::npos) {
+      ++with_sharded;
+    }
   }
   EXPECT_GE(with_min, 5);
   EXPECT_GE(with_max, 2);
@@ -117,6 +128,7 @@ TEST(ProgramGenTest, FamiliesAreDiverse) {
   EXPECT_GE(with_warc, 2);
   EXPECT_GE(with_empty_edb, 1);
   EXPECT_GE(with_rollup, 2);
+  EXPECT_GE(with_sharded, 10);
 }
 
 TEST(ProgramGenTest, HeadPredicatesInDefinitionOrder) {

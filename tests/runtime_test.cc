@@ -464,6 +464,23 @@ TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
   EXPECT_GT(t.merge_probe_cmps(), 0u);
 }
 
+TEST_P(RecursiveTableModes, FindRowIdLeavesProbeCmpsAlone) {
+  // Deletion lookups are not merges: they must not inflate the merge
+  // counter, and concurrent Backward/Forward shards must not race on it.
+  RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
+                   false, Opts());
+  std::vector<TupleBuf> batch;
+  for (uint64_t i = 0; i < 500; ++i) batch.push_back({i % 17, i % 29});
+  t.MergeBatch(batch);
+  const uint64_t cmps = t.merge_probe_cmps();
+  for (uint64_t r = 0; r < t.rows().size(); ++r) {
+    EXPECT_EQ(t.FindRowId(t.rows().Row(r)), r);
+  }
+  const TupleBuf absent{100, 100};
+  EXPECT_EQ(t.FindRowId(TupleRef{absent.v, 2}), UINT64_MAX);
+  EXPECT_EQ(t.merge_probe_cmps(), cmps);
+}
+
 TEST_P(RecursiveTableModes, ChangeLogListsRowsChangedInPlace) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
                    false, Opts());
