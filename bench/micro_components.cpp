@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the engine's building blocks:
-// B+-tree vs std::map, hash/dynamic indexes, SPSC queue, flat merge
-// structures, recursive-table merge paths (the §6.2 optimization in
-// isolation) including the flat-vs-btree merge backend ablation.
+// hash/dynamic indexes, SPSC queue, flat merge structures, and the
+// recursive-table merge paths (the §6.2 optimizations in isolation).
 
 #include <benchmark/benchmark.h>
 
@@ -31,7 +30,6 @@
 #include "runtime/distributor.h"
 #include "runtime/pipeline.h"
 #include "runtime/recursive_table.h"
-#include "storage/btree.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
 #include "storage/flat_set.h"
@@ -39,44 +37,6 @@
 
 namespace dcdatalog {
 namespace {
-
-void BM_BTreeInsert(benchmark::State& state) {
-  for (auto _ : state) {
-    BPlusTree<uint64_t, uint64_t> tree;
-    Rng rng(1);
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      tree.Insert(rng.Next(), i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BTreeInsert)->Arg(10000)->Arg(100000);
-
-void BM_StdMultimapInsert(benchmark::State& state) {
-  for (auto _ : state) {
-    std::multimap<uint64_t, uint64_t> tree;
-    Rng rng(1);
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      tree.emplace(rng.Next(), i);
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_StdMultimapInsert)->Arg(10000)->Arg(100000);
-
-void BM_BTreeLookup(benchmark::State& state) {
-  BPlusTree<uint64_t, uint64_t> tree;
-  Rng fill(1);
-  for (int64_t i = 0; i < state.range(0); ++i) tree.Insert(fill.Next(), i);
-  Rng probe(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Contains(probe.Next()));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BTreeLookup)->Arg(100000)->Arg(1000000);
 
 void BM_HashIndexProbe(benchmark::State& state) {
   Relation rel("r", Schema::Ints(2));
@@ -419,7 +379,7 @@ void BM_DistributeGatherBlocked(benchmark::State& state) {
       for (uint64_t base = 0; base < kCommTuples; base += kCommChunk) {
         for (uint64_t i = base; i < base + kCommChunk; ++i) {
           uint64_t wire[2] = {HashCombine(wid, i), i};
-          dist.Emit(head, wire);
+          dist.EmitBatch(head, wire, 1, 2);
         }
         dist.Flush();  // Every local iteration ships partial blocks.
         benchmark::DoNotOptimize(w.scratch.data());
@@ -492,13 +452,11 @@ void BM_LogHistogramAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_LogHistogramAdd);
 
-void EngineTraceBench(benchmark::State& state, bool trace,
-                      PipelineExecutor executor = PipelineExecutor::kBatch) {
+void EngineTraceBench(benchmark::State& state, bool trace) {
   EngineOptions opts;
   opts.num_workers = 4;
   opts.coordination = CoordinationMode::kDws;
   opts.enable_trace = trace;
-  opts.pipeline_executor = executor;
   const Graph g = GenerateGnp(300, 0.01, 17);
   for (auto _ : state) {
     DCDatalog db(opts);
@@ -522,14 +480,6 @@ void BM_EngineTcTraceOff(benchmark::State& state) {
   EngineTraceBench(state, false);
 }
 BENCHMARK(BM_EngineTcTraceOff)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-/// Same end-to-end TC run on the tuple-at-a-time ablation executor — the
-/// PR 5 execution path — so BENCH_PR6.json carries a same-machine
-/// batch-vs-tuple comparison that absolute-time drift cannot skew.
-void BM_EngineTcTupleExec(benchmark::State& state) {
-  EngineTraceBench(state, false, PipelineExecutor::kTuple);
-}
-BENCHMARK(BM_EngineTcTupleExec)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_EngineTcTraceOn(benchmark::State& state) {
   EngineTraceBench(state, true);
@@ -616,14 +566,14 @@ BENCHMARK(BM_EngineTcScratchRecompute)
 
 // --- Rule-pipeline executors ----------------------------------------------
 //
-// The batch-vs-tuple executor ablation on a representative filter + probe
+// The batch runner against RunPipelineForTuple (the per-tuple form the
+// delete path's proof search runs) on a representative filter + probe
 // rule, isolated from coordination and merging: 256K driving rows through
 // an int filter (~50% selectivity) and two hash-join probes (the shared key
 // variable X triggers the paper's hash-join heuristic), emissions counted
 // through each executor's non-allocating sink. Single-threaded on purpose —
 // the executors differ in per-lane instruction count and probe cache
-// behaviour, not in parallel structure. Throughput is driving tuples/sec;
-// BENCH_PR6.json pins batch ≥ 1.5x tuple on this workload.
+// behaviour, not in parallel structure. Throughput is driving tuples/sec.
 
 constexpr uint32_t kPipeSrcRows = 1u << 18;
 constexpr uint32_t kPipeKeySpace = 1u << 19;  // Filter keeps X < 2^18: ~50%.
@@ -702,8 +652,8 @@ struct PipelineBenchSetup {
   }
 };
 
-/// Counting sink shared by both executors; the tuple side pays the same
-/// BuildWireTuple the engine's per-derivation thunk does.
+/// Counting sink shared by both executors; the tuple side pays the
+/// BuildWireTuple a per-derivation sink does.
 struct PipelineCountSink {
   const PhysicalRule* rule = nullptr;
   uint64_t count = 0;
@@ -780,12 +730,10 @@ AggSpec MinSpec() {
   return s;
 }
 
-void MergeBench(benchmark::State& state, bool agg_index, bool cache,
-                MergeIndexBackend backend) {
+void MergeBench(benchmark::State& state, bool agg_index, bool cache) {
   EngineOptions options;
   options.enable_aggregate_index = agg_index;
   options.enable_existence_cache = cache;
-  options.merge_index_backend = backend;
   Rng rng(1);
   std::vector<std::vector<TupleBuf>> batches;
   for (int b = 0; b < 64; ++b) {
@@ -803,33 +751,22 @@ void MergeBench(benchmark::State& state, bool agg_index, bool cache,
   state.SetItemsProcessed(state.iterations() * 64 * 1024);
 }
 
-// The BM_MergeMin{Indexed,IndexedNoCache,LinearScan} trio predates the flat
-// merge backend; they stay pinned to kBtree so the historical Table 4 numbers
-// in EXPERIMENTS.md remain reproducible. BM_MergeMinFlat is the same workload
-// on the flat group map.
+// The §6 switches on the flat merge structures: the aggregate index with
+// and without the existence cache, and the linear-scan baseline.
 void BM_MergeMinIndexed(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/true, /*cache=*/true,
-             MergeIndexBackend::kBtree);
+  MergeBench(state, /*agg_index=*/true, /*cache=*/true);
 }
 BENCHMARK(BM_MergeMinIndexed);
 
 void BM_MergeMinIndexedNoCache(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/true, /*cache=*/false,
-             MergeIndexBackend::kBtree);
+  MergeBench(state, /*agg_index=*/true, /*cache=*/false);
 }
 BENCHMARK(BM_MergeMinIndexedNoCache);
 
 void BM_MergeMinLinearScan(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/false, /*cache=*/false,
-             MergeIndexBackend::kBtree);
+  MergeBench(state, /*agg_index=*/false, /*cache=*/false);
 }
 BENCHMARK(BM_MergeMinLinearScan);
-
-void BM_MergeMinFlat(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/true, /*cache=*/true,
-             MergeIndexBackend::kFlat);
-}
-BENCHMARK(BM_MergeMinFlat);
 
 AggSpec NoneSpec() {
   AggSpec s;
@@ -841,14 +778,12 @@ AggSpec NoneSpec() {
   return s;
 }
 
-// The PR 5 acceptance workload: a 1M-tuple kNone dedup merge. Tuples are
-// drawn from a 2^20-pair universe, so ~37% of arrivals are duplicates —
-// every wire exercises both the probe and (often) the insert path. Batches
-// are engine-sized (4096) so the flat backend's prefetch pipeline runs at
-// its real depth.
-void MergeNoneBench(benchmark::State& state, MergeIndexBackend backend) {
-  EngineOptions options;
-  options.merge_index_backend = backend;
+// A 1M-tuple kNone dedup merge. Tuples are drawn from a 2^20-pair
+// universe, so ~37% of arrivals are duplicates — every wire exercises both
+// the probe and (often) the insert path. Batches are engine-sized (4096)
+// so the merge's prefetch pipeline runs at its real depth.
+void BM_MergeNoneFlat(benchmark::State& state) {
+  const EngineOptions options;
   Rng rng(1);
   const int64_t total = state.range(0);
   const int64_t kBatch = 4096;
@@ -868,16 +803,7 @@ void MergeNoneBench(benchmark::State& state, MergeIndexBackend backend) {
   }
   state.SetItemsProcessed(state.iterations() * total);
 }
-
-void BM_MergeNoneFlat(benchmark::State& state) {
-  MergeNoneBench(state, MergeIndexBackend::kFlat);
-}
 BENCHMARK(BM_MergeNoneFlat)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
-
-void BM_MergeNoneBtree(benchmark::State& state) {
-  MergeNoneBench(state, MergeIndexBackend::kBtree);
-}
-BENCHMARK(BM_MergeNoneBtree)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dcdatalog

@@ -17,26 +17,6 @@ const char* CoordinationModeName(CoordinationMode mode) {
   return "unknown";
 }
 
-const char* MergeIndexBackendName(MergeIndexBackend backend) {
-  switch (backend) {
-    case MergeIndexBackend::kFlat:
-      return "flat";
-    case MergeIndexBackend::kBtree:
-      return "btree";
-  }
-  return "unknown";
-}
-
-const char* PipelineExecutorName(PipelineExecutor executor) {
-  switch (executor) {
-    case PipelineExecutor::kBatch:
-      return "batch";
-    case PipelineExecutor::kTuple:
-      return "tuple";
-  }
-  return "unknown";
-}
-
 EngineOptions EngineOptions::Resolved() const {
   EngineOptions out = *this;
   if (out.num_workers == 0) {
@@ -57,8 +37,6 @@ std::string EngineOptions::ToString() const {
      << ", spsc_capacity=" << spsc_capacity
      << ", agg_index=" << (enable_aggregate_index ? "on" : "off")
      << ", exist_cache=" << (enable_existence_cache ? "on" : "off")
-     << ", merge_backend=" << MergeIndexBackendName(merge_index_backend)
-     << ", pipeline=" << PipelineExecutorName(pipeline_executor)
      << ", trace=" << (enable_trace ? "on" : "off") << "}";
   return os.str();
 }

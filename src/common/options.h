@@ -17,27 +17,6 @@ enum class CoordinationMode : uint8_t {
 
 const char* CoordinationModeName(CoordinationMode mode);
 
-/// Which index family backs the RecursiveTable merge paths (§6.2.1).
-enum class MergeIndexBackend : uint8_t {
-  kFlat = 0,   // Open-addressed flat structures (storage/flat_{set,map}.h)
-               // with the prefetch-pipelined batch merge — the hot path.
-  kBtree = 1,  // The original B+-tree indexes; kept as the Table 4 ablation
-               // baseline and as the differential-fuzzing cross-check.
-};
-
-const char* MergeIndexBackendName(MergeIndexBackend backend);
-
-/// Which rule-pipeline executor the workers run (§5.2).
-enum class PipelineExecutor : uint8_t {
-  kBatch = 0,  // Vectorized batch-at-a-time: columnar register banks,
-               // selection vectors, prefetch-pipelined probes — the hot
-               // path (runtime/batch_pipeline.h).
-  kTuple = 1,  // The original depth-first tuple-at-a-time executor; kept as
-               // the ablation baseline and differential-fuzzing cross-check.
-};
-
-const char* PipelineExecutorName(PipelineExecutor executor);
-
 /// Engine-wide tuning knobs. Defaults reproduce the configuration the paper
 /// evaluates (DWS with all §6 optimizations on).
 struct EngineOptions {
@@ -65,23 +44,13 @@ struct EngineOptions {
   bool enable_aggregate_index = true;
 
   /// §6.2.2: constant-time existence/aggregate cache consulted before the
-  /// B+-tree index.
+  /// flat merge index.
   bool enable_existence_cache = true;
 
   /// §5.2.3 / Figure 7: fold min/max derivations per group inside
   /// Distribute before routing, so only each iteration's per-group best
   /// crosses worker boundaries.
   bool enable_partial_aggregation = true;
-
-  /// §6.2.1 merge-path index family. Flat open addressing is the default
-  /// hot path; the B+-tree backend survives as the ablation baseline
-  /// (`--merge-index-backend=btree` reproduces the pre-flat numbers).
-  MergeIndexBackend merge_index_backend = MergeIndexBackend::kFlat;
-
-  /// §5.2 rule-pipeline executor. Batch-at-a-time is the default hot path;
-  /// the tuple-at-a-time executor survives as the ablation baseline
-  /// (`--pipeline-executor=tuple` reproduces the pre-batch numbers).
-  PipelineExecutor pipeline_executor = PipelineExecutor::kBatch;
 
   /// Existence-cache slots per worker (direct-mapped).
   uint32_t existence_cache_slots = 1 << 15;

@@ -65,7 +65,7 @@ struct IncrementalHooks {
   /// Adopt the retained tables (update mode) instead of building fresh
   /// ones. Each worker rebinds the tables' debug writer affinity to itself.
   bool adopt = false;
-  /// On fresh builds, enable support counting on kNone flat tables so the
+  /// On fresh builds, enable support counting on kNone tables so the
   /// counting delete path can maintain them later.
   bool enable_counts = false;
   /// Phase 0 drives the SCC's update rules over rows past the relation
@@ -172,10 +172,9 @@ class SccExecutor {
     uint32_t wid = 0;
     SccExecutor* exec = nullptr;
     std::vector<std::unique_ptr<RecursiveTable>>* replicas = nullptr;
-    std::vector<uint64_t> regs;
     /// Batch-at-a-time executor state (columnar banks, selection vectors);
     /// reused across rules and iterations so steady-state batches never
-    /// allocate. Untouched under --pipeline-executor=tuple.
+    /// allocate.
     BatchPipelineRunner batch_runner;
     std::unique_ptr<Distributor> distributor;
     DwsController dws;
@@ -307,19 +306,6 @@ class SccExecutor {
       }
     }
 
-    // Register scratch sized for the widest rule.
-    uint32_t max_regs = 1;
-    for (const PhysicalRule& r : scc_.base_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    for (const PhysicalRule& r : scc_.delta_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    for (const PhysicalRule& r : scc_.update_rules) {
-      max_regs = std::max(max_regs, r.num_regs);
-    }
-    ctx.regs.assign(max_regs, 0);
-
     // Sink thunks take the WorkerContext through the {fn, ctx} pair — ctx
     // lives on this frame for the whole SCC run, and carries the exec
     // pointer for the backpressure path. Plain function pointers, not
@@ -382,21 +368,8 @@ class SccExecutor {
     ws.pipeline_rows_selected = ctx.batch_runner.rows_selected();
   }
 
-  /// Non-allocating emit thunks (EmitSink / BatchEmitSink): plain function
-  /// pointers plus a stack-held context, replacing the old per-rule
-  /// capturing std::function.
-  struct RuleEmitCtx {
-    WorkerContext* ctx;
-    const PhysicalRule* rule;
-  };
-
-  DCD_HOT_ROOT static void EmitTupleThunk(void* c, const uint64_t* regs) {
-    auto* e = static_cast<RuleEmitCtx*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(e->rule->head, regs, wire);
-    e->ctx->distributor->Emit(e->rule->head, wire);
-  }
-
+  /// Non-allocating emit thunk (BatchEmitSink): a plain function pointer
+  /// plus the worker's context, not a capturing std::function.
   DCD_HOT_ROOT static void EmitBatchThunk(void* c, const HeadSpec& head,
                                           const uint64_t* wires,
                                           uint32_t count,
@@ -429,23 +402,12 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.base_rules) {
       PreparePipeline(rule, &pctx);
-      RuleEmitCtx ectx{ctx, &rule};
-      const EmitSink emit{&EmitTupleThunk, &ectx};
-      const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
       if (rule.driving_is_unit) {
-        if (ctx->wid == 0) {
-          if (batch) {
-            ctx->batch_runner.RunUnit(rule, &pctx, batch_emit);
-          } else {
-            RunPipelineUnit(rule, pctx, emit);
-          }
-        }
+        if (ctx->wid == 0) ctx->batch_runner.RunUnit(rule, &pctx, emit);
         continue;
       }
       const Relation* rel = catalog_->Find(rule.driving_relation);
@@ -453,17 +415,11 @@ class SccExecutor {
       const uint64_t size = rel->size();
       const uint64_t begin = size * ctx->wid / n_;
       const uint64_t end = size * (ctx->wid + 1) / n_;
-      if (batch) {
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        for (uint64_t r = begin; r < end; ++r) {
-          ctx->batch_runner.Push(rel->Row(r));
-        }
-        ctx->batch_runner.Finish();
-      } else {
-        for (uint64_t r = begin; r < end; ++r) {
-          RunPipelineForTuple(rule, pctx, rel->Row(r), emit);
-        }
+      ctx->batch_runner.Begin(rule, &pctx, emit);
+      for (uint64_t r = begin; r < end; ++r) {
+        ctx->batch_runner.Push(rel->Row(r));
       }
+      ctx->batch_runner.Finish();
     }
   }
 
@@ -478,10 +434,8 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.update_rules) {
       DCD_COLD_CALL("catalog lookup once per update rule per batch, never per driven row");
       const Relation* rel = catalog_->Find(rule.driving_relation);
@@ -494,42 +448,23 @@ class SccExecutor {
       }
       if (wm >= size) continue;
       PreparePipeline(rule, &pctx);
-      RuleEmitCtx ectx{ctx, &rule};
-      const EmitSink emit{&EmitTupleThunk, &ectx};
-      const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
+      ctx->batch_runner.Begin(rule, &pctx, emit);
       if (rule.update_partition_col >= 0) {
         const uint32_t col = static_cast<uint32_t>(rule.update_partition_col);
-        if (batch) {
-          ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-          for (uint64_t r = wm; r < size; ++r) {
-            TupleRef row = rel->Row(r);
-            if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
-            ctx->batch_runner.Push(row);
-          }
-          ctx->batch_runner.Finish();
-        } else {
-          for (uint64_t r = wm; r < size; ++r) {
-            TupleRef row = rel->Row(r);
-            if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
-            RunPipelineForTuple(rule, pctx, row, emit);
-          }
+        for (uint64_t r = wm; r < size; ++r) {
+          TupleRef row = rel->Row(r);
+          if (PartitionOf(row.data[col], n_) != ctx->wid) continue;
+          ctx->batch_runner.Push(row);
         }
       } else {
         const uint64_t fresh = size - wm;
         const uint64_t begin = wm + fresh * ctx->wid / n_;
         const uint64_t end = wm + fresh * (ctx->wid + 1) / n_;
-        if (batch) {
-          ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-          for (uint64_t r = begin; r < end; ++r) {
-            ctx->batch_runner.Push(rel->Row(r));
-          }
-          ctx->batch_runner.Finish();
-        } else {
-          for (uint64_t r = begin; r < end; ++r) {
-            RunPipelineForTuple(rule, pctx, rel->Row(r), emit);
-          }
+        for (uint64_t r = begin; r < end; ++r) {
+          ctx->batch_runner.Push(rel->Row(r));
         }
       }
+      ctx->batch_runner.Finish();
     }
   }
 
@@ -623,30 +558,19 @@ class SccExecutor {
     pctx.catalog = catalog_;
     pctx.base_indexes = base_indexes_;
     pctx.replicas = ctx->replicas;
-    pctx.regs = ctx->regs.data();
 
-    const bool batch =
-        options_.pipeline_executor == PipelineExecutor::kBatch;
+    const BatchEmitSink emit{&EmitBatchThunk, ctx};
     for (const PhysicalRule& rule : scc_.delta_rules) {
       const size_t dr = rule.driving_replica;
       const auto& snapshot = snapshots[dr];
       if (snapshot.empty()) continue;
       PreparePipeline(rule, &pctx);
       const uint32_t arity = (*ctx->replicas)[dr]->stored_arity();
-      if (batch) {
-        const BatchEmitSink batch_emit{&EmitBatchThunk, ctx};
-        ctx->batch_runner.Begin(rule, &pctx, batch_emit);
-        for (const TupleBuf& t : snapshot) {
-          ctx->batch_runner.Push(t.Ref(arity));
-        }
-        ctx->batch_runner.Finish();
-      } else {
-        RuleEmitCtx ectx{ctx, &rule};
-        const EmitSink emit{&EmitTupleThunk, &ectx};
-        for (const TupleBuf& t : snapshot) {
-          RunPipelineForTuple(rule, pctx, t.Ref(arity), emit);
-        }
+      ctx->batch_runner.Begin(rule, &pctx, emit);
+      for (const TupleBuf& t : snapshot) {
+        ctx->batch_runner.Push(t.Ref(arity));
       }
+      ctx->batch_runner.Finish();
     }
     ctx->distributor->Flush();
     const int64_t end = MonotonicNanos();
@@ -1334,14 +1258,12 @@ Result<EvalStats> Engine::RunRetaining() {
   st->replica_watermarks.assign(st->plan.sccs.size(), {});
   st->counts_valid.assign(st->plan.sccs.size(), 0);
   st->layouts.clear();
-  const bool flat =
-      options_.merge_index_backend == MergeIndexBackend::kFlat;
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
     const SccPlan& scc = st->plan.sccs[s];
     DCD_RETURN_IF_ERROR(st->SyncSccIndexes(scc, *catalog_));
-    // Support counting rides beside kNone flat existence sets in
-    // non-recursive SCCs, where arrivals equal derivations exactly.
-    bool counts = flat && !scc.recursive && st->have_update_rules;
+    // Support counting rides beside kNone existence sets in non-recursive
+    // SCCs, where arrivals equal derivations exactly.
+    bool counts = !scc.recursive && st->have_update_rules;
     for (const std::string& pred : scc.derived_preds) {
       if (st->plan.agg_specs.at(pred).func != AggFunc::kNone) counts = false;
     }

@@ -42,14 +42,11 @@ struct EvalStats {
   uint64_t merges = 0;                  // Wire tuples offered to Gather.
   uint64_t accepts = 0;                 // ... that changed a table.
   uint64_t cache_hits = 0;              // Existence-cache fast paths.
-  /// Key/tuple comparisons spent probing the merge indexes — the collision
-  /// resolution work of whichever merge_index_backend is active. The
-  /// flat-vs-btree ablation reads differently here even when wall time is
-  /// close: probe comparisons are the dependent-load chain the flat
-  /// structures exist to shorten.
+  /// Key/tuple comparisons spent probing the flat merge indexes — the
+  /// collision resolution work, i.e. the dependent-load chain of each
+  /// merge lookup.
   uint64_t merge_probe_cmps = 0;
-  /// Driving batches the batch pipeline executor ran (0 under
-  /// --pipeline-executor=tuple — the ablation baseline has no batches).
+  /// Driving batches the batch pipeline executor ran.
   uint64_t pipeline_batches = 0;
   /// Driving rows admitted into batches after the driving scan's checks
   /// (the lanes the vectorized steps actually processed).

@@ -862,9 +862,9 @@ Result<PhysicalPlan> BuildPhysicalPlan(
   for (const auto& [name, info] : analysis.predicates()) {
     if (info.is_edb) continue;
     AggSpec spec = MakeAggSpec(program, analysis, name);
-    // The composite-key indexes bound group width: two words for min/max
-    // (a (group, row) B+-tree key), one word for count/sum (the other key
-    // word holds the contributor).
+    // The 128-bit merge keys bound group width: two words for min/max
+    // (the group key), one word for count/sum (the other key word holds
+    // the contributor).
     if ((spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) &&
         spec.group_arity > 2) {
       return Status::Unsupported("predicate '" + name +

@@ -33,9 +33,9 @@ struct BatchEmitSink {
   void* ctx = nullptr;
 };
 
-/// Vectorized batch-at-a-time pipeline executor (the default;
-/// EngineOptions::pipeline_executor selects the tuple-at-a-time executor in
-/// runtime/pipeline.h as the ablation baseline).
+/// Vectorized batch-at-a-time pipeline executor: the workers run every
+/// rule through it. (RunPipelineForTuple in runtime/pipeline.h is the
+/// depth-first per-tuple form the delete path's proof search uses.)
 ///
 /// Driving tuples are gathered into fixed-size batches of
 /// kBatchPipelineLanes rows. Registers are columnar banks — register r of

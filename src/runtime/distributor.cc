@@ -136,12 +136,6 @@ void Distributor::EmitResolved(PerPredicate& pp, const AggSpec& spec,
   }
 }
 
-DCD_HOT_ROOT void Distributor::Emit(const HeadSpec& head,
-                                    const uint64_t* wire) {
-  DCD_AFFINITY_GUARD(owner_affinity_);
-  EmitResolved(StateFor(head), head.agg, wire);
-}
-
 DCD_HOT_ROOT void Distributor::EmitBatch(const HeadSpec& head,
                                          const uint64_t* wires,
                                          uint32_t count, uint32_t wire_arity) {

@@ -58,14 +58,10 @@ class Distributor {
   Distributor(const SccPlan* scc, uint32_t num_workers, uint32_t self_worker,
               bool partial_agg, BlockSink sink, SelfLoopSink self_sink);
 
-  /// Accepts one wire tuple derived for `head`. Min/max tuples are folded
-  /// into the partial-aggregation buffer; everything else routes at once.
-  void Emit(const HeadSpec& head, const uint64_t* wire);
-
-  /// Batch form of Emit for the batch pipeline executor: `count` wire
-  /// tuples packed densely, `wire_arity` words each. Per-predicate state is
-  /// resolved once for the whole batch; folding and routing are per-tuple
-  /// identical to Emit.
+  /// Accepts `count` wire tuples derived for `head`, packed densely at
+  /// `wire_arity` words each. Per-predicate state is resolved once for the
+  /// whole batch. Min/max tuples are folded into the partial-aggregation
+  /// buffer; everything else routes at once.
   void EmitBatch(const HeadSpec& head, const uint64_t* wires, uint32_t count,
                  uint32_t wire_arity);
 
@@ -100,8 +96,7 @@ class Distributor {
 
   void Route(const PerPredicate& pp, const uint64_t* wire);
 
-  /// Emit with per-predicate state already resolved (shared by the single
-  /// and batch entry points).
+  /// Accepts one wire tuple with per-predicate state already resolved.
   void EmitResolved(PerPredicate& pp, const AggSpec& spec,
                     const uint64_t* wire);
 
@@ -142,7 +137,8 @@ class Distributor {
   uint64_t blocks_sent_ = 0;
   uint64_t self_loop_tuples_ = 0;
   // Debug-only owner stamp covering the staging blocks and partial-agg
-  // buffers: only the emitting worker may Emit/Flush (empty in release).
+  // buffers: only the emitting worker may EmitBatch/Flush (empty in
+  // release).
   DCD_AFFINITY_OWNER(owner_affinity_, "distributor-staging");
 #if DCD_CHAOS_ENABLED
   /// Per-worker routing counter for the DCD_INJECT_BUG=distributor_offbyone

@@ -119,12 +119,6 @@ DCD_HOT_ROOT void RunPipelineForTuple(const PhysicalRule& rule,
   ExecuteFrom(rule, ctx, 0, emit);
 }
 
-void RunPipelineUnit(const PhysicalRule& rule, const PipelineContext& ctx,
-                     const EmitSink& emit) {
-  DCD_DCHECK(rule.driving_is_unit);
-  ExecuteFrom(rule, ctx, 0, emit);
-}
-
 void BuildWireTuple(const HeadSpec& head, const uint64_t* regs,
                     uint64_t* wire) {
   for (size_t i = 0; i < head.wire_exprs.size(); ++i) {

@@ -18,8 +18,9 @@ struct PipelineContext {
   const BaseIndexSet* base_indexes = nullptr;
   /// This worker's replica partitions, indexed by replica id.
   const std::vector<std::unique_ptr<RecursiveTable>>* replicas = nullptr;
-  /// Register scratch, at least PhysicalRule::num_regs wide (tuple
-  /// executor; the batch executor carries its own columnar banks).
+  /// Register scratch, at least PhysicalRule::num_regs wide, for
+  /// RunPipelineForTuple (the batch executor carries its own columnar
+  /// banks).
   uint64_t* regs = nullptr;
   /// Scan relations resolved once per rule by PreparePipeline, indexed by
   /// step. The catalog registry is lock-guarded, so per-tuple Find calls
@@ -47,10 +48,11 @@ struct EmitSink {
 };
 
 // --- Shared step-compilation layer ----------------------------------------
-// Both executors apply the same residual-check/bind semantics per matched
-// tuple; the only difference is the register layout. These helpers take the
+// The batch executor and RunPipelineForTuple (the delete path's proof
+// search) apply the same residual-check/bind semantics per matched tuple;
+// the only difference is the register layout. These helpers take the
 // strided form (register r of lane `lane` lives at regs[r * stride + lane]);
-// the tuple executor passes stride = 1, lane = 0 and gets the flat layout.
+// RunPipelineForTuple passes stride = 1, lane = 0 and gets the flat layout.
 
 /// Applies a step's residual checks to a matched tuple and, on success,
 /// binds its output columns into registers. Returns false on any mismatch.
@@ -112,10 +114,6 @@ inline bool ApplyDrivingScanStrided(const PhysicalRule& rule, TupleRef driving,
 /// runs probes/filters/binds depth-first, calling `emit` per derivation.
 void RunPipelineForTuple(const PhysicalRule& rule, const PipelineContext& ctx,
                          TupleRef driving, const EmitSink& emit);
-
-/// Executes a unit-driven rule (no body atoms): runs the pipeline once.
-void RunPipelineUnit(const PhysicalRule& rule, const PipelineContext& ctx,
-                     const EmitSink& emit);
 
 /// Evaluates the head's wire expressions into `wire` (wire_arity words).
 void BuildWireTuple(const HeadSpec& head, const uint64_t* regs,

@@ -32,7 +32,6 @@ RecursiveTable::RecursiveTable(const std::string& name, Schema stored_schema,
       use_cache_(options.enable_existence_cache &&
                  (spec.func == AggFunc::kNone || spec.func == AggFunc::kMin ||
                   spec.func == AggFunc::kMax)),
-      use_flat_(options.merge_index_backend == MergeIndexBackend::kFlat),
       sum_epsilon_(options.sum_epsilon),
       rows_(name, std::move(stored_schema)),
       exist_set_(&rows_) {
@@ -60,7 +59,6 @@ void RecursiveTable::ReserveHint(uint64_t expected_rows) {
   if (expected_rows == 0) return;
   rows_.Reserve(expected_rows);
   if (use_join_index_) join_index_.Reserve(expected_rows);
-  if (!use_flat_) return;
   switch (spec_.func) {
     case AggFunc::kNone:
       exist_set_.Reserve(expected_rows);
@@ -80,18 +78,9 @@ void RecursiveTable::ReserveHint(uint64_t expected_rows) {
   }
 }
 
-uint64_t* RecursiveTable::FindGroup(const U128& group) {
-  return use_flat_ ? flat_group_.Find(group) : group_index_.FindFirst(group);
-}
-
 void RecursiveTable::InsertGroup(const U128& group, uint64_t row_id) {
-  if (use_flat_) {
-    bool inserted = false;
-    flat_group_.FindOrInsert(group, row_id, &inserted);
-  } else {
-    DCD_COLD_CALL("B+-tree group index is the non-default ablation backend; flat is hot");
-    group_index_.Insert(group, row_id);
-  }
+  bool inserted = false;
+  flat_group_.FindOrInsert(group, row_id, &inserted);
 }
 
 uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
@@ -136,35 +125,17 @@ bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
     }
     return false;
   }
-  if (use_flat_) {
-    // Existence check via the flat (hash, row id) set: one linear probe,
-    // full-tuple compare only on hash-equal slots.
-    const uint64_t found = exist_set_.Find(hash, tuple);
-    if (found != FlatTupleSet::kNotFound) {
-      if (maintain_counts_) exist_set_.IncrementCount(found);
-      CacheFill(hash, found);
-      return false;
-    }
-    const uint64_t row_id = AppendRow(wire);
-    exist_set_.Insert(hash, row_id);
-    if (maintain_counts_) exist_set_.IncrementCount(row_id);
-    CacheFill(hash, row_id);
-    PushDelta(row_id);
-    return true;
-  }
-  // Existence check via the B+-tree keyed (hash, row id); compare rows to
-  // rule out hash collisions.
-  for (auto it = group_index_.LowerBound(U128{hash, 0});
-       !it.AtEnd() && it.key().hi == hash; ++it) {
-    ++probe_cmps_;
-    if (rows_.Row(it.value()) == tuple) {
-      CacheFill(hash, it.value());
-      return false;
-    }
+  // Existence check via the flat (hash, row id) set: one linear probe,
+  // full-tuple compare only on hash-equal slots.
+  const uint64_t found = exist_set_.Find(hash, tuple);
+  if (found != FlatTupleSet::kNotFound) {
+    if (maintain_counts_) exist_set_.IncrementCount(found);
+    CacheFill(hash, found);
+    return false;
   }
   const uint64_t row_id = AppendRow(wire);
-  DCD_COLD_CALL("B+-tree dedup index is the non-default ablation backend; flat is hot");
-  group_index_.Insert(U128{hash, row_id}, row_id);
+  exist_set_.Insert(hash, row_id);
+  if (maintain_counts_) exist_set_.IncrementCount(row_id);
   CacheFill(hash, row_id);
   PushDelta(row_id);
   return true;
@@ -183,10 +154,7 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
     if (slot != 0) {
       const uint64_t row_id = slot - 1;
       TupleRef row = rows_.Row(row_id);
-      const bool group_match =
-          row[0] == wire[0] &&
-          (spec_.group_arity < 2 || row[1] == wire[1]);
-      if (group_match) {
+      if (SameGroup(row.data, wire)) {
         ++cache_hits_;
         if (!BetterValue(candidate, row[value_col])) return false;
         rows_.SetWord(row_id, value_col, candidate);
@@ -196,7 +164,7 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
     }
   }
 
-  uint64_t* row_slot = FindGroup(group);
+  uint64_t* row_slot = flat_group_.Find(group);
   if (row_slot == nullptr) {
     const uint64_t row_id = AppendRow(wire);
     InsertGroup(group, row_id);
@@ -217,19 +185,13 @@ bool RecursiveTable::MergeCount(const uint64_t* wire) {
   const uint64_t group = spec_.group_arity > 0 ? wire[0] : 0;
   const uint64_t contributor = wire[spec_.group_arity];
   const U128 contrib_key{group, contributor};
-  if (use_flat_) {
-    bool inserted = false;
-    flat_contrib_.FindOrInsert(contrib_key, 1, &inserted);
-    if (!inserted) return false;  // Contributor already counted.
-  } else {
-    if (contrib_index_.FindFirst(contrib_key) != nullptr) return false;
-    DCD_COLD_CALL("B+-tree contributor index is the non-default ablation backend");
-    contrib_index_.Insert(contrib_key, 1);
-  }
+  bool inserted = false;
+  flat_contrib_.FindOrInsert(contrib_key, 1, &inserted);
+  if (!inserted) return false;  // Contributor already counted.
 
   const U128 gkey{group, 0};
   const uint32_t value_col = spec_.stored_arity - 1;
-  uint64_t* row_slot = FindGroup(gkey);
+  uint64_t* row_slot = flat_group_.Find(gkey);
   if (row_slot == nullptr) {
     uint64_t stored[kMaxArity];
     stored[0] = group;
@@ -258,17 +220,10 @@ bool RecursiveTable::MergeSum(const uint64_t* wire) {
 
   double delta_d = 0.0;
   int64_t delta_i = 0;
-  uint64_t* last = nullptr;
+  // One probe both finds and (if absent) inserts the contributor.
   bool first_contribution;
-  if (use_flat_) {
-    // One probe both finds and (if absent) inserts the contributor.
-    last = flat_contrib_.FindOrInsert(contrib_key, value, &first_contribution);
-  } else {
-    last = contrib_index_.FindFirst(contrib_key);
-    first_contribution = last == nullptr;
-    DCD_COLD_CALL("B+-tree contributor index is the non-default ablation backend");
-    if (first_contribution) contrib_index_.Insert(contrib_key, value);
-  }
+  uint64_t* last =
+      flat_contrib_.FindOrInsert(contrib_key, value, &first_contribution);
   if (first_contribution) {
     if (is_double) {
       delta_d = DoubleFromWord(value);
@@ -288,7 +243,7 @@ bool RecursiveTable::MergeSum(const uint64_t* wire) {
 
   const U128 gkey{group, 0};
   const uint32_t value_col = spec_.stored_arity - 1;
-  uint64_t* row_slot = FindGroup(gkey);
+  uint64_t* row_slot = flat_group_.Find(gkey);
   if (row_slot == nullptr) {
     uint64_t stored[kMaxArity];
     stored[0] = group;
@@ -327,19 +282,10 @@ DCD_HOT_ROOT bool RecursiveTable::MergeWire(const uint64_t* wire) {
 }
 
 void RecursiveTable::EnableSupportCounts() {
-  DCD_CHECK(spec_.func == AggFunc::kNone && use_flat_)
-      << "support counts require a kNone flat-backend table";
+  DCD_CHECK(spec_.func == AggFunc::kNone)
+      << "support counts require a kNone table";
   maintain_counts_ = true;
   exist_set_.EnableCounts();
-}
-
-uint64_t RecursiveTable::FindRowId(TupleRef tuple, uint64_t hash) const {
-  if (use_flat_) return exist_set_.Lookup(hash, tuple);
-  for (auto it = group_index_.LowerBound(U128{hash, 0});
-       !it.AtEnd() && it.key().hi == hash; ++it) {
-    if (rows_.Row(it.value()) == tuple) return it.value();
-  }
-  return UINT64_MAX;
 }
 
 void RecursiveTable::CompactRemoveRows(
@@ -366,21 +312,14 @@ void RecursiveTable::CompactRemoveRows(
   }
   rows_ = std::move(survivors);  // exist_set_ backs onto &rows_: unchanged.
 
-  // Rebuild whichever existence index is active over the new row ids.
+  // Rebuild the existence set over the new row ids.
   exist_set_ = FlatTupleSet(&rows_);
   if (maintain_counts_) exist_set_.EnableCounts();
   const uint64_t survivors_n = rows_.size();
-  if (use_flat_) {
-    exist_set_.Reserve(survivors_n);
-    for (uint64_t r = 0; r < survivors_n; ++r) {
-      exist_set_.Insert(rows_.Row(r).Hash(), r);
-      if (maintain_counts_) exist_set_.SetCount(r, survivor_counts[r]);
-    }
-  } else {
-    group_index_ = BPlusTree<U128, uint64_t>();
-    for (uint64_t r = 0; r < survivors_n; ++r) {
-      group_index_.Insert(U128{rows_.Row(r).Hash(), r}, r);
-    }
+  exist_set_.Reserve(survivors_n);
+  for (uint64_t r = 0; r < survivors_n; ++r) {
+    exist_set_.Insert(rows_.Row(r).Hash(), r);
+    if (maintain_counts_) exist_set_.SetCount(r, survivor_counts[r]);
   }
 
   join_index_ = DynIndex();
@@ -409,7 +348,6 @@ void RecursiveTable::ResetStats() {
   merges_ = 0;
   accepts_ = 0;
   cache_hits_ = 0;
-  probe_cmps_ = 0;
   probe_cmps_base_ = exist_set_.probe_cmps() + flat_group_.probe_cmps() +
                      flat_contrib_.probe_cmps();
 }
@@ -447,11 +385,7 @@ void RecursiveTable::MergeMinMaxBatchByScan(const uint64_t* words,
     auto it = best.find(gh);
     if (it == best.end()) continue;
     // Hash match — confirm the group columns really match.
-    const uint64_t* wire = it->second.wire;
-    if (row[0] != wire[0] ||
-        (spec_.group_arity > 1 && row[1] != wire[1])) {
-      continue;
-    }
+    if (!SameGroup(row.data, it->second.wire)) continue;
     it->second.matched = true;
     if (BetterValue(it->second.value, row[value_col])) {
       rows_.SetWord(r, value_col, it->second.value);
@@ -467,8 +401,8 @@ void RecursiveTable::MergeMinMaxBatchByScan(const uint64_t* words,
     }
     stored[value_col] = pending.value;
     const uint64_t row_id = AppendRow(stored);
-    // Keep whichever backend's group index is active coherent, so a later
-    // indexed merge (or cache miss fallback) still finds this group.
+    // Keep the group index coherent, so a later indexed merge (or cache
+    // miss fallback) still finds this group.
     InsertGroup(GroupKey(stored), row_id);
     PushDelta(row_id);
   }
@@ -493,7 +427,7 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
           TupleRef{words + i * stride, spec_.stored_arity}.Hash();
     }
     for (size_t i = 0; i < count; ++i) {
-      if (use_flat_ && i + kPrefetchDistance < count) {
+      if (i + kPrefetchDistance < count) {
         exist_set_.Prefetch(batch_hashes_[i + kPrefetchDistance]);
       }
       ++merges_;

@@ -9,7 +9,6 @@
 #include "common/affinity.h"
 #include "common/options.h"
 #include "planner/physical_plan.h"
-#include "storage/btree.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
 #include "storage/flat_set.h"
@@ -32,14 +31,9 @@ namespace dcdatalog {
 ///           latest value replaces its previous one (the PageRank pattern);
 ///           changes below EngineOptions::sum_epsilon do not re-enter δ.
 ///
-/// Two interchangeable index backends implement those semantics
-/// (EngineOptions::merge_index_backend): the default `flat` backend uses
-/// open-addressed structures (FlatTupleSet for kNone existence,
-/// FlatGroupMap for group → row and contributor → value) with a
-/// prefetch-pipelined kNone MergeBatch; the `btree` backend keeps the
-/// original B+-tree indexes as the Table 4 ablation baseline. Both produce
-/// identical stored rows and deltas (cross-checked by the differential
-/// fuzzer's backend axis).
+/// Open-addressed flat structures implement those semantics: FlatTupleSet
+/// for kNone existence and FlatGroupMap for group → row and contributor →
+/// value, with a prefetch-pipelined kNone MergeBatch.
 ///
 /// Every state change appends the new stored row to the delta. Not
 /// internally synchronized — each worker owns its tables.
@@ -68,7 +62,7 @@ class RecursiveTable {
   bool MergeWire(const uint64_t* wire);
 
   /// EDB-cardinality presizing hint: reserves row storage, the join index,
-  /// and the active flat merge structures for ~`expected_rows` entries so
+  /// and the flat merge structures for ~`expected_rows` entries so
   /// the first iterations of a TC-style run don't pay growth rehashes.
   /// A min/max group map is left to grow: it holds one entry per group,
   /// not per driving row. A hint, not a cap — structures still grow past
@@ -121,7 +115,7 @@ class RecursiveTable {
 
   // --- Incremental maintenance (retained tables between update batches) ---
 
-  /// Enables per-row support counting (kNone + flat backend only): every
+  /// Enables per-row support counting (kNone tables only): every
   /// arrival of a tuple — fresh insert, duplicate find, or existence-cache
   /// hit — bumps the row's derivation counter riding beside the flat
   /// existence set's slots. In a non-recursive stratum arrivals equal
@@ -148,18 +142,16 @@ class RecursiveTable {
     return FindRowId(tuple, tuple.Hash());
   }
   /// The same, with `hash` = tuple.Hash() computed by the caller.
-  uint64_t FindRowId(TupleRef tuple, uint64_t hash) const;
+  uint64_t FindRowId(TupleRef tuple, uint64_t hash) const {
+    return exist_set_.Lookup(hash, tuple);
+  }
 
-  /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash` (flat
-  /// backend; no-ops on btree): the existence slot first, then — once that
-  /// is cached — the row it names. Lookups that resolve a batch of tuples
-  /// issue each stage for the whole batch so the misses overlap.
-  void PrefetchFindSlot(uint64_t hash) const {
-    if (use_flat_) exist_set_.Prefetch(hash);
-  }
-  void PrefetchFindRow(uint64_t hash) const {
-    if (use_flat_) exist_set_.PrefetchRow(hash);
-  }
+  /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash`: the
+  /// existence slot first, then — once that is cached — the row it names.
+  /// Lookups that resolve a batch of tuples issue each stage for the whole
+  /// batch so the misses overlap.
+  void PrefetchFindSlot(uint64_t hash) const { exist_set_.Prefetch(hash); }
+  void PrefetchFindRow(uint64_t hash) const { exist_set_.PrefetchRow(hash); }
 
   /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
   /// merge/join indexes over the survivors; clears the existence cache and
@@ -196,10 +188,10 @@ class RecursiveTable {
   uint64_t cache_hits() const { return cache_hits_; }
 
   /// Key/tuple comparisons spent probing the merge indexes (collision
-  /// resolution work across both backends) — the engine surfaces the sum
-  /// as EvalStats::merge_probe_cmps.
+  /// resolution work) — the engine surfaces the sum as
+  /// EvalStats::merge_probe_cmps.
   uint64_t merge_probe_cmps() const {
-    const uint64_t total = probe_cmps_ + exist_set_.probe_cmps() +
+    const uint64_t total = exist_set_.probe_cmps() +
                            flat_group_.probe_cmps() +
                            flat_contrib_.probe_cmps();
     // A compaction rebuild resets the flat structures' counters, so the
@@ -213,6 +205,14 @@ class RecursiveTable {
     k.hi = spec_.group_arity > 0 ? wire[0] : 0;
     k.lo = spec_.group_arity > 1 ? wire[1] : 0;
     return k;
+  }
+
+  /// Whether two stored rows or wires agree on the group columns — only the
+  /// first group_arity columns, as in GroupKey. With no group columns every
+  /// row belongs to the one group.
+  bool SameGroup(const uint64_t* a, const uint64_t* b) const {
+    return (spec_.group_arity < 1 || a[0] == b[0]) &&
+           (spec_.group_arity < 2 || a[1] == b[1]);
   }
 
   bool BetterValue(uint64_t candidate, uint64_t current) const;
@@ -232,10 +232,9 @@ class RecursiveTable {
   bool MergeCount(const uint64_t* wire);
   bool MergeSum(const uint64_t* wire);
 
-  /// Backend-dispatched group-index primitives shared by the aggregate
-  /// merge paths (and the scan-ablation path, which must keep whichever
-  /// index is active coherent for later indexed lookups).
-  uint64_t* FindGroup(const U128& group);
+  /// Adds a new group's row to the group index (the aggregate merge paths
+  /// and the scan-ablation path, which must keep the index coherent for
+  /// later indexed lookups).
   void InsertGroup(const U128& group, uint64_t row_id);
 
   /// Linear-scan merge for min/max batches (ablation path).
@@ -251,21 +250,11 @@ class RecursiveTable {
   const bool use_join_index_;
   const bool use_agg_index_;
   const bool use_cache_;
-  const bool use_flat_;
   const double sum_epsilon_;
 
   Relation rows_;
   std::vector<TupleBuf> delta_;
 
-  // --- btree backend (Table 4 ablation baseline) ---
-  // For kNone: key = (tuple hash, row id) — exact after row comparison.
-  // For aggregates: key = group key, value = row id.
-  BPlusTree<U128, uint64_t> group_index_;
-  // For count/sum: key = (group word, contributor), value = last value word
-  // (sum) or unused (count).
-  BPlusTree<U128, uint64_t> contrib_index_;
-
-  // --- flat backend (default hot path) ---
   FlatTupleSet exist_set_;    // kNone existence, keyed (hash, row id).
   FlatGroupMap flat_group_;   // aggregate group key → row id.
   FlatGroupMap flat_contrib_; // count/sum (group, contributor) → last value.
@@ -292,8 +281,6 @@ class RecursiveTable {
   uint64_t merges_ = 0;
   uint64_t accepts_ = 0;
   uint64_t cache_hits_ = 0;
-  uint64_t probe_cmps_ = 0;  // btree-path comparisons; flat counts live
-                             // inside the flat structures.
 
   // Change log (StartChangeLog): rows below the floor that changed in
   // place. The floor stays 0, and nothing is logged, outside incremental
@@ -301,7 +288,7 @@ class RecursiveTable {
   uint64_t change_floor_ = 0;
   std::vector<uint64_t> changed_rows_;
 
-  // Incremental sessions: support counting (kNone + flat) and the
+  // Incremental sessions: support counting (kNone only) and the
   // probe-comparison baseline ResetStats subtracts so merge_probe_cmps()
   // stays per-batch even though the flat structures' counters accumulate.
   bool maintain_counts_ = false;

@@ -8,12 +8,23 @@
 
 #include "common/hash.h"
 #include "common/hot_path.h"
-#include "storage/btree.h"  // U128
 
 namespace dcdatalog {
 
+/// 128-bit composite key (two tuple words): a group-by key of up to two
+/// columns, or a (group, contributor) pair such as the ⟨X, Y⟩ contribution
+/// key PageRank needs (paper §6.2.1).
+struct U128 {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+
+  friend bool operator==(const U128& a, const U128& b) {
+    return a.hi == b.hi && a.lo == b.lo;
+  }
+};
+
 /// Flat open-addressed map from a 128-bit key to one 64-bit word — the
-/// cache-friendly replacement for the merge path's B+-tree indexes:
+/// index behind the recursive tables' aggregate merge paths:
 ///   min/max:   group key        → row id of the group's current row
 ///   count/sum: (group, contrib) → contributor's last value word
 /// and, as the Distributor's partial-aggregation fold map,

@@ -99,8 +99,6 @@ RunOutcome RunEngineOnce(const FuzzCase& c, const RunConfig& config,
   EngineOptions options;
   options.num_workers = config.num_workers;
   options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
   DCDatalog db(options);
   Status load = c.Load(&db);
@@ -135,8 +133,6 @@ RunOutcome RunEngineTraced(const FuzzCase& c, const RunConfig& config,
   EngineOptions options;
   options.num_workers = config.num_workers;
   options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
   options.enable_trace = true;
   DCDatalog db(options);
@@ -201,8 +197,6 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
   EngineOptions options;
   options.num_workers = config.num_workers;
   options.coordination = config.mode;
-  options.merge_index_backend = config.merge_backend;
-  options.pipeline_executor = config.pipeline;
   options.max_global_iterations = config.max_global_iterations;
   DCDatalog db(options);
   Status load = c.Load(&db);

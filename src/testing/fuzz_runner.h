@@ -29,14 +29,6 @@ const char* OutcomeKindName(OutcomeKind kind);
 struct RunConfig {
   CoordinationMode mode = CoordinationMode::kDws;
   uint32_t num_workers = 4;
-  /// Merge-path index family (the backend axis): every generated case runs
-  /// flat and btree against the same oracle, so the two backends stay
-  /// multiset-equivalent across all rule families by construction.
-  MergeIndexBackend merge_backend = MergeIndexBackend::kFlat;
-  /// Rule-pipeline executor (the pipelines axis): cases run batch and tuple
-  /// against the same oracle, so the vectorized executor and the
-  /// tuple-at-a-time baseline stay multiset-equivalent by construction.
-  PipelineExecutor pipeline = PipelineExecutor::kBatch;
   /// Safety valve forwarded to EngineOptions so a termination-detection bug
   /// surfaces as kEngineError instead of spinning forever (the fork-based
   /// driver additionally wall-clock-kills true hangs).

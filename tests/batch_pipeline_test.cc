@@ -1,8 +1,11 @@
 // Unit tests for the vectorized batch pipeline executor (§5.2): drives
 // BatchPipelineRunner directly over planner-compiled base rules and checks
-// the selection-vector edge cases against the tuple-at-a-time executor —
-// empty batches, batches the filters empty out entirely, and probe fan-out
-// larger than one batch from a single driving row.
+// the selection-vector edge cases against the tuple-at-a-time
+// RunPipelineForTuple — empty batches, batches the filters empty out
+// entirely, and probe fan-out larger than one batch from a single driving
+// row. The engine evaluates rules only through the batch runner, and the
+// delete path's proof search only through RunPipelineForTuple, so this is
+// the one place the two are checked against each other.
 
 #include <gtest/gtest.h>
 

@@ -4,9 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
 #include <string>
-#include <tuple>
 
 #include "common/random.h"
 #include "core/dcdatalog.h"
@@ -456,33 +456,23 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor ablation: every correctness scenario below runs under both the
-// batch-at-a-time executor (default) and the tuple-at-a-time baseline, the
-// same way RecursiveTableModes parameterizes the merge-index backends.
+// Every correctness scenario below runs from scratch and as an incremental
+// session, and is diffed against the single-threaded reference oracle.
 
 /// How a parameterized run reaches its fixpoint: one from-scratch Run(), or
 /// an incremental session seeded with half the EDB whose second half
 /// arrives as a streaming update batch. Both must produce identical rows.
 enum class EvalMode { kScratch, kIncrementalSplit };
 
-class EnginePipelines
-    : public ::testing::TestWithParam<std::tuple<PipelineExecutor, EvalMode>> {
+class EnginePipelines : public ::testing::TestWithParam<EvalMode> {
  protected:
-  EngineOptions POpts(uint32_t workers, CoordinationMode mode) const {
-    EngineOptions o = Opts(workers, mode);
-    o.pipeline_executor = std::get<0>(GetParam());
-    return o;
-  }
-
-  EvalMode Mode() const { return std::get<1>(GetParam()); }
-
   // Runs `program` over `g` loaded as "arc" and returns `pred`'s rows.
   std::set<std::vector<uint64_t>> RunRows(const EngineOptions& o,
                                           const Graph& g,
                                           const std::string& program,
                                           const std::string& pred) {
     DCDatalog db(o);
-    if (Mode() == EvalMode::kScratch) {
+    if (GetParam() == EvalMode::kScratch) {
       db.AddGraph(g, "arc");
       EXPECT_TRUE(db.LoadProgramText(program).ok());
       auto stats = db.Run();
@@ -515,20 +505,18 @@ class EnginePipelines
     return RowSet(*db.ResultFor(pred));
   }
 
-  // Single-worker tuple-executor from-scratch run — the oracle every
-  // (executor, eval-mode) combination must match.
+  // The reference interpreter's rows for `pred` — the oracle every
+  // configuration must match.
   std::set<std::vector<uint64_t>> OracleRows(const Graph& g,
                                              const std::string& program,
                                              const std::string& pred) {
-    EngineOptions o = Opts(1, CoordinationMode::kGlobal);
-    o.pipeline_executor = PipelineExecutor::kTuple;
-    DCDatalog db(o);
+    DCDatalog db(Opts(1, CoordinationMode::kGlobal));
     db.AddGraph(g, "arc");
     EXPECT_TRUE(db.LoadProgramText(program).ok());
-    auto stats = db.Run();
-    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-    if (!stats.ok()) return {};
-    return RowSet(*db.ResultFor(pred));
+    auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+    if (!ref.ok()) return {};
+    return RowSet(ref.value().at(pred));
   }
 };
 
@@ -540,7 +528,7 @@ TEST_P(EnginePipelines, TcMatchesOracleAcrossWorkerCounts) {
                                 CoordinationMode::kSsp,
                                 CoordinationMode::kDws}) {
     for (uint32_t workers : {1, 2, 4}) {
-      EXPECT_EQ(RunRows(POpts(workers, mode), g, kTc, "tc"), oracle)
+      EXPECT_EQ(RunRows(Opts(workers, mode), g, kTc, "tc"), oracle)
           << workers << " workers, strategy " << static_cast<int>(mode);
     }
   }
@@ -558,7 +546,7 @@ TEST_P(EnginePipelines, FiltersBindsAndNegationAgree) {
   Graph g = GenerateGnp(60, 0.04, 21);
   for (const char* pred : {"far", "score", "implied"}) {
     auto oracle = OracleRows(g, program, pred);
-    EXPECT_EQ(RunRows(POpts(3, CoordinationMode::kDws), g, program, pred),
+    EXPECT_EQ(RunRows(Opts(3, CoordinationMode::kDws), g, program, pred),
               oracle)
         << pred;
     EXPECT_FALSE(oracle.empty()) << pred;
@@ -574,45 +562,77 @@ TEST_P(EnginePipelines, AggregatesAgree) {
   Graph g = GenerateGnp(40, 0.06, 9);
   for (const char* pred : {"best", "fanout"}) {
     auto oracle = OracleRows(g, program, pred);
-    EXPECT_EQ(RunRows(POpts(4, CoordinationMode::kDws), g, program, pred),
+    EXPECT_EQ(RunRows(Opts(4, CoordinationMode::kDws), g, program, pred),
               oracle)
         << pred;
     EXPECT_FALSE(oracle.empty()) << pred;
   }
 }
 
-TEST_P(EnginePipelines, PipelineCountersTrackExecutor) {
-  DCDatalog db(POpts(2, CoordinationMode::kDws));
+TEST_P(EnginePipelines, PipelineCountersCountBatches) {
+  DCDatalog db(Opts(2, CoordinationMode::kDws));
   Graph g = GenerateGnp(50, 0.05, 77);
   db.AddGraph(g, "arc");
   ASSERT_TRUE(db.LoadProgramText(kTc).ok());
   auto stats = db.Run();
   ASSERT_TRUE(stats.ok());
-  if (std::get<0>(GetParam()) == PipelineExecutor::kBatch) {
-    EXPECT_GT(stats.value().pipeline_batches, 0u);
-    EXPECT_GT(stats.value().pipeline_rows_selected, 0u);
-    // Batches are at most kBatchPipelineLanes rows, so there are at least
-    // rows / 256 of them; and no batch is counted without admitted rows.
-    EXPECT_GE(stats.value().pipeline_rows_selected,
-              stats.value().pipeline_batches);
-  } else {
-    EXPECT_EQ(stats.value().pipeline_batches, 0u);
-    EXPECT_EQ(stats.value().pipeline_rows_selected, 0u);
-  }
+  EXPECT_GT(stats.value().pipeline_batches, 0u);
+  EXPECT_GT(stats.value().pipeline_rows_selected, 0u);
+  // Batches are at most kBatchPipelineLanes rows, so there are at least
+  // rows / 256 of them; and no batch is counted without admitted rows.
+  EXPECT_GE(stats.value().pipeline_rows_selected,
+            stats.value().pipeline_batches);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Ablations, EnginePipelines,
-    ::testing::Combine(::testing::Values(PipelineExecutor::kBatch,
-                                         PipelineExecutor::kTuple),
-                       ::testing::Values(EvalMode::kScratch,
-                                         EvalMode::kIncrementalSplit)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<PipelineExecutor, EvalMode>>& info) {
-      return std::string(PipelineExecutorName(std::get<0>(info.param))) +
-             (std::get<1>(info.param) == EvalMode::kScratch ? "Scratch"
-                                                            : "IncSplit");
+    EvalModes, EnginePipelines,
+    ::testing::Values(EvalMode::kScratch, EvalMode::kIncrementalSplit),
+    [](const ::testing::TestParamInfo<EvalMode>& info) {
+      return std::string(info.param == EvalMode::kScratch ? "Scratch"
+                                                          : "IncSplit");
     });
+
+TEST(EngineTest, ZeroGroupMinMaxWithoutAggIndexMatchesOracle) {
+  // A min/max head with no group columns keeps exactly one row. With the
+  // aggregate index off, the linear-scan merge must treat every stored row
+  // as that one group, not compare its value column as a group key.
+  Graph small;
+  small.AddEdge(3, 9);
+  small.AddEdge(5, 2);
+  small.AddEdge(7, 8);
+  small.AddEdge(1, 4);
+  const std::string program =
+      "m(min<Y>) :- arc(_, Y).\n"
+      "reach(X, Y) :- arc(X, Y).\n"
+      "reach(X, Y) :- reach(X, Z), arc(Z, Y).\n"
+      "best(max<Y>) :- reach(_, Y).\n";
+  for (const Graph& g : {small, GenerateGnp(40, 0.06, 9)}) {
+    std::map<std::string, Relation> oracle;
+    {
+      DCDatalog db(Opts(1, CoordinationMode::kGlobal));
+      db.AddGraph(g, "arc");
+      ASSERT_TRUE(db.LoadProgramText(program).ok());
+      auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      oracle = std::move(ref).value();
+    }
+    for (uint32_t workers : {2u, 4u}) {
+      EngineOptions o = Opts(workers, CoordinationMode::kDws);
+      o.enable_aggregate_index = false;
+      o.enable_existence_cache = false;
+      DCDatalog db(o);
+      db.AddGraph(g, "arc");
+      ASSERT_TRUE(db.LoadProgramText(program).ok());
+      auto stats = db.Run();
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      for (const char* pred : {"m", "best"}) {
+        ASSERT_EQ(db.ResultFor(pred)->size(), 1u) << pred << " x" << workers;
+        EXPECT_EQ(RowSet(*db.ResultFor(pred)), RowSet(oracle.at(pred)))
+            << pred << " x" << workers;
+      }
+    }
+  }
+}
 
 TEST(EngineTest, OutputsDirectiveSurvivesPlanning) {
   DCDatalog db(Opts(2, CoordinationMode::kDws));

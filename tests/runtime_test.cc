@@ -121,19 +121,16 @@ AggSpec SpecFor(AggFunc func, uint32_t stored_arity,
   return s;
 }
 
-/// Parameterized over (aggregate index on/off, existence cache on/off,
-/// merge backend flat/btree) — the Table 4 ablation axes. Results must be
-/// identical in all modes.
+/// Parameterized over (aggregate index on/off, existence cache on/off) —
+/// the Table 4 ablation axes. Results must be identical in all modes.
 class RecursiveTableModes
-    : public ::testing::TestWithParam<
-          std::tuple<bool, bool, MergeIndexBackend>> {
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
  protected:
   EngineOptions Opts() {
     EngineOptions o;
     o.enable_aggregate_index = std::get<0>(GetParam());
     o.enable_existence_cache = std::get<1>(GetParam());
     o.existence_cache_slots = 64;  // Tiny: force evictions.
-    o.merge_index_backend = std::get<2>(GetParam());
     return o;
   }
 };
@@ -222,6 +219,20 @@ TEST_P(RecursiveTableModes, MinDoubleValues) {
     ok |= DoubleFromWord(t.rows().Row(r)[1]) == 2.25;
   }
   EXPECT_TRUE(ok);
+}
+
+TEST_P(RecursiveTableModes, ZeroGroupMinKeepsOneRow) {
+  // m(min<Y>): no group columns, so every wire belongs to the one group and
+  // column 0 is the value itself. A later batch whose best differs from
+  // the stored value must update that row, not append a second one.
+  RecursiveTable t("m", Schema::Ints(1), SpecFor(AggFunc::kMin, 1), 0,
+                   false, Opts());
+  std::vector<TupleBuf> b1 = {{WordFromInt(5)}};
+  t.MergeBatch(b1);
+  std::vector<TupleBuf> b2 = {{WordFromInt(3)}, {WordFromInt(7)}};
+  t.MergeBatch(b2);
+  ASSERT_EQ(t.rows().size(), 1u);
+  EXPECT_EQ(IntFromWord(t.rows().Row(0)[0]), 3);
 }
 
 TEST_P(RecursiveTableModes, TwoColumnGroupKeys) {
@@ -382,15 +393,10 @@ TEST_P(RecursiveTableModes, StridedMergeMatchesTupleBufAdapter) {
 
 INSTANTIATE_TEST_SUITE_P(
     Ablations, RecursiveTableModes,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(MergeIndexBackend::kFlat,
-                                         MergeIndexBackend::kBtree)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<bool, bool, MergeIndexBackend>>& info) {
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
       std::string name = std::get<0>(info.param) ? "AggIndex" : "LinearScan";
       name += std::get<1>(info.param) ? "_Cache" : "_NoCache";
-      name += std::get<2>(info.param) == MergeIndexBackend::kFlat ? "_Flat"
-                                                                  : "_Btree";
       return name;
     });
 
@@ -457,10 +463,9 @@ TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
     batch.push_back({rng.Uniform(30), rng.Uniform(30)});
   }
   t.MergeBatch(batch);
-  // Dense duplicates guarantee occupied-slot comparisons on both backends;
-  // the exact count is backend-dependent, but it must be nonzero and no
-  // smaller than the number of accepted re-probes that found a match
-  // outside the existence cache.
+  // Dense duplicates guarantee occupied-slot comparisons: the count must be
+  // nonzero and no smaller than the number of accepted re-probes that
+  // found a match outside the existence cache.
   EXPECT_GT(t.merge_probe_cmps(), 0u);
 }
 
@@ -621,7 +626,7 @@ TEST_F(DistributorTest, RoutesToEveryReplicaByItsColumn) {
   Distributor dist(&scc_, /*num_workers=*/4, /*self_worker=*/4,
                    /*partial_agg=*/false, Unpack(), SelfSink());
   uint64_t wire[3] = {11, 22, WordFromInt(5)};
-  dist.Emit(head_, wire);
+  dist.EmitBatch(head_, wire, 1, 3);
   EXPECT_TRUE(sent_.empty());  // Staged until flush (or a full block).
   dist.Flush();
   ASSERT_EQ(sent_.size(), 2u);
@@ -647,9 +652,9 @@ TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
   uint64_t w1[3] = {1, 2, WordFromInt(9)};
   uint64_t w2[3] = {1, 2, WordFromInt(4)};
   uint64_t w3[3] = {1, 2, WordFromInt(6)};
-  dist.Emit(head_, w1);
-  dist.Emit(head_, w2);
-  dist.Emit(head_, w3);
+  dist.EmitBatch(head_, w1, 1, 3);
+  dist.EmitBatch(head_, w2, 1, 3);
+  dist.EmitBatch(head_, w3, 1, 3);
   EXPECT_TRUE(sent_.empty());  // Buffered until flush.
   dist.Flush();
   // One group → one wire (per replica), carrying the minimum.
@@ -666,12 +671,12 @@ TEST_F(DistributorTest, FoldDoesNotSpanFlush) {
   Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
                    Unpack(), SelfSink());
   uint64_t w1[3] = {1, 2, WordFromInt(4)};
-  dist.Emit(head_, w1);
+  dist.EmitBatch(head_, w1, 1, 3);
   dist.Flush();
   ASSERT_EQ(sent_.size(), 2u);  // One wire per replica.
   sent_.clear();
   uint64_t w2[3] = {1, 2, WordFromInt(9)};
-  dist.Emit(head_, w2);
+  dist.EmitBatch(head_, w2, 1, 3);
   dist.Flush();
   ASSERT_EQ(sent_.size(), 2u);
   EXPECT_EQ(IntFromWord(sent_[0].words[2]), 9);
@@ -682,6 +687,7 @@ TEST_F(DistributorTest, FoldDoesNotSpanFlush) {
 TEST_F(DistributorTest, EmitBatchFoldsLikePerTupleEmit) {
   // 300 tuples over 150 groups: the fold map outgrows its initial slots
   // mid-batch, so the batch form's prefetch-ahead runs across a rehash.
+  // The per-tuple run emits batches of one, which never prefetch.
   std::vector<uint64_t> wires;
   std::map<std::pair<uint64_t, uint64_t>, int64_t> best;
   Rng rng(5);
@@ -701,7 +707,7 @@ TEST_F(DistributorTest, EmitBatchFoldsLikePerTupleEmit) {
       dist.EmitBatch(head_, wires.data(), 300, 3);
     } else {
       for (size_t off = 0; off < wires.size(); off += 3) {
-        dist.Emit(head_, wires.data() + off);
+        dist.EmitBatch(head_, wires.data() + off, 1, 3);
       }
     }
     dist.Flush();
@@ -732,7 +738,7 @@ TEST_F(DistributorTest, NonAggregateTuplesShipOnFlush) {
   head.agg = SpecFor(AggFunc::kNone, 2);
   Distributor dist(&scc, 4, /*self_worker=*/4, true, Unpack(), SelfSink());
   uint64_t w[2] = {5, 6};
-  dist.Emit(head, w);
+  dist.EmitBatch(head, w, 1, 2);
   EXPECT_EQ(dist.tuples_routed(), 1u);
   EXPECT_TRUE(sent_.empty());  // Staged in a partial block...
   dist.Flush();
@@ -761,7 +767,7 @@ TEST_F(DistributorTest, FullBlocksShipBeforeFlush) {
   const uint64_t total = 2 * cap + 3;
   for (uint64_t i = 0; i < total; ++i) {
     uint64_t w[2] = {remote_key, i};
-    dist.Emit(head, w);
+    dist.EmitBatch(head, w, 1, 2);
   }
   // Two full blocks shipped eagerly; 3 tuples still staged.
   EXPECT_EQ(blocks_, 2u);
@@ -791,7 +797,7 @@ TEST_F(DistributorTest, SelfLoopBypassSkipsRings) {
   uint64_t self_tuples = 0;
   for (uint64_t key = 0; key < 64; ++key) {
     uint64_t w[2] = {key, key + 100};
-    dist.Emit(head, w);
+    dist.EmitBatch(head, w, 1, 2);
     if (PartitionOf(key, 4) == 2) ++self_tuples;
   }
   dist.Flush();

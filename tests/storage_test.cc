@@ -1,6 +1,6 @@
-// Unit and property tests for src/storage: schema, relation, B+-tree,
-// hash index, dynamic index, flat merge structures, catalog, and the
-// update-batch helpers shared by the engine and the EDB store.
+// Unit and property tests for src/storage: schema, relation, hash index,
+// dynamic index, flat merge structures, catalog, and the update-batch
+// helpers shared by the engine and the EDB store.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "storage/btree.h"
 #include "storage/catalog.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
@@ -74,119 +73,6 @@ TEST(TupleTest, BufCopiesRef) {
   TupleBuf buf{TupleRef{a, 2}};
   a[0] = 99;
   EXPECT_EQ(buf.Ref(2)[0], 7u);
-}
-
-// --- B+-tree -----------------------------------------------------------
-
-TEST(BTreeTest, EmptyTree) {
-  BPlusTree<uint64_t, uint64_t> tree;
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.LowerBound(0).AtEnd());
-  EXPECT_FALSE(tree.Contains(5));
-  EXPECT_EQ(tree.FindFirst(5), nullptr);
-}
-
-TEST(BTreeTest, InsertAndFind) {
-  BPlusTree<uint64_t, uint64_t> tree;
-  for (uint64_t i = 0; i < 1000; ++i) tree.Insert(i * 3, i);
-  EXPECT_EQ(tree.size(), 1000u);
-  EXPECT_TRUE(tree.Contains(999));
-  EXPECT_FALSE(tree.Contains(1000));
-  ASSERT_NE(tree.FindFirst(300), nullptr);
-  EXPECT_EQ(*tree.FindFirst(300), 100u);
-}
-
-TEST(BTreeTest, InPlaceValueUpdate) {
-  BPlusTree<uint64_t, uint64_t> tree;
-  tree.Insert(5, 10);
-  *tree.FindFirst(5) = 20;
-  EXPECT_EQ(*tree.FindFirst(5), 20u);
-}
-
-TEST(BTreeTest, OrderedIteration) {
-  BPlusTree<uint64_t, uint64_t> tree;
-  Rng rng(5);
-  std::multiset<uint64_t> keys;
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t k = rng.Uniform(500);
-    tree.Insert(k, i);
-    keys.insert(k);
-  }
-  std::vector<uint64_t> seen;
-  for (auto it = tree.Begin(); !it.AtEnd(); ++it) seen.push_back(it.key());
-  EXPECT_EQ(seen.size(), keys.size());
-  EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
-}
-
-TEST(BTreeTest, PropertyMatchesMultimap) {
-  // Random interleaved inserts and lookups, mirrored in std::multimap.
-  BPlusTree<uint64_t, uint64_t, 8, 8> tree;  // Small fanout → deep tree.
-  std::multimap<uint64_t, uint64_t> oracle;
-  Rng rng(99);
-  for (int i = 0; i < 20000; ++i) {
-    uint64_t k = rng.Uniform(3000);
-    tree.Insert(k, i);
-    oracle.emplace(k, i);
-  }
-  EXPECT_EQ(tree.size(), oracle.size());
-  for (uint64_t k = 0; k < 3000; ++k) {
-    std::multiset<uint64_t> expect;
-    auto [lo, hi] = oracle.equal_range(k);
-    for (auto it = lo; it != hi; ++it) expect.insert(it->second);
-    std::multiset<uint64_t> got;
-    tree.ForEachEqual(k, [&](const uint64_t& v) {
-      got.insert(v);
-      return true;
-    });
-    ASSERT_EQ(got, expect) << "key " << k;
-  }
-}
-
-TEST(BTreeTest, LowerBoundSemantics) {
-  BPlusTree<uint64_t, uint64_t, 8, 8> tree;
-  for (uint64_t k : {10, 20, 20, 20, 30, 40}) tree.Insert(k, k);
-  auto it = tree.LowerBound(15);
-  EXPECT_EQ(it.key(), 20u);
-  it = tree.LowerBound(20);
-  EXPECT_EQ(it.key(), 20u);
-  it = tree.LowerBound(41);
-  EXPECT_TRUE(it.AtEnd());
-}
-
-TEST(BTreeTest, DuplicatesAcrossLeafSplits) {
-  // Many duplicates of a few keys force duplicates to straddle leaves.
-  BPlusTree<uint64_t, uint64_t, 4, 4> tree;
-  for (int i = 0; i < 300; ++i) tree.Insert(i % 3, i);
-  for (uint64_t k = 0; k < 3; ++k) {
-    uint64_t count = 0;
-    tree.ForEachEqual(k, [&](const uint64_t&) {
-      ++count;
-      return true;
-    });
-    EXPECT_EQ(count, 100u) << "key " << k;
-  }
-}
-
-TEST(BTreeTest, U128CompositeKeys) {
-  BPlusTree<U128, uint64_t> tree;
-  tree.Insert(U128{1, 5}, 15);
-  tree.Insert(U128{1, 7}, 17);
-  tree.Insert(U128{2, 0}, 20);
-  EXPECT_EQ(*tree.FindFirst(U128{1, 7}), 17u);
-  EXPECT_EQ(tree.FindFirst(U128{1, 6}), nullptr);
-  // Lexicographic: (1,*) before (2,*).
-  auto it = tree.LowerBound(U128{1, 6});
-  EXPECT_EQ(it.key().lo, 7u);
-}
-
-TEST(BTreeTest, MoveConstructorLeavesSourceUsable) {
-  BPlusTree<uint64_t, uint64_t> a;
-  a.Insert(1, 1);
-  BPlusTree<uint64_t, uint64_t> b(std::move(a));
-  EXPECT_EQ(b.size(), 1u);
-  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
-  a.Insert(2, 2);
-  EXPECT_TRUE(a.Contains(2));
 }
 
 // --- Hash index --------------------------------------------------------

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "common/hash.h"
@@ -18,77 +18,12 @@
 #include "runtime/message.h"
 #include "core/reference.h"
 #include "graph/generators.h"
-#include "storage/btree.h"
 #include "tests/test_util.h"
 
 namespace dcdatalog {
 namespace {
 
 using testing_util::RowSet;
-
-TEST(BTreeStress, TinyFanoutU128Fuzz) {
-  // Fanout 4 forces deep trees and constant splits; U128 keys exercise the
-  // composite comparator. Mirror every operation in a std::multimap.
-  BPlusTree<U128, uint64_t, 4, 4> tree;
-  std::multimap<std::pair<uint64_t, uint64_t>, uint64_t> oracle;
-  Rng rng(2024);
-  for (uint64_t i = 0; i < 30000; ++i) {
-    U128 key{rng.Uniform(64), rng.Uniform(64)};
-    tree.Insert(key, i);
-    oracle.emplace(std::make_pair(key.hi, key.lo), i);
-    if (i % 1000 == 999) {
-      // Full sweep: every key's multiset of values matches.
-      for (uint64_t hi = 0; hi < 64; ++hi) {
-        for (uint64_t lo = 0; lo < 64; ++lo) {
-          std::multiset<uint64_t> expect;
-          auto [b, e] = oracle.equal_range({hi, lo});
-          for (auto it = b; it != e; ++it) expect.insert(it->second);
-          std::multiset<uint64_t> got;
-          tree.ForEachEqual(U128{hi, lo}, [&](const uint64_t& v) {
-            got.insert(v);
-            return true;
-          });
-          ASSERT_EQ(got, expect) << hi << "," << lo << " @" << i;
-        }
-      }
-    }
-  }
-  // Global order check.
-  U128 prev{0, 0};
-  bool first = true;
-  uint64_t count = 0;
-  for (auto it = tree.Begin(); !it.AtEnd(); ++it) {
-    if (!first) ASSERT_FALSE(it.key() < prev);
-    prev = it.key();
-    first = false;
-    ++count;
-  }
-  EXPECT_EQ(count, 30000u);
-}
-
-TEST(BTreeStress, MonotoneAndReverseInsertion) {
-  // Ascending and descending insertions are the classic split-path
-  // pathologies.
-  for (bool ascending : {true, false}) {
-    BPlusTree<uint64_t, uint64_t, 8, 8> tree;
-    constexpr uint64_t kN = 50000;
-    for (uint64_t i = 0; i < kN; ++i) {
-      const uint64_t k = ascending ? i : kN - 1 - i;
-      tree.Insert(k, k * 2);
-    }
-    EXPECT_EQ(tree.size(), kN);
-    for (uint64_t k = 0; k < kN; k += 97) {
-      ASSERT_NE(tree.FindFirst(k), nullptr) << k;
-      ASSERT_EQ(*tree.FindFirst(k), k * 2);
-    }
-    uint64_t count = 0;
-    for (auto it = tree.Begin(); !it.AtEnd(); ++it) {
-      ASSERT_EQ(it.key(), count);
-      ++count;
-    }
-    EXPECT_EQ(count, kN);
-  }
-}
 
 TEST(SpscStress, CacheLinePayloadTwoThreads) {
   // The engine's actual element type (64-byte TupleBuf) under sustained

@@ -36,13 +36,13 @@ import sys
 HOT_SYMBOL_PATTERNS = [
     r"^dcdatalog::RecursiveTable::Merge\w+\(",
     r"^dcdatalog::RecursiveTable::CacheCheckDuplicate\(",
-    r"^dcdatalog::Distributor::(Emit|EmitBatch|EmitResolved|Flush|Route|"
+    r"^dcdatalog::Distributor::(EmitBatch|EmitResolved|Flush|Route|"
     r"SendBlock)\(",
     r"^dcdatalog::BatchPipelineRunner::(Push|RunBatch|Finish|FlushLevel)\(",
     r"^dcdatalog::\(anonymous namespace\)::SccExecutor::"
     r"(LocalIteration|GatherAll|PushWithBackpressure|RunUpdateRules|"
-    r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitTupleThunk|"
-    r"EmitBatchThunk|DistSinkThunk|DistSelfSinkThunk)\(",
+    r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitBatchThunk|"
+    r"DistSinkThunk|DistSelfSinkThunk)\(",
     r"^dcdatalog::\(anonymous namespace\)::ExecuteFrom\(",
     r"^dcdatalog::RunPipelineForTuple\(",
     r"^dcdatalog::DwsController::(Update|OnDrain|OnIteration)\(",
@@ -80,9 +80,9 @@ ALLOWED_CALLS = [
      "per new fold group, capacity retained across iterations"),
     (r"RecursiveTable::Merge(None|Count|Sum|MinMaxBatchByScan)\(",
      r"^operator (new|delete)",
-     "B+-tree node allocation on the non-default ablation-backend branch "
-     "(DCD_COLD_CALL at source level) and the min/max pending-best "
-     "rebuild, once per merge batch"),
+     "row-store and delta vector doubling branches inlined — amortized "
+     "O(1) per accepted tuple, capacity retained across iterations — and "
+     "the min/max pending-best rebuild, once per merge batch"),
     (r"RecursiveTable::MergeBatch\(",
      r"^operator (new|delete)",
      "the audited MergeNone / min-max-by-scan bodies above inline into "

@@ -91,11 +91,10 @@ HOT_ROOTS = [
     "BatchPipelineRunner::Push",
     "BatchPipelineRunner::RunBatch",
     "BatchPipelineRunner::Finish",
-    # Tuple-at-a-time rule pipeline.
+    # Tuple-at-a-time rule pipeline (Backward/Forward's proof search).
     "RunPipelineForTuple",
     "ExecuteFrom",
     # Distribute (§5.2.3): per derived tuple.
-    "Distributor::Emit",
     "Distributor::EmitBatch",
     "Distributor::Flush",
     # Engine strategy loops and the per-iteration helpers (RunUpdateRules
@@ -109,7 +108,6 @@ HOT_ROOTS = [
     "SccExecutor::DwsLoop",
     "SccExecutor::RunUpdateRules",
     # Emit sinks: function-pointer boundary, see note above.
-    "SccExecutor::EmitTupleThunk",
     "SccExecutor::EmitBatchThunk",
     "SccExecutor::DistSinkThunk",
     "SccExecutor::DistSelfSinkThunk",
@@ -710,8 +708,8 @@ class Program:
             if rt is not None:
                 # Receiver type known: method of that class, or foreign
                 # (std:: container etc.) — never fall through to the
-                # all-candidates set, that is what keeps BTree::Insert from
-                # polluting FlatTupleSet::Insert call sites.
+                # all-candidates set, that is what keeps DynIndex::Insert
+                # from polluting FlatTupleSet::Insert call sites.
                 return self.by_qname.get(f"{rt}::{name}", [])
             # Member call with no type evidence: never guess the target by
             # bare name (a stray `.size()` on a std::vector must not link

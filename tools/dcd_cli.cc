@@ -39,10 +39,6 @@
 //   --mode global|ssp|dws
 //   --slack N          SSP slack (default 5)
 //   --no-agg-index --no-cache --no-partial-agg   disable §6.2/Fig.7 opts
-//   --merge-index-backend flat|btree   merge-path index family (default
-//                      flat; btree is the Table 4 ablation baseline)
-//   --pipeline-executor batch|tuple    rule-pipeline executor (default
-//                      batch; tuple is the ablation baseline)
 //   --out pred=path    write one predicate to a file (repeatable)
 //   --updates FILE     after the initial fixpoint, stream EDB update
 //                      batches from FILE ("+ rel v..." / "- rel v..." per
@@ -177,30 +173,6 @@ bool ParseCommon(int argc, char** argv, int start, Options* opts) {
       opts->engine.enable_existence_cache = false;
     } else if (arg == "--no-partial-agg") {
       opts->engine.enable_partial_aggregation = false;
-    } else if (arg == "--merge-index-backend") {
-      const char* v = next();
-      if (v && std::strcmp(v, "flat") == 0) {
-        opts->engine.merge_index_backend = MergeIndexBackend::kFlat;
-      } else if (v && std::strcmp(v, "btree") == 0) {
-        opts->engine.merge_index_backend = MergeIndexBackend::kBtree;
-      } else {
-        std::fprintf(stderr,
-                     "--merge-index-backend expects flat|btree, got '%s'\n",
-                     v ? v : "(nothing)");
-        return false;
-      }
-    } else if (arg == "--pipeline-executor") {
-      const char* v = next();
-      if (v && std::strcmp(v, "batch") == 0) {
-        opts->engine.pipeline_executor = PipelineExecutor::kBatch;
-      } else if (v && std::strcmp(v, "tuple") == 0) {
-        opts->engine.pipeline_executor = PipelineExecutor::kTuple;
-      } else {
-        std::fprintf(stderr,
-                     "--pipeline-executor expects batch|tuple, got '%s'\n",
-                     v ? v : "(nothing)");
-        return false;
-      }
     } else if (arg == "--stats") {
       opts->stats = true;
     } else if (arg == "--seed") {

@@ -19,12 +19,6 @@
 //   --start-seed=N     first seed (default 1)
 //   --modes=a,b        subset of global,ssp,dws (default all)
 //   --workers=a,b      worker counts per case (default 1,2,4)
-//   --backends=a,b     subset of flat,btree — the merge-index backends each
-//                      case runs under (default both, so the two backends
-//                      are diffed against the same oracle)
-//   --pipelines=a,b    subset of batch,tuple — the rule-pipeline executors
-//                      each case runs under (default both, diffing the
-//                      vectorized executor against the tuple baseline)
 //   --max-vertices=N   EDB size cap for the generator (default 60)
 //   --update-batches=N generate a streaming-update script of up to N EDB
 //                      batches per case and diff incremental maintenance
@@ -130,10 +124,6 @@ struct FuzzFlags {
       CoordinationMode::kGlobal, CoordinationMode::kSsp,
       CoordinationMode::kDws};
   std::vector<uint32_t> workers = {1, 2, 4};
-  std::vector<MergeIndexBackend> backends = {MergeIndexBackend::kFlat,
-                                             MergeIndexBackend::kBtree};
-  std::vector<PipelineExecutor> pipelines = {PipelineExecutor::kBatch,
-                                             PipelineExecutor::kTuple};
   uint64_t max_vertices = 60;
   uint64_t update_batches = 0;
   uint64_t timeout_ms = 20000;
@@ -171,46 +161,6 @@ bool ParseModes(const std::string& list, std::vector<CoordinationMode>* out) {
       out->push_back(CoordinationMode::kSsp);
     } else if (m == "dws") {
       out->push_back(CoordinationMode::kDws);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-bool ParseBackends(const std::string& list,
-                   std::vector<MergeIndexBackend>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string b = list.substr(pos, comma - pos);
-    if (b == "flat") {
-      out->push_back(MergeIndexBackend::kFlat);
-    } else if (b == "btree") {
-      out->push_back(MergeIndexBackend::kBtree);
-    } else {
-      return false;
-    }
-    pos = comma + 1;
-  }
-  return !out->empty();
-}
-
-bool ParsePipelines(const std::string& list,
-                    std::vector<PipelineExecutor>* out) {
-  out->clear();
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const std::string p = list.substr(pos, comma - pos);
-    if (p == "batch") {
-      out->push_back(PipelineExecutor::kBatch);
-    } else if (p == "tuple") {
-      out->push_back(PipelineExecutor::kTuple);
     } else {
       return false;
     }
@@ -280,10 +230,6 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
       if (!ParseModes(v, &flags->modes)) return false;
     } else if ((v = value("--workers"))) {
       if (!ParseWorkers(v, &flags->workers)) return false;
-    } else if ((v = value("--backends"))) {
-      if (!ParseBackends(v, &flags->backends)) return false;
-    } else if ((v = value("--pipelines"))) {
-      if (!ParsePipelines(v, &flags->pipelines)) return false;
     } else if ((v = value("--updates-file"))) {
       flags->replay_updates = v;
     } else if (arg == "--chaos") {
@@ -451,13 +397,10 @@ std::string ModeFlag(CoordinationMode mode) {
 }
 
 RunConfig MakeConfig(const FuzzFlags& flags, CoordinationMode mode,
-                     uint32_t workers, MergeIndexBackend backend,
-                     PipelineExecutor pipeline) {
+                     uint32_t workers) {
   RunConfig config;
   config.mode = mode;
   config.num_workers = workers;
-  config.merge_backend = backend;
-  config.pipeline = pipeline;
   config.max_global_iterations = flags.max_iters;
   return config;
 }
@@ -471,7 +414,6 @@ size_t RuleCount(const std::string& program) {
 void WriteRepro(const FuzzFlags& flags, const std::string& stem,
                 const FuzzCase& original, RunResult verdict,
                 CoordinationMode mode, uint32_t orig_workers,
-                MergeIndexBackend backend, PipelineExecutor pipeline,
                 const FuzzCase& reduced, uint32_t reduced_workers,
                 uint32_t probes) {
   const std::string base = flags.out_dir + "/" + stem;
@@ -493,8 +435,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << "seed: " << original.seed << "\n"
          << "verdict: " << RunResultName(verdict) << "\n"
          << "mode: " << ModeName(mode) << "\n"
-         << "merge backend: " << MergeIndexBackendName(backend) << "\n"
-         << "pipeline executor: " << PipelineExecutorName(pipeline) << "\n"
          << "workers: " << orig_workers << " (minimized to "
          << reduced_workers << ")\n"
          << "shrink probes: " << probes << "\n"
@@ -511,8 +451,6 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
          << "  dcd_fuzz --replay=" << base << ".dl --edges=" << base
          << ".edges --modes=" << ModeFlag(mode)
          << " --workers=" << reduced_workers
-         << " --backends=" << MergeIndexBackendName(backend)
-         << " --pipelines=" << PipelineExecutorName(pipeline)
          << (reduced.updates.batches.empty()
                  ? ""
                  : " --updates-file=" + base + ".updates")
@@ -532,8 +470,7 @@ void WriteRepro(const FuzzFlags& flags, const std::string& stem,
 /// a crash/hang child simply leaves no trace file behind.
 void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
                     const FuzzCase& reduced, CoordinationMode mode,
-                    uint32_t workers, MergeIndexBackend backend,
-                    PipelineExecutor pipeline) {
+                    uint32_t workers) {
   const std::string path = flags.out_dir + "/" + stem + ".trace.json";
   const pid_t pid = fork();
   if (pid < 0) {
@@ -543,7 +480,7 @@ void DumpReproTrace(const FuzzFlags& flags, const std::string& stem,
   if (pid == 0) {
     EvalStats stats;
     const RunOutcome out = testing_gen::RunEngineTraced(
-        reduced, MakeConfig(flags, mode, workers, backend, pipeline), &stats);
+        reduced, MakeConfig(flags, mode, workers), &stats);
     // Only a completed run yields stats; mismatches complete (the diff is
     // the parent's verdict, not the engine's), so the common failure modes
     // all get a timeline.
@@ -622,17 +559,11 @@ int RunReplay(const FuzzFlags& flags) {
   uint64_t run_index = 0;
   for (CoordinationMode mode : flags.modes) {
     for (uint32_t workers : flags.workers) {
-      for (MergeIndexBackend backend : flags.backends) {
-        for (PipelineExecutor pipeline : flags.pipelines) {
-          const RunResult r = RunIsolated(
-              c, MakeConfig(flags, mode, workers, backend, pipeline), oracle,
-              flags, run_index++);
-          std::printf("replay %s x%u %s %s: %s\n", ModeName(mode).c_str(),
-                      workers, MergeIndexBackendName(backend),
-                      PipelineExecutorName(pipeline), RunResultName(r));
-          if (IsFailure(r)) ++failures;
-        }
-      }
+      const RunResult r = RunIsolated(c, MakeConfig(flags, mode, workers),
+                                      oracle, flags, run_index++);
+      std::printf("replay %s x%u: %s\n", ModeName(mode).c_str(), workers,
+                  RunResultName(r));
+      if (IsFailure(r)) ++failures;
     }
   }
   return failures > 0 ? 1 : 0;
@@ -688,19 +619,14 @@ int FuzzMain(int argc, char** argv) {
 
     for (CoordinationMode mode : flags.modes) {
       for (uint32_t workers : flags.workers) {
-      for (MergeIndexBackend backend : flags.backends) {
-      for (PipelineExecutor pipeline : flags.pipelines) {
-        const RunConfig config =
-            MakeConfig(flags, mode, workers, backend, pipeline);
+        const RunConfig config = MakeConfig(flags, mode, workers);
         const RunResult r =
             RunIsolated(c, config, oracle, flags, run_index++);
         ++runs;
         if (flags.verbose || IsFailure(r)) {
-          std::printf("seed %llu %s x%u %s %s: %s\n",
+          std::printf("seed %llu %s x%u: %s\n",
                       static_cast<unsigned long long>(seed),
-                      ModeName(mode).c_str(), workers,
-                      MergeIndexBackendName(backend),
-                      PipelineExecutorName(pipeline), RunResultName(r));
+                      ModeName(mode).c_str(), workers, RunResultName(r));
         }
         if (!IsFailure(r)) continue;
 
@@ -724,28 +650,23 @@ int FuzzMain(int argc, char** argv) {
           const RunOutcome probe_ref = testing_gen::ComputeOracle(
               candidate, /*max_rounds=*/100000, &probe_oracle);
           if (probe_ref.kind != OutcomeKind::kAgree) return false;
-          const RunConfig probe =
-              MakeConfig(flags, mode, probe_workers, backend, pipeline);
+          const RunConfig probe = MakeConfig(flags, mode, probe_workers);
           return IsFailure(RunIsolated(candidate, probe, probe_oracle,
                                        flags, run_index++));
         };
-        std::printf("seed %llu %s x%u %s %s: shrinking...\n",
+        std::printf("seed %llu %s x%u: shrinking...\n",
                     static_cast<unsigned long long>(seed),
-                    ModeName(mode).c_str(), workers,
-                    MergeIndexBackendName(backend),
-                    PipelineExecutorName(pipeline));
+                    ModeName(mode).c_str(), workers);
         std::fflush(stdout);
         const testing_gen::MinimizeResult reduced =
             testing_gen::Minimize(c, workers, still_fails);
         const std::string stem = "seed" + std::to_string(seed) + "_" +
                                  ModeFlag(mode) + "_w" +
-                                 std::to_string(workers) + "_" +
-                                 MergeIndexBackendName(backend) + "_" +
-                                 PipelineExecutorName(pipeline);
-        WriteRepro(flags, stem, c, r, mode, workers, backend, pipeline,
-                   reduced.reduced, reduced.num_workers, reduced.probes);
+                                 std::to_string(workers);
+        WriteRepro(flags, stem, c, r, mode, workers, reduced.reduced,
+                   reduced.num_workers, reduced.probes);
         DumpReproTrace(flags, stem, reduced.reduced, mode,
-                       reduced.num_workers, backend, pipeline);
+                       reduced.num_workers);
         std::printf(
             "seed %llu %s x%u: minimized to %zu rules / %llu edges / %u "
             "workers (%u probes) -> %s/%s.*\n",
@@ -761,8 +682,6 @@ int FuzzMain(int argc, char** argv) {
                       static_cast<unsigned long long>(runs));
           return 1;
         }
-      }
-      }
       }
     }
     if (!flags.verbose && (s + 1) % 25 == 0) {

@@ -118,7 +118,9 @@ CHAOS_ALLOWLIST_FILES = {
 # per rule, not per tuple.
 HOT_LOOP_FUNCTIONS = {
     "src/concurrent/spsc_queue.h": ["TryPush", "TryPop"],
-    "src/runtime/distributor.cc": ["Route", "Emit", "Flush", "SendBlock"],
+    "src/runtime/distributor.cc": [
+        "Route", "EmitBatch", "EmitResolved", "Flush", "SendBlock",
+    ],
     "src/runtime/recursive_table.cc": [
         "MergeWire", "MergeBatch", "MergeNone", "MergeMinMax", "MergeCount",
         "MergeSum", "PushDelta",
@@ -126,7 +128,8 @@ HOT_LOOP_FUNCTIONS = {
     "src/runtime/pipeline.cc": [
         "ExecuteFrom", "RunPipelineForTuple", "BuildWireTuple",
     ],
-    # The shared step-compilation helpers both executors inline per tuple.
+    # The shared step-compilation helpers the batch runner and
+    # RunPipelineForTuple inline per tuple.
     "src/runtime/pipeline.h": [
         "ApplyChecksAndBindStrided", "StepChecksMatch",
         "ApplyDrivingScanStrided",
