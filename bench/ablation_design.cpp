@@ -1,13 +1,13 @@
-// Ablations for the design choices DESIGN.md §5 calls out, beyond the
-// paper's own Table 4:
+// Ablations for the design choices DESIGN.md §5 calls out:
 //
-//   A. Partial aggregation in Distribute (Figure 7): on/off, measuring the
-//      routed-tuple reduction and its time effect.
 //   B. SSP slack s: the hyper-parameter the paper argues is hard to tune
 //      (§4.2 motivates DWS with exactly this); a sweep shows the U-shape /
 //      plateau and that no single s dominates across workloads.
 //   C. DWS deadlock-avoidance timeout: sensitivity of DWS to its one knob.
 //   D. SPSC ring capacity: backpressure-frequency vs memory.
+//
+// Part A, partial aggregation on/off, went with the switch: Fig. 7 folding
+// always runs. Its last numbers are in EXPERIMENTS.md.
 
 #include <cstdio>
 #include <vector>
@@ -17,32 +17,6 @@
 namespace dcdatalog {
 namespace bench {
 namespace {
-
-void PartialAggAblation() {
-  std::printf(
-      "A. Partial aggregation in Distribute (Fig. 7), CC on social-L:\n\n");
-  std::printf("%-8s %9s %14s %14s %9s\n", "mode", "time", "emitted",
-              "routed", "folded%");
-  const Graph& g = SocialDataset("social-L");
-  auto setup = [&g](DCDatalog* db) { LoadGraphRelations(db, g); };
-  for (bool partial : {false, true}) {
-    EngineOptions options = BaseOptions(CoordinationMode::kDws);
-    options.enable_partial_aggregation = partial;
-    RunResult r = RunMedian(options, setup, kCcProgram, "cc");
-    if (!r.ok) {
-      std::printf("%-8s ERR %s\n", partial ? "on" : "off", r.error.c_str());
-      continue;
-    }
-    std::printf("%-8s %8.3fs %14llu %14llu %8.1f%%\n",
-                partial ? "on" : "off", r.seconds,
-                static_cast<unsigned long long>(r.stats.tuples_emitted),
-                static_cast<unsigned long long>(r.stats.tuples_routed),
-                100.0 * static_cast<double>(r.stats.tuples_folded) /
-                    static_cast<double>(
-                        std::max<uint64_t>(r.stats.tuples_emitted, 1)));
-  }
-  std::printf("\n");
-}
 
 void SspSlackSweep() {
   std::printf(
@@ -126,7 +100,6 @@ void QueueCapacitySweep() {
 
 void Main() {
   std::printf("Design-choice ablations (DESIGN.md §5)\n\n");
-  PartialAggAblation();
   SspSlackSweep();
   DwsTimeoutSweep();
   QueueCapacitySweep();

@@ -41,21 +41,13 @@ void Main() {
   one.num_workers = 1;
   RunResult single = RunMedian(one, setup, kSsspProgram, "results");
 
-  // Unoptimized DWS: coordination alone without the §6.2 optimizations,
-  // standing in for engines that lack them.
-  EngineOptions unopt = BaseOptions(CoordinationMode::kDws);
-  unopt.enable_aggregate_index = false;
-  unopt.enable_existence_cache = false;
-  RunResult dws_unopt = RunMedian(unopt, setup, kSsspProgram, "results");
-
   const double slowest =
       std::max({dws.seconds, ssp.seconds, global.seconds, single.seconds,
-                dws_unopt.seconds, 1e-9});
+                1e-9});
   Bar("DCDatalog (DWS)", dws, slowest);
   Bar("SSP (s=5)", ssp, slowest);
   Bar("Global (DeALS-MC-style)", global, slowest);
   Bar("Single worker", single, slowest);
-  Bar("DWS w/o 6.2 opts", dws_unopt, slowest);
 
   if (dws.ok && global.ok) {
     std::printf("\nDWS vs Global speedup: %.2fx   (paper: 131.68s -> 11.82s"

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the engine's building blocks:
 // hash/dynamic indexes, SPSC queue, flat merge structures, and the
-// recursive-table merge paths (the §6.2 optimizations in isolation).
+// recursive-table merge paths (§6.2.1 in isolation).
 
 #include <benchmark/benchmark.h>
 
@@ -373,7 +373,7 @@ void BM_DistributeGatherBlocked(benchmark::State& state) {
       w.gathered = &gathered;
       w.wid = wid;
       Distributor dist(
-          &scc, kCommWorkers, wid, /*partial_agg=*/false,
+          &scc, kCommWorkers, wid,
           Distributor::BlockSink{&BlockedCommWorker::Send, &w},
           Distributor::SelfLoopSink{&BlockedCommWorker::SelfLoop, &w});
       for (uint64_t base = 0; base < kCommTuples; base += kCommChunk) {
@@ -730,10 +730,10 @@ AggSpec MinSpec() {
   return s;
 }
 
-void MergeBench(benchmark::State& state, bool agg_index, bool cache) {
-  EngineOptions options;
-  options.enable_aggregate_index = agg_index;
-  options.enable_existence_cache = cache;
+// A min-aggregate merge: 64 batches of 1024 wires over 2^14 groups, each
+// merged through the group index.
+void BM_MergeMin(benchmark::State& state) {
+  const EngineOptions options;
   Rng rng(1);
   std::vector<std::vector<TupleBuf>> batches;
   for (int b = 0; b < 64; ++b) {
@@ -750,23 +750,7 @@ void MergeBench(benchmark::State& state, bool agg_index, bool cache) {
   }
   state.SetItemsProcessed(state.iterations() * 64 * 1024);
 }
-
-// The §6 switches on the flat merge structures: the aggregate index with
-// and without the existence cache, and the linear-scan baseline.
-void BM_MergeMinIndexed(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/true, /*cache=*/true);
-}
-BENCHMARK(BM_MergeMinIndexed);
-
-void BM_MergeMinIndexedNoCache(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/true, /*cache=*/false);
-}
-BENCHMARK(BM_MergeMinIndexedNoCache);
-
-void BM_MergeMinLinearScan(benchmark::State& state) {
-  MergeBench(state, /*agg_index=*/false, /*cache=*/false);
-}
-BENCHMARK(BM_MergeMinLinearScan);
+BENCHMARK(BM_MergeMin);
 
 AggSpec NoneSpec() {
   AggSpec s;

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # One-shot reproduction: build, run the full test suite, regenerate every
-# paper table/figure, and record the outputs at the repository root.
+# paper table/figure that has a bench binary, and record the outputs at the
+# repository root. Table 4 (the §6.2 optimizations on/off) has none: the
+# engine keeps only the optimized merge path, and the last on/off numbers
+# are frozen in EXPERIMENTS.md.
 #
 # Environment knobs (see bench/bench_util.h):
 #   REPRO_SCALE=<f>    multiply dataset sizes (default 1)

@@ -24,7 +24,6 @@ EngineOptions EngineOptions::Resolved() const {
     out.num_workers = hw == 0 ? 4 : hw;
   }
   if (out.spsc_capacity < 2) out.spsc_capacity = 2;
-  if (out.existence_cache_slots < 1) out.existence_cache_slots = 1;
   if (out.ssp_slack < 1) out.ssp_slack = 1;
   return out;
 }
@@ -35,8 +34,6 @@ std::string EngineOptions::ToString() const {
      << ", coordination=" << CoordinationModeName(coordination)
      << ", ssp_slack=" << ssp_slack << ", dws_timeout_us=" << dws_timeout_us
      << ", spsc_capacity=" << spsc_capacity
-     << ", agg_index=" << (enable_aggregate_index ? "on" : "off")
-     << ", exist_cache=" << (enable_existence_cache ? "on" : "off")
      << ", trace=" << (enable_trace ? "on" : "off") << "}";
   return os.str();
 }

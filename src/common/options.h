@@ -18,7 +18,7 @@ enum class CoordinationMode : uint8_t {
 const char* CoordinationModeName(CoordinationMode mode);
 
 /// Engine-wide tuning knobs. Defaults reproduce the configuration the paper
-/// evaluates (DWS with all §6 optimizations on).
+/// evaluates (DWS coordination).
 struct EngineOptions {
   /// Worker (thread) count; 0 means std::thread::hardware_concurrency().
   uint32_t num_workers = 0;
@@ -38,22 +38,6 @@ struct EngineOptions {
 
   /// Per-(producer, consumer) SPSC ring capacity in tuples (§6.1).
   uint32_t spsc_capacity = 1 << 14;
-
-  /// §6.2.1: merge aggregates through the recursive-table index instead of
-  /// a linear re-scan.
-  bool enable_aggregate_index = true;
-
-  /// §6.2.2: constant-time existence/aggregate cache consulted before the
-  /// flat merge index.
-  bool enable_existence_cache = true;
-
-  /// §5.2.3 / Figure 7: fold min/max derivations per group inside
-  /// Distribute before routing, so only each iteration's per-group best
-  /// crosses worker boundaries.
-  bool enable_partial_aggregation = true;
-
-  /// Existence-cache slots per worker (direct-mapped).
-  uint32_t existence_cache_slots = 1 << 15;
 
   /// Safety valve for non-terminating programs; 0 = unlimited.
   uint64_t max_global_iterations = 0;

@@ -160,7 +160,6 @@ class SccExecutor {
     uint64_t self_loop_tuples = 0;
     uint64_t merges = 0;
     uint64_t accepts = 0;
-    uint64_t cache_hits = 0;
     uint64_t merge_probe_cmps = 0;
     uint64_t pipeline_batches = 0;
     uint64_t pipeline_rows_selected = 0;
@@ -314,7 +313,7 @@ class SccExecutor {
     // analyzer verifies them from their own entry, since it cannot see
     // through the pointer).
     ctx.distributor = std::make_unique<Distributor>(
-        &scc_, n_, wid, options_.enable_partial_aggregation,
+        &scc_, n_, wid,
         Distributor::BlockSink{&SccExecutor::DistSinkThunk, &ctx},
         Distributor::SelfLoopSink{&SccExecutor::DistSelfSinkThunk, &ctx});
 
@@ -361,7 +360,6 @@ class SccExecutor {
     for (const auto& table : replicas) {
       ws.merges += table->merges();
       ws.accepts += table->accepts();
-      ws.cache_hits += table->cache_hits();
       ws.merge_probe_cmps += table->merge_probe_cmps();
     }
     ws.pipeline_batches = ctx.batch_runner.batches();
@@ -799,7 +797,6 @@ class SccExecutor {
       stats->self_loop_tuples += ws.self_loop_tuples;
       stats->merges += ws.merges;
       stats->accepts += ws.accepts;
-      stats->cache_hits += ws.cache_hits;
       stats->merge_probe_cmps += ws.merge_probe_cmps;
       stats->pipeline_batches += ws.pipeline_batches;
       stats->pipeline_rows_selected += ws.pipeline_rows_selected;

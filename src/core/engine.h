@@ -41,7 +41,10 @@ struct EvalStats {
   uint64_t self_loop_tuples = 0;        // Routed via the self-loop bypass.
   uint64_t merges = 0;                  // Wire tuples offered to Gather.
   uint64_t accepts = 0;                 // ... that changed a table.
-  uint64_t cache_hits = 0;              // Existence-cache fast paths.
+  /// Always 0: the existence cache was removed from the engine. The field
+  /// stays only because perfbench's frozen `runtime.cache_hit_ratio` metric
+  /// reads it; delete it in the next benchmark change.
+  uint64_t cache_hits = 0;
   /// Key/tuple comparisons spent probing the flat merge indexes — the
   /// collision resolution work, i.e. the dependent-load chain of each
   /// merge lookup.

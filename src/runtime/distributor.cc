@@ -43,13 +43,12 @@ bool Better(const AggSpec& spec, uint64_t candidate, uint64_t current) {
 }  // namespace
 
 Distributor::Distributor(const SccPlan* scc, uint32_t num_workers,
-                         uint32_t self_worker, bool partial_agg,
-                         BlockSink sink, SelfLoopSink self_sink)
+                         uint32_t self_worker, BlockSink sink,
+                         SelfLoopSink self_sink)
     : scc_(scc),
       num_workers_(num_workers),
       num_replicas_(static_cast<uint32_t>(scc->replicas.size())),
       self_worker_(self_worker),
-      partial_agg_(partial_agg),
       sink_(sink),
       self_sink_(self_sink),
       per_pred_(scc->derived_preds.size()),

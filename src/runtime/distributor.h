@@ -56,7 +56,7 @@ class Distributor {
   };
 
   Distributor(const SccPlan* scc, uint32_t num_workers, uint32_t self_worker,
-              bool partial_agg, BlockSink sink, SelfLoopSink self_sink);
+              BlockSink sink, SelfLoopSink self_sink);
 
   /// Accepts `count` wire tuples derived for `head`, packed densely at
   /// `wire_arity` words each. Per-predicate state is resolved once for the
@@ -100,9 +100,8 @@ class Distributor {
   void EmitResolved(PerPredicate& pp, const AggSpec& spec,
                     const uint64_t* wire);
 
-  bool Foldable(const AggSpec& spec) const {
-    return partial_agg_ &&
-           (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax);
+  static bool Foldable(const AggSpec& spec) {
+    return spec.func == AggFunc::kMin || spec.func == AggFunc::kMax;
   }
 
   static U128 GroupOf(const AggSpec& spec, const uint64_t* wire) {
@@ -124,7 +123,6 @@ class Distributor {
   const uint32_t num_workers_;
   const uint32_t num_replicas_;
   const uint32_t self_worker_;
-  const bool partial_agg_;
   BlockSink sink_;
   SelfLoopSink self_sink_;
   /// Indexed by HeadSpec::pred_id (dense, assigned at plan time).

@@ -1,11 +1,8 @@
 #include "runtime/recursive_table.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <unordered_map>
 
-#include "common/hash.h"
 #include "common/hot_path.h"
 #include "common/logging.h"
 
@@ -28,20 +25,9 @@ RecursiveTable::RecursiveTable(const std::string& name, Schema stored_schema,
     : spec_(spec),
       partition_col_(partition_col),
       use_join_index_(needs_join_index),
-      use_agg_index_(options.enable_aggregate_index),
-      use_cache_(options.enable_existence_cache &&
-                 (spec.func == AggFunc::kNone || spec.func == AggFunc::kMin ||
-                  spec.func == AggFunc::kMax)),
       sum_epsilon_(options.sum_epsilon),
       rows_(name, std::move(stored_schema)),
-      exist_set_(&rows_) {
-  if (use_cache_) {
-    const uint64_t slots = std::bit_ceil<uint64_t>(
-        std::max<uint32_t>(options.existence_cache_slots, 16));
-    cache_slots_.assign(slots, 0);
-    cache_mask_ = slots - 1;
-  }
-}
+      exist_set_(&rows_) {}
 
 bool RecursiveTable::BetterValue(uint64_t candidate, uint64_t current) const {
   if (spec_.value_type == ColumnType::kDouble) {
@@ -102,41 +88,18 @@ void RecursiveTable::PushDelta(uint64_t row_id) {
   delta_.push_back(TupleBuf(rows_.Row(row_id)));
 }
 
-bool RecursiveTable::CacheCheckDuplicate(TupleRef tuple, uint64_t hash) const {
-  if (!use_cache_) return false;
-  const uint64_t slot = cache_slots_[hash & cache_mask_];
-  if (slot == 0) return false;
-  return rows_.Row(slot - 1) == tuple;
-}
-
-void RecursiveTable::CacheFill(uint64_t hash, uint64_t row_id) {
-  if (!use_cache_) return;
-  cache_slots_[hash & cache_mask_] = row_id + 1;
-}
-
 bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
   const TupleRef tuple{wire, spec_.stored_arity};
-  if (CacheCheckDuplicate(tuple, hash)) {
-    ++cache_hits_;
-    // Support counting must see every arrival, including ones the cache
-    // short-circuits — the cache slot already names the row.
-    if (maintain_counts_) {
-      exist_set_.IncrementCount(cache_slots_[hash & cache_mask_] - 1);
-    }
-    return false;
-  }
   // Existence check via the flat (hash, row id) set: one linear probe,
   // full-tuple compare only on hash-equal slots.
   const uint64_t found = exist_set_.Find(hash, tuple);
   if (found != FlatTupleSet::kNotFound) {
     if (maintain_counts_) exist_set_.IncrementCount(found);
-    CacheFill(hash, found);
     return false;
   }
   const uint64_t row_id = AppendRow(wire);
   exist_set_.Insert(hash, row_id);
   if (maintain_counts_) exist_set_.IncrementCount(row_id);
-  CacheFill(hash, row_id);
   PushDelta(row_id);
   return true;
 }
@@ -145,35 +108,14 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
   const U128 group = GroupKey(wire);
   const uint32_t value_col = spec_.stored_arity - 1;
   const uint64_t candidate = wire[value_col];
-  const uint64_t ghash = HashCombine(group.hi, group.lo);
-
-  // Constant-time cache probe: the slot remembers the group's row, whose
-  // value is always current because updates happen in place.
-  if (use_cache_) {
-    const uint64_t slot = cache_slots_[ghash & cache_mask_];
-    if (slot != 0) {
-      const uint64_t row_id = slot - 1;
-      TupleRef row = rows_.Row(row_id);
-      if (SameGroup(row.data, wire)) {
-        ++cache_hits_;
-        if (!BetterValue(candidate, row[value_col])) return false;
-        rows_.SetWord(row_id, value_col, candidate);
-        PushDelta(row_id);
-        return true;
-      }
-    }
-  }
-
   uint64_t* row_slot = flat_group_.Find(group);
   if (row_slot == nullptr) {
     const uint64_t row_id = AppendRow(wire);
     InsertGroup(group, row_id);
-    CacheFill(ghash, row_id);
     PushDelta(row_id);
     return true;
   }
   const uint64_t row_id = *row_slot;
-  CacheFill(ghash, row_id);
   if (!BetterValue(candidate, rows_.Row(row_id)[value_col])) return false;
   rows_.SetWord(row_id, value_col, candidate);
   PushDelta(row_id);
@@ -330,8 +272,7 @@ void RecursiveTable::CompactRemoveRows(
     }
   }
 
-  // Cached row ids and pending deltas are stale after renumbering.
-  if (use_cache_) std::fill(cache_slots_.begin(), cache_slots_.end(), 0);
+  // Pending deltas are stale after renumbering.
   delta_.clear();
   batch_changed_rows_.clear();
 }
@@ -347,65 +288,8 @@ std::vector<uint64_t> RecursiveTable::TakeChangedRows() {
 void RecursiveTable::ResetStats() {
   merges_ = 0;
   accepts_ = 0;
-  cache_hits_ = 0;
   probe_cmps_base_ = exist_set_.probe_cmps() + flat_group_.probe_cmps() +
                      flat_contrib_.probe_cmps();
-}
-
-void RecursiveTable::MergeMinMaxBatchByScan(const uint64_t* words,
-                                            size_t count, uint32_t stride) {
-  // Unoptimized baseline (Table 4 ablation, "w/o"): reduce the batch to its
-  // best value per group, then find existing groups with one linear scan of
-  // the stored rows instead of index lookups.
-  struct PendingBest {
-    uint64_t value;
-    const uint64_t* wire;
-    bool matched = false;
-  };
-  std::unordered_map<uint64_t, PendingBest> best;  // keyed by group hash
-  best.reserve(count);
-  const uint32_t value_col = spec_.stored_arity - 1;
-  for (size_t i = 0; i < count; ++i) {
-    const uint64_t* w = words + i * stride;
-    ++merges_;
-    const U128 g = GroupKey(w);
-    const uint64_t gh = HashCombine(g.hi, g.lo);
-    auto [it, inserted] = best.try_emplace(gh, PendingBest{w[value_col], w});
-    if (!inserted && BetterValue(w[value_col], it->second.value)) {
-      it->second.value = w[value_col];
-      it->second.wire = w;
-    }
-  }
-  // One pass over all stored rows: update groups present in the batch.
-  const uint64_t n = rows_.size();
-  for (uint64_t r = 0; r < n; ++r) {
-    TupleRef row = rows_.Row(r);
-    const U128 g = GroupKey(row.data);
-    const uint64_t gh = HashCombine(g.hi, g.lo);
-    auto it = best.find(gh);
-    if (it == best.end()) continue;
-    // Hash match — confirm the group columns really match.
-    if (!SameGroup(row.data, it->second.wire)) continue;
-    it->second.matched = true;
-    if (BetterValue(it->second.value, row[value_col])) {
-      rows_.SetWord(r, value_col, it->second.value);
-      PushDelta(r);
-    }
-  }
-  // Remaining groups are new.
-  for (auto& [gh, pending] : best) {
-    if (pending.matched) continue;
-    uint64_t stored[kMaxArity];
-    for (uint32_t c = 0; c < spec_.stored_arity; ++c) {
-      stored[c] = pending.wire[c];
-    }
-    stored[value_col] = pending.value;
-    const uint64_t row_id = AppendRow(stored);
-    // Keep the group index coherent, so a later indexed merge (or cache
-    // miss fallback) still finds this group.
-    InsertGroup(GroupKey(stored), row_id);
-    PushDelta(row_id);
-  }
 }
 
 DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
@@ -439,12 +323,7 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
   // the delta exactly once, carrying its final post-batch value.
   batch_mode_ = true;
   batch_changed_rows_.clear();
-  if (!use_agg_index_ &&
-      (spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax)) {
-    MergeMinMaxBatchByScan(words, count, stride);
-  } else {
-    for (size_t i = 0; i < count; ++i) MergeWire(words + i * stride);
-  }
+  for (size_t i = 0; i < count; ++i) MergeWire(words + i * stride);
   batch_mode_ = false;
   std::sort(batch_changed_rows_.begin(), batch_changed_rows_.end());
   batch_changed_rows_.erase(

@@ -19,9 +19,9 @@ namespace dcdatalog {
 
 /// One worker's partition of one replica of a recursive (or derived)
 /// predicate: the stored rows R_i, the indexes that implement semi-naive
-/// set-difference and aggregate merging (paper §6.2.1), the optional
-/// existence cache (§6.2.2), the join index probed by non-linear rules,
-/// and the delta δR_i feeding the next local iteration.
+/// set-difference and aggregate merging (paper §6.2.1), the join index
+/// probed by non-linear rules, and the delta δR_i feeding the next local
+/// iteration.
 ///
 /// Merge semantics by aggregate function (wire → stored):
 ///   none:   insert if the full tuple is new (existence index).
@@ -33,7 +33,10 @@ namespace dcdatalog {
 ///
 /// Open-addressed flat structures implement those semantics: FlatTupleSet
 /// for kNone existence and FlatGroupMap for group → row and contributor →
-/// value, with a prefetch-pipelined kNone MergeBatch.
+/// value, with a prefetch-pipelined kNone MergeBatch. Each aggregate
+/// function has one merge path, an indexed lookup per wire. The paper's
+/// §6.2.2 existence cache in front of these lookups is not implemented: on
+/// the flat structures it measured slower than the plain probe it skips.
 ///
 /// Every state change appends the new stored row to the delta. Not
 /// internally synchronized — each worker owns its tables.
@@ -45,10 +48,6 @@ class RecursiveTable {
 
   /// Merges `count` wire tuples packed `stride` words apart (stride ≥
   /// wire_arity(); the gather path packs them densely at the wire arity).
-  /// With enable_aggregate_index this is a per-tuple indexed merge;
-  /// without it, aggregate groups are merged by a single linear scan over
-  /// the stored rows (the paper's unoptimized baseline for the Table 4
-  /// ablation).
   void MergeBatch(const uint64_t* words, size_t count, uint32_t stride);
 
   /// The same over one TupleBuf per wire.
@@ -115,13 +114,12 @@ class RecursiveTable {
 
   // --- Incremental maintenance (retained tables between update batches) ---
 
-  /// Enables per-row support counting (kNone tables only): every
-  /// arrival of a tuple — fresh insert, duplicate find, or existence-cache
-  /// hit — bumps the row's derivation counter riding beside the flat
-  /// existence set's slots. In a non-recursive stratum arrivals equal
-  /// derivations exactly, so a deletion can decrement to zero instead of
-  /// searching for another proof (Backward/Forward). Must be called before
-  /// the first merge.
+  /// Enables per-row support counting (kNone tables only): every arrival
+  /// of a tuple — fresh insert or duplicate find — bumps the row's
+  /// derivation counter riding beside the flat existence set's slots. In a
+  /// non-recursive stratum arrivals equal derivations exactly, so a
+  /// deletion can decrement to zero instead of searching for another proof
+  /// (Backward/Forward). Must be called before the first merge.
   void EnableSupportCounts();
   bool support_counts_enabled() const { return maintain_counts_; }
   uint64_t SupportCount(uint64_t row_id) const {
@@ -154,10 +152,10 @@ class RecursiveTable {
   void PrefetchFindRow(uint64_t hash) const { exist_set_.PrefetchRow(hash); }
 
   /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
-  /// merge/join indexes over the survivors; clears the existence cache and
-  /// the delta. Surviving rows keep their ids' relative order (and their
-  /// support counts, when enabled). kNone only — aggregate deletion falls
-  /// back to full recomputation at the engine level.
+  /// merge/join indexes over the survivors; clears the delta. Surviving
+  /// rows keep their ids' relative order (and their support counts, when
+  /// enabled). kNone only — aggregate deletion falls back to full
+  /// recomputation at the engine level.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
 
   /// Starts a change log: from now on, every in-place change to a row
@@ -185,7 +183,6 @@ class RecursiveTable {
   // --- Statistics ---
   uint64_t merges() const { return merges_; }
   uint64_t accepts() const { return accepts_; }
-  uint64_t cache_hits() const { return cache_hits_; }
 
   /// Key/tuple comparisons spent probing the merge indexes (collision
   /// resolution work) — the engine surfaces the sum as
@@ -207,14 +204,6 @@ class RecursiveTable {
     return k;
   }
 
-  /// Whether two stored rows or wires agree on the group columns — only the
-  /// first group_arity columns, as in GroupKey. With no group columns every
-  /// row belongs to the one group.
-  bool SameGroup(const uint64_t* a, const uint64_t* b) const {
-    return (spec_.group_arity < 1 || a[0] == b[0]) &&
-           (spec_.group_arity < 2 || a[1] == b[1]);
-  }
-
   bool BetterValue(uint64_t candidate, uint64_t current) const;
 
   uint64_t AppendRow(const uint64_t* stored);
@@ -232,24 +221,12 @@ class RecursiveTable {
   bool MergeCount(const uint64_t* wire);
   bool MergeSum(const uint64_t* wire);
 
-  /// Adds a new group's row to the group index (the aggregate merge paths
-  /// and the scan-ablation path, which must keep the index coherent for
-  /// later indexed lookups).
+  /// Adds a new group's row to the group index.
   void InsertGroup(const U128& group, uint64_t row_id);
-
-  /// Linear-scan merge for min/max batches (ablation path).
-  void MergeMinMaxBatchByScan(const uint64_t* words, size_t count,
-                              uint32_t stride);
-
-  // Existence cache (§6.2.2): direct-mapped, one slot = candidate row id+1.
-  bool CacheCheckDuplicate(TupleRef tuple, uint64_t hash) const;
-  void CacheFill(uint64_t hash, uint64_t row_id);
 
   const AggSpec spec_;
   const uint32_t partition_col_;
   const bool use_join_index_;
-  const bool use_agg_index_;
-  const bool use_cache_;
   const double sum_epsilon_;
 
   Relation rows_;
@@ -265,9 +242,6 @@ class RecursiveTable {
   // so steady-state batches never allocate.
   std::vector<uint64_t> batch_hashes_;
 
-  std::vector<uint64_t> cache_slots_;  // row id + 1; 0 = empty.
-  uint64_t cache_mask_ = 0;
-
   // Batch-mode delta deduplication (see PushDelta).
   bool batch_mode_ = false;
   std::vector<uint64_t> batch_changed_rows_;
@@ -280,7 +254,6 @@ class RecursiveTable {
 
   uint64_t merges_ = 0;
   uint64_t accepts_ = 0;
-  uint64_t cache_hits_ = 0;
 
   // Change log (StartChangeLog): rows below the floor that changed in
   // place. The floor stays 0, and nothing is logged, outside incremental

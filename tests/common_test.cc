@@ -240,7 +240,7 @@ TEST(OptionsTest, ToStringMentionsStrategy) {
   EXPECT_NE(o.ToString().find("SSP"), std::string::npos);
 }
 
-TEST(OptionsTest, ToStringMentionsAblationAxes) {
+TEST(OptionsTest, ToStringMentionsTrace) {
   EngineOptions o;
   o.enable_trace = true;
   const std::string s = o.ToString();

@@ -592,10 +592,9 @@ INSTANTIATE_TEST_SUITE_P(
                                                           : "IncSplit");
     });
 
-TEST(EngineTest, ZeroGroupMinMaxWithoutAggIndexMatchesOracle) {
-  // A min/max head with no group columns keeps exactly one row. With the
-  // aggregate index off, the linear-scan merge must treat every stored row
-  // as that one group, not compare its value column as a group key.
+TEST(EngineTest, ZeroGroupMinMaxMatchesOracle) {
+  // A min/max head with no group columns keeps exactly one row: every wire
+  // belongs to that one group, and its value column is not a group key.
   Graph small;
   small.AddEdge(3, 9);
   small.AddEdge(5, 2);
@@ -617,10 +616,7 @@ TEST(EngineTest, ZeroGroupMinMaxWithoutAggIndexMatchesOracle) {
       oracle = std::move(ref).value();
     }
     for (uint32_t workers : {2u, 4u}) {
-      EngineOptions o = Opts(workers, CoordinationMode::kDws);
-      o.enable_aggregate_index = false;
-      o.enable_existence_cache = false;
-      DCDatalog db(o);
+      DCDatalog db(Opts(workers, CoordinationMode::kDws));
       db.AddGraph(g, "arc");
       ASSERT_TRUE(db.LoadProgramText(program).ok());
       auto stats = db.Run();

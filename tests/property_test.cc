@@ -37,16 +37,12 @@ constexpr char kCc[] =
 struct Config {
   CoordinationMode mode;
   uint32_t workers;
-  bool agg_index;
-  bool cache;
   uint32_t spsc_capacity;
 };
 
 std::string ConfigName(const Config& c) {
   std::string name = CoordinationModeName(c.mode);
   name += "_w" + std::to_string(c.workers);
-  name += c.agg_index ? "_idx" : "_scan";
-  name += c.cache ? "_cache" : "_nocache";
   name += "_q" + std::to_string(c.spsc_capacity);
   return name;
 }
@@ -58,8 +54,6 @@ class ConfigSweep : public ::testing::TestWithParam<Config> {
     EngineOptions o;
     o.coordination = c.mode;
     o.num_workers = c.workers;
-    o.enable_aggregate_index = c.agg_index;
-    o.enable_existence_cache = c.cache;
     o.spsc_capacity = c.spsc_capacity;
     return o;
   }
@@ -114,13 +108,13 @@ TEST_P(ConfigSweep, CcMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ConfigSweep,
     ::testing::Values(
-        Config{CoordinationMode::kGlobal, 1, true, true, 4096},
-        Config{CoordinationMode::kGlobal, 5, false, false, 512},
-        Config{CoordinationMode::kSsp, 2, true, false, 4096},
-        Config{CoordinationMode::kSsp, 7, false, true, 512},
-        Config{CoordinationMode::kDws, 3, true, true, 512},
-        Config{CoordinationMode::kDws, 6, false, false, 4096},
-        Config{CoordinationMode::kDws, 4, true, true, 2}),
+        Config{CoordinationMode::kGlobal, 1, 4096},
+        Config{CoordinationMode::kGlobal, 5, 512},
+        Config{CoordinationMode::kSsp, 2, 4096},
+        Config{CoordinationMode::kSsp, 7, 512},
+        Config{CoordinationMode::kDws, 3, 512},
+        Config{CoordinationMode::kDws, 6, 4096},
+        Config{CoordinationMode::kDws, 4, 2}),
     [](const ::testing::TestParamInfo<Config>& info) {
       return ConfigName(info.param);
     });

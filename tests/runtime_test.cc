@@ -1,6 +1,6 @@
 // Unit tests for src/runtime: expression evaluation, the recursive-table
-// merge semantics (§6.2.1), existence cache (§6.2.2), the optimized vs
-// unoptimized merge parity, and the Distributor (§5.2.3).
+// merge semantics (§6.2.1) and support counts, and the Distributor
+// (§5.2.3).
 
 #include <gtest/gtest.h>
 
@@ -121,23 +121,9 @@ AggSpec SpecFor(AggFunc func, uint32_t stored_arity,
   return s;
 }
 
-/// Parameterized over (aggregate index on/off, existence cache on/off) —
-/// the Table 4 ablation axes. Results must be identical in all modes.
-class RecursiveTableModes
-    : public ::testing::TestWithParam<std::tuple<bool, bool>> {
- protected:
-  EngineOptions Opts() {
-    EngineOptions o;
-    o.enable_aggregate_index = std::get<0>(GetParam());
-    o.enable_existence_cache = std::get<1>(GetParam());
-    o.existence_cache_slots = 64;  // Tiny: force evictions.
-    return o;
-  }
-};
-
-TEST_P(RecursiveTableModes, NoneDeduplicates) {
+TEST(RecursiveTableTest, NoneDeduplicates) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch = {{1, 2}, {1, 2}, {3, 4}, {1, 2}};
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 2u);
@@ -149,9 +135,9 @@ TEST_P(RecursiveTableModes, NoneDeduplicates) {
   EXPECT_EQ(t.delta_size(), 1u);
 }
 
-TEST_P(RecursiveTableModes, MinKeepsBestAndUpdatesInPlace) {
+TEST(RecursiveTableTest, MinKeepsBestAndUpdatesInPlace) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch = {{1, WordFromInt(9)}, {2, WordFromInt(4)}};
   t.MergeBatch(batch);
   EXPECT_EQ(t.rows().size(), 2u);
@@ -176,11 +162,11 @@ TEST_P(RecursiveTableModes, MinKeepsBestAndUpdatesInPlace) {
   EXPECT_TRUE(found);
 }
 
-TEST_P(RecursiveTableModes, BatchDeltaIsPerGroup) {
+TEST(RecursiveTableTest, BatchDeltaIsPerGroup) {
   // m updates to one group in a batch must yield one delta row (the final
   // value), not m rows — the amplification guard.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch;
   for (int i = 20; i >= 1; --i) {
     batch.push_back({7, WordFromInt(i)});
@@ -190,9 +176,9 @@ TEST_P(RecursiveTableModes, BatchDeltaIsPerGroup) {
   EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 1);
 }
 
-TEST_P(RecursiveTableModes, MaxMirrorsMin) {
+TEST(RecursiveTableTest, MaxMirrorsMin) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMax, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> b1 = {{1, WordFromInt(5)}};
   t.MergeBatch(b1);
   t.ClearDelta();
@@ -205,12 +191,12 @@ TEST_P(RecursiveTableModes, MaxMirrorsMin) {
   EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 8);
 }
 
-TEST_P(RecursiveTableModes, MinDoubleValues) {
+TEST(RecursiveTableTest, MinDoubleValues) {
   RecursiveTable t("r",
                    Schema({{"g", ColumnType::kInt},
                            {"v", ColumnType::kDouble}}),
                    SpecFor(AggFunc::kMin, 2, ColumnType::kDouble), 0, false,
-                   Opts());
+                   EngineOptions());
   std::vector<TupleBuf> b = {{1, WordFromDouble(2.5)},
                              {1, WordFromDouble(2.25)}};
   t.MergeBatch(b);
@@ -221,12 +207,12 @@ TEST_P(RecursiveTableModes, MinDoubleValues) {
   EXPECT_TRUE(ok);
 }
 
-TEST_P(RecursiveTableModes, ZeroGroupMinKeepsOneRow) {
+TEST(RecursiveTableTest, ZeroGroupMinKeepsOneRow) {
   // m(min<Y>): no group columns, so every wire belongs to the one group and
   // column 0 is the value itself. A later batch whose best differs from
   // the stored value must update that row, not append a second one.
   RecursiveTable t("m", Schema::Ints(1), SpecFor(AggFunc::kMin, 1), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> b1 = {{WordFromInt(5)}};
   t.MergeBatch(b1);
   std::vector<TupleBuf> b2 = {{WordFromInt(3)}, {WordFromInt(7)}};
@@ -235,10 +221,10 @@ TEST_P(RecursiveTableModes, ZeroGroupMinKeepsOneRow) {
   EXPECT_EQ(IntFromWord(t.rows().Row(0)[0]), 3);
 }
 
-TEST_P(RecursiveTableModes, TwoColumnGroupKeys) {
+TEST(RecursiveTableTest, TwoColumnGroupKeys) {
   // APSP-style: group (A, B), value D.
   RecursiveTable t("path", Schema::Ints(3), SpecFor(AggFunc::kMin, 3), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> b = {{1, 2, WordFromInt(10)},
                              {1, 3, WordFromInt(10)},
                              {1, 2, WordFromInt(7)}};
@@ -253,9 +239,9 @@ TEST_P(RecursiveTableModes, TwoColumnGroupKeys) {
   EXPECT_EQ((got[{1, 3}]), 10);
 }
 
-TEST_P(RecursiveTableModes, CountDistinctContributors) {
+TEST(RecursiveTableTest, CountDistinctContributors) {
   RecursiveTable t("cnt", Schema::Ints(2), SpecFor(AggFunc::kCount, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   // Wire: (group, contributor).
   std::vector<TupleBuf> b = {{1, 100}, {1, 101}, {1, 100}, {2, 100}};
   t.MergeBatch(b);
@@ -271,12 +257,12 @@ TEST_P(RecursiveTableModes, CountDistinctContributors) {
   EXPECT_EQ(t.delta_size(), 0u);  // Known contributor: no change.
 }
 
-TEST_P(RecursiveTableModes, SumReplacesContributorValue) {
+TEST(RecursiveTableTest, SumReplacesContributorValue) {
   RecursiveTable t("rank",
                    Schema({{"g", ColumnType::kInt},
                            {"v", ColumnType::kDouble}}),
                    SpecFor(AggFunc::kSum, 2, ColumnType::kDouble), 0, false,
-                   Opts());
+                   EngineOptions());
   // Wire: (group, contributor, value).
   std::vector<TupleBuf> b = {{1, 7, WordFromDouble(0.5)},
                              {1, 8, WordFromDouble(0.25)}};
@@ -296,9 +282,9 @@ TEST_P(RecursiveTableModes, SumReplacesContributorValue) {
   EXPECT_EQ(t.delta_size(), 0u);
 }
 
-TEST_P(RecursiveTableModes, JoinIndexTracksAppendedRows) {
+TEST(RecursiveTableTest, JoinIndexTracksAppendedRows) {
   RecursiveTable t("path", Schema::Ints(3), SpecFor(AggFunc::kMin, 3), 1,
-                   /*needs_join_index=*/true, Opts());
+                   /*needs_join_index=*/true, EngineOptions());
   std::vector<TupleBuf> b = {{1, 5, WordFromInt(3)},
                              {2, 5, WordFromInt(4)},
                              {3, 6, WordFromInt(1)}};
@@ -308,11 +294,11 @@ TEST_P(RecursiveTableModes, JoinIndexTracksAppendedRows) {
   EXPECT_EQ(srcs, (std::set<uint64_t>{1, 2}));
 }
 
-TEST_P(RecursiveTableModes, RandomizedMinParityWithOracle) {
+TEST(RecursiveTableTest, RandomizedMinParityWithOracle) {
   // Property test: arbitrary interleavings of batches must leave the table
-  // equal to a simple map oracle, in every (index, cache) mode.
+  // equal to a simple map oracle.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::map<uint64_t, int64_t> oracle;
   Rng rng(321);
   for (int batch_no = 0; batch_no < 50; ++batch_no) {
@@ -333,7 +319,7 @@ TEST_P(RecursiveTableModes, RandomizedMinParityWithOracle) {
   }
 }
 
-TEST_P(RecursiveTableModes, StridedMergeMatchesTupleBufAdapter) {
+TEST(RecursiveTableTest, StridedMergeMatchesTupleBufAdapter) {
   // The gather path merges wires packed densely at the wire arity; tests
   // and benches merge one TupleBuf per wire. Both forms must leave the
   // table in the same state after every batch, empty batches included.
@@ -351,8 +337,8 @@ TEST_P(RecursiveTableModes, StridedMergeMatchesTupleBufAdapter) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(static_cast<int>(c.spec.func));
-    RecursiveTable dense("r", c.schema, c.spec, 0, false, Opts());
-    RecursiveTable boxed("r", c.schema, c.spec, 0, false, Opts());
+    RecursiveTable dense("r", c.schema, c.spec, 0, false, EngineOptions());
+    RecursiveTable boxed("r", c.schema, c.spec, 0, false, EngineOptions());
     const uint32_t arity = c.spec.wire_arity;
     Rng rng(31);
     for (size_t n : std::vector<size_t>{0, 1, 17, 40, 0, 25}) {
@@ -391,23 +377,14 @@ TEST_P(RecursiveTableModes, StridedMergeMatchesTupleBufAdapter) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Ablations, RecursiveTableModes,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
-      std::string name = std::get<0>(info.param) ? "AggIndex" : "LinearScan";
-      name += std::get<1>(info.param) ? "_Cache" : "_NoCache";
-      return name;
-    });
-
-TEST_P(RecursiveTableModes, NoneGrowsAcrossLoadBoundaryMidBatch) {
+TEST(RecursiveTableTest, NoneGrowsAcrossLoadBoundaryMidBatch) {
   // One MergeBatch large enough to push the flat existence set across its
   // 60% growth boundary several times mid-batch (64 initial slots → growth
   // at 39, 77, ... entries). In-flight prefetches at the rehash point go
   // stale; dedup must not. Duplicates are interleaved so probes land both
   // before and after each rehash.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch;
   std::set<std::pair<uint64_t, uint64_t>> oracle;
   Rng rng(99);
@@ -431,13 +408,13 @@ TEST_P(RecursiveTableModes, NoneGrowsAcrossLoadBoundaryMidBatch) {
   EXPECT_EQ(t.delta_size(), 0u);
 }
 
-TEST_P(RecursiveTableModes, MinInPlaceUpdateKeepsExistenceCacheCoherent) {
-  // A min update rewrites the stored row in place. A stale existence-cache
-  // entry pointing at the old bytes must not make the table drop or
-  // resurrect values afterwards: revisit the same group with worse, equal,
-  // and better values after each in-place rewrite.
+TEST(RecursiveTableTest, MinInPlaceUpdateStaysCoherent) {
+  // A min update rewrites the stored row in place. The group index must
+  // keep naming that row, so the table neither drops nor resurrects values
+  // afterwards: revisit the same group with worse, equal, and better values
+  // after each in-place rewrite.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> b1 = {{1, WordFromInt(50)}};
   t.MergeBatch(b1);
   t.ClearDelta();
@@ -454,26 +431,25 @@ TEST_P(RecursiveTableModes, MinInPlaceUpdateKeepsExistenceCacheCoherent) {
   EXPECT_EQ(t.delta_size(), 0u);
 }
 
-TEST_P(RecursiveTableModes, ProbeCmpsCounterAdvances) {
+TEST(RecursiveTableTest, ProbeCmpsCounterAdvances) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch;
   Rng rng(5);
   for (int i = 0; i < 2000; ++i) {
     batch.push_back({rng.Uniform(30), rng.Uniform(30)});
   }
   t.MergeBatch(batch);
-  // Dense duplicates guarantee occupied-slot comparisons: the count must be
-  // nonzero and no smaller than the number of accepted re-probes that
-  // found a match outside the existence cache.
+  // Dense duplicates guarantee occupied-slot comparisons: every duplicate
+  // arrival compares against the stored tuple, so the count is nonzero.
   EXPECT_GT(t.merge_probe_cmps(), 0u);
 }
 
-TEST_P(RecursiveTableModes, FindRowIdLeavesProbeCmpsAlone) {
+TEST(RecursiveTableTest, FindRowIdLeavesProbeCmpsAlone) {
   // Deletion lookups are not merges: they must not inflate the merge
   // counter, and concurrent Backward/Forward shards must not race on it.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> batch;
   for (uint64_t i = 0; i < 500; ++i) batch.push_back({i % 17, i % 29});
   t.MergeBatch(batch);
@@ -486,9 +462,9 @@ TEST_P(RecursiveTableModes, FindRowIdLeavesProbeCmpsAlone) {
   EXPECT_EQ(t.merge_probe_cmps(), cmps);
 }
 
-TEST_P(RecursiveTableModes, ChangeLogListsRowsChangedInPlace) {
+TEST(RecursiveTableTest, ChangeLogListsRowsChangedInPlace) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
-                   false, Opts());
+                   false, EngineOptions());
   std::vector<TupleBuf> b1 = {
       {1, WordFromInt(9)}, {2, WordFromInt(4)}, {3, WordFromInt(5)}};
   t.MergeBatch(b1);
@@ -517,18 +493,62 @@ TEST_P(RecursiveTableModes, ChangeLogListsRowsChangedInPlace) {
   EXPECT_TRUE(t.TakeChangedRows().empty());
 }
 
-TEST(RecursiveTableTest, CacheHitsAreCounted) {
-  EngineOptions opts;
-  opts.enable_existence_cache = true;
+TEST(RecursiveTableTest, SupportCountsCountEveryArrival) {
+  // Every arrival of a tuple raises its row's support count: repeats within
+  // one batch, across batches and through the single-wire path alike.
+  // merges() counts every arrival, accepts() only the first.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
-                   false, opts);
-  std::vector<TupleBuf> b1 = {{1, 2}};
+                   false, EngineOptions());
+  t.EnableSupportCounts();
+  ASSERT_TRUE(t.support_counts_enabled());
+  const TupleBuf a{1, 2};
+  const TupleBuf b{3, 4};
+  const TupleBuf c{5, 6};
+  const auto count_of = [&t](const TupleBuf& tuple) {
+    const uint64_t row = t.FindRowId(TupleRef{tuple.v, 2});
+    EXPECT_NE(row, UINT64_MAX);
+    return t.SupportCount(row);
+  };
+
+  std::vector<TupleBuf> b1 = {a};
   t.MergeBatch(b1);
-  std::vector<TupleBuf> b2 = {{1, 2}, {1, 2}, {1, 2}};
+  std::vector<TupleBuf> b2 = {a, a, a};
   t.MergeBatch(b2);
-  EXPECT_GE(t.cache_hits(), 3u);
   EXPECT_EQ(t.merges(), 4u);
   EXPECT_EQ(t.accepts(), 1u);
+  EXPECT_EQ(t.rows().size(), 1u);
+  EXPECT_EQ(count_of(a), 4u);
+
+  std::vector<TupleBuf> b3 = {b, a, b};
+  t.MergeBatch(b3);
+  EXPECT_TRUE(t.MergeWire(c.v));
+  EXPECT_FALSE(t.MergeWire(b.v));
+  EXPECT_EQ(t.merges(), 9u);
+  EXPECT_EQ(t.accepts(), 3u);
+  EXPECT_EQ(count_of(a), 5u);
+  EXPECT_EQ(count_of(b), 3u);
+  EXPECT_EQ(count_of(c), 1u);
+
+  // Decrements count down to zero, one derivation at a time.
+  const uint64_t b_row = t.FindRowId(TupleRef{b.v, 2});
+  EXPECT_EQ(t.DecrementSupport(b_row), 2u);
+  EXPECT_EQ(t.DecrementSupport(b_row), 1u);
+  const uint64_t c_row = t.FindRowId(TupleRef{c.v, 2});
+  EXPECT_EQ(t.DecrementSupport(c_row), 0u);
+
+  // Compaction renumbers the survivors; their counts travel with them, and
+  // later arrivals keep counting.
+  t.CompactRemoveRows({c_row});
+  ASSERT_EQ(t.rows().size(), 2u);
+  EXPECT_EQ(t.FindRowId(TupleRef{c.v, 2}), UINT64_MAX);
+  EXPECT_EQ(count_of(a), 5u);
+  EXPECT_EQ(count_of(b), 1u);
+  std::vector<TupleBuf> b4 = {a, c, b, c};
+  t.MergeBatch(b4);
+  EXPECT_EQ(t.rows().size(), 3u);
+  EXPECT_EQ(count_of(a), 6u);
+  EXPECT_EQ(count_of(b), 2u);
+  EXPECT_EQ(count_of(c), 2u);
 }
 
 // --- BaseIndexSet ----------------------------------------------------------
@@ -624,7 +644,7 @@ class DistributorTest : public ::testing::Test {
 TEST_F(DistributorTest, RoutesToEveryReplicaByItsColumn) {
   // self_worker 4 is outside the partition range, so nothing self-loops.
   Distributor dist(&scc_, /*num_workers=*/4, /*self_worker=*/4,
-                   /*partial_agg=*/false, Unpack(), SelfSink());
+                   Unpack(), SelfSink());
   uint64_t wire[3] = {11, 22, WordFromInt(5)};
   dist.EmitBatch(head_, wire, 1, 3);
   EXPECT_TRUE(sent_.empty());  // Staged until flush (or a full block).
@@ -647,8 +667,7 @@ TEST_F(DistributorTest, RoutesToEveryReplicaByItsColumn) {
 }
 
 TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
-  Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
-                   Unpack(), SelfSink());
+  Distributor dist(&scc_, 4, /*self_worker=*/4, Unpack(), SelfSink());
   uint64_t w1[3] = {1, 2, WordFromInt(9)};
   uint64_t w2[3] = {1, 2, WordFromInt(4)};
   uint64_t w3[3] = {1, 2, WordFromInt(6)};
@@ -668,8 +687,7 @@ TEST_F(DistributorTest, PartialAggregationFoldsPerGroup) {
 TEST_F(DistributorTest, FoldDoesNotSpanFlush) {
   // The fold map clears at every Flush: a group's worse value in the next
   // iteration still ships, because nothing from the last one survives.
-  Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
-                   Unpack(), SelfSink());
+  Distributor dist(&scc_, 4, /*self_worker=*/4, Unpack(), SelfSink());
   uint64_t w1[3] = {1, 2, WordFromInt(4)};
   dist.EmitBatch(head_, w1, 1, 3);
   dist.Flush();
@@ -701,8 +719,7 @@ TEST_F(DistributorTest, EmitBatchFoldsLikePerTupleEmit) {
   using Shipped = std::tuple<uint32_t, uint32_t, std::vector<uint64_t>>;
   auto run = [&](bool batched) {
     sent_.clear();
-    Distributor dist(&scc_, 4, /*self_worker=*/4, /*partial_agg=*/true,
-                     Unpack(), SelfSink());
+    Distributor dist(&scc_, 4, /*self_worker=*/4, Unpack(), SelfSink());
     if (batched) {
       dist.EmitBatch(head_, wires.data(), 300, 3);
     } else {
@@ -736,7 +753,7 @@ TEST_F(DistributorTest, NonAggregateTuplesShipOnFlush) {
   head.predicate = "q";
   head.pred_id = 0;
   head.agg = SpecFor(AggFunc::kNone, 2);
-  Distributor dist(&scc, 4, /*self_worker=*/4, true, Unpack(), SelfSink());
+  Distributor dist(&scc, 4, /*self_worker=*/4, Unpack(), SelfSink());
   uint64_t w[2] = {5, 6};
   dist.EmitBatch(head, w, 1, 2);
   EXPECT_EQ(dist.tuples_routed(), 1u);
@@ -757,8 +774,7 @@ TEST_F(DistributorTest, FullBlocksShipBeforeFlush) {
   head.agg = SpecFor(AggFunc::kNone, 2);
   // One worker, but emitting from "worker 1" of 1 is impossible — use two
   // workers and only count what lands remotely plus the bypass.
-  Distributor dist(&scc, 2, /*self_worker=*/0, /*partial_agg=*/false,
-                   Unpack(), SelfSink());
+  Distributor dist(&scc, 2, /*self_worker=*/0, Unpack(), SelfSink());
   const uint32_t cap = MsgBlock::CapacityFor(2);
   // Find a key that routes to worker 1 (remote) and emit 2*cap + 3 copies
   // with distinct second columns.
@@ -792,8 +808,7 @@ TEST_F(DistributorTest, SelfLoopBypassSkipsRings) {
   head.predicate = "q";
   head.pred_id = 0;
   head.agg = SpecFor(AggFunc::kNone, 2);
-  Distributor dist(&scc, 4, /*self_worker=*/2, /*partial_agg=*/false,
-                   Unpack(), SelfSink());
+  Distributor dist(&scc, 4, /*self_worker=*/2, Unpack(), SelfSink());
   uint64_t self_tuples = 0;
   for (uint64_t key = 0; key < 64; ++key) {
     uint64_t w[2] = {key, key + 100};

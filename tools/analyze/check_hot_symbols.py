@@ -28,14 +28,11 @@ import subprocess
 import sys
 
 # Anchored demangled-name patterns selecting the hot functions to audit.
-# Anchoring matters: an unanchored `Merge\w*` also matches std::_Hashtable
-# helper symbols whose *template arguments* mention MergeMinMaxBatchByScan.
 # Header-inline roots (FlatTupleSet::Insert, SpscQueue::TryPush) audit as
 # part of whichever of these bodies inlined them — exactly the point of a
 # post-inlining check.
 HOT_SYMBOL_PATTERNS = [
     r"^dcdatalog::RecursiveTable::Merge\w+\(",
-    r"^dcdatalog::RecursiveTable::CacheCheckDuplicate\(",
     r"^dcdatalog::Distributor::(EmitBatch|EmitResolved|Flush|Route|"
     r"SendBlock)\(",
     r"^dcdatalog::BatchPipelineRunner::(Push|RunBatch|Finish|FlushLevel)\(",
@@ -78,16 +75,15 @@ ALLOWED_CALLS = [
      r"^operator (new|delete)",
      "staged-wire vector<uint64_t> doubling branch inlined — one append "
      "per new fold group, capacity retained across iterations"),
-    (r"RecursiveTable::Merge(None|Count|Sum|MinMaxBatchByScan)\(",
+    (r"RecursiveTable::Merge(None|Count|Sum)\(",
      r"^operator (new|delete)",
      "row-store and delta vector doubling branches inlined — amortized "
-     "O(1) per accepted tuple, capacity retained across iterations — and "
-     "the min/max pending-best rebuild, once per merge batch"),
+     "O(1) per accepted tuple, capacity retained across iterations"),
     (r"RecursiveTable::MergeBatch\(",
      r"^operator (new|delete)",
-     "the audited MergeNone / min-max-by-scan bodies above inline into "
-     "the batch entry point at some optimization levels; same "
-     "once-per-batch allocator sites, just a different inlining home"),
+     "the audited MergeNone body above inlines into the batch entry point "
+     "at some optimization levels; same amortized allocator sites, just a "
+     "different inlining home"),
 ]
 
 # `.cold` clones hold the paths GCC already proved cold (DCD_CHECK failure

@@ -141,7 +141,9 @@ EVALSTATS_COUNTER_SITES = {
     "self_loop_tuples": "Distributor::Route",
     "merges": "RecursiveTable::MergeWire",
     "accepts": "RecursiveTable::MergeWire",
-    "cache_hits": "RecursiveTable::CacheCheckDuplicate",
+    # Always 0 since the existence cache was removed; kept only for
+    # perfbench's frozen runtime.cache_hit_ratio, so no hot function feeds it.
+    "cache_hits": None,
     "merge_probe_cmps": "RecursiveTable::MergeWire",
     "pipeline_batches": "BatchPipelineRunner::RunBatch",
     "pipeline_rows_selected": "BatchPipelineRunner::RunBatch",

@@ -38,7 +38,6 @@
 //   --workers N        worker threads, 1..4096 (default: hardware)
 //   --mode global|ssp|dws
 //   --slack N          SSP slack (default 5)
-//   --no-agg-index --no-cache --no-partial-agg   disable §6.2/Fig.7 opts
 //   --out pred=path    write one predicate to a file (repeatable)
 //   --updates FILE     after the initial fixpoint, stream EDB update
 //                      batches from FILE ("+ rel v..." / "- rel v..." per
@@ -167,12 +166,6 @@ bool ParseCommon(int argc, char** argv, int start, Options* opts) {
         return false;
       }
       opts->engine.ssp_slack = slack;
-    } else if (arg == "--no-agg-index") {
-      opts->engine.enable_aggregate_index = false;
-    } else if (arg == "--no-cache") {
-      opts->engine.enable_existence_cache = false;
-    } else if (arg == "--no-partial-agg") {
-      opts->engine.enable_partial_aggregation = false;
     } else if (arg == "--stats") {
       opts->stats = true;
     } else if (arg == "--seed") {

@@ -113,9 +113,8 @@ CHAOS_ALLOWLIST_FILES = {
 # file (relative) -> function names whose bodies run per iteration / per
 # tuple. Raw allocation inside them is a hot-loop bug; containers sized at
 # setup time (vector ctors) are fine and not matched.
-# MergeMinMaxBatchByScan and PreparePipeline are deliberately absent: the
-# former is the paper's unoptimized ablation baseline, the latter runs once
-# per rule, not per tuple.
+# PreparePipeline is deliberately absent: it runs once per rule, not per
+# tuple.
 HOT_LOOP_FUNCTIONS = {
     "src/concurrent/spsc_queue.h": ["TryPush", "TryPop"],
     "src/runtime/distributor.cc": [
