@@ -28,7 +28,6 @@
 #include "runtime/base_index_set.h"
 #include "runtime/batch_pipeline.h"
 #include "runtime/distributor.h"
-#include "runtime/pipeline.h"
 #include "runtime/recursive_table.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
@@ -564,22 +563,21 @@ BENCHMARK(BM_EngineTcScratchRecompute)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Rule-pipeline executors ----------------------------------------------
+// --- Rule-pipeline executor -----------------------------------------------
 //
-// The batch runner against RunPipelineForTuple (the per-tuple form the
-// delete path's proof search runs) on a representative filter + probe
-// rule, isolated from coordination and merging: 256K driving rows through
-// an int filter (~50% selectivity) and two hash-join probes (the shared key
-// variable X triggers the paper's hash-join heuristic), emissions counted
-// through each executor's non-allocating sink. Single-threaded on purpose —
-// the executors differ in per-lane instruction count and probe cache
-// behaviour, not in parallel structure. Throughput is driving tuples/sec.
+// The batch runner on a representative filter + probe rule, isolated from
+// coordination and merging: 256K driving rows through an int filter (~50%
+// selectivity) and two hash-join probes (the shared key variable X
+// triggers the paper's hash-join heuristic), emissions counted through a
+// non-allocating sink. Single-threaded on purpose: it measures per-lane
+// instruction count and probe cache behaviour, not parallel structure.
+// Throughput is driving tuples/sec.
 
 constexpr uint32_t kPipeSrcRows = 1u << 18;
 constexpr uint32_t kPipeKeySpace = 1u << 19;  // Filter keeps X < 2^18: ~50%.
 
 /// Planner-compiled filter+probe rule plus everything needed to run it,
-/// built once and shared by both executor benchmarks.
+/// built once.
 struct PipelineBenchSetup {
   Catalog catalog;
   StringDict dict;
@@ -588,7 +586,6 @@ struct PipelineBenchSetup {
   const PhysicalRule* rule = nullptr;
   std::unique_ptr<BaseIndexSet> indexes;
   std::vector<std::unique_ptr<RecursiveTable>> no_replicas;
-  std::vector<uint64_t> regs;
   PipelineContext ctx;
 
   bool Init() {
@@ -631,14 +628,11 @@ struct PipelineBenchSetup {
     ctx.catalog = &catalog;
     ctx.base_indexes = indexes.get();
     ctx.replicas = &no_replicas;
-    regs.assign(rule->num_regs, 0);
-    ctx.regs = regs.data();
     PreparePipeline(*rule, &ctx);
     return true;
   }
 
-  /// Leaky singleton: built on first use, shared by both executor
-  /// benchmarks; nullptr when setup failed.
+  /// Leaky singleton: built on first use; nullptr when setup failed.
   static PipelineBenchSetup* Get() {
     static PipelineBenchSetup* setup = [] {
       auto* s = new PipelineBenchSetup();
@@ -652,10 +646,8 @@ struct PipelineBenchSetup {
   }
 };
 
-/// Counting sink shared by both executors; the tuple side pays the
-/// BuildWireTuple a per-derivation sink does.
+/// Counting sink for the batch executor.
 struct PipelineCountSink {
-  const PhysicalRule* rule = nullptr;
   uint64_t count = 0;
   uint64_t checksum = 0;
 
@@ -668,35 +660,7 @@ struct PipelineCountSink {
       s->checksum ^= wires[static_cast<size_t>(i) * wire_arity];
     }
   }
-
-  static void Tuple(void* c, const uint64_t* regs) {
-    auto* s = static_cast<PipelineCountSink*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(s->rule->head, regs, wire);
-    ++s->count;
-    s->checksum ^= wire[0];
-  }
 };
-
-void BM_PipelineTuple(benchmark::State& state) {
-  PipelineBenchSetup* setup = PipelineBenchSetup::Get();
-  if (setup == nullptr) {
-    state.SkipWithError("pipeline bench setup failed");
-    return;
-  }
-  const Relation* src = setup->catalog.Find("src");
-  for (auto _ : state) {
-    PipelineCountSink sink;
-    sink.rule = setup->rule;
-    const EmitSink emit{&PipelineCountSink::Tuple, &sink};
-    for (uint64_t r = 0; r < src->size(); ++r) {
-      RunPipelineForTuple(*setup->rule, setup->ctx, src->Row(r), emit);
-    }
-    benchmark::DoNotOptimize(sink.checksum);
-  }
-  state.SetItemsProcessed(state.iterations() * kPipeSrcRows);
-}
-BENCHMARK(BM_PipelineTuple)->Unit(benchmark::kMillisecond);
 
 void BM_PipelineBatch(benchmark::State& state) {
   PipelineBenchSetup* setup = PipelineBenchSetup::Get();

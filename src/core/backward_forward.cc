@@ -6,8 +6,7 @@
 #include "common/chaos.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "runtime/message.h"
-#include "runtime/pipeline.h"
+#include "runtime/batch_pipeline.h"
 
 namespace dcdatalog {
 namespace {
@@ -25,6 +24,7 @@ constexpr uint8_t kDeleted = 4;  // D
 constexpr uint8_t kQueued = 8;   // Entered the candidate queue once.
 
 constexpr uint32_t kNoWatch = UINT32_MAX;
+constexpr uint32_t kNoPartition = UINT32_MAX;
 
 /// What the shards of one delete share: the input and the guard.
 struct Shared {
@@ -62,10 +62,8 @@ class Shard {
       }
     }
 
-    uint32_t max_regs = 1;
     const auto prepare = [&](const PhysicalRule& rule,
                              const BaseIndexSet* indexes) {
-      max_regs = std::max(max_regs, rule.num_regs);
       PipelineContext ctx;
       ctx.catalog = in_.catalog;
       ctx.base_indexes = indexes;
@@ -94,10 +92,6 @@ class Shard {
         }
       }
       update_ctx_.push_back(std::move(ctx));
-    }
-    regs_.assign(max_regs, 0);
-    for (auto* ctxs : {&check_ctx_, &delta_ctx_, &update_ctx_}) {
-      for (PipelineContext& ctx : *ctxs) ctx.regs = regs_.data();
     }
   }
 
@@ -144,8 +138,9 @@ class Shard {
     size_t end = 0;
   };
 
-  /// Emission context. Emits only record: no pipeline runs inside
-  /// another, so all rules share one register file.
+  /// InstanceThunk's emission context: the check version running. Emits
+  /// only record: no pipeline runs inside another, so one runner serves
+  /// every rule.
   struct RuleEmit {
     Shard* self;
     const PhysicalRule* rule;
@@ -191,55 +186,73 @@ class Shard {
     return true;
   }
 
-  /// Queues the head of a forward instance as a candidate.
-  static void HeadThunk(void* c, const uint64_t* regs) {
-    auto* e = static_cast<RuleEmit*>(c);
-    Shard* self = e->self;
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(e->rule->head, regs, wire);
-    // Every shard drives every removed row and keeps the heads it owns;
-    // Forward's heads are always its own.
-    if (!self->Owns(wire)) return;
-    FactRef h;
-    // Forward instances lie in the pre-batch fixpoint, so I holds their
-    // heads.
-    const bool found = self->Locate(e->rule->head.pred_id, wire, &h);
-    DCD_DCHECK(found);
-    if (!found || (self->State(h) & (kQueued | kDeleted | kProved)) != 0) {
-      return;
+  /// Queues the heads of a batch of forward instances as candidates.
+  static void HeadThunk(void* c, const HeadSpec& head, const uint64_t* wires,
+                        uint32_t count, uint32_t wire_arity) {
+    auto* self = static_cast<Shard*>(c);
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t* wire = wires + static_cast<size_t>(i) * wire_arity;
+      // Every shard drives every removed row and keeps the heads it owns;
+      // Forward's heads are always its own.
+      if (!self->Owns(wire)) continue;
+      FactRef h;
+      // Forward instances lie in the pre-batch fixpoint, so I holds their
+      // heads.
+      const bool found = self->Locate(head.pred_id, wire, &h);
+      DCD_DCHECK(found);
+      if (!found ||
+          (self->State(h) & (kQueued | kDeleted | kProved)) != 0) {
+        continue;
+      }
+      self->State(h) |= kQueued;
+      self->candidates_.push_back(h);
     }
-    self->State(h) |= kQueued;
-    self->candidates_.push_back(h);
   }
 
-  /// Takes one instance deriving the fact being opened: an instance with
-  /// no same-SCC body fact proves it outright; else its facts are queued
-  /// for lookup, their existence slots prefetched.
-  static void InstanceThunk(void* c, const uint64_t* regs) {
+  /// Takes a batch of instances deriving the fact being opened, each one
+  /// packed as its same-SCC body facts back to back: an instance with no
+  /// such fact proves it outright; else its facts are queued for lookup,
+  /// their existence slots prefetched.
+  static void InstanceThunk(void* c, const HeadSpec& head,
+                            const uint64_t* wires, uint32_t count,
+                            uint32_t wire_arity) {
+    (void)head;
     auto* e = static_cast<RuleEmit*>(c);
     Shard* self = e->self;
-    const std::vector<HeadSpec>& atoms = e->rule->check_atoms;
+    const std::vector<CheckAtom>& atoms = e->rule->check_atoms;
     // The planner admits at most two same-SCC goals per rule.
     DCD_DCHECK(atoms.size() <= 2);
     if (atoms.empty()) {
       self->opened_proved_ = true;
       return;
     }
-    self->pending_sizes_.push_back(static_cast<uint8_t>(atoms.size()));
-    for (const HeadSpec& atom : atoms) {
-      const uint32_t arity = static_cast<uint32_t>(atom.wire_exprs.size());
-      const size_t offset = self->pending_words_.size();
-      self->pending_words_.resize(offset + arity);
-      uint64_t* tuple = &self->pending_words_[offset];
-      BuildWireTuple(atom, regs, tuple);
-      // The shard column is proof-invariant: the fact is this shard's.
-      DCD_DCHECK(self->Owns(tuple));
-      const uint32_t part = self->PartOf(atom.pred_id, tuple);
-      const uint64_t hash = HashWords(tuple, arity);
-      self->Table(part).PrefetchFindSlot(hash);
-      self->pending_.push_back(
-          Pending{part, static_cast<uint32_t>(offset), hash});
+    for (uint32_t i = 0; i < count; ++i) {
+      const uint64_t* instance = wires + static_cast<size_t>(i) * wire_arity;
+      size_t offset = self->pending_words_.size();
+      self->pending_words_.insert(self->pending_words_.end(), instance,
+                                  instance + wire_arity);
+      self->pending_sizes_.push_back(static_cast<uint8_t>(atoms.size()));
+      for (const CheckAtom& atom : atoms) {
+        const uint64_t* tuple = &self->pending_words_[offset];
+        // The shard column is proof-invariant: the fact is this shard's.
+        DCD_DCHECK(self->Owns(tuple));
+        const uint32_t part = self->PartOf(atom.pred_id, tuple);
+        const uint64_t hash = HashWords(tuple, atom.width);
+        self->Table(part).PrefetchFindSlot(hash);
+        self->pending_.push_back(
+            Pending{part, static_cast<uint32_t>(offset), hash});
+        offset += atom.width;
+      }
     }
+  }
+
+  /// Runs `rule` over one driving row: a single-row batch keeps Check and
+  /// Forward depth first.
+  void RunOne(const PhysicalRule& rule, const PipelineContext& ctx,
+              TupleRef row, BatchEmitSink emit) {
+    runner_.Begin(rule, &ctx, emit);
+    runner_.Push(row);
+    runner_.Finish();
   }
 
   /// Looks up the facts the opened fact's instances named: an instance
@@ -285,26 +298,33 @@ class Shard {
   }
 
   /// Forward from the removed rows of other relations: every instance
-  /// holding one, over the pre-batch state, names a candidate.
+  /// holding one, over the pre-batch state, names a candidate. A recursive
+  /// probe must read the partition owning its key, so a batch runs
+  /// against one partition's tables and closes where the next row's
+  /// partition differs. The candidates thus queue in the removed rows'
+  /// order, and |C| does not depend on the number of workers.
   void DriveRemoved() {
+    const BatchEmitSink emit{&HeadThunk, this};
     for (size_t u = 0; u < scc_.update_rules.size(); ++u) {
       const PhysicalRule& rule = scc_.update_rules[u];
       auto it = in_.removed->find(rule.driving_relation);
       if (it == in_.removed->end()) continue;
       PipelineContext& ctx = update_ctx_[u];
-      RuleEmit e{this, &rule};
-      const EmitSink emit{&HeadThunk, &e};
       const Relation& rows = it->second;
+      const int col = rule.update_partition_col;
+      uint32_t open = kNoPartition;
       for (uint64_t r = 0; r < rows.size(); ++r) {
         const TupleRef row = rows.Row(r);
-        // A recursive probe must read the partition owning its key.
-        const uint32_t w =
-            rule.update_partition_col >= 0
-                ? PartitionOf(row[rule.update_partition_col], n_)
-                : 0;
-        ctx.replicas = &(*in_.tables)[w];
-        RunPipelineForTuple(rule, ctx, row, emit);
+        const uint32_t w = col >= 0 ? PartitionOf(row[col], n_) : 0;
+        if (w != open) {
+          if (open != kNoPartition) runner_.Finish();
+          ctx.replicas = &(*in_.tables)[w];
+          runner_.Begin(rule, &ctx, emit);
+          open = w;
+        }
+        runner_.Push(row);
       }
+      if (open != kNoPartition) runner_.Finish();
     }
   }
 
@@ -322,8 +342,7 @@ class Shard {
                              : PartitionOf(tuple[spec.partition_col], n_);
       PipelineContext& ctx = delta_ctx_[d];
       ctx.replicas = &(*in_.tables)[w];
-      RuleEmit e{this, &rule};
-      RunPipelineForTuple(rule, ctx, tuple, EmitSink{&HeadThunk, &e});
+      RunOne(rule, ctx, tuple, BatchEmitSink{&HeadThunk, this});
     }
   }
 
@@ -343,8 +362,7 @@ class Shard {
     for (size_t c : check_by_pred_[f.part / n_]) {
       const PhysicalRule& rule = scc_.check_rules[c];
       RuleEmit e{this, &rule};
-      RunPipelineForTuple(rule, check_ctx_[c], tuple,
-                          EmitSink{&InstanceThunk, &e});
+      RunOne(rule, check_ctx_[c], tuple, BatchEmitSink{&InstanceThunk, &e});
     }
     const size_t begin = body_.size();
     if (opened_proved_ || ResolveInstances()) {
@@ -416,13 +434,13 @@ class Shard {
   std::vector<std::vector<uint8_t>> state_;  // By part, indexed by row.
   uint64_t num_checked_ = 0;                 // |C| of this shard.
 
-  // Per-rule pipeline contexts, prepared once.
+  // Per-rule pipeline contexts, prepared once, and the shard's executor.
   std::vector<PipelineContext> check_ctx_;
   std::vector<PipelineContext> delta_ctx_;
   std::vector<PipelineContext> update_ctx_;
   std::vector<std::vector<size_t>> check_by_pred_;
   std::vector<std::vector<size_t>> delta_by_pred_;
-  std::vector<uint64_t> regs_;
+  BatchPipelineRunner runner_;
 
   std::vector<FactRef> candidates_;  // Forward's queue.
   std::vector<Frame> stack_;         // Check's explicit stack.

@@ -29,7 +29,6 @@
 #include "runtime/batch_pipeline.h"
 #include "runtime/distributor.h"
 #include "runtime/message.h"
-#include "runtime/pipeline.h"
 #include "runtime/recursive_table.h"
 
 namespace dcdatalog {
@@ -65,9 +64,6 @@ struct IncrementalHooks {
   /// Adopt the retained tables (update mode) instead of building fresh
   /// ones. Each worker rebinds the tables' debug writer affinity to itself.
   bool adopt = false;
-  /// On fresh builds, enable support counting on kNone tables so the
-  /// counting delete path can maintain them later.
-  bool enable_counts = false;
   /// Phase 0 drives the SCC's update rules over rows past the relation
   /// watermarks instead of the base rules over whole relations, and
   /// materialization is left to the engine (watermark-append).
@@ -277,10 +273,6 @@ class SccExecutor {
             spec.predicate, plan_.schemas.at(spec.predicate),
             plan_.agg_specs.at(spec.predicate), spec.partition_col,
             spec.needs_join_index, options_));
-        if (hooks_ != nullptr && hooks_->enable_counts &&
-            replicas.back()->agg_spec().func == AggFunc::kNone) {
-          replicas.back()->EnableSupportCounts();
-        }
       }
     }
     ctx.replicas = &replicas;
@@ -955,29 +947,6 @@ void ForEachSccIndexId(const SccPlan& scc, Fn&& fn) {
   scan(scc.update_rules);
 }
 
-/// True when every rule of the SCC has at most one positive body atom over
-/// an `affected` relation. The counting paths need this in both directions:
-/// on delete, a rule with two removal-affected atoms loses derivations
-/// whose exact count needs inclusion–exclusion (so decrement-driving each
-/// removed relation independently over-deletes); on insert, two
-/// insert-affected atoms mean the rule's update versions derive the
-/// new×new instantiations from both sides, over-incrementing the counts.
-bool AtMostOneAffectedAtomPerRule(const Program& program,
-                                  const ProgramAnalysis& analysis,
-                                  const SccPlan& scc,
-                                  const std::set<std::string>& affected) {
-  const SccInfo& info = analysis.sccs()[scc.scc_id];
-  for (int r : info.rule_indices) {
-    uint32_t hit = 0;
-    for (const BodyLiteral& lit : program.rules[r].body) {
-      if (lit.kind != BodyLiteral::Kind::kAtom || lit.negated) continue;
-      if (affected.count(lit.atom.predicate) > 0) ++hit;
-    }
-    if (hit >= 2) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 /// Everything an incremental session retains between ApplyUpdates batches:
@@ -1001,10 +970,6 @@ struct Engine::IncrementalState {
   /// rows past the watermark are the batch's new derivations, appended to
   /// the catalog relation during materialization.
   std::vector<std::vector<std::vector<uint64_t>>> replica_watermarks;
-  /// Per SCC: the support counts are live and exact, so the counting
-  /// delete path may use them. Cleared permanently (until the next full
-  /// run) when a batch's structure would let them drift.
-  std::vector<char> counts_valid;
   /// Relation name → row count at the last sync.
   std::map<std::string, uint64_t> rel_watermarks;
   /// Base-index ids by backing relation, for targeted invalidation.
@@ -1253,28 +1218,19 @@ Result<EvalStats> Engine::RunRetaining() {
   st->replicas.clear();
   st->replicas.resize(st->plan.sccs.size());
   st->replica_watermarks.assign(st->plan.sccs.size(), {});
-  st->counts_valid.assign(st->plan.sccs.size(), 0);
   st->layouts.clear();
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
     const SccPlan& scc = st->plan.sccs[s];
     DCD_RETURN_IF_ERROR(st->SyncSccIndexes(scc, *catalog_));
-    // Support counting rides beside kNone existence sets in non-recursive
-    // SCCs, where arrivals equal derivations exactly.
-    bool counts = !scc.recursive && st->have_update_rules;
-    for (const std::string& pred : scc.derived_preds) {
-      if (st->plan.agg_specs.at(pred).func != AggFunc::kNone) counts = false;
-    }
     auto& retained = st->replicas[s];
     retained.clear();
     retained.resize(options_.num_workers);
     IncrementalHooks hooks;
     hooks.retained = &retained;
-    hooks.enable_counts = counts;
     SccExecutor executor(st->plan, scc, catalog_, st->base_indexes.get(),
                          options_, static_cast<uint32_t>(s), &hooks);
     DCD_RETURN_IF_ERROR(executor.Run(&stats));
     ++stats.num_sccs;
-    st->counts_valid[s] = counts ? 1 : 0;
     st->RecordSccWatermarks(s);
   }
   for (const std::string& name : catalog_->Names()) {
@@ -1421,7 +1377,7 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
   }
 
   // --- Insert phase: append, then re-drive from the new rows. ---
-  std::set<std::string> added_rels;
+  bool inserted = false;
   for (const RelationDelta& d : deltas) {
     if (d.added.empty()) continue;
     Relation* rel = catalog_->Find(d.relation);
@@ -1431,21 +1387,14 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     one[0].relation = d.relation;
     one[0].added = d.added;
     DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(one, catalog_));
-    added_rels.insert(d.relation);
+    inserted = true;
   }
-  if (!added_rels.empty()) {
-    std::set<std::string> insert_affected = added_rels;
-    st->PropagateAffected(&insert_affected);
+  if (inserted) {
     for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
       const SccPlan& scc = st->plan.sccs[s];
       // Most inserts into a min aggregate change no group, and then its
       // readers have nothing to drive.
       if (!st->SccHasNewInput(scc, *catalog_)) continue;
-      if (st->counts_valid[s] != 0 &&
-          !AtMostOneAffectedAtomPerRule(st->program, st->analysis, scc,
-                                        insert_affected)) {
-        st->counts_valid[s] = 0;
-      }
       Status sync = st->SyncSccIndexes(scc, *catalog_);
       if (!sync.ok()) {
         inc_.reset();
@@ -1510,137 +1459,11 @@ Result<bool> Engine::RunDeletePhase(
     }
     if (removed_names.empty()) break;
     if (!st->SccConsumesAny(scc, removed_names)) continue;
-    const bool counting =
-        st->counts_valid[s] != 0 && !scc.recursive &&
-        AtMostOneAffectedAtomPerRule(st->program, st->analysis, scc,
-                                     removed_names);
-    if (counting) {
-      DCD_RETURN_IF_ERROR(CountingDelete(s, old_copies, removed_rows, stats));
-      continue;
-    }
     DCD_ASSIGN_OR_RETURN(
         bool done, BackwardForwardDelete(s, old_copies, removed_rows, stats));
     if (!done) return false;
   }
   return true;
-}
-
-Status Engine::CountingDelete(size_t scc_idx,
-                              std::map<std::string, Relation>* old_copies,
-                              std::map<std::string, Relation>* removed_rows,
-                              EvalStats* stats) {
-  (void)stats;  // The counting path re-derives nothing.
-  IncrementalState* st = inc_.get();
-  const SccPlan& scc = st->plan.sccs[scc_idx];
-  const uint32_t n = options_.num_workers;
-  auto& tables = st->replicas[scc_idx];
-
-  // Snapshot this SCC's predicates before correcting them: a downstream
-  // SCC's forward pass reads the pre-batch values.
-  for (const std::string& pred : scc.derived_preds) {
-    if (old_copies->count(pred) == 0) {
-      old_copies->emplace(pred, *catalog_->Find(pred));
-    }
-  }
-
-  // The engine thread takes ownership of the retained partitions.
-  for (uint32_t w = 0; w < n; ++w) {
-    for (auto& table : tables[w]) table->RebindWriter();
-  }
-
-  // Lost derivations: drive every removed row (one entry per stored copy)
-  // through each update rule of this SCC whose relation lost rows,
-  // decrementing the derived row's support. The structural gate admitted at
-  // most one removal-affected atom per rule — the driving one — so every
-  // probe touches a relation the batch left unchanged, and the current
-  // catalog state equals the pre-batch state for all of them.
-  uint32_t max_regs = 1;
-  for (const PhysicalRule& rule : scc.update_rules) {
-    max_regs = std::max(max_regs, rule.num_regs);
-  }
-  std::vector<uint64_t> regs(max_regs, 0);
-  PipelineContext pctx;
-  pctx.catalog = catalog_;
-  pctx.base_indexes = st->base_indexes.get();
-  pctx.replicas = &tables[0];  // No recursive probes in a counting SCC.
-  pctx.regs = regs.data();
-
-  struct DecCtx {
-    const PhysicalRule* rule = nullptr;
-    std::vector<std::vector<std::unique_ptr<RecursiveTable>>>* tables =
-        nullptr;
-    std::vector<std::vector<std::vector<uint64_t>>>* dead = nullptr;
-    uint32_t n = 0;
-    int canonical = 0;
-    uint32_t partition_col = 0;
-  };
-  const auto dec_thunk = [](void* c, const uint64_t* regs_in) {
-    auto* d = static_cast<DecCtx*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(d->rule->head, regs_in, wire);
-    const uint32_t w = PartitionOf(wire[d->partition_col], d->n);
-    RecursiveTable* table = (*d->tables)[w][d->canonical].get();
-    const uint64_t row_id =
-        table->FindRowId(TupleRef{wire, table->stored_arity()});
-    if (row_id == UINT64_MAX || table->SupportCount(row_id) == 0) {
-      // Every lost derivation must resolve to a live, supported row;
-      // anything else means the counts drifted.
-      DCD_DCHECK(false);
-      return;
-    }
-    if (table->DecrementSupport(row_id) == 0) {
-      (*d->dead)[w][d->canonical].push_back(row_id);
-    }
-  };
-
-  std::vector<std::vector<std::vector<uint64_t>>> dead(
-      n, std::vector<std::vector<uint64_t>>(scc.replicas.size()));
-  for (const PhysicalRule& rule : scc.update_rules) {
-    auto rm_it = removed_rows->find(rule.driving_relation);
-    if (rm_it == removed_rows->end() || rm_it->second.empty()) continue;
-    PreparePipeline(rule, &pctx);
-    DecCtx dctx;
-    dctx.rule = &rule;
-    dctx.tables = &tables;
-    dctx.dead = &dead;
-    dctx.n = n;
-    dctx.canonical = scc.ReplicasOf(rule.head.predicate).front();
-    dctx.partition_col = scc.replicas[dctx.canonical].partition_col;
-    const EmitSink emit{dec_thunk, &dctx};
-    const Relation& rm = rm_it->second;
-    for (uint64_t r = 0; r < rm.size(); ++r) {
-      RunPipelineForTuple(rule, pctx, rm.Row(r), emit);
-    }
-  }
-
-  // Collect the dying rows (their tuples must be read before compaction),
-  // compact every partition, and rewrite the catalog relation in place.
-  for (const std::string& pred : scc.derived_preds) {
-    const int canonical = scc.ReplicasOf(pred).front();
-    Relation dead_rel(pred, st->plan.schemas.at(pred));
-    bool any = false;
-    for (uint32_t w = 0; w < n; ++w) {
-      auto& ids = dead[w][canonical];
-      if (ids.empty()) continue;
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-      RecursiveTable* table = tables[w][canonical].get();
-      for (uint64_t id : ids) dead_rel.Append(table->rows().Row(id));
-      table->CompactRemoveRows(ids);
-      any = true;
-    }
-    if (!any) continue;
-    Relation* rel = catalog_->Find(pred);
-    rel->Clear();
-    for (uint32_t w = 0; w < n; ++w) {
-      rel->AppendAll(tables[w][canonical]->rows());
-    }
-    st->InvalidateIndexesOver(pred);
-    st->rel_watermarks[pred] = rel->size();
-    removed_rows->emplace(pred, std::move(dead_rel));
-  }
-  st->RecordSccWatermarks(scc_idx);
-  return Status::OK();
 }
 
 Result<bool> Engine::BackwardForwardDelete(
@@ -1697,8 +1520,6 @@ Result<bool> Engine::BackwardForwardDelete(
   const BackwardForwardResult bf = RunBackwardForward(in);
   stats->rederived_tuples += bf.checked;
   if (!bf.completed) return false;
-  // Lost derivations of surviving rows were never decremented.
-  st->counts_valid[scc_idx] = 0;
 
   // Commit: D leaves every replica partition and the catalog relation, and
   // goes downstream as this SCC's removed rows.

@@ -135,8 +135,8 @@ class Engine {
 
   /// Applies one batch of EDB inserts/deletes and incrementally restores
   /// the fixpoint. Inserts re-enter the retained semi-naive loop through
-  /// the update rules; deletes run support-count maintenance
-  /// (non-recursive SCCs) or Backward/Forward (every other SCC).
+  /// the update rules; deletes run Backward/Forward in every SCC that
+  /// consumes a removed relation.
   /// Batches the planner or eligibility analysis cannot handle
   /// incrementally fall back to a transparent full recompute — either way
   /// the maintained fixpoint is identical to a from-scratch Run over the
@@ -159,10 +159,6 @@ class Engine {
   Result<bool> RunDeletePhase(std::map<std::string, Relation>* old_copies,
                               std::map<std::string, Relation>* removed_rows,
                               EvalStats* stats);
-  Status CountingDelete(size_t scc_idx,
-                        std::map<std::string, Relation>* old_copies,
-                        std::map<std::string, Relation>* removed_rows,
-                        EvalStats* stats);
   Result<bool> BackwardForwardDelete(
       size_t scc_idx, std::map<std::string, Relation>* old_copies,
       std::map<std::string, Relation>* removed_rows, EvalStats* stats);

@@ -171,9 +171,13 @@ class RuleCompiler {
     DCD_RETURN_IF_ERROR_P(AnalyzePartitioning(logical, scans));
 
     DCD_RETURN_IF_ERROR_P(CompileNode(logical.root.get()));
-    for (const Atom& atom : logical.check_atoms) {
-      DCD_ASSIGN_OR_RETURN(HeadSpec fact, CompileCheckAtom(atom));
-      out_.check_atoms.push_back(std::move(fact));
+    if (is_check_) {
+      // A check version emits its instance's same-SCC body facts, back to
+      // back, in place of the head fact that drove it.
+      out_.head.wire_exprs.clear();
+      for (const Atom& atom : logical.check_atoms) {
+        DCD_RETURN_IF_ERROR_P(CompileCheckAtom(atom));
+      }
     }
     out_.num_regs = static_cast<uint32_t>(reg_types_.size());
     out_.reg_types = reg_types_;
@@ -207,9 +211,6 @@ class RuleCompiler {
       std::vector<char> need(reg_types_.size(), 0);
       for (const CompiledExpr& e : out_.head.wire_exprs) {
         MarkExprRegs(e, &need);
-      }
-      for (const HeadSpec& fact : out_.check_atoms) {
-        for (const CompiledExpr& e : fact.wire_exprs) MarkExprRegs(e, &need);
       }
       for (size_t i = out_.steps.size(); i-- > 0;) {
         Step& step = out_.steps[i];
@@ -502,13 +503,14 @@ class RuleCompiler {
     return Status::OK();
   }
 
-  /// Compiles a same-SCC body atom of a check version into one expression
-  /// per column, rebuilding the body fact from the registers. Columns are
-  /// raw words, exactly as a join's checks compare them (no coercion).
-  Result<HeadSpec> CompileCheckAtom(const Atom& atom) {
-    HeadSpec fact;
-    fact.predicate = atom.predicate;
-    fact.pred_id = scc_->PredIdOf(atom.predicate);
+  /// Compiles a same-SCC body atom of a check version into one head wire
+  /// expression per column, rebuilding the body fact from the registers,
+  /// and records its CheckAtom. Columns are raw words, exactly as a join's
+  /// checks compare them (no coercion).
+  Status CompileCheckAtom(const Atom& atom) {
+    out_.check_atoms.push_back(
+        CheckAtom{scc_->PredIdOf(atom.predicate),
+                  static_cast<uint32_t>(atom.args.size())});
     for (const Term& t : atom.args) {
       CompiledExpr e;
       if (t.kind == TermKind::kConstant) {
@@ -527,9 +529,9 @@ class RuleCompiler {
         e.reg = it->second;
         e.type = reg_types_[e.reg];
       }
-      fact.wire_exprs.push_back(std::move(e));
+      out_.head.wire_exprs.push_back(std::move(e));
     }
-    return fact;
+    return Status::OK();
   }
 
   Status EmitAntiJoin(const Atom& atom) {

@@ -129,6 +129,13 @@ struct HeadSpec {
   AggSpec agg;
 };
 
+/// A same-SCC body atom of a check version: its predicate's dense id and
+/// its width in the packed instance the version emits.
+struct CheckAtom {
+  int pred_id = -1;
+  uint32_t width = 0;
+};
+
 /// One executable rule version: the driving scan, the step pipeline, and
 /// the head emission.
 struct PhysicalRule {
@@ -150,11 +157,12 @@ struct PhysicalRule {
   /// Backward/Forward check version (SccPlan::check_rules): the driving
   /// tuple is a fact of the head predicate, the steps join the body's
   /// literals over other SCCs, and each emission is one rule instance
-  /// deriving that fact. Its same-SCC body facts are not joined; each
-  /// check_atoms entry builds one of them from the registers (predicate,
-  /// pred_id and one wire expression per column, like a head).
+  /// deriving that fact. Its same-SCC body facts are not joined: the
+  /// head's wire expressions rebuild them from the registers, back to back
+  /// in check_atoms order (0 words when the rule has none), and head.pred_id
+  /// still names the fact's predicate.
   bool is_check = false;
-  std::vector<HeadSpec> check_atoms;
+  std::vector<CheckAtom> check_atoms;
 
   /// Driving source: a recursive replica's delta (delta versions), a base
   /// relation scanned in chunks (base rules), or the implicit unit row.

@@ -4,7 +4,6 @@
 #include "common/logging.h"
 #include "common/value.h"
 #include "runtime/expr_eval.h"
-#include "runtime/message.h"
 
 namespace dcdatalog {
 namespace {
@@ -39,6 +38,30 @@ inline bool CmpInt(CmpOp op, int64_t a, int64_t b) {
 
 }  // namespace
 
+void PreparePipeline(const PhysicalRule& rule, PipelineContext* ctx) {
+  ctx->scan_rels.clear();
+  bool any = false;
+  for (const Step& step : rule.steps) {
+    if (step.kind == StepKind::kScanBase ||
+        step.kind == StepKind::kAntiJoinScan) {
+      any = true;
+      break;
+    }
+  }
+  if (!any) return;  // Keep the common index-join case allocation-free.
+  ctx->scan_rels.resize(rule.steps.size(), nullptr);
+  for (size_t i = 0; i < rule.steps.size(); ++i) {
+    const Step& step = rule.steps[i];
+    if (step.kind != StepKind::kScanBase &&
+        step.kind != StepKind::kAntiJoinScan) {
+      continue;
+    }
+    const Relation* rel = ctx->catalog->Find(step.relation);
+    DCD_CHECK(rel != nullptr);
+    ctx->scan_rels[i] = rel;
+  }
+}
+
 void BatchPipelineRunner::Begin(const PhysicalRule& rule,
                                 const PipelineContext* ctx,
                                 BatchEmitSink emit) {
@@ -60,7 +83,8 @@ void BatchPipelineRunner::Begin(const PhysicalRule& rule,
     lv.lanes = 0;
     lv.sel_size = 0;
   }
-  const size_t wire_words = static_cast<size_t>(kLanes) * kMaxWireWords;
+  const size_t wire_words =
+      static_cast<size_t>(kLanes) * rule.head.wire_exprs.size();
   if (wire_batch_.size() < wire_words) wire_batch_.resize(wire_words);
 }
 

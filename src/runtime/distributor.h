@@ -32,7 +32,7 @@ class Distributor {
  public:
   /// fn(ctx, dest_worker, block) enqueues one full or partial block; it
   /// must handle backpressure itself. A plain {function pointer, context}
-  /// pair, same shape as EmitSink/BatchEmitSink in the pipeline: a
+  /// pair, same shape as BatchEmitSink in the pipeline: a
   /// std::function here would put a type-erased indirect call (and a
   /// potential capture allocation) on the per-block send path, which
   /// dcd_deepcheck rejects. Every function installed as a sink must itself

@@ -11,31 +11,29 @@ double AsDouble(const CompiledExpr& e, uint64_t word) {
              : static_cast<double>(IntFromWord(word));
 }
 
-/// Shared evaluator core, parameterized on how a register index turns into
-/// a word: the row layout reads regs[r], the batch executor's columnar
-/// layout reads banks[r * stride + lane]. Everything else is identical, so
-/// both entry points share one implementation.
-template <typename RegAt>
-uint64_t EvalExprImpl(const CompiledExpr& expr, const RegAt& reg_at) {
+}  // namespace
+
+uint64_t EvalExprLane(const CompiledExpr& expr, const uint64_t* banks,
+                      uint64_t stride, uint32_t lane) {
   switch (expr.op) {
     case ExprOp::kVar:
-      return reg_at(expr.reg);
+      return banks[expr.reg * stride + lane];
     case ExprOp::kConst:
       return expr.const_word;
     case ExprOp::kToDouble: {
-      uint64_t inner = EvalExprImpl(*expr.lhs, reg_at);
+      uint64_t inner = EvalExprLane(*expr.lhs, banks, stride, lane);
       return WordFromDouble(AsDouble(*expr.lhs, inner));
     }
     case ExprOp::kNeg: {
-      uint64_t inner = EvalExprImpl(*expr.lhs, reg_at);
+      uint64_t inner = EvalExprLane(*expr.lhs, banks, stride, lane);
       if (expr.type == ColumnType::kDouble) {
         return WordFromDouble(-AsDouble(*expr.lhs, inner));
       }
       return WordFromInt(-IntFromWord(inner));
     }
     default: {
-      const uint64_t l = EvalExprImpl(*expr.lhs, reg_at);
-      const uint64_t r = EvalExprImpl(*expr.rhs, reg_at);
+      const uint64_t l = EvalExprLane(*expr.lhs, banks, stride, lane);
+      const uint64_t r = EvalExprLane(*expr.rhs, banks, stride, lane);
       if (expr.type == ColumnType::kDouble) {
         const double a = AsDouble(*expr.lhs, l);
         const double b = AsDouble(*expr.rhs, r);
@@ -75,11 +73,11 @@ uint64_t EvalExprImpl(const CompiledExpr& expr, const RegAt& reg_at) {
   }
 }
 
-template <typename RegAt>
-bool EvalCompareImpl(CmpOp op, const CompiledExpr& lhs,
-                     const CompiledExpr& rhs, const RegAt& reg_at) {
-  const uint64_t l = EvalExprImpl(lhs, reg_at);
-  const uint64_t r = EvalExprImpl(rhs, reg_at);
+bool EvalCompareLane(CmpOp op, const CompiledExpr& lhs,
+                     const CompiledExpr& rhs, const uint64_t* banks,
+                     uint64_t stride, uint32_t lane) {
+  const uint64_t l = EvalExprLane(lhs, banks, stride, lane);
+  const uint64_t r = EvalExprLane(rhs, banks, stride, lane);
   if (lhs.type == ColumnType::kString || rhs.type == ColumnType::kString) {
     switch (op) {
       case CmpOp::kEq:
@@ -131,31 +129,6 @@ bool EvalCompareImpl(CmpOp op, const CompiledExpr& lhs,
       return a >= b;
   }
   return false;
-}
-
-}  // namespace
-
-uint64_t EvalExpr(const CompiledExpr& expr, const uint64_t* regs) {
-  return EvalExprImpl(expr, [regs](int r) { return regs[r]; });
-}
-
-bool EvalCompare(CmpOp op, const CompiledExpr& lhs, const CompiledExpr& rhs,
-                 const uint64_t* regs) {
-  return EvalCompareImpl(op, lhs, rhs, [regs](int r) { return regs[r]; });
-}
-
-uint64_t EvalExprLane(const CompiledExpr& expr, const uint64_t* banks,
-                      uint64_t stride, uint32_t lane) {
-  return EvalExprImpl(
-      expr, [banks, stride, lane](int r) { return banks[r * stride + lane]; });
-}
-
-bool EvalCompareLane(CmpOp op, const CompiledExpr& lhs,
-                     const CompiledExpr& rhs, const uint64_t* banks,
-                     uint64_t stride, uint32_t lane) {
-  return EvalCompareImpl(
-      op, lhs, rhs,
-      [banks, stride, lane](int r) { return banks[r * stride + lane]; });
 }
 
 }  // namespace dcdatalog

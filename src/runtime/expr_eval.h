@@ -8,23 +8,17 @@
 
 namespace dcdatalog {
 
-/// Evaluates a compiled expression against the register file. The result is
-/// a raw word whose interpretation is `expr.type` (int64 or double bits).
-uint64_t EvalExpr(const CompiledExpr& expr, const uint64_t* regs);
-
-/// Evaluates a comparison between two compiled expressions. Numeric
-/// operands are compared in double space when either side is double;
-/// strings compare by dictionary id (equality is exact; ordering is by id).
-bool EvalCompare(CmpOp op, const CompiledExpr& lhs, const CompiledExpr& rhs,
-                 const uint64_t* regs);
-
-/// Columnar variants for the batch executor: registers live in banks of
-/// `stride` lanes each, so register r of lane `lane` is
-/// banks[r * stride + lane]. With stride = 1, lane = 0 these degenerate to
-/// the row-layout entry points above (same evaluator underneath).
+/// Evaluates a compiled expression for one lane of the batch executor's
+/// columnar register banks: register r of lane `lane` is
+/// banks[r * stride + lane]. The result is a raw word whose interpretation
+/// is `expr.type` (int64 or double bits).
 uint64_t EvalExprLane(const CompiledExpr& expr, const uint64_t* banks,
                       uint64_t stride, uint32_t lane);
 
+/// Evaluates a comparison between two compiled expressions for one lane.
+/// Numeric operands are compared in double space when either side is
+/// double; strings compare by dictionary id (equality is exact; ordering is
+/// by id).
 bool EvalCompareLane(CmpOp op, const CompiledExpr& lhs,
                      const CompiledExpr& rhs, const uint64_t* banks,
                      uint64_t stride, uint32_t lane);

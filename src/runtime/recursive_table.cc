@@ -93,13 +93,9 @@ bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
   // Existence check via the flat (hash, row id) set: one linear probe,
   // full-tuple compare only on hash-equal slots.
   const uint64_t found = exist_set_.Find(hash, tuple);
-  if (found != FlatTupleSet::kNotFound) {
-    if (maintain_counts_) exist_set_.IncrementCount(found);
-    return false;
-  }
+  if (found != FlatTupleSet::kNotFound) return false;
   const uint64_t row_id = AppendRow(wire);
   exist_set_.Insert(hash, row_id);
-  if (maintain_counts_) exist_set_.IncrementCount(row_id);
   PushDelta(row_id);
   return true;
 }
@@ -223,13 +219,6 @@ DCD_HOT_ROOT bool RecursiveTable::MergeWire(const uint64_t* wire) {
   return false;
 }
 
-void RecursiveTable::EnableSupportCounts() {
-  DCD_CHECK(spec_.func == AggFunc::kNone)
-      << "support counts require a kNone table";
-  maintain_counts_ = true;
-  exist_set_.EnableCounts();
-}
-
 void RecursiveTable::CompactRemoveRows(
     const std::vector<uint64_t>& dead_row_ids) {
   DCD_AFFINITY_GUARD(writer_affinity_);
@@ -238,11 +227,9 @@ void RecursiveTable::CompactRemoveRows(
   if (dead_row_ids.empty()) return;
   const uint64_t n = rows_.size();
 
-  // Rebuild row storage keeping survivor order; carry counts by new row id.
+  // Rebuild row storage keeping survivor order.
   Relation survivors(rows_.name(), rows_.schema());
   survivors.Reserve(n - dead_row_ids.size());
-  std::vector<uint64_t> survivor_counts;
-  if (maintain_counts_) survivor_counts.reserve(n - dead_row_ids.size());
   size_t d = 0;
   for (uint64_t r = 0; r < n; ++r) {
     if (d < dead_row_ids.size() && dead_row_ids[d] == r) {
@@ -250,18 +237,15 @@ void RecursiveTable::CompactRemoveRows(
       continue;
     }
     survivors.Append(rows_.Row(r));
-    if (maintain_counts_) survivor_counts.push_back(exist_set_.CountOf(r));
   }
   rows_ = std::move(survivors);  // exist_set_ backs onto &rows_: unchanged.
 
   // Rebuild the existence set over the new row ids.
   exist_set_ = FlatTupleSet(&rows_);
-  if (maintain_counts_) exist_set_.EnableCounts();
   const uint64_t survivors_n = rows_.size();
   exist_set_.Reserve(survivors_n);
   for (uint64_t r = 0; r < survivors_n; ++r) {
     exist_set_.Insert(rows_.Row(r).Hash(), r);
-    if (maintain_counts_) exist_set_.SetCount(r, survivor_counts[r]);
   }
 
   join_index_ = DynIndex();

@@ -114,25 +114,6 @@ class RecursiveTable {
 
   // --- Incremental maintenance (retained tables between update batches) ---
 
-  /// Enables per-row support counting (kNone tables only): every arrival
-  /// of a tuple — fresh insert or duplicate find — bumps the row's
-  /// derivation counter riding beside the flat existence set's slots. In a
-  /// non-recursive stratum arrivals equal derivations exactly, so a
-  /// deletion can decrement to zero instead of searching for another proof
-  /// (Backward/Forward). Must be called before the first merge.
-  void EnableSupportCounts();
-  bool support_counts_enabled() const { return maintain_counts_; }
-  uint64_t SupportCount(uint64_t row_id) const {
-    return exist_set_.CountOf(row_id);
-  }
-
-  /// Decrements a row's support count, returning the new count (0 = the
-  /// row lost its last derivation and must be compacted away).
-  uint64_t DecrementSupport(uint64_t row_id) {
-    DCD_AFFINITY_GUARD(writer_affinity_);
-    return exist_set_.DecrementCount(row_id);
-  }
-
   /// Row id of the stored tuple equal to `tuple`, or UINT64_MAX. Deletion
   /// paths use it to resolve a lost derivation to its row. kNone only. It
   /// leaves merge_probe_cmps() alone, so concurrent readers are safe.
@@ -153,9 +134,8 @@ class RecursiveTable {
 
   /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
   /// merge/join indexes over the survivors; clears the delta. Surviving
-  /// rows keep their ids' relative order (and their support counts, when
-  /// enabled). kNone only — aggregate deletion falls back to full
-  /// recomputation at the engine level.
+  /// rows keep their ids' relative order. kNone only — aggregate deletion
+  /// falls back to full recomputation at the engine level.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
 
   /// Starts a change log: from now on, every in-place change to a row
@@ -261,10 +241,9 @@ class RecursiveTable {
   uint64_t change_floor_ = 0;
   std::vector<uint64_t> changed_rows_;
 
-  // Incremental sessions: support counting (kNone only) and the
-  // probe-comparison baseline ResetStats subtracts so merge_probe_cmps()
-  // stays per-batch even though the flat structures' counters accumulate.
-  bool maintain_counts_ = false;
+  // Incremental sessions: the probe-comparison baseline ResetStats
+  // subtracts so merge_probe_cmps() stays per-batch even though the flat
+  // structures' counters accumulate.
   uint64_t probe_cmps_base_ = 0;
 };
 

@@ -106,37 +106,6 @@ class FlatTupleSet {
     if (size_ * 5 >= slots_.size() * 3) Rehash(slots_.size() * 2);
   }
 
-  /// Support counts for incremental maintenance: one derivation counter per
-  /// stored row, riding beside the slot table and keyed by row id so growth
-  /// rehashes never have to move them. Off by default (no memory cost for
-  /// plain evaluation); an incremental session enables them and bumps the
-  /// counter on *every* arrival of a tuple — insert or duplicate — so in a
-  /// non-recursive stratum the counter equals the number of surviving
-  /// derivations and a deletion can decrement to zero instead of
-  /// recomputing.
-  void EnableCounts() { counts_enabled_ = true; }
-  bool counts_enabled() const { return counts_enabled_; }
-
-  void IncrementCount(uint64_t row_id) {
-    if (row_id >= counts_.size()) counts_.resize(row_id + 1, 0);
-    ++counts_[row_id];
-  }
-
-  /// Decrements and returns the new count (0 means the row lost its last
-  /// derivation). The row must have a positive count.
-  uint64_t DecrementCount(uint64_t row_id) { return --counts_[row_id]; }
-
-  uint64_t CountOf(uint64_t row_id) const {
-    return row_id < counts_.size() ? counts_[row_id] : 0;
-  }
-
-  /// Restores a row's counter directly — compaction rebuilds carrying the
-  /// survivors' counts over to their new row ids.
-  void SetCount(uint64_t row_id, uint64_t count) {
-    if (row_id >= counts_.size()) counts_.resize(row_id + 1, 0);
-    counts_[row_id] = count;
-  }
-
  private:
   static constexpr uint64_t kEmptyRow = UINT64_MAX;
   static constexpr uint64_t kInitialSlots = 64;
@@ -166,8 +135,6 @@ class FlatTupleSet {
   uint64_t mask_ = 0;
   uint64_t size_ = 0;
   mutable uint64_t probe_cmps_ = 0;
-  bool counts_enabled_ = false;
-  std::vector<uint64_t> counts_;  // Indexed by row id; counts_enabled_ only.
 };
 
 }  // namespace dcdatalog

@@ -67,8 +67,9 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
 
 /// The net effect of one batch on one relation: rows to append and stored
 /// copies to remove. `removed` carries one entry per stored copy — a tuple
-/// present k times in the relation appears k times, because each stored
-/// copy contributed its own derivations (support counts see every arrival).
+/// present k times in the relation appears k times, because
+/// ApplyDeltasToCatalog drops one stored copy per entry and a delete takes
+/// the tuple out entirely (set semantics).
 struct RelationDelta {
   std::string relation;
   std::vector<std::vector<uint64_t>> added;

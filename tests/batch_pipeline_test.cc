@@ -1,11 +1,11 @@
-// Unit tests for the vectorized batch pipeline executor (§5.2): drives
-// BatchPipelineRunner directly over planner-compiled base rules and checks
-// the selection-vector edge cases against the tuple-at-a-time
-// RunPipelineForTuple — empty batches, batches the filters empty out
-// entirely, and probe fan-out larger than one batch from a single driving
-// row. The engine evaluates rules only through the batch runner, and the
-// delete path's proof search only through RunPipelineForTuple, so this is
-// the one place the two are checked against each other.
+// Unit tests for the vectorized batch pipeline executor (§5.2), the only
+// rule executor: drives BatchPipelineRunner directly over planner-compiled
+// base rules and checks the selection-vector edge cases — empty batches,
+// batches the filters empty out entirely, and probe fan-out larger than one
+// batch from a single driving row. Each case compares the emitted multiset
+// with one the test computes by nested loops over the catalog relations;
+// whole programs are checked by the differential fuzzer against
+// ReferenceEvaluate.
 
 #include <gtest/gtest.h>
 
@@ -21,17 +21,16 @@
 #include "planner/physical_plan.h"
 #include "runtime/base_index_set.h"
 #include "runtime/batch_pipeline.h"
-#include "runtime/message.h"
-#include "runtime/pipeline.h"
 #include "storage/catalog.h"
 
 namespace dcdatalog {
 namespace {
 
-/// Collects emitted wire tuples from either executor's sink.
+using Rows = std::multiset<std::vector<uint64_t>>;
+
+/// Collects emitted wire tuples.
 struct Collector {
-  const PhysicalRule* rule = nullptr;  // Tuple-sink side only.
-  std::multiset<std::vector<uint64_t>> rows;
+  Rows rows;
 
   static void BatchThunk(void* c, const HeadSpec& head, const uint64_t* wires,
                          uint32_t count, uint32_t wire_arity) {
@@ -41,13 +40,6 @@ struct Collector {
       const uint64_t* w = wires + static_cast<size_t>(i) * wire_arity;
       self->rows.emplace(w, w + wire_arity);
     }
-  }
-
-  static void TupleThunk(void* c, const uint64_t* regs) {
-    auto* self = static_cast<Collector*>(c);
-    uint64_t wire[kMaxWireWords];
-    BuildWireTuple(self->rule->head, regs, wire);
-    self->rows.emplace(wire, wire + self->rule->head.agg.wire_arity);
   }
 };
 
@@ -85,8 +77,6 @@ class BatchPipelineTest : public ::testing::Test {
     ctx_.catalog = &catalog_;
     ctx_.base_indexes = indexes_.get();
     ctx_.replicas = &no_replicas_;
-    regs_.assign(rule_->num_regs, 0);
-    ctx_.regs = regs_.data();
     PreparePipeline(*rule_, &ctx_);
   }
 
@@ -101,15 +91,28 @@ class BatchPipelineTest : public ::testing::Test {
     runner->Finish();
   }
 
-  /// The oracle: the tuple executor over the same driving rows.
-  void RunTupleExecutor(Collector* out) {
-    out->rule = rule_;
-    const EmitSink emit{&Collector::TupleThunk, out};
-    const Relation* driving = catalog_.Find(rule_->driving_relation);
-    ASSERT_NE(driving, nullptr);
-    for (uint64_t r = 0; r < driving->size(); ++r) {
-      RunPipelineForTuple(*rule_, ctx_, driving->Row(r), emit);
+  /// The expected output of `out(X, ...) :- src(X), <keep X>, edge(X, Y)`:
+  /// nested loops over the catalog's src and edge, one row `make(X, Y)`
+  /// per match.
+  template <typename Keep, typename Make>
+  Rows JoinSrcEdge(const Keep& keep, const Make& make) const {
+    Rows want;
+    const Relation* src = catalog_.Find("src");
+    const Relation* edge = catalog_.Find("edge");
+    for (uint64_t s = 0; s < src->size(); ++s) {
+      const int64_t x = IntFromWord(src->Row(s)[0]);
+      if (!keep(x)) continue;
+      for (uint64_t e = 0; e < edge->size(); ++e) {
+        if (IntFromWord(edge->Row(e)[0]) != x) continue;
+        want.insert(make(x, IntFromWord(edge->Row(e)[1])));
+      }
     }
+    return want;
+  }
+
+  /// `(X, Y)` as a wire row.
+  static std::vector<uint64_t> Pair(int64_t x, int64_t y) {
+    return {WordFromInt(x), WordFromInt(y)};
   }
 
   Catalog catalog_;
@@ -119,7 +122,6 @@ class BatchPipelineTest : public ::testing::Test {
   const PhysicalRule* rule_ = nullptr;
   std::unique_ptr<BaseIndexSet> indexes_;
   std::vector<std::unique_ptr<RecursiveTable>> no_replicas_;
-  std::vector<uint64_t> regs_;
   PipelineContext ctx_;
 };
 
@@ -134,6 +136,7 @@ TEST_F(BatchPipelineTest, EmptyBatchIsANoOp) {
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
   EXPECT_TRUE(got.rows.empty());
+  EXPECT_EQ(got.rows, JoinSrcEdge([](int64_t) { return true; }, Pair));
   EXPECT_EQ(runner.batches(), 0u);
   EXPECT_EQ(runner.rows_selected(), 0u);
 }
@@ -154,6 +157,8 @@ TEST_F(BatchPipelineTest, AllFilteredBatchEmitsNothing) {
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
   EXPECT_TRUE(got.rows.empty());
+  EXPECT_EQ(got.rows,
+            JoinSrcEdge([](int64_t x) { return x > 1000000; }, Pair));
   // The driving scan admitted every row — the filter, not admission,
   // emptied the batch.
   EXPECT_EQ(runner.rows_selected(), 100u);
@@ -175,12 +180,11 @@ TEST_F(BatchPipelineTest, FanOutLargerThanBatchFromOneProbe) {
   Plan("out(X, Y) :- src(X), edge(X, Y).", "out");
   ASSERT_EQ(rule_->driving_relation, "src");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
   EXPECT_EQ(got.rows.size(), static_cast<size_t>(kMatches));
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.rows, JoinSrcEdge([](int64_t) { return true; }, Pair));
   EXPECT_EQ(runner.batches(), 1u);
   EXPECT_EQ(runner.rows_selected(), 1u);
 }
@@ -195,19 +199,22 @@ TEST_F(BatchPipelineTest, DrivingScanConstChecksGateAdmission) {
   Plan("out(Y) :- edge(3, Y).", "out");
   ASSERT_EQ(rule_->driving_relation, "edge");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
-  EXPECT_EQ(got.rows, want.rows);
+  Rows want;
+  for (uint64_t r = 0; r < edge->size(); ++r) {
+    if (IntFromWord(edge->Row(r)[0]) == 3) want.insert({edge->Row(r)[1]});
+  }
+  EXPECT_EQ(got.rows, want);
   EXPECT_EQ(got.rows.size(), 10u);
   EXPECT_EQ(runner.rows_selected(), 10u);
 }
 
-TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesTupleExecutor) {
+TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesNestedLoops) {
   // > 3 full batches plus a partial one through a filter + bind + probe
   // pipeline; the multisets (not sets — fan-out produces duplicates under
-  // projection) must agree exactly with the tuple executor.
+  // projection) must agree exactly with the nested-loop join.
   constexpr int64_t kRows = 1000;
   auto* src = catalog_.Put(Relation("src", Schema::Ints(1)));
   auto* edge = catalog_.Put(Relation("edge", Schema::Ints(2)));
@@ -219,12 +226,15 @@ TEST_F(BatchPipelineTest, MultiBatchMixedPipelineMatchesTupleExecutor) {
   Plan("out(X, S) :- src(X), X < 500, edge(X, Y), S = X * 1000 + Y.", "out");
   ASSERT_EQ(rule_->driving_relation, "src");
 
-  Collector got, want;
+  Collector got;
   BatchPipelineRunner runner;
   RunBatchExecutor(&got, &runner);
-  RunTupleExecutor(&want);
   EXPECT_FALSE(got.rows.empty());
-  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.rows,
+            JoinSrcEdge([](int64_t x) { return x < 500; },
+                        [](int64_t x, int64_t y) {
+                          return Pair(x, x * 1000 + y);
+                        }));
   // 1000 pushed rows all pass the (check-free) driving scan: ceil(1000/256)
   // batches, the last one partial.
   EXPECT_EQ(runner.rows_selected(), static_cast<uint64_t>(kRows));

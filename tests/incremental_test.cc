@@ -5,7 +5,8 @@
 // corners: empty batches, self-cancelling batches, deletes of absent rows,
 // Backward/Forward deletes (a disconnected component, deletes inside one
 // SCC, cyclic self-support, two removed facts in one rule instance, gone
-// rows flowing into a downstream recursive SCC, a ~100K-deep proof search,
+// rows flowing into a downstream recursive SCC, non-recursive SCCs whose
+// facts have many derivations, a ~100K-deep proof search,
 // a bridge delete that trips the recompute guard, and deletes split into
 // one shard per worker with the guard counting over all of them), sessions
 // that start from an empty EDB, duplicate inserts under count/sum, and
@@ -368,6 +369,49 @@ TEST(IncrementalTest, BackwardForwardGoneRowsFeedADownstreamRecursiveScc) {
     // After batch 2 only 0's arcs and links past 3 remain reachable.
     EXPECT_EQ(RowSet(*db.ResultFor("r")),
               (std::set<std::vector<uint64_t>>{{1}, {2}, {3}, {10}, {13}}));
+  }
+}
+
+TEST(IncrementalTest, BackwardForwardDeletesInNonRecursiveSccs) {
+  // Non-recursive set SCCs: every node fact has several derivations, and
+  // hop joins two arc atoms that one batch can both touch. arc(0, 1) is
+  // stored twice, so its delete removes both copies. Batch 2 inserts both
+  // arcs of the new hop(5, 7), and batch 4 removes both arcs of
+  // hop(1, 4)'s one instance. Every delete-only batch runs Backward/Forward
+  // and must not recompute.
+  constexpr char kProgram[] =
+      "node(X) :- arc(X, _).\n"
+      "node(X) :- arc(_, X).\n"
+      "hop(X, Y) :- arc(X, Z), arc(Z, Y).\n";
+  // The chain 10 -> .. -> 20 keeps each delete below the recompute guard
+  // (more deleted than survives).
+  std::vector<std::vector<uint64_t>> arcs = {
+      {0, 1}, {0, 1}, {1, 2}, {1, 3}, {2, 3}, {3, 4}, {4, 1}, {2, 4}};
+  for (uint64_t v = 10; v < 20; ++v) arcs.push_back({v, v + 1});
+  const std::vector<Relation> edb = {Rows("arc", 2, arcs)};
+  const std::vector<std::string> scripts = {
+      "- arc 1 2\n",  // node(1), node(2) keep other proofs; hop(0, 2) goes.
+      "- arc 0 1\n",  // Both copies: node(0) loses its last derivation.
+      "+ arc 5 6\n+ arc 6 7\n+ arc 0 1\n",
+      "- arc 6 7\n",
+      "- arc 1 3\n- arc 3 4\n",
+  };
+  const std::vector<bool> delete_only = {true, true, false, true, true};
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    const auto stats = ApplyAndDiff(mode, kProgram, edb, scripts, &db);
+    ASSERT_EQ(stats.size(), scripts.size());
+    for (size_t b = 0; b < scripts.size(); ++b) {
+      if (!delete_only[b]) continue;
+      EXPECT_EQ(stats[b].num_sccs, 0u) << "batch " << b << " recomputed";
+      EXPECT_GT(stats[b].rederived_tuples, 0u) << "batch " << b;
+    }
+    const auto hop = RowSet(*db.ResultFor("hop"));
+    EXPECT_FALSE(hop.count({1, 4}));
+    EXPECT_FALSE(hop.count({5, 7}));
+    EXPECT_TRUE(RowSet(*db.ResultFor("node")).count({0}));
   }
 }
 

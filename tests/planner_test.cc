@@ -354,13 +354,39 @@ TEST_F(PlannerTest, CheckVersionsAreHeadBoundAndCompiledOnlyWhenAugmented) {
     // Both versions join arc once the head bound X and Y.
     EXPECT_EQ(rule.steps[0].relation, "arc");
   }
-  // The recursive rule's tc(X, Z) is rebuilt from the registers.
+  // The recursive rule's tc(X, Z) is rebuilt from the registers: its head
+  // packs the one same-SCC fact, 2 words. The base rule's head is empty.
   const PhysicalRule& rec = scc.check_rules[1];
   ASSERT_EQ(rec.check_atoms.size(), 1u);
-  EXPECT_EQ(rec.check_atoms[0].predicate, "tc");
-  EXPECT_EQ(rec.check_atoms[0].wire_exprs.size(), 2u);
+  EXPECT_EQ(rec.check_atoms[0].pred_id, scc.PredIdOf("tc"));
+  EXPECT_EQ(rec.check_atoms[0].width, 2u);
+  EXPECT_EQ(rec.head.wire_exprs.size(), 2u);
+  EXPECT_EQ(rec.head.pred_id, scc.PredIdOf("tc"));  // Still the fact's.
   EXPECT_EQ(rec.steps[0].probe_col, 1u);  // arc(Z, Y) probed on Y.
   EXPECT_TRUE(scc.check_rules[0].check_atoms.empty());
+  EXPECT_TRUE(scc.check_rules[0].head.wire_exprs.empty());
+
+  // Non-linear TC, with arc binding Z (bare, it has no check version; see
+  // the next test): both same-SCC facts pack into 4 head words, in body
+  // order — tc(X, Z) then tc(Z, Y).
+  Load(
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), tc(Z, Y), arc(X, Z).");
+  auto nl_logical = Logical();
+  ASSERT_TRUE(nl_logical.ok());
+  auto nl = BuildPhysicalPlan(program_, *analysis_, nl_logical.value(),
+                              /*build_update_rules=*/true);
+  ASSERT_TRUE(nl.ok()) << nl.status().ToString();
+  const SccPlan& nl_scc = nl.value().sccs[0];
+  ASSERT_EQ(nl_scc.check_rules.size(), 2u);
+  const PhysicalRule& nl_rec = nl_scc.check_rules[1];
+  ASSERT_EQ(nl_rec.check_atoms.size(), 2u);
+  EXPECT_EQ(nl_rec.check_atoms[0].width, 2u);
+  EXPECT_EQ(nl_rec.check_atoms[1].width, 2u);
+  ASSERT_EQ(nl_rec.head.wire_exprs.size(), 4u);
+  // tc(X, Z)'s Z and tc(Z, Y)'s Z read the one register arc bound.
+  EXPECT_EQ(nl_rec.head.wire_exprs[1].reg, nl_rec.head.wire_exprs[2].reg);
+  EXPECT_TRUE(nl_scc.check_rules[0].head.wire_exprs.empty());
 }
 
 TEST_F(PlannerTest, RulesWithUnboundSameSccGoalsHaveNoCheckVersion) {

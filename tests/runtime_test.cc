@@ -1,6 +1,5 @@
 // Unit tests for src/runtime: expression evaluation, the recursive-table
-// merge semantics (§6.2.1) and support counts, and the Distributor
-// (§5.2.3).
+// merge semantics (§6.2.1) and the Distributor (§5.2.3).
 
 #include <gtest/gtest.h>
 
@@ -55,17 +54,28 @@ CompiledExpr Bin(ExprOp op, CompiledExpr l, CompiledExpr r) {
   return e;
 }
 
+// The expression cases run the batch executor's evaluator on one lane of
+// stride-1 banks, i.e. a plain register array.
+uint64_t Eval(const CompiledExpr& e, const uint64_t* regs) {
+  return EvalExprLane(e, regs, 1, 0);
+}
+
+bool Compare(CmpOp op, const CompiledExpr& l, const CompiledExpr& r,
+             const uint64_t* regs) {
+  return EvalCompareLane(op, l, r, regs, 1, 0);
+}
+
 TEST(ExprEvalTest, IntegerArithmetic) {
   uint64_t regs[2] = {WordFromInt(7), WordFromInt(3)};
-  EXPECT_EQ(IntFromWord(EvalExpr(Bin(ExprOp::kAdd, Reg(0), Reg(1)), regs)),
+  EXPECT_EQ(IntFromWord(Eval(Bin(ExprOp::kAdd, Reg(0), Reg(1)), regs)),
             10);
-  EXPECT_EQ(IntFromWord(EvalExpr(Bin(ExprOp::kSub, Reg(0), Reg(1)), regs)),
+  EXPECT_EQ(IntFromWord(Eval(Bin(ExprOp::kSub, Reg(0), Reg(1)), regs)),
             4);
-  EXPECT_EQ(IntFromWord(EvalExpr(Bin(ExprOp::kMul, Reg(0), Reg(1)), regs)),
+  EXPECT_EQ(IntFromWord(Eval(Bin(ExprOp::kMul, Reg(0), Reg(1)), regs)),
             21);
-  EXPECT_EQ(IntFromWord(EvalExpr(Bin(ExprOp::kDiv, Reg(0), Reg(1)), regs)),
+  EXPECT_EQ(IntFromWord(Eval(Bin(ExprOp::kDiv, Reg(0), Reg(1)), regs)),
             2);  // Integer division.
-  EXPECT_EQ(IntFromWord(EvalExpr(Bin(ExprOp::kDiv, Reg(0), Const(0)), regs)),
+  EXPECT_EQ(IntFromWord(Eval(Bin(ExprOp::kDiv, Reg(0), Const(0)), regs)),
             0);  // Total semantics for division by zero.
 }
 
@@ -73,7 +83,7 @@ TEST(ExprEvalTest, MixedPromotesToDouble) {
   uint64_t regs[1] = {WordFromInt(7)};
   CompiledExpr e = Bin(ExprOp::kDiv, Reg(0), ConstD(2.0));
   EXPECT_EQ(e.type, ColumnType::kDouble);
-  EXPECT_DOUBLE_EQ(DoubleFromWord(EvalExpr(e, regs)), 3.5);
+  EXPECT_DOUBLE_EQ(DoubleFromWord(Eval(e, regs)), 3.5);
 }
 
 TEST(ExprEvalTest, ToDoubleConversion) {
@@ -81,7 +91,7 @@ TEST(ExprEvalTest, ToDoubleConversion) {
   conv.op = ExprOp::kToDouble;
   conv.type = ColumnType::kDouble;
   conv.lhs = std::make_unique<CompiledExpr>(Const(5));
-  EXPECT_DOUBLE_EQ(DoubleFromWord(EvalExpr(conv, nullptr)), 5.0);
+  EXPECT_DOUBLE_EQ(DoubleFromWord(Eval(conv, nullptr)), 5.0);
 }
 
 TEST(ExprEvalTest, Negation) {
@@ -90,17 +100,16 @@ TEST(ExprEvalTest, Negation) {
   neg.op = ExprOp::kNeg;
   neg.type = ColumnType::kInt;
   neg.lhs = std::make_unique<CompiledExpr>(Reg(0));
-  EXPECT_EQ(IntFromWord(EvalExpr(neg, regs)), -4);
+  EXPECT_EQ(IntFromWord(Eval(neg, regs)), -4);
 }
 
 TEST(ExprEvalTest, Comparisons) {
   uint64_t regs[2] = {WordFromInt(3), WordFromDouble(3.0)};
-  EXPECT_TRUE(EvalCompare(CmpOp::kEq, Reg(0),
-                          Reg(1, ColumnType::kDouble), regs));
-  EXPECT_TRUE(EvalCompare(CmpOp::kLe, Reg(0), Const(3), regs));
-  EXPECT_FALSE(EvalCompare(CmpOp::kLt, Reg(0), Const(3), regs));
-  EXPECT_TRUE(EvalCompare(CmpOp::kNe, Reg(0), Const(4), regs));
-  EXPECT_TRUE(EvalCompare(CmpOp::kGe, Const(-1), Const(-2), regs));
+  EXPECT_TRUE(Compare(CmpOp::kEq, Reg(0), Reg(1, ColumnType::kDouble), regs));
+  EXPECT_TRUE(Compare(CmpOp::kLe, Reg(0), Const(3), regs));
+  EXPECT_FALSE(Compare(CmpOp::kLt, Reg(0), Const(3), regs));
+  EXPECT_TRUE(Compare(CmpOp::kNe, Reg(0), Const(4), regs));
+  EXPECT_TRUE(Compare(CmpOp::kGe, Const(-1), Const(-2), regs));
 }
 
 // --- RecursiveTable ------------------------------------------------------
@@ -493,22 +502,15 @@ TEST(RecursiveTableTest, ChangeLogListsRowsChangedInPlace) {
   EXPECT_TRUE(t.TakeChangedRows().empty());
 }
 
-TEST(RecursiveTableTest, SupportCountsCountEveryArrival) {
-  // Every arrival of a tuple raises its row's support count: repeats within
-  // one batch, across batches and through the single-wire path alike.
-  // merges() counts every arrival, accepts() only the first.
+TEST(RecursiveTableTest, MergesCountEveryArrivalAcceptsOnlyTheFirst) {
+  // merges() counts every arrival of a tuple — repeats within one batch,
+  // across batches and through the single-wire path alike — and accepts()
+  // only the first.
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
                    false, EngineOptions());
-  t.EnableSupportCounts();
-  ASSERT_TRUE(t.support_counts_enabled());
   const TupleBuf a{1, 2};
   const TupleBuf b{3, 4};
   const TupleBuf c{5, 6};
-  const auto count_of = [&t](const TupleBuf& tuple) {
-    const uint64_t row = t.FindRowId(TupleRef{tuple.v, 2});
-    EXPECT_NE(row, UINT64_MAX);
-    return t.SupportCount(row);
-  };
 
   std::vector<TupleBuf> b1 = {a};
   t.MergeBatch(b1);
@@ -517,7 +519,6 @@ TEST(RecursiveTableTest, SupportCountsCountEveryArrival) {
   EXPECT_EQ(t.merges(), 4u);
   EXPECT_EQ(t.accepts(), 1u);
   EXPECT_EQ(t.rows().size(), 1u);
-  EXPECT_EQ(count_of(a), 4u);
 
   std::vector<TupleBuf> b3 = {b, a, b};
   t.MergeBatch(b3);
@@ -525,30 +526,7 @@ TEST(RecursiveTableTest, SupportCountsCountEveryArrival) {
   EXPECT_FALSE(t.MergeWire(b.v));
   EXPECT_EQ(t.merges(), 9u);
   EXPECT_EQ(t.accepts(), 3u);
-  EXPECT_EQ(count_of(a), 5u);
-  EXPECT_EQ(count_of(b), 3u);
-  EXPECT_EQ(count_of(c), 1u);
-
-  // Decrements count down to zero, one derivation at a time.
-  const uint64_t b_row = t.FindRowId(TupleRef{b.v, 2});
-  EXPECT_EQ(t.DecrementSupport(b_row), 2u);
-  EXPECT_EQ(t.DecrementSupport(b_row), 1u);
-  const uint64_t c_row = t.FindRowId(TupleRef{c.v, 2});
-  EXPECT_EQ(t.DecrementSupport(c_row), 0u);
-
-  // Compaction renumbers the survivors; their counts travel with them, and
-  // later arrivals keep counting.
-  t.CompactRemoveRows({c_row});
-  ASSERT_EQ(t.rows().size(), 2u);
-  EXPECT_EQ(t.FindRowId(TupleRef{c.v, 2}), UINT64_MAX);
-  EXPECT_EQ(count_of(a), 5u);
-  EXPECT_EQ(count_of(b), 1u);
-  std::vector<TupleBuf> b4 = {a, c, b, c};
-  t.MergeBatch(b4);
   EXPECT_EQ(t.rows().size(), 3u);
-  EXPECT_EQ(count_of(a), 6u);
-  EXPECT_EQ(count_of(b), 2u);
-  EXPECT_EQ(count_of(c), 2u);
 }
 
 // --- BaseIndexSet ----------------------------------------------------------

@@ -40,8 +40,6 @@ HOT_SYMBOL_PATTERNS = [
     r"(LocalIteration|GatherAll|PushWithBackpressure|RunUpdateRules|"
     r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitBatchThunk|"
     r"DistSinkThunk|DistSelfSinkThunk)\(",
-    r"^dcdatalog::\(anonymous namespace\)::ExecuteFrom\(",
-    r"^dcdatalog::RunPipelineForTuple\(",
     r"^dcdatalog::DwsController::(Update|OnDrain|OnIteration)\(",
 ]
 

@@ -42,7 +42,7 @@ Frontends:
 Known, documented gaps of the textual frontend: constructor bodies do not
 enter the graph via declarations (`IdleScope idle(...)`), calls through
 raw function pointers are invisible — which is WHY every sink thunk
-installed into an EmitSink/BatchEmitSink/BlockSink must itself be a
+installed into a BatchEmitSink/BlockSink must itself be a
 declared hot root — and amortized container growth (vector push_back /
 rehash) is deliberately out of scope at source level; the binary backstop
 (tools/analyze/check_hot_symbols.py) pins that down at symbol granularity.
@@ -75,7 +75,7 @@ ALL_RULES = ("alloc", "mutex", "throw", "fn-call", "virtual")
 # DCD_HOT_ROOT annotation in source; every annotated function must be
 # listed here (--check-roots enforces both directions).
 #
-# Function-pointer sinks (EmitSink / BatchEmitSink / BlockSink /
+# Function-pointer sinks (BatchEmitSink / BlockSink /
 # SelfLoopSink) break the static call graph, so every thunk that can be
 # installed into one is itself a root — that is the contract that keeps
 # the analysis sound across the indirect-call boundary.
@@ -91,9 +91,6 @@ HOT_ROOTS = [
     "BatchPipelineRunner::Push",
     "BatchPipelineRunner::RunBatch",
     "BatchPipelineRunner::Finish",
-    # Tuple-at-a-time rule pipeline (Backward/Forward's proof search).
-    "RunPipelineForTuple",
-    "ExecuteFrom",
     # Distribute (§5.2.3): per derived tuple.
     "Distributor::EmitBatch",
     "Distributor::Flush",
@@ -671,7 +668,8 @@ class Program:
                 fd.primitives.append((
                     "fn-call", lineno,
                     f"std::function '{name}' invoked (type-erased target; "
-                    "use a {fn, ctx} function-pointer sink like EmitSink)"))
+                    "use a {fn, ctx} function-pointer sink like "
+                    "BatchEmitSink)"))
                 continue
             if recv is not None:
                 rt = local_types.get(recv)

@@ -74,8 +74,6 @@ HOT_PATH_FILES = {
     "src/runtime/distributor.cc",
     "src/runtime/recursive_table.h",
     "src/runtime/recursive_table.cc",
-    "src/runtime/pipeline.h",
-    "src/runtime/pipeline.cc",
     "src/runtime/batch_pipeline.h",
     "src/runtime/batch_pipeline.cc",
     "src/runtime/expr_eval.h",
@@ -124,22 +122,17 @@ HOT_LOOP_FUNCTIONS = {
         "MergeWire", "MergeBatch", "MergeNone", "MergeMinMax", "MergeCount",
         "MergeSum", "PushDelta",
     ],
-    "src/runtime/pipeline.cc": [
-        "ExecuteFrom", "RunPipelineForTuple", "BuildWireTuple",
-    ],
-    # The shared step-compilation helpers the batch runner and
-    # RunPipelineForTuple inline per tuple.
-    "src/runtime/pipeline.h": [
-        "ApplyChecksAndBindStrided", "StepChecksMatch",
-        "ApplyDrivingScanStrided",
-    ],
     # Begin is deliberately absent: it runs once per rule and owns the
     # growth-only level allocation; everything below runs per batch/lane.
     "src/runtime/batch_pipeline.cc": [
         "Push", "RunBatch", "FlushLevel", "RunSteps", "RunExpanding",
         "RunFilter", "RunBind", "RunAntiJoin", "EmitLevel",
     ],
-    "src/runtime/batch_pipeline.h": ["CopyLane"],
+    # CopyLane and the step helpers the runner inlines per matched tuple.
+    "src/runtime/batch_pipeline.h": [
+        "CopyLane", "ApplyChecksAndBindStrided", "StepChecksMatch",
+        "ApplyDrivingScanStrided",
+    ],
     # RunUpdateRules drives every post-watermark EDB row through a rule
     # pipeline per incremental batch; PreparePipeline inside it is
     # once-per-rule and allocation there does not match textually.
