@@ -1,9 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+
+#include "common/parse.h"
+#include "storage/text_io.h"
 
 namespace dcdatalog {
 
@@ -44,24 +46,30 @@ Relation Graph::ToWeightedArcRelation(const std::string& name) const {
 }
 
 Result<Graph> LoadEdgeList(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open graph file: " + path);
+  LineScanner lines;
+  if (!lines.Open(path)) {
+    return Status::NotFound("cannot open graph file: " + path);
+  }
   Graph graph;
-  std::string line;
-  uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  std::string_view line;
+  while (lines.Next(&line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    uint64_t u, v;
-    if (!(ls >> u >> v)) {
-      return Status::ParseError("bad edge at " + path + ":" +
-                                std::to_string(line_no));
-    }
+    uint64_t u = 0, v = 0;
     int64_t w = 1;
-    ls >> w;  // Optional third column.
+    const bool ok =
+        ParseUint64Checked(NextField(&line), 0, UINT64_MAX, &u) &&
+        ParseUint64Checked(NextField(&line), 0, UINT64_MAX, &v);
+    const std::string_view weight = NextField(&line);  // Optional.
+    if (!ok ||
+        (!weight.empty() &&
+         !ParseInt64Checked(weight, INT64_MIN, INT64_MAX, &w)) ||
+        !NextField(&line).empty()) {
+      return Status::ParseError("bad edge at " + path + ":" +
+                                std::to_string(lines.line_no()));
+    }
     graph.AddEdge(u, v, w);
   }
+  if (!lines.ok()) return Status::RuntimeError("read error: " + path);
   return graph;
 }
 

@@ -56,8 +56,10 @@ class Graph {
   std::vector<Edge> edges_;
 };
 
-/// Loads a whitespace-separated edge list ("u v" or "u v w" per line, '#'
-/// comments). Vertex ids are used as-is.
+/// Loads a whitespace-separated edge list: "u v" or "u v w" per line, with
+/// '#' comment lines and empty lines skipped. u and v are unsigned and w
+/// signed decimal integers (common/parse.h rules); any other line fails
+/// with its line number. Vertex ids are used as-is.
 Result<Graph> LoadEdgeList(const std::string& path);
 
 /// Writes a graph in the same format.

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
 
-#include "common/parse.h"
 #include "storage/flat_set.h"
+#include "storage/text_io.h"
 
 namespace dcdatalog {
 namespace {
@@ -146,29 +145,9 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
     out.row.resize(schema.arity());
     for (size_t c = 0; c < schema.arity(); ++c) {
       const std::string& token = op.values[c];
-      switch (schema.type(c)) {
-        case ColumnType::kInt: {
-          int64_t v = 0;
-          if (!ParseInt64Checked(token.c_str(), INT64_MIN, INT64_MAX, &v)) {
-            return Status::ParseError("bad int '" + token + "' in update for '" +
-                                      op.relation + "'");
-          }
-          out.row[c] = WordFromInt(v);
-          break;
-        }
-        case ColumnType::kDouble: {
-          char* end = nullptr;
-          const double v = std::strtod(token.c_str(), &end);
-          if (end == token.c_str() || *end != '\0') {
-            return Status::ParseError("bad double '" + token +
-                                      "' in update for '" + op.relation + "'");
-          }
-          out.row[c] = WordFromDouble(v);
-          break;
-        }
-        case ColumnType::kString:
-          out.row[c] = dict->Intern(token);
-          break;
+      if (!ParseFieldWord(token, schema.type(c), dict, &out.row[c])) {
+        return Status::ParseError(BadFieldMessage(token, schema.type(c)) +
+                                  " in update for '" + op.relation + "'");
       }
     }
     resolved.ops.push_back(std::move(out));

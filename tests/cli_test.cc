@@ -111,6 +111,31 @@ TEST(CliTest, RunReportsParseAndDataErrors) {
   std::remove(program.c_str());
 }
 
+TEST(CliTest, RejectsRowsLongerThanTheSchema) {
+  // A weighted edge list has three columns; loading it as arc:ii (or with
+  // the arity inferred from the program) must fail rather than silently
+  // drop the weights.
+  const std::string edges = TempPath("cli_wedges.tsv");
+  const std::string program = TempPath("cli_long.dl");
+  ASSERT_EQ(
+      RunCli("generate gnp:100:0.02 " + edges + " --weights 100 --seed 7")
+          .exit_code,
+      0);
+  {
+    std::ofstream p(program);
+    p << "tc(X, Y) :- arc(X, Y).\n";
+  }
+  for (const char* spec : {":ii", ""}) {
+    CmdResult r = RunCli("run " + program + " --rel arc=" + edges + spec);
+    EXPECT_NE(r.exit_code, 0) << spec << ": " << r.output;
+    EXPECT_NE(r.output.find("row too long at " + edges + ":1"),
+              std::string::npos)
+        << spec << ": " << r.output;
+  }
+  std::remove(edges.c_str());
+  std::remove(program.c_str());
+}
+
 TEST(CliTest, RejectsMalformedNumericFlags) {
   const std::string program = TempPath("cli_flags.dl");
   {

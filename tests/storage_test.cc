@@ -486,6 +486,36 @@ TEST(ResolveUpdateBatchTest, RejectsOutOfRangeInts) {
   EXPECT_EQ(IntFromWord(resolved.value().ops[0].row[1]), INT64_MIN);
 }
 
+TEST(ResolveUpdateBatchTest, DoublesFollowTheCheckedRule) {
+  // Update values go through the same field parser as fact files: a double
+  // must be a finite decimal number spelled out in full. Bare strtod took
+  // every token below.
+  Catalog catalog;
+  catalog.Put(Relation("w", Schema({{"v", ColumnType::kDouble}})));
+  StringDict dict;
+  for (const char* bad : {"nan", "inf", "-inf", "+1.5", "0x1p3", "1e400",
+                          "1.5x", " 1.5"}) {
+    UpdateBatch batch;
+    batch.ops.push_back(UpdateOp{true, "w", {bad}});
+    auto resolved = ResolveUpdateBatch(batch, catalog, &dict);
+    EXPECT_FALSE(resolved.ok()) << bad;
+    EXPECT_EQ(resolved.status().code(), StatusCode::kParseError) << bad;
+    EXPECT_NE(resolved.status().message().find("bad double"),
+              std::string::npos)
+        << resolved.status().ToString();
+  }
+  UpdateBatch batch;
+  for (const char* good : {"1.5", "-.25", "3", "1e-3", "5."}) {
+    batch.ops.push_back(UpdateOp{true, "w", {good}});
+  }
+  auto resolved = ResolveUpdateBatch(batch, catalog, &dict);
+  ASSERT_TRUE(resolved.ok()) << resolved.status().ToString();
+  const std::vector<double> want = {1.5, -0.25, 3, 1e-3, 5};
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(DoubleFromWord(resolved.value().ops[i].row[0]), want[i]);
+  }
+}
+
 TEST(NetOutBatchTest, TupleStoredKTimesYieldsKRemovals) {
   Catalog catalog;
   PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}, {5, 6}, {1, 2}});
