@@ -43,6 +43,8 @@ const char* ChaosSiteName(ChaosSite site) {
       return "gather";
     case ChaosSite::kDeleteShard:
       return "delete_shard";
+    case ChaosSite::kAggregateDelete:
+      return "aggregate_delete";
     case ChaosSite::kNumSites:
       break;
   }

@@ -34,13 +34,14 @@ namespace dcdatalog {
 /// Where a chaos point sits. Sites let a schedule bias layers differently
 /// (e.g. fail pushes often but only delay termination rounds).
 enum class ChaosSite : uint8_t {
-  kQueuePush = 0,   // SpscQueue::TryPush (also the forced-full fail point).
-  kQueuePop,        // SpscQueue::TryPop / PopBatch.
-  kTermination,     // TerminationDetector::CheckTermination round.
-  kWorkerStart,     // RunWorkers thread entry (staggers start-up).
-  kStrategyLoop,    // Top of a Global/SSP/DWS loop body.
-  kGather,          // SccExecutor::GatherAll entry.
-  kDeleteShard,     // A Backward/Forward shard's candidate pop.
+  kQueuePush = 0,    // SpscQueue::TryPush (also the forced-full fail point).
+  kQueuePop,         // SpscQueue::TryPop / PopBatch.
+  kTermination,      // TerminationDetector::CheckTermination round.
+  kWorkerStart,      // RunWorkers thread entry (staggers start-up).
+  kStrategyLoop,     // Top of a Global/SSP/DWS loop body.
+  kGather,           // SccExecutor::GatherAll entry.
+  kDeleteShard,      // A Backward/Forward shard's candidate pop.
+  kAggregateDelete,  // The aggregate delete's candidate pop.
   kNumSites,
 };
 

@@ -24,7 +24,6 @@ constexpr uint8_t kDeleted = 4;  // D
 constexpr uint8_t kQueued = 8;   // Entered the candidate queue once.
 
 constexpr uint32_t kNoWatch = UINT32_MAX;
-constexpr uint32_t kNoPartition = UINT32_MAX;
 
 /// What the shards of one delete share: the input and the guard.
 struct Shared {
@@ -48,7 +47,8 @@ class Shard {
         in_(shared.in),
         scc_(*in_.scc),
         n_(in_.num_workers),
-        shard_(shard) {
+        shard_(shard),
+        rules_(in_) {
     const size_t num_preds = scc_.derived_preds.size();
     canonical_.resize(num_preds);
     state_.resize(num_preds * n_);
@@ -61,38 +61,6 @@ class Shard {
         watch_head_[p * n_ + w].assign(rows, kNoWatch);
       }
     }
-
-    const auto prepare = [&](const PhysicalRule& rule,
-                             const BaseIndexSet* indexes) {
-      PipelineContext ctx;
-      ctx.catalog = in_.catalog;
-      ctx.base_indexes = indexes;
-      ctx.replicas = &(*in_.tables)[0];
-      PreparePipeline(rule, &ctx);
-      return ctx;
-    };
-    check_by_pred_.resize(num_preds);
-    for (const PhysicalRule& rule : scc_.check_rules) {
-      check_by_pred_[rule.head.pred_id].push_back(check_ctx_.size());
-      check_ctx_.push_back(prepare(rule, in_.indexes));
-    }
-    delta_by_pred_.resize(num_preds);
-    for (const PhysicalRule& rule : scc_.delta_rules) {
-      const std::string& pred = scc_.replicas[rule.driving_replica].predicate;
-      delta_by_pred_[scc_.PredIdOf(pred)].push_back(delta_ctx_.size());
-      delta_ctx_.push_back(prepare(rule, in_.indexes));
-    }
-    for (const PhysicalRule& rule : scc_.update_rules) {
-      PipelineContext ctx = prepare(rule, in_.old_indexes);
-      // Scan steps read the pre-batch copy of a relation that lost rows.
-      for (size_t i = 0; i < ctx.scan_rels.size(); ++i) {
-        auto it = in_.old_relations->find(rule.steps[i].relation);
-        if (ctx.scan_rels[i] != nullptr && it != in_.old_relations->end()) {
-          ctx.scan_rels[i] = &it->second;
-        }
-      }
-      update_ctx_.push_back(std::move(ctx));
-    }
   }
 
   /// Runs the shard to its end, or until the guard trips in any shard:
@@ -100,7 +68,9 @@ class Shard {
   void Run(BackwardForwardResult* out) {
     out->deleted.assign(scc_.derived_preds.size(),
                         std::vector<std::vector<uint64_t>>(n_));
-    DriveRemoved();
+    // Candidates queue in the removed rows' order, so |C| does not depend
+    // on the number of workers.
+    rules_.DriveRemoved(BatchEmitSink{&HeadThunk, this});
     while (!candidates_.empty()) {
       DCD_CHAOS_POINT(kDeleteShard);
       if (shared_.Tripped()) break;
@@ -138,9 +108,7 @@ class Shard {
     size_t end = 0;
   };
 
-  /// InstanceThunk's emission context: the check version running. Emits
-  /// only record: no pipeline runs inside another, so one runner serves
-  /// every rule.
+  /// InstanceThunk's emission context: the check version running.
   struct RuleEmit {
     Shard* self;
     const PhysicalRule* rule;
@@ -246,15 +214,6 @@ class Shard {
     }
   }
 
-  /// Runs `rule` over one driving row: a single-row batch keeps Check and
-  /// Forward depth first.
-  void RunOne(const PhysicalRule& rule, const PipelineContext& ctx,
-              TupleRef row, BatchEmitSink emit) {
-    runner_.Begin(rule, &ctx, emit);
-    runner_.Push(row);
-    runner_.Finish();
-  }
-
   /// Looks up the facts the opened fact's instances named: an instance
   /// whose facts are all in I \ D and proved proves it (returns true);
   /// else each such instance is recorded, its unproved facts watched and
@@ -297,53 +256,12 @@ class Shard {
     return false;
   }
 
-  /// Forward from the removed rows of other relations: every instance
-  /// holding one, over the pre-batch state, names a candidate. A recursive
-  /// probe must read the partition owning its key, so a batch runs
-  /// against one partition's tables and closes where the next row's
-  /// partition differs. The candidates thus queue in the removed rows'
-  /// order, and |C| does not depend on the number of workers.
-  void DriveRemoved() {
-    const BatchEmitSink emit{&HeadThunk, this};
-    for (size_t u = 0; u < scc_.update_rules.size(); ++u) {
-      const PhysicalRule& rule = scc_.update_rules[u];
-      auto it = in_.removed->find(rule.driving_relation);
-      if (it == in_.removed->end()) continue;
-      PipelineContext& ctx = update_ctx_[u];
-      const Relation& rows = it->second;
-      const int col = rule.update_partition_col;
-      uint32_t open = kNoPartition;
-      for (uint64_t r = 0; r < rows.size(); ++r) {
-        const TupleRef row = rows.Row(r);
-        const uint32_t w = col >= 0 ? PartitionOf(row[col], n_) : 0;
-        if (w != open) {
-          if (open != kNoPartition) runner_.Finish();
-          ctx.replicas = &(*in_.tables)[w];
-          runner_.Begin(rule, &ctx, emit);
-          open = w;
-        }
-        runner_.Push(row);
-      }
-      if (open != kNoPartition) runner_.Finish();
-    }
-  }
-
   /// Forward from a deleted fact: the heads of the instances holding it
-  /// become candidates. Other same-SCC facts come from I; the other
-  /// relations are read after the removals — an instance that also holds
-  /// a removed row was named by DriveRemoved.
+  /// become candidates. Other same-SCC facts come from I; an instance that
+  /// also holds a removed row was named by DriveRemoved.
   void Forward(FactRef f) {
-    const TupleRef tuple = Tuple(f);
-    for (size_t d : delta_by_pred_[f.part / n_]) {
-      const PhysicalRule& rule = scc_.delta_rules[d];
-      const ReplicaSpec& spec = scc_.replicas[rule.driving_replica];
-      const uint32_t w = spec.partition_constant
-                             ? 0
-                             : PartitionOf(tuple[spec.partition_col], n_);
-      PipelineContext& ctx = delta_ctx_[d];
-      ctx.replicas = &(*in_.tables)[w];
-      RunOne(rule, ctx, tuple, BatchEmitSink{&HeadThunk, this});
-    }
+    rules_.Forward(static_cast<int>(f.part / n_), Tuple(f),
+                   BatchEmitSink{&HeadThunk, this});
   }
 
   /// Marks `f` checked and enumerates the instances deriving it (the
@@ -359,10 +277,9 @@ class Shard {
     pending_words_.clear();
     pending_sizes_.clear();
     const TupleRef tuple = Tuple(f);
-    for (size_t c : check_by_pred_[f.part / n_]) {
-      const PhysicalRule& rule = scc_.check_rules[c];
-      RuleEmit e{this, &rule};
-      RunOne(rule, check_ctx_[c], tuple, BatchEmitSink{&InstanceThunk, &e});
+    for (size_t c : rules_.ChecksOf(static_cast<int>(f.part / n_))) {
+      RuleEmit e{this, &scc_.check_rules[c]};
+      rules_.RunCheck(c, tuple, BatchEmitSink{&InstanceThunk, &e});
     }
     const size_t begin = body_.size();
     if (opened_proved_ || ResolveInstances()) {
@@ -434,13 +351,7 @@ class Shard {
   std::vector<std::vector<uint8_t>> state_;  // By part, indexed by row.
   uint64_t num_checked_ = 0;                 // |C| of this shard.
 
-  // Per-rule pipeline contexts, prepared once, and the shard's executor.
-  std::vector<PipelineContext> check_ctx_;
-  std::vector<PipelineContext> delta_ctx_;
-  std::vector<PipelineContext> update_ctx_;
-  std::vector<std::vector<size_t>> check_by_pred_;
-  std::vector<std::vector<size_t>> delta_by_pred_;
-  BatchPipelineRunner runner_;
+  DeleteRules rules_;
 
   std::vector<FactRef> candidates_;  // Forward's queue.
   std::vector<Frame> stack_;         // Check's explicit stack.
@@ -462,6 +373,93 @@ class Shard {
 };
 
 }  // namespace
+
+DeleteRules::DeleteRules(const BackwardForwardInput& in) : in_(in) {
+  const SccPlan& scc = *in_.scc;
+  const auto prepare = [&](const PhysicalRule& rule,
+                           const BaseIndexSet* indexes) {
+    PipelineContext ctx;
+    ctx.catalog = in_.catalog;
+    ctx.base_indexes = indexes;
+    ctx.replicas = &(*in_.tables)[0];
+    PreparePipeline(rule, &ctx);
+    return ctx;
+  };
+  check_by_pred_.resize(scc.derived_preds.size());
+  for (const PhysicalRule& rule : scc.check_rules) {
+    check_by_pred_[rule.head.pred_id].push_back(check_ctx_.size());
+    check_ctx_.push_back(prepare(rule, in_.indexes));
+  }
+  delta_by_pred_.resize(scc.derived_preds.size());
+  for (const PhysicalRule& rule : scc.delta_rules) {
+    const std::string& pred = scc.replicas[rule.driving_replica].predicate;
+    delta_by_pred_[scc.PredIdOf(pred)].push_back(delta_ctx_.size());
+    delta_ctx_.push_back(prepare(rule, in_.indexes));
+  }
+  for (const PhysicalRule& rule : scc.update_rules) {
+    PipelineContext ctx = prepare(rule, in_.old_indexes);
+    // Scan steps read the pre-batch copy of a relation that lost rows.
+    for (size_t i = 0; i < ctx.scan_rels.size(); ++i) {
+      auto it = in_.old_relations->find(rule.steps[i].relation);
+      if (ctx.scan_rels[i] != nullptr && it != in_.old_relations->end()) {
+        ctx.scan_rels[i] = &it->second;
+      }
+    }
+    update_ctx_.push_back(std::move(ctx));
+  }
+}
+
+void DeleteRules::RunOne(const PhysicalRule& rule, const PipelineContext& ctx,
+                         TupleRef row, BatchEmitSink emit) {
+  runner_.Begin(rule, &ctx, emit);
+  runner_.Push(row);
+  runner_.Finish();
+}
+
+void DeleteRules::DriveRemoved(BatchEmitSink emit) {
+  constexpr uint32_t kNoPartition = UINT32_MAX;
+  const SccPlan& scc = *in_.scc;
+  for (size_t u = 0; u < scc.update_rules.size(); ++u) {
+    const PhysicalRule& rule = scc.update_rules[u];
+    auto it = in_.removed->find(rule.driving_relation);
+    if (it == in_.removed->end()) continue;
+    PipelineContext& ctx = update_ctx_[u];
+    const Relation& rows = it->second;
+    const int col = rule.update_partition_col;
+    uint32_t open = kNoPartition;
+    for (uint64_t r = 0; r < rows.size(); ++r) {
+      const TupleRef row = rows.Row(r);
+      const uint32_t w = col >= 0 ? PartitionOf(row[col], in_.num_workers) : 0;
+      if (w != open) {
+        if (open != kNoPartition) runner_.Finish();
+        ctx.replicas = &(*in_.tables)[w];
+        runner_.Begin(rule, &ctx, emit);
+        open = w;
+      }
+      runner_.Push(row);
+    }
+    if (open != kNoPartition) runner_.Finish();
+  }
+}
+
+void DeleteRules::Forward(int pred_id, TupleRef tuple, BatchEmitSink emit) {
+  const SccPlan& scc = *in_.scc;
+  for (size_t d : delta_by_pred_[pred_id]) {
+    const PhysicalRule& rule = scc.delta_rules[d];
+    const ReplicaSpec& spec = scc.replicas[rule.driving_replica];
+    const uint32_t w = spec.partition_constant
+                           ? 0
+                           : PartitionOf(tuple[spec.partition_col],
+                                         in_.num_workers);
+    PipelineContext& ctx = delta_ctx_[d];
+    ctx.replicas = &(*in_.tables)[w];
+    RunOne(rule, ctx, tuple, emit);
+  }
+}
+
+void DeleteRules::RunCheck(size_t c, TupleRef tuple, BatchEmitSink emit) {
+  RunOne(in_.scc->check_rules[c], check_ctx_[c], tuple, emit);
+}
 
 BackwardForwardResult RunBackwardForward(const BackwardForwardInput& in) {
   const SccPlan& scc = *in.scc;

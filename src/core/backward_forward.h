@@ -10,6 +10,7 @@
 
 #include "planner/physical_plan.h"
 #include "runtime/base_index_set.h"
+#include "runtime/batch_pipeline.h"
 #include "runtime/recursive_table.h"
 #include "storage/catalog.h"
 #include "storage/relation.h"
@@ -50,6 +51,8 @@ namespace dcdatalog {
 /// or with one worker, one shard owns every fact.
 ///
 /// Nothing retained is changed: the caller commits D.
+///
+/// The aggregate delete (core/aggregate_delete.h) takes the same input.
 struct BackwardForwardInput {
   const SccPlan* scc = nullptr;
   uint32_t num_workers = 1;
@@ -86,6 +89,48 @@ struct BackwardForwardResult {
 };
 
 BackwardForwardResult RunBackwardForward(const BackwardForwardInput& in);
+
+/// The rule versions a delete runs over one SCC, prepared once, and one
+/// executor for all of them. No pipeline runs inside another: a sink
+/// only records what it is given.
+class DeleteRules {
+ public:
+  explicit DeleteRules(const BackwardForwardInput& in);
+
+  /// Forward from the removed rows of other relations: drives them
+  /// through the update versions over the pre-batch state. A recursive
+  /// probe must read the partition owning its key, so a batch runs
+  /// against one partition's tables and closes where the next row's
+  /// partition differs: the heads reach `emit` in the removed rows'
+  /// order, whatever the number of workers.
+  void DriveRemoved(BatchEmitSink emit);
+
+  /// Forward from `tuple`, a fact of SCC predicate `pred_id`: its delta
+  /// versions, each against the partition owning the tuple in its driving
+  /// replica. Other relations are read after the removals.
+  void Forward(int pred_id, TupleRef tuple, BatchEmitSink emit);
+
+  /// The check versions of SCC predicate `pred_id`, as indexes into
+  /// SccPlan::check_rules, and one run of version `c` over `tuple`.
+  const std::vector<size_t>& ChecksOf(int pred_id) const {
+    return check_by_pred_[pred_id];
+  }
+  void RunCheck(size_t c, TupleRef tuple, BatchEmitSink emit);
+
+ private:
+  /// Runs `rule` over one driving row: a single-row batch keeps a search
+  /// depth first.
+  void RunOne(const PhysicalRule& rule, const PipelineContext& ctx,
+              TupleRef row, BatchEmitSink emit);
+
+  const BackwardForwardInput& in_;
+  std::vector<PipelineContext> check_ctx_;
+  std::vector<PipelineContext> delta_ctx_;
+  std::vector<PipelineContext> update_ctx_;
+  std::vector<std::vector<size_t>> check_by_pred_;
+  std::vector<std::vector<size_t>> delta_by_pred_;
+  BatchPipelineRunner runner_;
+};
 
 }  // namespace dcdatalog
 

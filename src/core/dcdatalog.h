@@ -84,6 +84,15 @@ class DCDatalog {
     return engine_ != nullptr && engine_->incremental_active();
   }
 
+  /// Engine::CheckStampInvariant of the incremental session.
+  Status CheckStampInvariant() {
+    if (!incremental_active()) {
+      return Status::InvalidArgument(
+          "CheckStampInvariant requires BeginIncremental first");
+    }
+    return engine_->CheckStampInvariant();
+  }
+
   /// Returns the materialized relation for a (derived or base) predicate,
   /// or nullptr before Run().
   const Relation* ResultFor(const std::string& name) const;

@@ -21,6 +21,7 @@
 #include "concurrent/spsc_queue.h"
 #include "concurrent/termination.h"
 #include "concurrent/worker_pool.h"
+#include "core/aggregate_delete.h"
 #include "core/backward_forward.h"
 #include "core/dws_controller.h"
 #include "datalog/analysis.h"
@@ -72,6 +73,10 @@ struct IncrementalHooks {
   /// aggregate's changed groups are moved past it too). Missing entries
   /// mean "nothing new".
   const std::map<std::string, uint64_t>* watermarks = nullptr;
+  /// The session's stamp clock: every worker's clock starts there, so a
+  /// batch stamps above every row the session already holds, and the run
+  /// leaves its highest stamp there.
+  uint32_t* clock = nullptr;
 };
 
 /// Runs fn(0) .. fn(n-1) on the engine's thread source: a gang of the
@@ -103,7 +108,14 @@ class SccExecutor {
         scc_ordinal_(scc_ordinal),
         detector_(options.num_workers),
         barrier_(options.num_workers),
-        ssp_iters_(options.num_workers) {
+        ssp_iters_(options.num_workers),
+        published_clocks_(options.num_workers) {
+    if (hooks != nullptr && hooks->clock != nullptr) {
+      start_clock_ = *hooks->clock;
+    }
+    for (PaddedU64& c : published_clocks_) {
+      c.v.store(start_clock_, std::memory_order_relaxed);
+    }
     // Per-queue capacity shrinks as the worker grid grows so the n² rings
     // stay within a sane memory budget. spsc_capacity is expressed in
     // tuples; a block packs ~kMsgBlockWords/2 binary tuples, so dividing by
@@ -135,6 +147,11 @@ class SccExecutor {
     // retained tables' watermarks, so the full rewrite here is skipped.
     if (hooks_ == nullptr || !hooks_->update_mode) MaterializeResults();
     CollectStats(stats);
+    if (hooks_ != nullptr && hooks_->clock != nullptr) {
+      for (const WorkerStats& ws : worker_stats_) {
+        *hooks_->clock = std::max(*hooks_->clock, ws.clock);
+      }
+    }
     if (hooks_ != nullptr && hooks_->retained != nullptr) {
       for (uint32_t w = 0; w < n_; ++w) {
         (*hooks_->retained)[w] = std::move(worker_replicas_[w]);
@@ -160,6 +177,7 @@ class SccExecutor {
     uint64_t pipeline_batches = 0;
     uint64_t pipeline_rows_selected = 0;
     int64_t idle_ns = 0;
+    uint32_t clock = 0;
   };
 
   /// Everything one worker thread owns while the SCC runs.
@@ -180,6 +198,9 @@ class SccExecutor {
     std::vector<MsgBlock> block_scratch;
     uint64_t local_iter = 0;
     int64_t idle_ns = 0;
+    /// Lamport clock: the highest stamp this worker's merges have written
+    /// (see GatherAll).
+    uint32_t clock = 0;
     /// Per-worker event ring: single-writer (this worker), snapshotted by
     /// the executor after the join. Disabled (capacity 0, no allocation)
     /// unless EngineOptions::enable_trace is set.
@@ -255,6 +276,7 @@ class SccExecutor {
     WorkerContext ctx(n_, options_);
     ctx.wid = wid;
     ctx.exec = this;
+    ctx.clock = start_clock_;
     ctx.Instant(TraceEventKind::kSccBegin, 0, scc_ordinal_);
 
     // Build this worker's replica partitions (first-touch local), or adopt
@@ -341,6 +363,7 @@ class SccExecutor {
     WorkerStats& ws = worker_stats_[wid];
     ws.local_iterations = ctx.local_iter;
     ws.idle_ns = ctx.idle_ns;
+    ws.clock = ctx.clock;
     ctx.ring.Snapshot(&ws.trace);
     ws.trace_dropped = ctx.ring.dropped();
     ws.metrics = ctx.metrics;
@@ -463,9 +486,15 @@ class SccExecutor {
   /// replicas (together with any tuples the self-loop bypass already parked
   /// there). Returns the number of ring tuples consumed — the quantity
   /// charged to the termination detector.
+  ///
+  /// The merge stamps its min/max rows one past this worker's clock and
+  /// the clock each sender drained from published before pushing: every
+  /// row an instance read was stamped at most at its reader's clock, so a
+  /// row's stamp exceeds those of the same-SCC rows its instance read.
   DCD_HOT_ROOT uint64_t GatherAll(WorkerContext* ctx) {
     DCD_CHAOS_POINT(kGather);
     uint64_t total = 0;
+    uint32_t stamp = ctx->clock;
     const int64_t now = MonotonicNanos();
     for (uint32_t j = 0; j < n_; ++j) {
       ctx->block_scratch.clear();
@@ -480,15 +509,25 @@ class SccExecutor {
                      block.w + static_cast<size_t>(block.count) * block.arity);
         drained += block.count;
       }
-      if (drained > 0) q.tuples.fetch_sub(drained, std::memory_order_relaxed);
+      if (drained > 0) {
+        q.tuples.fetch_sub(drained, std::memory_order_relaxed);
+        // The ring's acquiring pop orders this read after the sender's
+        // publication.
+        const uint64_t sender =
+            published_clocks_[j].v.load(std::memory_order_relaxed);
+        stamp = std::max(stamp, static_cast<uint32_t>(sender));
+      }
       ctx->dws.OnDrain(j, drained, now);
       total += drained;
     }
+    ++stamp;
     for (size_t r = 0; r < ctx->gather_scratch.size(); ++r) {
       std::vector<uint64_t>& batch = ctx->gather_scratch[r];
       if (batch.empty()) continue;
       RecursiveTable& table = *(*ctx->replicas)[r];
       const uint32_t arity = table.wire_arity();
+      ctx->clock = stamp;
+      table.SetMergeStamp(stamp);
       table.MergeBatch(batch.data(), batch.size() / arity, arity);
       batch.clear();
     }
@@ -508,6 +547,8 @@ class SccExecutor {
   DCD_HOT_ROOT void PushWithBackpressure(WorkerContext* ctx, uint32_t dest,
                                          const MsgBlock& block) {
     BlockQueue& q = Queue(ctx->wid, dest);
+    // Publish the clock before the push: the consumer stamps past it.
+    published_clocks_[ctx->wid].v.store(ctx->clock, std::memory_order_relaxed);
     // Raise the occupancy mirror before the push: the consumer subtracts
     // only blocks it popped, so add-then-push can transiently overstate but
     // never underflow the unsigned counter (pop-then-subtract could).
@@ -817,6 +858,9 @@ class SccExecutor {
   std::atomic<uint64_t> round_delta_{0};
   std::atomic<bool> global_done_{false};
   std::vector<PaddedU64> ssp_iters_;
+  /// Per worker, single writer: its clock as of its last block push.
+  std::vector<PaddedU64> published_clocks_;
+  uint32_t start_clock_ = 0;
   std::atomic<bool> aborted_{false};
 
   std::vector<std::vector<std::unique_ptr<RecursiveTable>>> worker_replicas_;
@@ -845,6 +889,7 @@ std::vector<std::pair<const char*, double>> EvalStats::Counters() const {
       {"idle_wait_seconds", idle_wait_seconds},
       {"trace_dropped", static_cast<double>(trace_dropped)},
       {"update_batches", static_cast<double>(update_batches)},
+      {"update_recomputes", static_cast<double>(update_recomputes)},
       {"delta_tuples_in", static_cast<double>(delta_tuples_in)},
       {"rederived_tuples", static_cast<double>(rederived_tuples)},
       {"morsels_published", static_cast<double>(morsels_published)},
@@ -986,9 +1031,12 @@ struct Engine::IncrementalState {
   };
   std::map<std::string, CatalogLayout> layouts;
 
+  /// The stamp clock of the retained min/max rows: the highest stamp any
+  /// of them carries. A full run restarts it from 0.
+  uint32_t clock = 0;
+
   // Eligibility metadata, read off the program text once.
   std::set<std::string> negated_rels;  // Appears under negation.
-  std::set<std::string> agg_preds;     // Aggregate-headed predicates.
   std::map<std::string, std::set<std::string>> consumers;  // Body → heads.
 
   /// Closes `affected` over body→head consumption edges: anything derived
@@ -1073,24 +1121,9 @@ struct Engine::IncrementalState {
       fresh += table.rows().size() - replica_watermarks[s][w][canonical];
     }
     if (moved == 0 && fresh == 0) return Status::OK();
-
-    auto [it, built] = layouts.try_emplace(pred);
-    CatalogLayout& layout = it->second;
-    if (built) {
-      layout.pos.resize(n);
-      for (uint32_t w = 0; w < n; ++w) {
-        const uint64_t rows = replica_watermarks[s][w][canonical];
-        layout.pos[w].resize(rows);
-        for (uint64_t r = 0; r < rows; ++r) {
-          layout.pos[w][r] = layout.owner.size();
-          layout.owner.emplace_back(w, r);
-        }
-      }
-      if (layout.owner.size() != rel->size()) {
-        return Status::Internal("catalog relation '" + pred +
-                                "' does not match its retained tables");
-      }
-    }
+    DCD_ASSIGN_OR_RETURN(CatalogLayout * layout_ptr,
+                         Layout(scc, s, pred, *rel));
+    CatalogLayout& layout = *layout_ptr;
 
     // Partition: every changed row ends up in [tail, size). One already
     // there stays; one in front swaps places with an unchanged tail row.
@@ -1134,6 +1167,135 @@ struct Engine::IncrementalState {
     }
     rel_watermarks[pred] = tail;
     if (moved > 0) InvalidateIndexesOver(pred);
+    return Status::OK();
+  }
+
+  /// `pred`'s CatalogLayout, built on first use from the retained tables'
+  /// watermarks: the catalog then holds the canonical replica's
+  /// partitions back to back.
+  Result<CatalogLayout*> Layout(const SccPlan& scc, size_t s,
+                                const std::string& pred, const Relation& rel) {
+    auto [it, built] = layouts.try_emplace(pred);
+    CatalogLayout& layout = it->second;
+    if (!built) return &layout;
+    const int canonical = scc.ReplicasOf(pred).front();
+    const uint32_t n = static_cast<uint32_t>(replicas[s].size());
+    layout.pos.resize(n);
+    for (uint32_t w = 0; w < n; ++w) {
+      const uint64_t rows = replica_watermarks[s][w][canonical];
+      layout.pos[w].resize(rows);
+      for (uint64_t r = 0; r < rows; ++r) {
+        layout.pos[w][r] = layout.owner.size();
+        layout.owner.emplace_back(w, r);
+      }
+    }
+    if (layout.owner.size() != rel.size()) {
+      layouts.erase(it);
+      return Status::Internal("catalog relation '" + pred +
+                              "' does not match its retained tables");
+    }
+    return &layout;
+  }
+
+  /// Erases the rows `dead[w]` (ascending row ids of worker w's canonical
+  /// partition) from `pred`'s catalog relation and renumbers its layout
+  /// for the partitions' compaction: survivors keep their order on both
+  /// sides.
+  Status EraseFromCatalog(const SccPlan& scc, size_t s,
+                          const std::string& pred,
+                          const std::vector<std::vector<uint64_t>>& dead,
+                          Relation* rel) {
+    DCD_ASSIGN_OR_RETURN(CatalogLayout * layout, Layout(scc, s, pred, *rel));
+    std::vector<uint64_t> dead_pos;
+    for (size_t w = 0; w < dead.size(); ++w) {
+      for (uint64_t r : dead[w]) dead_pos.push_back(layout->pos[w][r]);
+    }
+    std::sort(dead_pos.begin(), dead_pos.end());
+    size_t next = 0;
+    uint64_t at = 0;
+    rel->EraseRowsIf([&](TupleRef) {
+      const bool drop = next < dead_pos.size() && dead_pos[next] == at;
+      next += drop;
+      ++at;
+      return drop;
+    });
+    for (size_t w = 0; w < dead.size(); ++w) {
+      std::vector<uint64_t>& pos = layout->pos[w];
+      size_t d = 0;
+      size_t kept = 0;
+      for (uint64_t r = 0; r < pos.size(); ++r) {
+        if (d < dead[w].size() && dead[w][d] == r) {
+          ++d;
+          continue;
+        }
+        const uint64_t before =
+            std::lower_bound(dead_pos.begin(), dead_pos.end(), pos[r]) -
+            dead_pos.begin();
+        pos[kept++] = pos[r] - before;
+      }
+      pos.resize(kept);
+    }
+    layout->owner.assign(rel->size(), {});
+    for (uint32_t w = 0; w < layout->pos.size(); ++w) {
+      for (uint64_t r = 0; r < layout->pos[w].size(); ++r) {
+        layout->owner[layout->pos[w][r]] = {w, r};
+      }
+    }
+    return Status::OK();
+  }
+
+  /// True when SCC `s`'s retained tables hold rows awaiting a semi-naive
+  /// step: an aggregate delete's reseeded groups.
+  bool HasPendingDelta(size_t s) const {
+    for (const auto& per_worker : replicas[s]) {
+      for (const auto& table : per_worker) {
+        if (table->delta_size() > 0) return true;
+      }
+    }
+    return false;
+  }
+
+  /// Fills `in` for a delete through SCC `s`: catches up the base indexes
+  /// its delta and check versions probe (the check-only ones are built on
+  /// the first delete) and builds `old_indexes` over the pre-batch copies
+  /// its update versions read. The caller sets `in->run_gang`.
+  Status PrepareDelete(size_t s, const Catalog& catalog,
+                       const std::map<std::string, Relation>& old_copies,
+                       const std::map<std::string, Relation>& removed_rows,
+                       BaseIndexSet* old_indexes, BackwardForwardInput* in) {
+    const SccPlan& scc = plan.sccs[s];
+    for (const auto* rules : {&scc.delta_rules, &scc.check_rules}) {
+      for (const PhysicalRule& rule : *rules) {
+        for (const Step& step : rule.steps) {
+          if (step.base_index_id < 0) continue;
+          DCD_RETURN_IF_ERROR(
+              base_indexes->SyncAppended(step.base_index_id, catalog));
+        }
+      }
+    }
+    for (const PhysicalRule& rule : scc.update_rules) {
+      if (removed_rows.count(rule.driving_relation) == 0) continue;
+      for (const Step& step : rule.steps) {
+        if (step.base_index_id < 0) continue;
+        auto old = old_copies.find(step.relation);
+        const Relation* rel = old != old_copies.end()
+                                  ? &old->second
+                                  : catalog.Find(step.relation);
+        if (rel == nullptr) {
+          return Status::Internal("relation '" + step.relation +
+                                  "' missing on the delete path");
+        }
+        old_indexes->EnsureBuiltOver(step.base_index_id, *rel);
+      }
+    }
+    in->scc = &scc;
+    in->num_workers = static_cast<uint32_t>(replicas[s].size());
+    in->tables = &replicas[s];
+    in->removed = &removed_rows;
+    in->catalog = &catalog;
+    in->indexes = base_indexes.get();
+    in->old_indexes = old_indexes;
+    in->old_relations = &old_copies;
     return Status::OK();
   }
 
@@ -1187,9 +1349,6 @@ Result<EvalStats> Engine::BeginIncremental(const Program& program) {
   }
 
   for (const Rule& rule : state->program.rules) {
-    if (rule.head.HasAggregate()) {
-      state->agg_preds.insert(rule.head.predicate);
-    }
     for (const BodyLiteral& lit : rule.body) {
       if (lit.kind != BodyLiteral::Kind::kAtom) continue;
       if (lit.negated) {
@@ -1219,6 +1378,7 @@ Result<EvalStats> Engine::RunRetaining() {
   st->replicas.resize(st->plan.sccs.size());
   st->replica_watermarks.assign(st->plan.sccs.size(), {});
   st->layouts.clear();
+  st->clock = 0;
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
     const SccPlan& scc = st->plan.sccs[s];
     DCD_RETURN_IF_ERROR(st->SyncSccIndexes(scc, *catalog_));
@@ -1227,6 +1387,7 @@ Result<EvalStats> Engine::RunRetaining() {
     retained.resize(options_.num_workers);
     IncrementalHooks hooks;
     hooks.retained = &retained;
+    hooks.clock = &st->clock;
     SccExecutor executor(st->plan, scc, catalog_, st->base_indexes.get(),
                          options_, static_cast<uint32_t>(s), &hooks);
     DCD_RETURN_IF_ERROR(executor.Run(&stats));
@@ -1300,20 +1461,19 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     if (st->negated_rels.count(p) > 0) fallback = true;
     // Inserts lower a min (raise a max) in place; the planner lists the
     // aggregates with a reader that is not monotone in that value, and the
-    // sum predicates, whose merge replaces a contributor's value. A
-    // removal can retract any aggregate value.
+    // sum predicates, whose merge replaces a contributor's value.
     if (std::find(st->plan.insert_recompute_preds.begin(),
                   st->plan.insert_recompute_preds.end(),
                   p) != st->plan.insert_recompute_preds.end()) {
       fallback = true;
     }
-    if (removals && st->agg_preds.count(p) > 0) fallback = true;
     if (std::find(st->plan.update_ineligible_rels.begin(),
                   st->plan.update_ineligible_rels.end(),
                   p) != st->plan.update_ineligible_rels.end()) {
       fallback = true;
     }
-    // Backward/Forward needs a check version of every rule of the SCC.
+    // Both delete paths need a check version of every rule of the SCC:
+    // count, sum and non-copy min/max SCCs have none.
     if (removals && std::find(st->plan.check_ineligible_preds.begin(),
                               st->plan.check_ineligible_preds.end(),
                               p) != st->plan.check_ineligible_preds.end()) {
@@ -1332,6 +1492,7 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
       return rerun.status();
     }
     EvalStats out = std::move(rerun).value();
+    out.update_recomputes = 1;
     out.update_batches = stats.update_batches;
     out.delta_tuples_in = stats.delta_tuples_in;
     out.rederived_tuples += stats.rederived_tuples;
@@ -1369,15 +1530,15 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
       return del.status();
     }
     if (!del.value()) {
-      // Backward/Forward gave up; the removals are already applied.
+      // A delete gave up; the removals are already applied.
       std::vector<RelationDelta> inserts = deltas;
       for (RelationDelta& d : inserts) d.removed.clear();
       return recompute(inserts);
     }
   }
 
-  // --- Insert phase: append, then re-drive from the new rows. ---
-  bool inserted = false;
+  // --- Insert phase: append, then re-drive from the new rows and from
+  // the groups an aggregate delete reseeded. ---
   for (const RelationDelta& d : deltas) {
     if (d.added.empty()) continue;
     Relation* rel = catalog_->Find(d.relation);
@@ -1387,57 +1548,57 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     one[0].relation = d.relation;
     one[0].added = d.added;
     DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(one, catalog_));
-    inserted = true;
   }
-  if (inserted) {
-    for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
-      const SccPlan& scc = st->plan.sccs[s];
-      // Most inserts into a min aggregate change no group, and then its
-      // readers have nothing to drive.
-      if (!st->SccHasNewInput(scc, *catalog_)) continue;
-      Status sync = st->SyncSccIndexes(scc, *catalog_);
-      if (!sync.ok()) {
-        inc_.reset();
-        return sync;
-      }
-      IncrementalHooks hooks;
-      hooks.retained = &st->replicas[s];
-      hooks.adopt = true;
-      hooks.update_mode = true;
-      hooks.watermarks = &st->rel_watermarks;
-      SccExecutor executor(st->plan, scc, catalog_, st->base_indexes.get(),
-                           options_, static_cast<uint32_t>(s), &hooks);
-      Status run = executor.Run(&stats);
-      if (!run.ok()) {
-        inc_.reset();
-        return run;
-      }
-      ++stats.num_sccs;
-      // Materialize: kNone predicates append the retained tables' rows
-      // past the replica watermarks in place; aggregate predicates move
-      // their changed groups to the tail and append their new ones.
-      for (const std::string& pred : scc.derived_preds) {
-        const int canonical = scc.ReplicasOf(pred).front();
-        Relation* rel = catalog_->Find(pred);
-        if (st->plan.agg_specs.at(pred).func == AggFunc::kNone) {
-          st->rel_watermarks[pred] = rel->size();
-          for (uint32_t w = 0; w < options_.num_workers; ++w) {
-            const RecursiveTable& table = *st->replicas[s][w][canonical];
-            for (uint64_t r = st->replica_watermarks[s][w][canonical];
-                 r < table.rows().size(); ++r) {
-              rel->Append(table.rows().Row(r));
-            }
-          }
-        } else {
-          Status sync = st->SyncAggregate(scc, s, pred, rel);
-          if (!sync.ok()) {
-            inc_.reset();
-            return sync;
+  for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
+    const SccPlan& scc = st->plan.sccs[s];
+    // Most inserts into a min aggregate change no group, and then its
+    // readers have nothing to drive.
+    if (!st->SccHasNewInput(scc, *catalog_) && !st->HasPendingDelta(s)) {
+      continue;
+    }
+    Status sync = st->SyncSccIndexes(scc, *catalog_);
+    if (!sync.ok()) {
+      inc_.reset();
+      return sync;
+    }
+    IncrementalHooks hooks;
+    hooks.retained = &st->replicas[s];
+    hooks.adopt = true;
+    hooks.update_mode = true;
+    hooks.watermarks = &st->rel_watermarks;
+    hooks.clock = &st->clock;
+    SccExecutor executor(st->plan, scc, catalog_, st->base_indexes.get(),
+                         options_, static_cast<uint32_t>(s), &hooks);
+    Status run = executor.Run(&stats);
+    if (!run.ok()) {
+      inc_.reset();
+      return run;
+    }
+    ++stats.num_sccs;
+    // Materialize: kNone predicates append the retained tables' rows past
+    // the replica watermarks in place; aggregate predicates move their
+    // changed groups to the tail and append their new ones.
+    for (const std::string& pred : scc.derived_preds) {
+      const int canonical = scc.ReplicasOf(pred).front();
+      Relation* rel = catalog_->Find(pred);
+      if (st->plan.agg_specs.at(pred).func == AggFunc::kNone) {
+        st->rel_watermarks[pred] = rel->size();
+        for (uint32_t w = 0; w < options_.num_workers; ++w) {
+          const RecursiveTable& table = *st->replicas[s][w][canonical];
+          for (uint64_t r = st->replica_watermarks[s][w][canonical];
+               r < table.rows().size(); ++r) {
+            rel->Append(table.rows().Row(r));
           }
         }
+      } else {
+        Status sync = st->SyncAggregate(scc, s, pred, rel);
+        if (!sync.ok()) {
+          inc_.reset();
+          return sync;
+        }
       }
-      st->RecordSccWatermarks(s);
     }
+    st->RecordSccWatermarks(s);
   }
 
   for (const std::string& name : catalog_->Names()) {
@@ -1459,8 +1620,16 @@ Result<bool> Engine::RunDeletePhase(
     }
     if (removed_names.empty()) break;
     if (!st->SccConsumesAny(scc, removed_names)) continue;
+    // The planner admits a delete into an aggregate SCC only when every
+    // predicate is min/max (check_ineligible_preds).
+    const bool aggregate =
+        st->plan.agg_specs.at(scc.derived_preds.front()).func !=
+        AggFunc::kNone;
     DCD_ASSIGN_OR_RETURN(
-        bool done, BackwardForwardDelete(s, old_copies, removed_rows, stats));
+        bool done, aggregate
+                       ? AggregateDelete(s, old_copies, removed_rows, stats)
+                       : BackwardForwardDelete(s, old_copies, removed_rows,
+                                               stats));
     if (!done) return false;
   }
   return true;
@@ -1474,45 +1643,10 @@ Result<bool> Engine::BackwardForwardDelete(
   const uint32_t n = options_.num_workers;
   auto& tables = st->replicas[scc_idx];
 
-  // Check and Saturate read the other SCCs' relations after the removals:
-  // catch up the indexes the delta and check versions probe (the
-  // check-only ones are built here, on the first delete).
-  for (const auto* rules : {&scc.delta_rules, &scc.check_rules}) {
-    for (const PhysicalRule& rule : *rules) {
-      for (const Step& step : rule.steps) {
-        if (step.base_index_id < 0) continue;
-        DCD_RETURN_IF_ERROR(
-            st->base_indexes->SyncAppended(step.base_index_id, *catalog_));
-      }
-    }
-  }
-  // The forward drive of the removed rows reads them before the batch.
   BaseIndexSet old_indexes(st->plan.base_indexes);
-  for (const PhysicalRule& rule : scc.update_rules) {
-    if (removed_rows->count(rule.driving_relation) == 0) continue;
-    for (const Step& step : rule.steps) {
-      if (step.base_index_id < 0) continue;
-      auto old = old_copies->find(step.relation);
-      const Relation* rel = old != old_copies->end()
-                                ? &old->second
-                                : catalog_->Find(step.relation);
-      if (rel == nullptr) {
-        return Status::Internal("relation '" + step.relation +
-                                "' missing on the delete path");
-      }
-      old_indexes.EnsureBuiltOver(step.base_index_id, *rel);
-    }
-  }
-
   BackwardForwardInput in;
-  in.scc = &scc;
-  in.num_workers = n;
-  in.tables = &tables;
-  in.removed = removed_rows;
-  in.catalog = catalog_;
-  in.indexes = st->base_indexes.get();
-  in.old_indexes = &old_indexes;
-  in.old_relations = old_copies;
+  DCD_RETURN_IF_ERROR(st->PrepareDelete(scc_idx, *catalog_, *old_copies,
+                                        *removed_rows, &old_indexes, &in));
   in.run_gang = [this, stats](uint32_t k,
                               const std::function<void(uint32_t)>& fn) {
     RunGang(options_, k, stats, fn);
@@ -1573,6 +1707,96 @@ Result<bool> Engine::BackwardForwardDelete(
   }
   st->RecordSccWatermarks(scc_idx);
   return true;
+}
+
+Result<bool> Engine::AggregateDelete(
+    size_t scc_idx, std::map<std::string, Relation>* old_copies,
+    std::map<std::string, Relation>* removed_rows, EvalStats* stats) {
+  IncrementalState* st = inc_.get();
+  // Stamps stay far from wrapping: a session this old recomputes, which
+  // restarts its clock.
+  if (st->clock >= (1u << 31)) return false;
+  const SccPlan& scc = st->plan.sccs[scc_idx];
+  const uint32_t n = options_.num_workers;
+  auto& tables = st->replicas[scc_idx];
+
+  BaseIndexSet old_indexes(st->plan.base_indexes);
+  BackwardForwardInput in;
+  DCD_RETURN_IF_ERROR(st->PrepareDelete(scc_idx, *catalog_, *old_copies,
+                                        *removed_rows, &old_indexes, &in));
+  const AggregateDeleteResult ad = RunAggregateDelete(in);
+  stats->rederived_tuples += ad.checked;
+  if (!ad.completed) return false;
+
+  // Commit: the invalidated groups leave their partition and the catalog
+  // relation, and their old rows go downstream as this SCC's removed rows.
+  for (uint32_t w = 0; w < n; ++w) {
+    for (auto& table : tables[w]) table->RebindWriter();
+  }
+  for (size_t p = 0; p < scc.derived_preds.size(); ++p) {
+    const std::string& pred = scc.derived_preds[p];
+    const int canonical = scc.ReplicasOf(pred).front();
+    Relation gone(pred, st->plan.schemas.at(pred));
+    for (uint32_t w = 0; w < n; ++w) {
+      for (uint64_t row : ad.invalidated[p][w]) {
+        gone.Append(tables[w][canonical]->rows().Row(row));
+      }
+    }
+    if (gone.empty()) continue;
+    Relation* rel = catalog_->Find(pred);
+    if (st->ConsumedDownstream(scc, pred) && old_copies->count(pred) == 0) {
+      old_copies->emplace(pred, *rel);
+    }
+    DCD_RETURN_IF_ERROR(
+        st->EraseFromCatalog(scc, scc_idx, pred, ad.invalidated[p], rel));
+    for (uint32_t w = 0; w < n; ++w) {
+      tables[w][canonical]->CompactRemoveRows(ad.invalidated[p][w]);
+    }
+    st->InvalidateIndexesOver(pred);
+    st->rel_watermarks[pred] = rel->size();
+    removed_rows->emplace(pred, std::move(gone));
+  }
+  st->RecordSccWatermarks(scc_idx);
+
+  // Reseed: each invalidated group's fold over its surviving instances
+  // re-enters its partition as a new row, stamped above every row the
+  // session holds; the insert phase runs the SCC on from there.
+  ++st->clock;
+  for (size_t p = 0; p < scc.derived_preds.size(); ++p) {
+    const int canonical = scc.ReplicasOf(scc.derived_preds[p]).front();
+    for (uint32_t w = 0; w < n; ++w) {
+      const std::vector<uint64_t>& rows = ad.reseed[p][w];
+      if (rows.empty()) continue;
+      RecursiveTable& table = *tables[w][canonical];
+      const uint32_t arity = table.stored_arity();
+      table.SetMergeStamp(st->clock);
+      table.MergeBatch(rows.data(), rows.size() / arity, arity);
+    }
+  }
+  return true;
+}
+
+Status Engine::CheckStampInvariant() {
+  if (inc_ == nullptr) {
+    return Status::InvalidArgument(
+        "CheckStampInvariant requires an active incremental session");
+  }
+  IncrementalState* st = inc_.get();
+  const std::map<std::string, Relation> none;
+  for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
+    const SccPlan& scc = st->plan.sccs[s];
+    const AggFunc func = st->plan.agg_specs.at(scc.derived_preds.front()).func;
+    if (scc.check_rules.empty() ||
+        (func != AggFunc::kMin && func != AggFunc::kMax)) {
+      continue;
+    }
+    BaseIndexSet old_indexes(st->plan.base_indexes);
+    BackwardForwardInput in;
+    DCD_RETURN_IF_ERROR(
+        st->PrepareDelete(s, *catalog_, none, none, &old_indexes, &in));
+    DCD_RETURN_IF_ERROR(dcdatalog::CheckStampInvariant(in));
+  }
+  return Status::OK();
 }
 
 }  // namespace dcdatalog

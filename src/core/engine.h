@@ -66,11 +66,15 @@ struct EvalStats {
   /// Streaming-update batches this run applied (1 per ApplyUpdates call,
   /// 0 for from-scratch runs).
   uint64_t update_batches = 0;
+  /// 1 when the ApplyUpdates batch took the full-recompute fallback: an
+  /// ineligible rule or a delete whose guard gave up. 0 otherwise.
+  uint64_t update_recomputes = 0;
   /// Net EDB tuples in the applied batches after set-semantics netting
   /// (inserts of absent tuples + removed stored copies).
   uint64_t delta_tuples_in = 0;
-  /// Facts the Backward/Forward delete path had to re-prove: the checked
-  /// set C, summed over the SCCs a deletion reached.
+  /// Facts the delete paths had to re-prove, summed over the SCCs a
+  /// deletion reached: Backward/Forward's checked set C, and the candidate
+  /// groups the aggregate delete checked.
   uint64_t rederived_tuples = 0;
   /// Always 0: morsel stealing was removed from the engine. The three
   /// fields stay only because perfbench's frozen `core.steal_*` metrics
@@ -135,8 +139,9 @@ class Engine {
 
   /// Applies one batch of EDB inserts/deletes and incrementally restores
   /// the fixpoint. Inserts re-enter the retained semi-naive loop through
-  /// the update rules; deletes run Backward/Forward in every SCC that
-  /// consumes a removed relation.
+  /// the update rules; deletes run Backward/Forward in every set-semantics
+  /// SCC that consumes a removed relation, and the aggregate delete in
+  /// every min/max one.
   /// Batches the planner or eligibility analysis cannot handle
   /// incrementally fall back to a transparent full recompute — either way
   /// the maintained fixpoint is identical to a from-scratch Run over the
@@ -144,6 +149,11 @@ class Engine {
   Result<EvalStats> ApplyUpdates(const ResolvedUpdateBatch& batch);
 
   bool incremental_active() const { return inc_ != nullptr; }
+
+  /// Verifies the stamp invariant of every min/max SCC of the incremental
+  /// session (core/aggregate_delete.h), which the aggregate delete relies
+  /// on. A test and fuzzing check: it runs every group's check versions.
+  Status CheckStampInvariant();
 
   const EngineOptions& options() const { return options_; }
 
@@ -160,6 +170,12 @@ class Engine {
                               std::map<std::string, Relation>* removed_rows,
                               EvalStats* stats);
   Result<bool> BackwardForwardDelete(
+      size_t scc_idx, std::map<std::string, Relation>* old_copies,
+      std::map<std::string, Relation>* removed_rows, EvalStats* stats);
+  /// The delete through a min/max SCC (core/aggregate_delete.h): commits
+  /// the invalidated groups and merges their reseed rows, which the
+  /// insert phase propagates.
+  Result<bool> AggregateDelete(
       size_t scc_idx, std::map<std::string, Relation>* old_copies,
       std::map<std::string, Relation>* removed_rows, EvalStats* stats);
 

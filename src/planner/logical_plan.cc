@@ -341,19 +341,22 @@ Result<LogicalRulePlan> BuildCheckVersion(const Program& program,
   const Rule& rule = program.rules[rule_index];
   const std::vector<int>& recursive =
       analysis.rule_infos()[rule_index].recursive_atoms;
-  // The head becomes the driving atom; same-SCC atoms leave the body.
+  // The head becomes the driving atom; same-SCC atoms leave the body. A
+  // min/max head binds its group columns only: its instances may yield
+  // other values than the fact's.
   Rule check;
   check.line = rule.line;
   check.head.predicate = rule.head.predicate;
   BodyLiteral driving;
   driving.atom.predicate = rule.head.predicate;
   for (const HeadArg& arg : rule.head.args) {
-    if (arg.agg != AggFunc::kNone) {
+    if (arg.agg == AggFunc::kCount || arg.agg == AggFunc::kSum) {
       return Status::Unsupported("rule at line " + std::to_string(rule.line) +
-                                 ": aggregate heads have no check version");
+                                 ": count and sum heads have no check version");
     }
-    driving.atom.args.push_back(arg.term());
-    check.head.args.push_back(HeadArg{AggFunc::kNone, arg.terms});
+    driving.atom.args.push_back(arg.agg == AggFunc::kNone ? arg.term()
+                                                          : Term::Wildcard());
+    check.head.args.push_back(HeadArg{arg.agg, arg.terms});
   }
   check.body.push_back(std::move(driving));
   std::vector<Atom> same_scc;

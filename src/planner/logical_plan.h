@@ -92,9 +92,11 @@ Result<LogicalRulePlan> BuildUpdateVersion(const Program& program,
 /// in the body and are joined as usual; the positive same-SCC atoms are
 /// not joined but returned in check_atoms, since each instance's
 /// same-SCC facts are looked up (and recursively checked) one by one by
-/// the caller. Planning fails when a same-SCC atom holds a wildcard, or a
-/// variable or constraint that neither the head nor the other-SCC body
-/// binds — such a rule has no check version.
+/// the caller. A min/max head binds only its group columns; its instances
+/// yield their own values. Planning fails for a count or sum head, and
+/// when a same-SCC atom holds a wildcard, or a variable or constraint that
+/// neither the head nor the other-SCC body binds — such a rule has no
+/// check version.
 Result<LogicalRulePlan> BuildCheckVersion(const Program& program,
                                           const ProgramAnalysis& analysis,
                                           int rule_index);

@@ -111,6 +111,41 @@ std::vector<std::string> InsertRecomputePreds(
   return {out.begin(), out.end()};
 }
 
+/// OK when rule `r` of a min/max SCC has a check version the aggregate
+/// delete can use: a min/max head, and at most one same-SCC goal, of the
+/// head's function and value type, whose value only feeds the head
+/// aggregate (copy form). Each instance then yields its same-SCC goal's
+/// value, or with no such goal the head value it computes.
+Status AggregateCheckForm(const Program& program,
+                          const ProgramAnalysis& analysis,
+                          const std::map<std::string, AggSpec>& specs,
+                          int r) {
+  const Rule& rule = program.rules[r];
+  const AggSpec& head = specs.at(rule.head.predicate);
+  const std::vector<int>& same_scc = analysis.rule_infos()[r].recursive_atoms;
+  const std::string where = "rule at line " + std::to_string(rule.line);
+  if (head.func != AggFunc::kMin && head.func != AggFunc::kMax) {
+    return Status::Unsupported(where + ": an aggregate SCC has check "
+                               "versions only for min/max heads");
+  }
+  if (same_scc.size() > 1) {
+    return Status::Unsupported(where + ": a min/max head with more than "
+                               "one same-SCC goal has no check version");
+  }
+  for (int b : same_scc) {
+    const Atom& atom = rule.body[b].atom;
+    const AggSpec& body = specs.at(atom.predicate);
+    if (body.func != head.func || body.value_type != head.value_type ||
+        !ValueOnlyFeedsHeadAggregate(rule, atom)) {
+      return Status::Unsupported(where + ": goal '" + atom.ToString() +
+                                 "' does not copy its value into the head "
+                                 "aggregate, so the rule has no check "
+                                 "version");
+    }
+  }
+  return Status::OK();
+}
+
 AggSpec MakeAggSpec(const Program& program, const ProgramAnalysis& analysis,
                     const std::string& pred) {
   const PredicateInfo& info = analysis.predicate(pred);
@@ -173,10 +208,17 @@ class RuleCompiler {
     DCD_RETURN_IF_ERROR_P(CompileNode(logical.root.get()));
     if (is_check_) {
       // A check version emits its instance's same-SCC body facts, back to
-      // back, in place of the head fact that drove it.
-      out_.head.wire_exprs.clear();
+      // back, in place of the head fact that drove it. A min/max instance
+      // with none emits the value it yields instead.
       for (const Atom& atom : logical.check_atoms) {
         DCD_RETURN_IF_ERROR_P(CompileCheckAtom(atom));
+      }
+      const AggSpec& spec = out_.head.agg;
+      if (logical.check_atoms.empty() && spec.func != AggFunc::kNone) {
+        DCD_ASSIGN_OR_RETURN(
+            CompiledExpr value,
+            CompileTerm(rule_->head.args.back().terms[0], spec.value_type));
+        out_.head.wire_exprs.push_back(std::move(value));
       }
     }
     out_.num_regs = static_cast<uint32_t>(reg_types_.size());
@@ -506,12 +548,16 @@ class RuleCompiler {
   /// Compiles a same-SCC body atom of a check version into one head wire
   /// expression per column, rebuilding the body fact from the registers,
   /// and records its CheckAtom. Columns are raw words, exactly as a join's
-  /// checks compare them (no coercion).
+  /// checks compare them (no coercion). A min/max atom names its group:
+  /// its group columns only.
   Status CompileCheckAtom(const Atom& atom) {
-    out_.check_atoms.push_back(
-        CheckAtom{scc_->PredIdOf(atom.predicate),
-                  static_cast<uint32_t>(atom.args.size())});
-    for (const Term& t : atom.args) {
+    const AggSpec& spec = plan_->agg_specs.at(atom.predicate);
+    const size_t width =
+        spec.func == AggFunc::kNone ? atom.args.size() : spec.group_arity;
+    out_.check_atoms.push_back(CheckAtom{scc_->PredIdOf(atom.predicate),
+                                         static_cast<uint32_t>(width)});
+    for (size_t c = 0; c < width; ++c) {
+      const Term& t = atom.args[c];
       CompiledExpr e;
       if (t.kind == TermKind::kConstant) {
         e.op = ExprOp::kConst;
@@ -699,6 +745,8 @@ class RuleCompiler {
           std::to_string(spec.wire_arity) + " > " +
           std::to_string(kMaxWireArity));
     }
+    // A check version's wire is built once the body is compiled.
+    if (is_check_) return Status::OK();
 
     // Group / plain columns first.
     const size_t plain_args =
@@ -953,26 +1001,47 @@ Result<PhysicalPlan> BuildPhysicalPlan(
         }
       }
 
-      // Check versions for Backward/Forward deletion, one per rule. Check
-      // must see every instance deriving a fact, so one rule without a
-      // check version makes the whole SCC check-ineligible.
+      // Check versions for the delete paths, one per rule. Check must see
+      // every instance deriving a fact, so one rule without a check
+      // version makes the whole SCC check-ineligible. An aggregate SCC
+      // also needs one replica per predicate: a group's stamp is its
+      // canonical row's.
+      const bool aggregate = std::any_of(
+          info.predicates.begin(), info.predicates.end(),
+          [&plan](const std::string& pred) {
+            return plan.agg_specs.at(pred).func != AggFunc::kNone;
+          });
       const size_t indexes_before = plan.base_indexes.size();
+      const auto ineligible = [&] {
+        scc.check_rules.clear();
+        plan.base_indexes.resize(indexes_before);
+        for (const std::string& pred : scc.derived_preds) {
+          plan.check_ineligible_preds.push_back(pred);
+        }
+      };
       for (int r : info.rule_indices) {
         auto compile_check = [&]() -> Result<PhysicalRule> {
+          if (aggregate) {
+            DCD_RETURN_IF_ERROR(
+                AggregateCheckForm(program, analysis, plan.agg_specs, r));
+          }
           DCD_ASSIGN_OR_RETURN(LogicalRulePlan logical,
                                BuildCheckVersion(program, analysis, r));
           return compiler.Compile(logical);
         };
         Result<PhysicalRule> compiled = compile_check();
         if (!compiled.ok()) {
-          scc.check_rules.clear();
-          plan.base_indexes.resize(indexes_before);
-          for (const std::string& pred : scc.derived_preds) {
-            plan.check_ineligible_preds.push_back(pred);
-          }
+          ineligible();
           break;
         }
         scc.check_rules.push_back(std::move(compiled).value());
+      }
+      if (aggregate && !scc.check_rules.empty() &&
+          std::any_of(scc.derived_preds.begin(), scc.derived_preds.end(),
+                      [&scc](const std::string& pred) {
+                        return scc.ReplicasOf(pred).size() > 1;
+                      })) {
+        ineligible();
       }
     }
 

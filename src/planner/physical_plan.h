@@ -154,13 +154,15 @@ struct PhysicalRule {
   /// the new rows by range.
   int update_partition_col = -1;
 
-  /// Backward/Forward check version (SccPlan::check_rules): the driving
-  /// tuple is a fact of the head predicate, the steps join the body's
-  /// literals over other SCCs, and each emission is one rule instance
-  /// deriving that fact. Its same-SCC body facts are not joined: the
-  /// head's wire expressions rebuild them from the registers, back to back
-  /// in check_atoms order (0 words when the rule has none), and head.pred_id
-  /// still names the fact's predicate.
+  /// Check version (SccPlan::check_rules): the driving tuple is a fact of
+  /// the head predicate, the steps join the body's literals over other
+  /// SCCs, and each emission is one rule instance deriving that fact. Its
+  /// same-SCC body facts are not joined: the head's wire expressions
+  /// rebuild them from the registers, back to back in check_atoms order (0
+  /// words when the rule has none), and head.pred_id still names the fact's
+  /// predicate. Under a min/max head only the group columns drive, a
+  /// same-SCC min/max fact is named by its group columns, and an instance
+  /// with no same-SCC fact emits the one value it yields.
   bool is_check = false;
   std::vector<CheckAtom> check_atoms;
 
@@ -209,8 +211,9 @@ struct SccPlan {
   std::vector<PhysicalRule> update_rules;
 
   /// Check versions (augmented plans only): one per rule of the SCC, read
-  /// by the Backward/Forward delete path. Their base indexes are built on
-  /// the first delete, never by a plain evaluation.
+  /// by the delete paths (Backward/Forward, and the aggregate delete of a
+  /// min/max SCC). Their base indexes are built on the first delete, never
+  /// by a plain evaluation.
   std::vector<PhysicalRule> check_rules;
 
   /// The lowest proof-invariant column of a set-semantics SCC, or -1 (an
@@ -245,10 +248,12 @@ struct PhysicalPlan {
   /// falls back to full recomputation.
   std::vector<std::string> update_ineligible_rels;
 
-  /// Predicates of the SCCs where some rule has no check version (an
-  /// aggregate head, or a same-SCC atom the rest of the rule cannot bind).
-  /// A batch with deletions that affects any of these falls back to full
-  /// recomputation.
+  /// Predicates of the SCCs where some rule has no check version: a count
+  /// or sum head, a min/max rule whose value is not a copy of one
+  /// same-SCC goal's (AggregateCheckForm in physical_plan.cc), a min/max
+  /// predicate with two replicas, or a same-SCC atom the rest of the rule
+  /// cannot bind. A batch with deletions that affects any of these falls
+  /// back to full recomputation.
   std::vector<std::string> check_ineligible_preds;
 
   /// Aggregate predicates whose inserts still need full recomputation (see

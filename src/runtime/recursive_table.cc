@@ -64,9 +64,9 @@ void RecursiveTable::ReserveHint(uint64_t expected_rows) {
   }
 }
 
-void RecursiveTable::InsertGroup(const U128& group, uint64_t row_id) {
+void RecursiveTable::InsertGroup(const U128& group, uint64_t value) {
   bool inserted = false;
-  flat_group_.FindOrInsert(group, row_id, &inserted);
+  flat_group_.FindOrInsert(group, value, &inserted);
 }
 
 uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
@@ -104,16 +104,19 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
   const U128 group = GroupKey(wire);
   const uint32_t value_col = spec_.stored_arity - 1;
   const uint64_t candidate = wire[value_col];
-  uint64_t* row_slot = flat_group_.Find(group);
-  if (row_slot == nullptr) {
+  const uint64_t stamp = static_cast<uint64_t>(merge_stamp_) << 32;
+  uint64_t* slot = flat_group_.Find(group);
+  if (slot == nullptr) {
     const uint64_t row_id = AppendRow(wire);
-    InsertGroup(group, row_id);
+    DCD_DCHECK(row_id <= kRowMask);
+    InsertGroup(group, row_id | stamp);
     PushDelta(row_id);
     return true;
   }
-  const uint64_t row_id = *row_slot;
+  const uint64_t row_id = *slot & kRowMask;
   if (!BetterValue(candidate, rows_.Row(row_id)[value_col])) return false;
   rows_.SetWord(row_id, value_col, candidate);
+  *slot = row_id | stamp;
   PushDelta(row_id);
   return true;
 }
@@ -222,14 +225,18 @@ DCD_HOT_ROOT bool RecursiveTable::MergeWire(const uint64_t* wire) {
 void RecursiveTable::CompactRemoveRows(
     const std::vector<uint64_t>& dead_row_ids) {
   DCD_AFFINITY_GUARD(writer_affinity_);
-  DCD_CHECK(spec_.func == AggFunc::kNone)
-      << "compaction is only defined for kNone tables";
+  const bool min_max =
+      spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax;
+  DCD_CHECK(spec_.func == AggFunc::kNone || min_max)
+      << "compaction is only defined for kNone, min and max tables";
   if (dead_row_ids.empty()) return;
   const uint64_t n = rows_.size();
 
-  // Rebuild row storage keeping survivor order.
+  // Rebuild row storage keeping survivor order (and, under min/max, each
+  // survivor's stamp).
   Relation survivors(rows_.name(), rows_.schema());
   survivors.Reserve(n - dead_row_ids.size());
+  std::vector<uint64_t> stamps;
   size_t d = 0;
   for (uint64_t r = 0; r < n; ++r) {
     if (d < dead_row_ids.size() && dead_row_ids[d] == r) {
@@ -237,15 +244,24 @@ void RecursiveTable::CompactRemoveRows(
       continue;
     }
     survivors.Append(rows_.Row(r));
+    if (min_max) stamps.push_back(static_cast<uint64_t>(stamp(r)) << 32);
   }
   rows_ = std::move(survivors);  // exist_set_ backs onto &rows_: unchanged.
-
-  // Rebuild the existence set over the new row ids.
-  exist_set_ = FlatTupleSet(&rows_);
   const uint64_t survivors_n = rows_.size();
-  exist_set_.Reserve(survivors_n);
-  for (uint64_t r = 0; r < survivors_n; ++r) {
-    exist_set_.Insert(rows_.Row(r).Hash(), r);
+
+  // Rebuild the existence set, or the group index, over the new row ids.
+  if (min_max) {
+    flat_group_ = FlatGroupMap();
+    flat_group_.Reserve(survivors_n);
+    for (uint64_t r = 0; r < survivors_n; ++r) {
+      InsertGroup(GroupKey(rows_.Row(r).data), r | stamps[r]);
+    }
+  } else {
+    exist_set_ = FlatTupleSet(&rows_);
+    exist_set_.Reserve(survivors_n);
+    for (uint64_t r = 0; r < survivors_n; ++r) {
+      exist_set_.Insert(rows_.Row(r).Hash(), r);
+    }
   }
 
   join_index_ = DynIndex();

@@ -25,7 +25,8 @@ namespace dcdatalog {
 ///
 /// Merge semantics by aggregate function (wire → stored):
 ///   none:   insert if the full tuple is new (existence index).
-///   min/max: group key (≤ 2 columns) → keep best value, update in place.
+///   min/max: group key (≤ 2 columns) → keep best value, update in place,
+///           and stamp the row (SetMergeStamp).
 ///   count:  (group ≤ 1 column, contributor) → count distinct contributors.
 ///   sum:    (group ≤ 1 column, contributor, value) → each contributor's
 ///           latest value replaces its previous one (the PageRank pattern);
@@ -125,6 +126,29 @@ class RecursiveTable {
     return exist_set_.Lookup(hash, tuple);
   }
 
+  /// Row id of the min/max group whose key is the first group-arity words
+  /// of `tuple`, or UINT64_MAX. The aggregate delete's lookup, read-only
+  /// like FindRowId.
+  uint64_t FindGroupRow(const uint64_t* tuple) const {
+    const uint64_t* slot = flat_group_.Find(GroupKey(tuple));
+    return slot == nullptr ? UINT64_MAX : *slot & kRowMask;
+  }
+
+  /// True when min/max value `candidate` beats `current`.
+  bool BetterValue(uint64_t candidate, uint64_t current) const;
+
+  /// Derivation stamp of a min/max row: the merge stamp in force when the
+  /// row's group was created or last bettered (see SetMergeStamp).
+  uint32_t stamp(uint64_t row_id) const {
+    return static_cast<uint32_t>(
+        *flat_group_.Find(GroupKey(rows_.Row(row_id).data)) >> 32);
+  }
+
+  /// The stamp every later min/max merge writes. The engine raises it per
+  /// gathered batch so that a row's stamp exceeds the stamp of every
+  /// same-SCC row its deriving instance read (docs/INTERNALS.md §8).
+  void SetMergeStamp(uint32_t stamp) { merge_stamp_ = stamp; }
+
   /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash`: the
   /// existence slot first, then — once that is cached — the row it names.
   /// Lookups that resolve a batch of tuples issue each stage for the whole
@@ -134,8 +158,8 @@ class RecursiveTable {
 
   /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
   /// merge/join indexes over the survivors; clears the delta. Surviving
-  /// rows keep their ids' relative order. kNone only — aggregate deletion
-  /// falls back to full recomputation at the engine level.
+  /// rows keep their ids' relative order and, under min/max, their stamps.
+  /// kNone, min and max only: count and sum deletes recompute.
   void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
 
   /// Starts a change log: from now on, every in-place change to a row
@@ -184,8 +208,6 @@ class RecursiveTable {
     return k;
   }
 
-  bool BetterValue(uint64_t candidate, uint64_t current) const;
-
   uint64_t AppendRow(const uint64_t* stored);
 
   /// Marks a row as changed. Outside batch mode it enters the delta
@@ -201,8 +223,9 @@ class RecursiveTable {
   bool MergeCount(const uint64_t* wire);
   bool MergeSum(const uint64_t* wire);
 
-  /// Adds a new group's row to the group index.
-  void InsertGroup(const U128& group, uint64_t row_id);
+  /// Adds a new group to the group index; `value` is its row id (under
+  /// min/max, with the row's stamp in the high word).
+  void InsertGroup(const U128& group, uint64_t value);
 
   const AggSpec spec_;
   const uint32_t partition_col_;
@@ -213,7 +236,12 @@ class RecursiveTable {
   std::vector<TupleBuf> delta_;
 
   FlatTupleSet exist_set_;    // kNone existence, keyed (hash, row id).
-  FlatGroupMap flat_group_;   // aggregate group key → row id.
+  // Aggregate group key → row id. A min/max row id fits the low 32 bits;
+  // the row's stamp rides in the high 32, in the slot the merge already
+  // touches.
+  FlatGroupMap flat_group_;
+  static constexpr uint64_t kRowMask = 0xffffffffULL;
+  uint32_t merge_stamp_ = 0;
   FlatGroupMap flat_contrib_; // count/sum (group, contributor) → last value.
 
   DynIndex join_index_;

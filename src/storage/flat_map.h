@@ -82,8 +82,13 @@ class FlatGroupMap {
     }
   }
 
+  /// The same without counting the probe: concurrent readers are safe.
   const uint64_t* Find(const U128& key) const {
-    return const_cast<FlatGroupMap*>(this)->Find(key);
+    for (uint64_t s = Hash(key) & mask_;; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.used != epoch_) return nullptr;
+      if (slot.key == key) return &slot.value;
+    }
   }
 
   /// Returns a pointer to the value under `key`, inserting `value` first if

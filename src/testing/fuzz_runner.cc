@@ -1,6 +1,7 @@
 #include "testing/fuzz_runner.h"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "common/string_dict.h"
@@ -191,6 +192,31 @@ RunOutcome DiffAgainstReference(const FuzzCase& c, DCDatalog* db,
   return RunOutcome{OutcomeKind::kAgree, ""};
 }
 
+/// True when a removal from one of `removed` reaches a min/max head of
+/// `program` through positive body atoms.
+bool ReachesMinMax(const Program& program, std::set<std::string> removed) {
+  std::vector<std::string> frontier(removed.begin(), removed.end());
+  while (!frontier.empty()) {
+    const std::string rel = std::move(frontier.back());
+    frontier.pop_back();
+    for (const Rule& rule : program.rules) {
+      bool reads = false;
+      for (const BodyLiteral& lit : rule.body) {
+        reads |= lit.kind == BodyLiteral::Kind::kAtom && !lit.negated &&
+                 lit.atom.predicate == rel;
+      }
+      if (!reads) continue;
+      const AggFunc agg =
+          rule.head.args.empty() ? AggFunc::kNone : rule.head.args.back().agg;
+      if (agg == AggFunc::kMin || agg == AggFunc::kMax) return true;
+      if (removed.insert(rule.head.predicate).second) {
+        frontier.push_back(rule.head.predicate);
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
@@ -216,9 +242,26 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
   oracle_catalog.Put(c.graph.ToWeightedArcRelation("warc"));
   StringDict oracle_dict;
 
-  RunOutcome out = DiffAgainstReference(c, &db, oracle_catalog,
-                                        config.reference_max_rounds,
-                                        "initial fixpoint");
+  StringDict dict;
+  auto program = ParseProgram(c.program, &dict);
+  if (!program.ok()) {
+    return RunOutcome{OutcomeKind::kLoadError, program.status().ToString()};
+  }
+  uint64_t maintained = 0;
+  uint64_t recomputed = 0;
+  const auto diff = [&](const std::string& when) {
+    RunOutcome out = DiffAgainstReference(c, &db, oracle_catalog,
+                                          config.reference_max_rounds, when);
+    const Status stamps = db.CheckStampInvariant();
+    if (out.kind == OutcomeKind::kAgree && !stamps.ok()) {
+      out = RunOutcome{OutcomeKind::kMismatch,
+                       when + ": stamp invariant: " + stamps.ToString()};
+    }
+    out.agg_deletes_maintained = maintained;
+    out.agg_deletes_recomputed = recomputed;
+    return out;
+  };
+  RunOutcome out = diff("initial fixpoint");
   if (out.kind != OutcomeKind::kAgree) return out;
 
   for (size_t b = 0; b < c.updates.batches.size(); ++b) {
@@ -244,11 +287,17 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
       return RunOutcome{OutcomeKind::kLoadError,
                         when + ": " + applied.ToString()};
     }
-    out = DiffAgainstReference(c, &db, oracle_catalog,
-                               config.reference_max_rounds, when);
+    std::set<std::string> removed;
+    for (const RelationDelta& d : deltas.value()) {
+      if (!d.removed.empty()) removed.insert(d.relation);
+    }
+    if (!removed.empty() && ReachesMinMax(program.value(), removed)) {
+      ++(stats.value().update_recomputes > 0 ? recomputed : maintained);
+    }
+    out = diff(when);
     if (out.kind != OutcomeKind::kAgree) return out;
   }
-  return RunOutcome{OutcomeKind::kAgree, ""};
+  return out;
 }
 
 }  // namespace testing_gen

@@ -41,6 +41,10 @@ struct RunOutcome {
   OutcomeKind kind = OutcomeKind::kAgree;
   /// Failure detail: status message, or a per-predicate diff excerpt.
   std::string detail;
+  /// Streaming-update runs: batches whose removals reached a min/max
+  /// predicate, by whether the engine maintained them or recomputed.
+  uint64_t agg_deletes_maintained = 0;
+  uint64_t agg_deletes_recomputed = 0;
 };
 
 /// Sorted multiset of rows, one entry per output predicate.
@@ -87,7 +91,9 @@ RunOutcome RunCaseOnce(const FuzzCase& c, const RunConfig& config);
 /// this computes them internally instead of taking precomputed rows; the
 /// oracle EDB is maintained by the same NetOutBatch/ApplyDeltasToCatalog
 /// code the engine uses, so both sides see identical relation contents.
-/// A mismatch's detail names the batch index it first appeared after.
+/// A mismatch's detail names the batch index it first appeared after. The
+/// stamp invariant of the session's min/max SCCs is checked at the same
+/// points; a violation is a mismatch.
 RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config);
 
 }  // namespace testing_gen

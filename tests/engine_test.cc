@@ -432,6 +432,7 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
   s.idle_wait_seconds = 113.25;
   s.trace_dropped = 114;
   s.update_batches = 118;
+  s.update_recomputes = 125;
   s.delta_tuples_in = 119;
   s.rederived_tuples = 120;
   s.morsels_published = 121;
@@ -440,7 +441,7 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
   s.pool_fallback_gangs = 124;
   const std::string str = s.ToString();
   const auto counters = s.Counters();
-  ASSERT_EQ(counters.size(), 24u)
+  ASSERT_EQ(counters.size(), 25u)
       << "EvalStats grew a field: stamp it above and list it in Counters()";
   std::set<double> sentinels;
   for (const auto& [name, value] : counters) {
@@ -448,9 +449,9 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
         << "counter missing from ToString: " << name;
     sentinels.insert(value);
   }
-  // All 24 sentinels distinct → every field is wired to its own name, not
+  // All 25 sentinels distinct → every field is wired to its own name, not
   // copy-pasted from a neighbour.
-  EXPECT_EQ(sentinels.size(), 24u);
+  EXPECT_EQ(sentinels.size(), 25u);
   EXPECT_NE(str.find("tuples_emitted"), std::string::npos);
   EXPECT_NE(str.find("107"), std::string::npos);
 }

@@ -250,8 +250,8 @@ Relation Rows(const std::string& name, uint32_t arity,
 
 /// Begins an incremental session of `program` over `edb` under `mode`,
 /// applies each script in turn and diffs every derived relation against
-/// the reference evaluator after the initial fixpoint and after every
-/// batch. Returns each batch's stats; `initial` gets the initial
+/// the reference evaluator, and checks the stamp invariant of its min/max
+/// SCCs, after the initial fixpoint and after every batch. Returns each batch's stats; `initial` gets the initial
 /// fixpoint's.
 std::vector<EvalStats> ApplyAndDiff(CoordinationMode mode,
                                     const std::string& program,
@@ -291,6 +291,8 @@ std::vector<EvalStats> ApplyAndDiff(CoordinationMode mode,
     for (const auto& [name, rel] : oracle.value()) {
       EXPECT_EQ(RowSet(*db->ResultFor(name)), RowSet(rel)) << name;
     }
+    const Status stamps = db->CheckStampInvariant();
+    EXPECT_TRUE(stamps.ok()) << stamps.ToString();
   }
   return out;
 }
@@ -405,7 +407,7 @@ TEST(IncrementalTest, BackwardForwardDeletesInNonRecursiveSccs) {
     ASSERT_EQ(stats.size(), scripts.size());
     for (size_t b = 0; b < scripts.size(); ++b) {
       if (!delete_only[b]) continue;
-      EXPECT_EQ(stats[b].num_sccs, 0u) << "batch " << b << " recomputed";
+      EXPECT_EQ(stats[b].update_recomputes, 0u) << "batch " << b;
       EXPECT_GT(stats[b].rederived_tuples, 0u) << "batch " << b;
     }
     const auto hop = RowSet(*db.ResultFor("hop"));
@@ -513,8 +515,7 @@ TEST(IncrementalTest, NonMonotoneAggregateReaderRecomputes) {
         ApplyAndDiff(mode, program, {Chains()}, scripts, &db, &initial);
     ASSERT_EQ(stats.size(), scripts.size());
     for (const EvalStats& batch : stats) {
-      EXPECT_EQ(batch.num_sccs, initial.num_sccs);
-      EXPECT_GT(batch.merges * 2, initial.merges);
+      EXPECT_EQ(batch.update_recomputes, 1u);
     }
     const auto q = RowSet(*db.ResultFor("q"));
     EXPECT_TRUE(q.count({125, 3}));
@@ -523,8 +524,9 @@ TEST(IncrementalTest, NonMonotoneAggregateReaderRecomputes) {
 }
 
 TEST(IncrementalTest, InsertThenDeleteThroughMinAggregate) {
-  // The delete recomputes (removals through an aggregate always do) and
-  // restores the old labels; the next insert is incremental again.
+  // The delete is maintained: the groups the insert lowered lose their
+  // lowest-stamped proof, are invalidated and re-derived at their old
+  // labels. The next insert is incremental too.
   const std::vector<std::string> scripts = {
       "+ arc 3 125\n",
       "- arc 3 125\n",
@@ -538,12 +540,181 @@ TEST(IncrementalTest, InsertThenDeleteThroughMinAggregate) {
     const auto stats =
         ApplyAndDiff(mode, kCc, {Chains()}, scripts, &db, &initial);
     ASSERT_EQ(stats.size(), scripts.size());
-    EXPECT_LT(stats[0].merges * 4, initial.merges);
-    EXPECT_GT(stats[1].merges * 2, initial.merges);
-    EXPECT_LT(stats[2].merges * 4, initial.merges);
+    for (const EvalStats& batch : stats) {
+      EXPECT_EQ(batch.update_recomputes, 0u);
+      EXPECT_LT(batch.merges * 4, initial.merges);
+    }
+    EXPECT_GT(stats[1].rederived_tuples, 0u);
     const auto cc = RowSet(*db.ResultFor("cc"));
     EXPECT_TRUE(cc.count({25, 3}));
     EXPECT_TRUE(cc.count({125, 3}));
+  }
+}
+
+// --- Deletes through min/max aggregates -----------------------------------
+// Each case runs at 4 workers under every strategy; ApplyAndDiff diffs the
+// result against the reference evaluator and checks the stamp invariant
+// after every batch.
+
+/// Chains() plus `more` arcs.
+Relation ChainsWith(const std::vector<std::vector<uint64_t>>& more) {
+  Relation arc = Chains();
+  for (const auto& row : more) {
+    arc.Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
+  }
+  return arc;
+}
+
+/// Runs `scripts` over `edb` under every strategy at 4 workers, calls
+/// `check` on each final state, and returns each strategy's per-batch
+/// stats.
+std::vector<std::vector<EvalStats>> RunEveryMode(
+    const std::string& program, const std::vector<Relation>& edb,
+    const std::vector<std::string>& scripts,
+    const std::function<void(DCDatalog&)>& check) {
+  std::vector<std::vector<EvalStats>> out;
+  for (CoordinationMode mode : kAllModes) {
+    EngineOptions opts = Opts(4);
+    opts.coordination = mode;
+    DCDatalog db(opts);
+    out.push_back(ApplyAndDiff(mode, program, edb, scripts, &db));
+    EXPECT_EQ(out.back().size(), scripts.size());
+    check(db);
+  }
+  return out;
+}
+
+TEST(IncrementalTest, AggregateDeleteCutBridgeRaisesTheCycle) {
+  // Vertex 1 reaches the cycle 50 -> 51 -> 52 -> 53 -> 50 over the bridge
+  // 1 -> 50, so every cycle member holds label 1 and has two neighbours
+  // holding 1 too. Cutting the bridge must raise all four to 50: a check
+  // that took any equal-valued neighbour as proof would let the cycle
+  // prove itself. Restoring and cutting again stays maintained.
+  const Relation arc = ChainsWith(
+      {{1, 2}, {1, 50}, {50, 51}, {51, 52}, {52, 53}, {53, 50}});
+  const std::vector<std::string> scripts = {
+      "- arc 1 50\n", "+ arc 1 50\n", "- arc 1 50\n"};
+  const auto stats = RunEveryMode(kCc, {arc}, scripts, [](DCDatalog& db) {
+    const auto cc = RowSet(*db.ResultFor("cc"));
+    for (uint64_t v : {50, 51, 52, 53}) EXPECT_TRUE(cc.count({v, 50})) << v;
+    EXPECT_TRUE(cc.count({2, 1}));
+  });
+  for (const auto& mode : stats) {
+    for (const EvalStats& batch : mode) EXPECT_EQ(batch.update_recomputes, 0u);
+  }
+}
+
+TEST(IncrementalTest, AggregateDeleteLastArcLeavesBothPredicates) {
+  // 500 -> 501 is the only arc of either vertex, and 16 -> 17 the last arc
+  // of 17: their groups keep no instance and leave cc2 and cc.
+  const std::vector<std::string> scripts = {"- arc 500 501\n- arc 16 17\n"};
+  const auto stats = RunEveryMode(
+      kCc, {ChainsWith({{500, 501}})}, scripts, [](DCDatalog& db) {
+        for (const char* pred : {"cc2", "cc"}) {
+          const Relation& rel = *db.ResultFor(pred);
+          for (uint64_t r = 0; r < rel.size(); ++r) {
+            EXPECT_NE(rel.Row(r)[0], 500u) << pred;
+            EXPECT_NE(rel.Row(r)[0], 501u) << pred;
+            EXPECT_NE(rel.Row(r)[0], 17u) << pred;
+          }
+        }
+        EXPECT_TRUE(RowSet(*db.ResultFor("cc")).count({16, 10}));
+      });
+  for (const auto& mode : stats) {
+    EXPECT_EQ(mode[0].update_recomputes, 0u);
+    EXPECT_GT(mode[0].rederived_tuples, 0u);
+  }
+}
+
+TEST(IncrementalTest, AggregateDeleteThroughDeliveryMax) {
+  // examples/queries/delivery.dl: part 1 is built from 2 and 3, 2 from 4
+  // and 5, 3 from 6; parts 100..139 are independent leaves.
+  constexpr char kDelivery[] =
+      "delivery(P, max<D>) :- basic(P, D).\n"
+      "delivery(P, max<D>) :- assbl(P, S), delivery(S, D).\n"
+      "results(P, max<D>)  :- delivery(P, D).\n";
+  std::vector<std::vector<uint64_t>> basic = {{4, 5}, {5, 9}, {6, 7}, {3, 2}};
+  for (uint64_t p = 100; p < 140; ++p) basic.push_back({p, p % 7});
+  const std::vector<Relation> edb = {
+      Rows("basic", 2, basic),
+      Rows("assbl", 2, {{1, 2}, {1, 3}, {2, 4}, {2, 5}, {3, 6}})};
+  const std::vector<std::string> scripts = {
+      "- basic 5 9\n",               // 5 leaves; 2 falls to 5, 1 to 7.
+      "+ basic 5 9\n",               // Back to 9.
+      "- assbl 1 2\n",               // 1 falls to 7.
+      "- basic 6 7\n+ basic 6 1\n",  // 6 falls to 1, 3 to 2, 1 to 2.
+  };
+  const auto stats =
+      RunEveryMode(kDelivery, edb, scripts, [](DCDatalog& db) {
+        const auto results = RowSet(*db.ResultFor("results"));
+        EXPECT_TRUE(results.count({1, 2}));
+        EXPECT_TRUE(results.count({2, 9}));
+        EXPECT_TRUE(results.count({6, 1}));
+      });
+  for (const auto& mode : stats) {
+    for (const EvalStats& batch : mode) EXPECT_EQ(batch.update_recomputes, 0u);
+  }
+}
+
+TEST(IncrementalTest, AggregateDeleteRestoresWhatAnInsertLowered) {
+  // Inserts lower two chains to a new label 3; deletes restore them, one
+  // bridge at a time.
+  const std::vector<std::string> scripts = {
+      "+ arc 3 125\n",
+      "- arc 3 125\n",                  // 120..127 back to 120; 3 leaves.
+      "+ arc 3 125\n+ arc 120 25\n",    // 20..27 and 120..127 fall to 3.
+      "- arc 3 125\n",                  // Both chains rise to 20.
+      "- arc 120 25\n",                 // 120..127 rise to 120.
+  };
+  const auto stats = RunEveryMode(kCc, {Chains()}, scripts, [](DCDatalog& db) {
+    const auto cc = RowSet(*db.ResultFor("cc"));
+    for (uint64_t v : {120, 127}) EXPECT_TRUE(cc.count({v, 120})) << v;
+    for (uint64_t v : {20, 27}) EXPECT_TRUE(cc.count({v, 20})) << v;
+  });
+  for (const auto& mode : stats) {
+    for (const EvalStats& batch : mode) EXPECT_EQ(batch.update_recomputes, 0u);
+  }
+}
+
+TEST(IncrementalTest, AggregateDeleteGuardRecomputes) {
+  // On the chain 0 -> 1 -> ... -> 20 every label came through its left
+  // neighbour, so cutting 0 -> 1 invalidates every group: the guard gives
+  // up and the batch recomputes. Deleting the last arc of 20 afterwards
+  // touches one group and stays maintained.
+  std::vector<std::vector<uint64_t>> arcs;
+  for (uint64_t v = 0; v < 20; ++v) arcs.push_back({v, v + 1});
+  const std::vector<std::string> scripts = {
+      "- arc 0 1\n", "+ arc 0 1\n", "- arc 19 20\n"};
+  const auto stats = RunEveryMode(
+      kCc, {Rows("arc", 2, arcs)}, scripts, [](DCDatalog& db) {
+        EXPECT_TRUE(RowSet(*db.ResultFor("cc")).count({19, 0}));
+      });
+  for (const auto& mode : stats) {
+    EXPECT_EQ(mode[0].update_recomputes, 1u);
+    EXPECT_EQ(mode[1].update_recomputes, 0u);
+    EXPECT_EQ(mode[2].update_recomputes, 0u);
+  }
+}
+
+TEST(IncrementalTest, AggregateDeleteSsspStillRecomputes) {
+  // `C = C1 + C2` is not a copy of sp's value: sp has no check version, so
+  // a delete recomputes (an insert stays incremental).
+  constexpr char kSssp[] =
+      "sp(To, min<C>) :- To = 0, C = 0.\n"
+      "sp(To2, min<C>) :- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.\n"
+      "results(To, min<C>) :- sp(To, C).\n";
+  std::vector<std::vector<uint64_t>> edges;
+  for (uint64_t v = 0; v < 30; ++v) edges.push_back({v, v + 1, 5});
+  edges.push_back({0, 20, 7});
+  const std::vector<std::string> scripts = {"- warc 0 20 7\n",
+                                            "+ warc 0 20 7\n"};
+  const auto stats = RunEveryMode(
+      kSssp, {Rows("warc", 3, edges)}, scripts, [](DCDatalog& db) {
+        EXPECT_TRUE(RowSet(*db.ResultFor("results")).count({25, 32}));
+      });
+  for (const auto& mode : stats) {
+    EXPECT_EQ(mode[0].update_recomputes, 1u);
+    EXPECT_EQ(mode[1].update_recomputes, 0u);
   }
 }
 
@@ -593,7 +764,7 @@ void CheckDeepRingDelete(CoordinationMode mode) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(db.ResultFor("reach")->size(), kRing + 1);
   EXPECT_GE(stats.value().rederived_tuples, kRing / 2);
-  EXPECT_EQ(stats.value().num_sccs, 0u);  // Maintained, not recomputed.
+  EXPECT_EQ(stats.value().update_recomputes, 0u);
 }
 
 TEST(IncrementalTest, BackwardForwardDeepProofUsesNoRecursion) {
@@ -633,8 +804,8 @@ TEST(IncrementalTest, BackwardForwardGuardRecomputesBridgeDelete) {
     DCDatalog db(opts);
     const auto stats = ApplyAndDiff(mode, kTc, edb, scripts, &db);
     ASSERT_EQ(stats.size(), scripts.size());
-    EXPECT_GT(stats[0].num_sccs, 0u);
-    EXPECT_EQ(stats[2].num_sccs, 0u);
+    EXPECT_EQ(stats[0].update_recomputes, 1u);
+    EXPECT_EQ(stats[2].update_recomputes, 0u);
     EXPECT_EQ(db.ResultFor("tc")->size(), 306u - 12u);
   }
 }
@@ -730,7 +901,7 @@ TEST(IncrementalTest, ShardedDeletesMatchTheOracle) {
         ASSERT_EQ(stats.size(), scripts.size());
         for (size_t b = 0; b < scripts.size(); ++b) {
           if (!delete_only[b]) continue;
-          EXPECT_EQ(stats[b].num_sccs, 0u) << "batch " << b << " recomputed";
+          EXPECT_EQ(stats[b].update_recomputes, 0u) << "batch " << b;
           EXPECT_GT(stats[b].rederived_tuples, 0u) << "batch " << b;
         }
       }
@@ -770,8 +941,8 @@ TEST(IncrementalTest, ShardedGuardCountsDeletesOfEveryShard) {
       DCDatalog db(opts);
       const auto stats = ApplyAndDiff(mode, kTc, edb, scripts, &db);
       ASSERT_EQ(stats.size(), scripts.size());
-      EXPECT_GT(stats[0].num_sccs, 0u);
-      EXPECT_EQ(stats[2].num_sccs, 0u);
+      EXPECT_EQ(stats[0].update_recomputes, 1u);
+      EXPECT_EQ(stats[2].update_recomputes, 0u);
       EXPECT_EQ(db.ResultFor("tc")->size(), 312u - 200u);
     }
   }

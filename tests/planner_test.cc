@@ -405,6 +405,62 @@ TEST_F(PlannerTest, RulesWithUnboundSameSccGoalsHaveNoCheckVersion) {
             std::vector<std::string>{"tc"});
 }
 
+TEST_F(PlannerTest, MinMaxCheckVersionsNeedCopyForm) {
+  // cc.dl: the check versions bind cc2's group Y only. The base rules emit
+  // the value they yield (Y); the recursive ones name the same-SCC group
+  // X, one word, whose value is copied into the head.
+  Load(
+      "cc2(Y, min<Y>) :- arc(Y, _).\n"
+      "cc2(Y, min<Y>) :- arc(_, Y).\n"
+      "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n"
+      "cc2(Y, min<Z>) :- cc2(X, Z), arc(Y, X).\n"
+      "cc(Y, min<Z>) :- cc2(Y, Z).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan.value().check_ineligible_preds.empty());
+  const SccPlan& scc = plan.value().sccs[0];
+  ASSERT_EQ(scc.check_rules.size(), 4u);
+  for (size_t r = 0; r < 4; ++r) {
+    const PhysicalRule& rule = scc.check_rules[r];
+    EXPECT_EQ(rule.driving_relation, "cc2");
+    ASSERT_EQ(rule.head.wire_exprs.size(), 1u) << r;
+    ASSERT_EQ(rule.check_atoms.size(), r < 2 ? 0u : 1u) << r;
+    if (r >= 2) EXPECT_EQ(rule.check_atoms[0].width, 1u);
+  }
+  // The roll-up reads cc2 from an earlier SCC: it emits cc2's value.
+  const SccPlan& rollup = plan.value().sccs[1];
+  ASSERT_EQ(rollup.check_rules.size(), 1u);
+  EXPECT_TRUE(rollup.check_rules[0].check_atoms.empty());
+  EXPECT_EQ(rollup.check_rules[0].head.wire_exprs.size(), 1u);
+
+  // Rules whose value is not a copy of one same-SCC goal's have none.
+  const char* ineligible[] = {
+      // SSSP: the value is computed.
+      "sp(To, min<C>) :- To = 0, C = 0.\n"
+      "sp(To2, min<C>) :- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+      // The value is also a join key.
+      "p(Y, min<Z>) :- arc(Y, Z).\n"
+      "p(Y, min<Z>) :- p(X, Z), warc(X, Y, Z).",
+      // Count heads.
+      "d(X, count<Y>) :- arc(X, Y).",
+  };
+  for (const char* text : ineligible) {
+    Load(text);
+    auto lp = Logical();
+    ASSERT_TRUE(lp.ok());
+    auto pp = BuildPhysicalPlan(program_, *analysis_, lp.value(),
+                                /*build_update_rules=*/true);
+    ASSERT_TRUE(pp.ok()) << pp.status().ToString();
+    EXPECT_TRUE(pp.value().sccs[0].check_rules.empty()) << text;
+    EXPECT_EQ(pp.value().check_ineligible_preds,
+              std::vector<std::string>{pp.value().sccs[0].derived_preds[0]})
+        << text;
+  }
+}
+
 TEST_F(PlannerTest, ShardColumnIsTheLowestProofInvariantColumn) {
   struct Case {
     const char* program;

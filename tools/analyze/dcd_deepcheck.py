@@ -147,6 +147,7 @@ EVALSTATS_COUNTER_SITES = {
     "idle_wait_seconds": "SccExecutor::InactiveWait",
     "trace_dropped": "TraceRing::Append",
     "update_batches": None,     # once per ApplyUpdates batch (cold driver)
+    "update_recomputes": None,  # set by ApplyUpdates' fallback (cold driver)
     "delta_tuples_in": None,    # per-batch aggregate in the cold driver
     "rederived_tuples": None,   # per delete-phase batch (cold driver)
     # Always 0 since morsel stealing was removed; kept only for perfbench's

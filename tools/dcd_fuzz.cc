@@ -23,7 +23,9 @@
 //   --update-batches=N generate a streaming-update script of up to N EDB
 //                      batches per case and diff incremental maintenance
 //                      after every batch against a from-scratch reference
-//                      recompute (default 0: no update axis)
+//                      recompute (default 0: no update axis); the summary
+//                      counts the batches whose removals reached a min/max
+//                      predicate, maintained and recomputed
 //   --updates-file=P   with --replay: apply this update script after the
 //                      initial fixpoint, diffing after every batch
 //   --timeout-ms=N     per-run wall clock before a child counts as hung
@@ -39,6 +41,7 @@
 //   --no-fork          run in-process (debuggable; no crash/hang isolation)
 //   --verbose          log every run, not just failures
 
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -50,6 +53,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <thread>
 #include <utility>
@@ -254,6 +258,18 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
   return true;
 }
 
+/// Aggregate deletes of the sweep's streaming-update runs. It lives in a
+/// shared mapping: each forked child adds its run's counts before exiting.
+struct DeleteTally {
+  uint64_t maintained = 0;
+  uint64_t recomputed = 0;
+
+  void Add(const RunOutcome& outcome) {
+    maintained += outcome.agg_deletes_maintained;
+    recomputed += outcome.agg_deletes_recomputed;
+  }
+};
+
 void InstallChaos(const FuzzFlags& flags, uint64_t run_index) {
   // Leaked deliberately: the schedule must outlive every engine thread.
   auto* schedule = new ChaosSchedule(ChaosConfig::Aggressive(
@@ -298,14 +314,16 @@ RunOutcome Evaluate(const FuzzCase& c, const RunConfig& config,
 }
 
 /// Child-side evaluation: optionally installs a chaos schedule, runs the
-/// engine against the (fork-inherited) oracle rows, and maps the outcome
-/// onto the exit-code protocol. Never returns (uses _exit).
+/// engine against the (fork-inherited) oracle rows, adds its aggregate
+/// deletes to `tally` (when given), and maps the outcome onto the
+/// exit-code protocol. Never returns (uses _exit).
 [[noreturn]] void ChildRun(const FuzzCase& c, const RunConfig& config,
                            const OracleRows& oracle, const FuzzFlags& flags,
-                           uint64_t run_index) {
+                           uint64_t run_index, DeleteTally* tally) {
   if (flags.chaos) InstallChaos(flags, run_index);
   const RunOutcome outcome = Evaluate(c, config, oracle);
   ReportChildFailure(c, outcome);
+  if (tally != nullptr) tally->Add(outcome);
   switch (outcome.kind) {
     case OutcomeKind::kAgree:
       _exit(kExitAgree);
@@ -339,14 +357,16 @@ RunResult MapExitCode(int code) {
 }
 
 /// Runs one engine evaluation against precomputed oracle rows, forked
-/// unless --no-fork. `run_index` decorrelates chaos schedules across runs.
+/// unless --no-fork. `run_index` decorrelates chaos schedules across runs;
+/// `tally`, when given, counts the run's aggregate deletes.
 RunResult RunIsolated(const FuzzCase& c, const RunConfig& config,
                       const OracleRows& oracle, const FuzzFlags& flags,
-                      uint64_t run_index) {
+                      uint64_t run_index, DeleteTally* tally = nullptr) {
   if (flags.no_fork) {
     if (flags.chaos) InstallChaos(flags, run_index);
     const RunOutcome outcome = Evaluate(c, config, oracle);
     ReportChildFailure(c, outcome);
+    if (tally != nullptr) tally->Add(outcome);
     return ToRunResult(outcome.kind);
   }
 
@@ -355,7 +375,7 @@ RunResult RunIsolated(const FuzzCase& c, const RunConfig& config,
     std::perror("[dcd_fuzz] fork");
     std::exit(2);
   }
-  if (pid == 0) ChildRun(c, config, oracle, flags, run_index);
+  if (pid == 0) ChildRun(c, config, oracle, flags, run_index, tally);
 
   uint64_t waited_ms = 0;
   int status = 0;
@@ -596,6 +616,13 @@ int FuzzMain(int argc, char** argv) {
   uint64_t failures = 0;
   uint64_t run_index = 0;
   bool out_dir_ready = false;
+  void* shared = mmap(nullptr, sizeof(DeleteTally), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (shared == MAP_FAILED) {
+    std::perror("[dcd_fuzz] mmap");
+    return 2;
+  }
+  DeleteTally* tally = new (shared) DeleteTally();
   for (uint64_t s = 0; s < flags.seeds; ++s) {
     const uint64_t seed = flags.start_seed + s;
     GenOptions gen;
@@ -621,7 +648,7 @@ int FuzzMain(int argc, char** argv) {
       for (uint32_t workers : flags.workers) {
         const RunConfig config = MakeConfig(flags, mode, workers);
         const RunResult r =
-            RunIsolated(c, config, oracle, flags, run_index++);
+            RunIsolated(c, config, oracle, flags, run_index++, tally);
         ++runs;
         if (flags.verbose || IsFailure(r)) {
           std::printf("seed %llu %s x%u: %s\n",
@@ -692,6 +719,12 @@ int FuzzMain(int argc, char** argv) {
                   static_cast<unsigned long long>(failures));
       std::fflush(stdout);
     }
+  }
+  if (flags.update_batches > 0) {
+    std::printf("dcd_fuzz: aggregate deletes: %llu maintained, %llu "
+                "recomputed\n",
+                static_cast<unsigned long long>(tally->maintained),
+                static_cast<unsigned long long>(tally->recomputed));
   }
   std::printf("dcd_fuzz: %llu runs over %llu seeds, %llu failures\n",
               static_cast<unsigned long long>(runs),

@@ -102,6 +102,7 @@ CHAOS_ALLOWLIST_FILES = {
     "src/concurrent/spsc_queue.h",
     "src/concurrent/termination.h",
     "src/concurrent/worker_pool.cc",
+    "src/core/aggregate_delete.cc",
     "src/core/backward_forward.cc",
     "src/core/engine.cc",
     "src/runtime/distributor.h",
