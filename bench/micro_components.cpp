@@ -65,7 +65,7 @@ void BM_DynIndexInsertProbe(benchmark::State& state) {
     Rng rng(1);
     uint64_t sink = 0;
     for (int64_t i = 0; i < state.range(0); ++i) {
-      index.Insert(rng.Uniform(1024), i);
+      index.Insert(rng.Uniform(1024));
       if ((i & 7) == 0) {
         index.ForEachMatch(rng.Uniform(1024), [&sink](uint64_t r) {
           sink += r;

@@ -71,7 +71,8 @@ struct BackwardForwardInput {
   const BaseIndexSet* indexes = nullptr;
   /// The same relations before the batch, for the update versions: base
   /// indexes over them, and the pre-batch copy of each relation that lost
-  /// rows (the update versions' scan steps read these).
+  /// rows and that an update version scans or probes. A relation missing
+  /// here is read from `catalog`.
   const BaseIndexSet* old_indexes = nullptr;
   const std::map<std::string, Relation>* old_relations = nullptr;
 };

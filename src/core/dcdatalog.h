@@ -93,6 +93,15 @@ class DCDatalog {
     return engine_->CheckStampInvariant();
   }
 
+  /// Engine::CheckIndexes of the incremental session.
+  Status CheckIndexes() {
+    if (!incremental_active()) {
+      return Status::InvalidArgument(
+          "CheckIndexes requires BeginIncremental first");
+    }
+    return engine_->CheckIndexes();
+  }
+
   /// Returns the materialized relation for a (derived or base) predicate,
   /// or nullptr before Run().
   const Relation* ResultFor(const std::string& name) const;

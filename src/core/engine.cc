@@ -892,6 +892,7 @@ std::vector<std::pair<const char*, double>> EvalStats::Counters() const {
       {"update_recomputes", static_cast<double>(update_recomputes)},
       {"delta_tuples_in", static_cast<double>(delta_tuples_in)},
       {"rederived_tuples", static_cast<double>(rederived_tuples)},
+      {"update_rows_scanned", static_cast<double>(update_rows_scanned)},
       {"morsels_published", static_cast<double>(morsels_published)},
       {"morsels_stolen", static_cast<double>(morsels_stolen)},
       {"tuples_stolen", static_cast<double>(tuples_stolen)},
@@ -1017,8 +1018,11 @@ struct Engine::IncrementalState {
   std::vector<std::vector<std::vector<uint64_t>>> replica_watermarks;
   /// Relation name → row count at the last sync.
   std::map<std::string, uint64_t> rel_watermarks;
-  /// Base-index ids by backing relation, for targeted invalidation.
+  /// Base-index ids by backing relation, for Finder().
   std::map<std::string, std::vector<int>> indexes_by_rel;
+  /// Relations some update version reads in a scan or probe step (not as
+  /// its driving relation): a delete keeps their pre-batch contents.
+  std::set<std::string> update_read_rels;
 
   /// Where each retained row of an aggregate predicate sits in its
   /// catalog relation: [worker][row id] → catalog row, and back. Built on
@@ -1064,10 +1068,47 @@ struct Engine::IncrementalState {
     return status;
   }
 
-  void InvalidateIndexesOver(const std::string& rel) {
-    auto it = indexes_by_rel.find(rel);
-    if (it == indexes_by_rel.end()) return;
-    for (int id : it->second) base_indexes->Invalidate(id);
+  /// Finds catalog rows through the base indexes built over them, and
+  /// keeps those indexes in step as rows leave.
+  RowFinder Finder() {
+    RowFinder finder;
+    finder.find = [this](const std::string& name, const Relation& relation,
+                         TupleRef row, std::vector<uint64_t>* ids) {
+      auto it = indexes_by_rel.find(name);
+      if (it == indexes_by_rel.end()) return false;
+      for (int id : it->second) {
+        if (base_indexes->FindEqualRows(id, relation, row, ids)) return true;
+      }
+      return false;
+    };
+    finder.will_remove = [this](const Relation& relation,
+                                const std::vector<uint64_t>& ids) {
+      base_indexes->RemoveRows(relation, ids);
+    };
+    return finder;
+  }
+
+  /// Copies relation `name` into `old_copies` before the batch removes rows
+  /// from it, when an update version reads it: the pre-batch state the
+  /// delete's forward drive needs. Nothing else reads the copy.
+  void KeepOldCopy(const std::string& name, const Relation& rel,
+                   std::map<std::string, Relation>* old_copies,
+                   EvalStats* stats) const {
+    if (update_read_rels.count(name) == 0 || old_copies->count(name) > 0) {
+      return;
+    }
+    old_copies->emplace(name, rel);
+    stats->update_rows_scanned += rel.size();
+  }
+
+  /// Applies removal deltas to the catalog through the session's indexes,
+  /// which follow the removed rows in place.
+  Status RemoveFromCatalog(const std::vector<RelationDelta>& removals,
+                           Catalog* catalog, EvalStats* stats) {
+    RowFinder finder = Finder();
+    DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(removals, catalog, &finder));
+    stats->update_rows_scanned += finder.rows_scanned;
+    return Status::OK();
   }
 
   /// Records each retained table's row count and restarts the change log
@@ -1105,7 +1146,7 @@ struct Engine::IncrementalState {
   /// to the tail with their new value, new groups are appended after them,
   /// and the relation watermark is left in front of both, so a downstream
   /// update rule drives exactly those rows. Costs O(changed + new) once the
-  /// layout exists; indexes over `pred` are dropped only when a group moved.
+  /// layout exists; the base indexes over `pred` follow each rewritten row.
   Status SyncAggregate(const SccPlan& scc, size_t s, const std::string& pred,
                        Relation* rel) {
     const int canonical = scc.ReplicasOf(pred).front();
@@ -1127,6 +1168,10 @@ struct Engine::IncrementalState {
 
     // Partition: every changed row ends up in [tail, size). One already
     // there stays; one in front swaps places with an unchanged tail row.
+    const auto rewrite = [&](uint64_t p, TupleRef row) {
+      base_indexes->RewriteRow(*rel, p, row);
+      rel->SetRow(p, row);
+    };
     const uint64_t size = rel->size();
     const uint64_t tail = size - moved;
     std::vector<uint64_t> at;
@@ -1146,7 +1191,7 @@ struct Engine::IncrementalState {
       }
       const auto front = layout.owner[at[i]];
       const auto back = layout.owner[t];
-      rel->SetRow(at[i], rel->Row(t));
+      rewrite(at[i], rel->Row(t));
       layout.owner[at[i]] = back;
       layout.pos[back.first][back.second] = at[i];
       layout.owner[t] = front;
@@ -1155,7 +1200,7 @@ struct Engine::IncrementalState {
     }
     for (uint64_t p = tail; p < size; ++p) {
       const auto [w, r] = layout.owner[p];
-      rel->SetRow(p, tables[w][canonical]->rows().Row(r));
+      rewrite(p, tables[w][canonical]->rows().Row(r));
     }
     for (uint32_t w = 0; w < n; ++w) {
       const Relation& rows = tables[w][canonical]->rows();
@@ -1166,7 +1211,6 @@ struct Engine::IncrementalState {
       }
     }
     rel_watermarks[pred] = tail;
-    if (moved > 0) InvalidateIndexesOver(pred);
     return Status::OK();
   }
 
@@ -1198,9 +1242,10 @@ struct Engine::IncrementalState {
   }
 
   /// Erases the rows `dead[w]` (ascending row ids of worker w's canonical
-  /// partition) from `pred`'s catalog relation and renumbers its layout
-  /// for the partitions' compaction: survivors keep their order on both
-  /// sides.
+  /// partition) from `pred`'s catalog relation, and patches its layout and
+  /// the base indexes over it, in O(|dead|): the catalog relation fills its
+  /// holes from the tail, and so does each partition's
+  /// RecursiveTable::RemoveRows, which the caller runs next.
   Status EraseFromCatalog(const SccPlan& scc, size_t s,
                           const std::string& pred,
                           const std::vector<std::vector<uint64_t>>& dead,
@@ -1211,36 +1256,32 @@ struct Engine::IncrementalState {
       for (uint64_t r : dead[w]) dead_pos.push_back(layout->pos[w][r]);
     }
     std::sort(dead_pos.begin(), dead_pos.end());
-    size_t next = 0;
-    uint64_t at = 0;
-    rel->EraseRowsIf([&](TupleRef) {
-      const bool drop = next < dead_pos.size() && dead_pos[next] == at;
-      next += drop;
-      ++at;
-      return drop;
-    });
-    for (size_t w = 0; w < dead.size(); ++w) {
+    base_indexes->RemoveRows(*rel, dead_pos);
+    rel->RemoveRows(dead_pos);
+    // Highest position first, the catalog row moved into each hole takes
+    // its owner along.
+    for (size_t i = dead_pos.size(); i-- > 0;) {
+      const uint64_t last = layout->owner.size() - 1;
+      if (dead_pos[i] != last) {
+        const auto moved = layout->owner[last];
+        layout->owner[dead_pos[i]] = moved;
+        layout->pos[moved.first][moved.second] = dead_pos[i];
+      }
+      layout->owner.pop_back();
+    }
+    // The same for each partition: its last row takes the hole's id.
+    for (uint32_t w = 0; w < dead.size(); ++w) {
       std::vector<uint64_t>& pos = layout->pos[w];
-      size_t d = 0;
-      size_t kept = 0;
-      for (uint64_t r = 0; r < pos.size(); ++r) {
-        if (d < dead[w].size() && dead[w][d] == r) {
-          ++d;
-          continue;
+      for (size_t i = dead[w].size(); i-- > 0;) {
+        const uint64_t r = dead[w][i];
+        if (r != pos.size() - 1) {
+          pos[r] = pos.back();
+          layout->owner[pos[r]] = {w, r};
         }
-        const uint64_t before =
-            std::lower_bound(dead_pos.begin(), dead_pos.end(), pos[r]) -
-            dead_pos.begin();
-        pos[kept++] = pos[r] - before;
-      }
-      pos.resize(kept);
-    }
-    layout->owner.assign(rel->size(), {});
-    for (uint32_t w = 0; w < layout->pos.size(); ++w) {
-      for (uint64_t r = 0; r < layout->pos[w].size(); ++r) {
-        layout->owner[layout->pos[w][r]] = {w, r};
+        pos.pop_back();
       }
     }
+    DCD_DCHECK(layout->owner.size() == rel->size());
     return Status::OK();
   }
 
@@ -1299,16 +1340,6 @@ struct Engine::IncrementalState {
     return Status::OK();
   }
 
-  /// True when a rule outside the SCC consumes `pred` (positive body atom).
-  bool ConsumedDownstream(const SccPlan& scc, const std::string& pred) const {
-    auto it = consumers.find(pred);
-    if (it == consumers.end()) return false;
-    for (const std::string& head : it->second) {
-      if (scc.PredIdOf(head) < 0) return true;
-    }
-    return false;
-  }
-
   /// True when some rule of the SCC consumes (positive body atom) one of
   /// `rels`.
   bool SccConsumesAny(const SccPlan& scc,
@@ -1361,6 +1392,15 @@ Result<EvalStats> Engine::BeginIncremental(const Program& program) {
   for (size_t i = 0; i < state->plan.base_indexes.size(); ++i) {
     state->indexes_by_rel[state->plan.base_indexes[i].relation].push_back(
         static_cast<int>(i));
+  }
+  for (const SccPlan& scc : state->plan.sccs) {
+    for (const PhysicalRule& rule : scc.update_rules) {
+      for (const Step& step : rule.steps) {
+        if (!step.relation.empty() && step.kind != StepKind::kProbeRecursive) {
+          state->update_read_rels.insert(step.relation);
+        }
+      }
+    }
   }
 
   inc_ = std::move(state);
@@ -1421,20 +1461,12 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     }
   }
 
-  // The session's built base indexes count the stored copies of the
+  // The session's built base indexes find the stored copies of the
   // touched tuples, instead of a scan of every touched relation.
-  const CopyCounter probe = [st](const std::string& name,
-                                 const Relation& rel, TupleRef row,
-                                 uint64_t* copies) {
-    auto it = st->indexes_by_rel.find(name);
-    if (it == st->indexes_by_rel.end()) return false;
-    for (int id : it->second) {
-      if (st->base_indexes->CountEqualRows(id, rel, row, copies)) return true;
-    }
-    return false;
-  };
+  RowFinder finder = st->Finder();
   DCD_ASSIGN_OR_RETURN(std::vector<RelationDelta> deltas,
-                       NetOutBatch(batch, *catalog_, probe));
+                       NetOutBatch(batch, *catalog_, &finder));
+  stats.update_rows_scanned += finder.rows_scanned;
   for (const RelationDelta& d : deltas) {
     stats.delta_tuples_in += d.added.size() + d.removed.size();
   }
@@ -1496,6 +1528,7 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     out.update_batches = stats.update_batches;
     out.delta_tuples_in = stats.delta_tuples_in;
     out.rederived_tuples += stats.rederived_tuples;
+    out.update_rows_scanned += stats.update_rows_scanned;
     out.seconds = timer.ElapsedSeconds();
     return out;
   };
@@ -1508,8 +1541,8 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
     std::vector<RelationDelta> removal_deltas;
     for (const RelationDelta& d : deltas) {
       if (d.removed.empty()) continue;
-      Relation* rel = catalog_->Find(d.relation);
-      old_copies.emplace(d.relation, *rel);
+      const Relation* rel = catalog_->Find(d.relation);
+      st->KeepOldCopy(d.relation, *rel, &old_copies, &stats);
       Relation rm(d.relation, rel->schema());
       for (const auto& row : d.removed) {
         rm.Append(TupleRef{row.data(), static_cast<uint32_t>(row.size())});
@@ -1520,10 +1553,8 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
       rd.removed = d.removed;
       removal_deltas.push_back(std::move(rd));
     }
-    DCD_RETURN_IF_ERROR(ApplyDeltasToCatalog(removal_deltas, catalog_));
-    for (const auto& [name, rm] : removed_rows) {
-      st->InvalidateIndexesOver(name);
-    }
+    DCD_RETURN_IF_ERROR(
+        st->RemoveFromCatalog(removal_deltas, catalog_, &stats));
     Result<bool> del = RunDeletePhase(&old_copies, &removed_rows, &stats);
     if (!del.ok()) {
       inc_.reset();
@@ -1671,7 +1702,7 @@ Result<bool> Engine::BackwardForwardDelete(
     }
     if (gone.empty()) continue;
     for (uint32_t w = 0; w < n; ++w) {
-      tables[w][reps[0]]->CompactRemoveRows(bf.deleted[p][w]);
+      tables[w][reps[0]]->RemoveRows(bf.deleted[p][w]);
     }
     // The other replicas hold the same rows, partitioned on other columns.
     for (size_t k = 1; k < reps.size(); ++k) {
@@ -1686,22 +1717,18 @@ Result<bool> Engine::BackwardForwardDelete(
       }
       for (uint32_t w = 0; w < n; ++w) {
         std::sort(ids[w].begin(), ids[w].end());
-        tables[w][reps[k]]->CompactRemoveRows(ids[w]);
+        tables[w][reps[k]]->RemoveRows(ids[w]);
       }
     }
     Relation* rel = catalog_->Find(pred);
-    if (st->ConsumedDownstream(scc, pred) && old_copies->count(pred) == 0) {
-      old_copies->emplace(pred, *rel);
-    }
-    FlatTupleSet gone_set(&gone);
-    gone_set.Reserve(gone.size());
+    st->KeepOldCopy(pred, *rel, old_copies, stats);
+    std::vector<RelationDelta> removal(1);
+    removal[0].relation = pred;
     for (uint64_t r = 0; r < gone.size(); ++r) {
-      gone_set.Insert(gone.Row(r).Hash(), r);
+      const TupleRef row = gone.Row(r);
+      removal[0].removed.emplace_back(row.data, row.data + row.arity);
     }
-    rel->EraseRowsIf([&gone_set](TupleRef row) {
-      return gone_set.Find(row.Hash(), row) != FlatTupleSet::kNotFound;
-    });
-    st->InvalidateIndexesOver(pred);
+    DCD_RETURN_IF_ERROR(st->RemoveFromCatalog(removal, catalog_, stats));
     st->rel_watermarks[pred] = rel->size();
     removed_rows->emplace(pred, std::move(gone));
   }
@@ -1744,15 +1771,12 @@ Result<bool> Engine::AggregateDelete(
     }
     if (gone.empty()) continue;
     Relation* rel = catalog_->Find(pred);
-    if (st->ConsumedDownstream(scc, pred) && old_copies->count(pred) == 0) {
-      old_copies->emplace(pred, *rel);
-    }
+    st->KeepOldCopy(pred, *rel, old_copies, stats);
     DCD_RETURN_IF_ERROR(
         st->EraseFromCatalog(scc, scc_idx, pred, ad.invalidated[p], rel));
     for (uint32_t w = 0; w < n; ++w) {
-      tables[w][canonical]->CompactRemoveRows(ad.invalidated[p][w]);
+      tables[w][canonical]->RemoveRows(ad.invalidated[p][w]);
     }
-    st->InvalidateIndexesOver(pred);
     st->rel_watermarks[pred] = rel->size();
     removed_rows->emplace(pred, std::move(gone));
   }
@@ -1795,6 +1819,52 @@ Status Engine::CheckStampInvariant() {
     DCD_RETURN_IF_ERROR(
         st->PrepareDelete(s, *catalog_, none, none, &old_indexes, &in));
     DCD_RETURN_IF_ERROR(dcdatalog::CheckStampInvariant(in));
+  }
+  return Status::OK();
+}
+
+Status Engine::CheckIndexes() const {
+  if (inc_ == nullptr) {
+    return Status::InvalidArgument(
+        "CheckIndexes requires an active incremental session");
+  }
+  const IncrementalState* st = inc_.get();
+  DCD_RETURN_IF_ERROR(st->base_indexes->CheckIndexes());
+  for (const auto& per_worker : st->replicas) {
+    for (const auto& tables : per_worker) {
+      for (const auto& table : tables) {
+        DCD_RETURN_IF_ERROR(table->CheckIndexes());
+      }
+    }
+  }
+  for (const auto& [pred, layout] : st->layouts) {
+    const Relation* rel = catalog_->Find(pred);
+    size_t s = 0;
+    while (st->plan.sccs[s].PredIdOf(pred) < 0) ++s;
+    const int canonical = st->plan.sccs[s].ReplicasOf(pred).front();
+    const auto broken = [&pred](const std::string& what) {
+      return Status::Internal("catalog layout of '" + pred + "': " + what);
+    };
+    if (layout.owner.size() != rel->size()) {
+      return broken("covers a different number of rows");
+    }
+    uint64_t placed = 0;
+    for (uint32_t w = 0; w < layout.pos.size(); ++w) {
+      const Relation& rows = st->replicas[s][w][canonical]->rows();
+      if (layout.pos[w].size() != rows.size()) {
+        return broken("misses rows of partition " + std::to_string(w));
+      }
+      for (uint64_t r = 0; r < rows.size(); ++r) {
+        const uint64_t p = layout.pos[w][r];
+        if (p >= rel->size() || layout.owner[p] != std::make_pair(w, r) ||
+            !(rel->Row(p) == rows.Row(r))) {
+          return broken("places partition " + std::to_string(w) + " row " +
+                        std::to_string(r) + " wrongly");
+        }
+        ++placed;
+      }
+    }
+    if (placed != rel->size()) return broken("is not onto its relation");
   }
   return Status::OK();
 }

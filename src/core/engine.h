@@ -76,6 +76,11 @@ struct EvalStats {
   /// deletion reached: Backward/Forward's checked set C, and the candidate
   /// groups the aggregate delete checked.
   uint64_t rederived_tuples = 0;
+  /// Rows the update path visited in a full pass over a relation: the
+  /// scans that find removed copies where no base index answers, and the
+  /// pre-batch copies it takes of relations an update version reads. A
+  /// delete whose removed rows all go through indexes reads 0.
+  uint64_t update_rows_scanned = 0;
   /// Always 0: morsel stealing was removed from the engine. The three
   /// fields stay only because perfbench's frozen `core.steal_*` metrics
   /// read them; delete them together in the next benchmark change.
@@ -154,6 +159,14 @@ class Engine {
   /// session (core/aggregate_delete.h), which the aggregate delete relies
   /// on. A test and fuzzing check: it runs every group's check versions.
   Status CheckStampInvariant();
+
+  /// Verifies that every structure the update path edits in place agrees
+  /// with a fresh build: each built base index over its relation, each
+  /// retained partition's existence, group and join index over its rows,
+  /// and each aggregate predicate's catalog layout, a bijection between
+  /// the canonical partitions' rows and its catalog relation. A test and
+  /// fuzzing check. Requires an incremental session.
+  Status CheckIndexes() const;
 
   const EngineOptions& options() const { return options_; }
 

@@ -32,42 +32,68 @@ void BaseIndexSet::EnsureBuiltOver(int id, const Relation& relation) {
 Status BaseIndexSet::SyncAppended(int id, const Catalog& catalog) {
   Entry& e = entries_[id];
   if (!e.built) return EnsureBuilt(id, catalog);
-  const uint64_t n = e.relation->size();
-  if (n == e.rows_indexed) return Status::OK();
-  if (n < e.rows_indexed) {
+  if (e.relation->size() < e.rows_indexed) {
     return Status::Internal("relation '" + e.req.relation +
-                            "' shrank under a built index; Invalidate first");
+                            "' lost rows behind its built index's back");
   }
-  e.hash.Append(*e.relation, e.req.col, e.rows_indexed);
-  e.rows_indexed = n;
+  CatchUp(&e);
   return Status::OK();
 }
 
-bool BaseIndexSet::CountEqualRows(int id, const Relation& relation,
-                                  TupleRef row, uint64_t* count) const {
+void BaseIndexSet::CatchUp(Entry* e) {
+  e->hash.Append(*e->relation, e->req.col, e->rows_indexed);
+  e->rows_indexed = e->relation->size();
+}
+
+bool BaseIndexSet::FindEqualRows(int id, const Relation& relation,
+                                 TupleRef row,
+                                 std::vector<uint64_t>* ids) const {
   const Entry& e = entries_[id];
   if (!e.built || e.relation != &relation ||
       relation.size() < e.rows_indexed) {
     return false;
   }
-  uint64_t n = 0;
   e.hash.ForEachMatch(row[e.req.col], [&](uint64_t r) {
-    n += relation.Row(r) == row ? 1 : 0;
+    if (relation.Row(r) == row) ids->push_back(r);
     return true;
   });
   for (uint64_t r = e.rows_indexed; r < relation.size(); ++r) {
-    n += relation.Row(r) == row ? 1 : 0;
+    if (relation.Row(r) == row) ids->push_back(r);
   }
-  *count = n;
   return true;
 }
 
-void BaseIndexSet::Invalidate(int id) {
-  Entry& e = entries_[id];
-  e.built = false;
-  e.rows_indexed = 0;
-  e.relation = nullptr;
-  e.hash = HashIndex();
+void BaseIndexSet::RemoveRows(const Relation& relation,
+                              const std::vector<uint64_t>& ids) {
+  for (Entry& e : entries_) {
+    if (!e.built || e.relation != &relation) continue;
+    CatchUp(&e);
+    DCD_DCHECK(e.hash.size() == relation.size());  // Entry e is row e.
+    for (size_t i = ids.size(); i-- > 0;) e.hash.RemoveRow(ids[i]);
+    e.rows_indexed = e.hash.size();
+  }
+}
+
+void BaseIndexSet::RewriteRow(const Relation& relation, uint64_t row,
+                              TupleRef next) {
+  for (Entry& e : entries_) {
+    if (!e.built || e.relation != &relation || row >= e.rows_indexed) {
+      continue;
+    }
+    e.hash.Rekey(row, next[e.req.col]);
+  }
+}
+
+Status BaseIndexSet::CheckIndexes() const {
+  for (const Entry& e : entries_) {
+    if (!e.built) continue;
+    if (!e.hash.Matches(*e.relation, e.req.col, e.rows_indexed)) {
+      return Status::Internal("base index over '" + e.req.relation +
+                              "' column " + std::to_string(e.req.col) +
+                              " differs from a fresh build");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace dcdatalog

@@ -1,6 +1,7 @@
 #ifndef DCDATALOG_RUNTIME_BASE_INDEX_SET_H_
 #define DCDATALOG_RUNTIME_BASE_INDEX_SET_H_
 
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -33,22 +34,34 @@ class BaseIndexSet {
 
   /// Incremental-maintenance sync: EnsureBuilt, then index any rows the
   /// backing relation appended since the last build/sync (EDB insert
-  /// batches, or upstream IDB relations extended in place). Requires the
-  /// relation to have only grown; shrinking relations must Invalidate first.
+  /// batches, or upstream IDB relations extended in place). Rows that left
+  /// the relation must have gone through RemoveRows.
   Status SyncAppended(int id, const Catalog& catalog);
-
-  /// Drops index `id` so the next EnsureBuilt rebuilds it from scratch —
-  /// the deletion path, where the backing relation was rewritten in place.
-  void Invalidate(int id);
 
   bool IsBuilt(int id) const { return entries_[id].built; }
 
-  /// Counts the rows of `relation` equal to `row` when index `id` is built
-  /// over that very relation: probes the indexed prefix and scans only the
-  /// rows appended since the last sync. Returns false, counting nothing,
-  /// when the index cannot answer.
-  bool CountEqualRows(int id, const Relation& relation, TupleRef row,
-                      uint64_t* count) const;
+  /// Appends to `ids` the id of every row of `relation` equal to `row` when
+  /// index `id` is built over that very relation: probes the indexed prefix
+  /// and scans only the rows appended since the last sync. Returns false,
+  /// appending nothing, when the index cannot answer.
+  bool FindEqualRows(int id, const Relation& relation, TupleRef row,
+                     std::vector<uint64_t>* ids) const;
+
+  /// Keeps every built index over `relation` in step with
+  /// `relation`.RemoveRows(ids) (ids ascending): call it just before. An
+  /// index that lags the relation first indexes the rows it is missing, so
+  /// a row the fill moves in from the tail is never lost. O(|ids|) chain
+  /// edits per index, no rebuild.
+  void RemoveRows(const Relation& relation, const std::vector<uint64_t>& ids);
+
+  /// Keeps every built index over `relation` in step with row `row` being
+  /// overwritten by `next` (Relation::SetRow): call it just before. An
+  /// index keyed on a changed column moves the row to its new key's chain.
+  void RewriteRow(const Relation& relation, uint64_t row, TupleRef next);
+
+  /// OK when every built index equals a fresh build over the rows of its
+  /// relation it has indexed. A consistency check for tests.
+  Status CheckIndexes() const;
 
   /// fn(TupleRef row) for each row of the indexed relation whose key column
   /// equals `key`. fn may return void (visit everything) or bool — false
@@ -78,6 +91,9 @@ class BaseIndexSet {
     uint64_t rows_indexed = 0;  // Watermark for SyncAppended.
     HashIndex hash;
   };
+
+  /// Indexes rows the relation appended since the last build or sync.
+  static void CatchUp(Entry* e);
 
   std::vector<Entry> entries_;
 };

@@ -5,6 +5,7 @@
 
 #include "common/hot_path.h"
 #include "common/logging.h"
+#include "common/status.h"
 
 namespace dcdatalog {
 namespace {
@@ -73,7 +74,7 @@ uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
   const uint64_t row_id =
       rows_.Append(TupleRef{stored, spec_.stored_arity});
   if (use_join_index_) {
-    join_index_.Insert(stored[partition_col_], row_id);
+    join_index_.Insert(stored[partition_col_]);
   }
   return row_id;
 }
@@ -222,59 +223,79 @@ DCD_HOT_ROOT bool RecursiveTable::MergeWire(const uint64_t* wire) {
   return false;
 }
 
-void RecursiveTable::CompactRemoveRows(
-    const std::vector<uint64_t>& dead_row_ids) {
+void RecursiveTable::RemoveRows(const std::vector<uint64_t>& ids) {
   DCD_AFFINITY_GUARD(writer_affinity_);
   const bool min_max =
       spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax;
   DCD_CHECK(spec_.func == AggFunc::kNone || min_max)
-      << "compaction is only defined for kNone, min and max tables";
-  if (dead_row_ids.empty()) return;
-  const uint64_t n = rows_.size();
-
-  // Rebuild row storage keeping survivor order (and, under min/max, each
-  // survivor's stamp).
-  Relation survivors(rows_.name(), rows_.schema());
-  survivors.Reserve(n - dead_row_ids.size());
-  std::vector<uint64_t> stamps;
-  size_t d = 0;
-  for (uint64_t r = 0; r < n; ++r) {
-    if (d < dead_row_ids.size() && dead_row_ids[d] == r) {
-      ++d;
-      continue;
+      << "row removal is only defined for kNone, min and max tables";
+  if (ids.empty()) return;
+  DCD_DCHECK(!use_join_index_ || join_index_.size() == rows_.size());
+  // Highest id first, as Relation::RemoveRows: each index drops the dead
+  // row's entry and renames the last row's to the hole, then the row moves.
+  for (size_t i = ids.size(); i-- > 0;) {
+    const uint64_t dead = ids[i];
+    const uint64_t last = rows_.size() - 1;
+    const TupleRef dead_row = rows_.Row(dead);
+    const TupleRef last_row = rows_.Row(last);
+    if (min_max) {
+      flat_group_.Erase(GroupKey(dead_row.data));
+      if (dead != last) {
+        uint64_t* slot = flat_group_.Find(GroupKey(last_row.data));
+        *slot = (*slot & ~kRowMask) | dead;
+      }
+    } else {
+      exist_set_.Erase(dead_row.Hash(), dead);
+      if (dead != last) exist_set_.Renumber(last_row.Hash(), last, dead);
     }
-    survivors.Append(rows_.Row(r));
-    if (min_max) stamps.push_back(static_cast<uint64_t>(stamp(r)) << 32);
+    if (use_join_index_) join_index_.RemoveRow(dead);
+    rows_.RemoveRow(dead);
   }
-  rows_ = std::move(survivors);  // exist_set_ backs onto &rows_: unchanged.
-  const uint64_t survivors_n = rows_.size();
-
-  // Rebuild the existence set, or the group index, over the new row ids.
-  if (min_max) {
-    flat_group_ = FlatGroupMap();
-    flat_group_.Reserve(survivors_n);
-    for (uint64_t r = 0; r < survivors_n; ++r) {
-      InsertGroup(GroupKey(rows_.Row(r).data), r | stamps[r]);
-    }
-  } else {
-    exist_set_ = FlatTupleSet(&rows_);
-    exist_set_.Reserve(survivors_n);
-    for (uint64_t r = 0; r < survivors_n; ++r) {
-      exist_set_.Insert(rows_.Row(r).Hash(), r);
-    }
-  }
-
-  join_index_ = DynIndex();
-  if (use_join_index_) {
-    join_index_.Reserve(survivors_n);
-    for (uint64_t r = 0; r < survivors_n; ++r) {
-      join_index_.Insert(rows_.Row(r)[partition_col_], r);
-    }
-  }
-
-  // Pending deltas are stale after renumbering.
+  // Pending deltas name rows by value and may hold removed ones.
   delta_.clear();
   batch_changed_rows_.clear();
+}
+
+Status RecursiveTable::CheckIndexes() const {
+  const uint64_t n = rows_.size();
+  const auto fail = [this](const std::string& what) {
+    return Status::Internal("partition of '" + rows_.name() + "': " + what);
+  };
+  if (use_join_index_ && !join_index_.Matches(rows_, partition_col_, n)) {
+    return fail("join index differs from a fresh build");
+  }
+  if (spec_.func == AggFunc::kNone) {
+    uint64_t entries = 0;
+    bool stray = false;
+    exist_set_.ForEachEntry([&](uint64_t hash, uint64_t row) {
+      ++entries;
+      stray |= row >= n || hash != rows_.Row(row).Hash();
+    });
+    if (stray || entries != n || exist_set_.size() != n) {
+      return fail("existence set names a row it does not hold");
+    }
+    for (uint64_t r = 0; r < n; ++r) {
+      if (FindRowId(rows_.Row(r)) != r) {
+        return fail("existence set misses row " + std::to_string(r));
+      }
+    }
+    return Status::OK();
+  }
+  // Every aggregate keeps one group entry per row; min/max rows carry
+  // their stamp in the high word.
+  const bool min_max =
+      spec_.func == AggFunc::kMin || spec_.func == AggFunc::kMax;
+  uint64_t entries = 0;
+  bool stray = false;
+  flat_group_.ForEachEntry([&](const U128& key, uint64_t value) {
+    ++entries;
+    const uint64_t row = min_max ? value & kRowMask : value;
+    stray |= row >= n || !(GroupKey(rows_.Row(row).data) == key);
+  });
+  if (stray || entries != n) {
+    return fail("group index names a row it does not hold");
+  }
+  return Status::OK();
 }
 
 std::vector<uint64_t> RecursiveTable::TakeChangedRows() {

@@ -8,6 +8,7 @@
 
 #include "common/affinity.h"
 #include "common/options.h"
+#include "common/status.h"
 #include "planner/physical_plan.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
@@ -156,11 +157,18 @@ class RecursiveTable {
   void PrefetchFindSlot(uint64_t hash) const { exist_set_.Prefetch(hash); }
   void PrefetchFindRow(uint64_t hash) const { exist_set_.PrefetchRow(hash); }
 
-  /// Removes the given rows (sorted, deduplicated row ids) and rebuilds the
-  /// merge/join indexes over the survivors; clears the delta. Surviving
-  /// rows keep their ids' relative order and, under min/max, their stamps.
-  /// kNone, min and max only: count and sum deletes recompute.
-  void CompactRemoveRows(const std::vector<uint64_t>& dead_row_ids);
+  /// Removes the given rows (ascending, distinct row ids) in O(|ids|) work
+  /// and clears the delta. Like Relation::RemoveRows, the last row fills
+  /// each hole, highest id first; the existence set, the group index (with
+  /// each survivor's stamp) and the join index follow the moves in place.
+  /// Every other row keeps its id. kNone, min and max only: count and sum
+  /// deletes recompute.
+  void RemoveRows(const std::vector<uint64_t>& ids);
+
+  /// OK when the existence set, the group index and the join index name
+  /// exactly the stored rows, each under its own id. A consistency check
+  /// for tests; O(rows).
+  Status CheckIndexes() const;
 
   /// Starts a change log: from now on, every in-place change to a row
   /// already stored (an aggregate merge that bettered or bumped its value)
@@ -195,9 +203,7 @@ class RecursiveTable {
     const uint64_t total = exist_set_.probe_cmps() +
                            flat_group_.probe_cmps() +
                            flat_contrib_.probe_cmps();
-    // A compaction rebuild resets the flat structures' counters, so the
-    // baseline can exceed the live sum; saturate rather than wrap.
-    return total >= probe_cmps_base_ ? total - probe_cmps_base_ : total;
+    return total - probe_cmps_base_;
   }
 
  private:

@@ -4,26 +4,19 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
-#include "common/hash.h"
+#include "storage/chained_index.h"
 
 namespace dcdatalog {
 
 /// Growable hash multimap from 64-bit key to row ids, supporting
 /// incremental insertion — the join index a recursive-table replica
 /// maintains on its partition column so non-linear rules can probe it
-/// (paper §4.3). Chained over flat arrays like HashIndex, but rehashes as
-/// it grows. Not internally synchronized: one per worker replica.
-class DynIndex {
+/// (paper §4.3). Chained like HashIndex, but rehashes as it grows. Not
+/// internally synchronized: one per worker replica.
+class DynIndex : public ChainedIndex {
  public:
-  DynIndex() {
-    buckets_.assign(kInitialBuckets, kNil);
-    mask_ = kInitialBuckets - 1;
-  }
-
-  uint64_t size() const { return keys_.size(); }
-  uint64_t bucket_count() const { return buckets_.size(); }
+  DynIndex() { Rechain(kInitialBuckets); }
 
   /// Presizes for ~`expected` entries (EDB cardinality hint): the bucket
   /// array grows to the next power of two ≥ expected and the entry arrays
@@ -31,67 +24,26 @@ class DynIndex {
   /// chain rebuild. Existing chains are rebuilt once here; never shrinks.
   void Reserve(uint64_t expected) {
     keys_.reserve(expected);
-    row_ids_.reserve(expected);
     next_.reserve(expected);
     const uint64_t wanted =
         std::bit_ceil(std::max<uint64_t>(kInitialBuckets, expected));
-    if (wanted > buckets_.size()) Rebuild(wanted);
+    if (wanted > buckets_.size()) Rechain(wanted);
   }
 
-  void Insert(uint64_t key, uint64_t row_id) {
+  /// Indexes the next row, id size(), under `key`.
+  void Insert(uint64_t key) {
     keys_.push_back(key);
-    row_ids_.push_back(row_id);
     next_.push_back(kNil);
     if (keys_.size() > buckets_.size()) {
-      Rebuild(buckets_.size() * 2);  // Re-chains everything, incl. the new entry.
+      // Re-chains everything, the new entry included.
+      Rechain(buckets_.size() * 2);
       return;
     }
-    const uint32_t e = static_cast<uint32_t>(keys_.size() - 1);
-    const uint64_t b = HashMix64(key) & mask_;
-    next_[e] = buckets_[b];
-    buckets_[b] = e;
-  }
-
-  /// Prefetches the bucket head for `key` (batch-pipeline probe pipelining;
-  /// see HashIndex::Prefetch).
-  void Prefetch(uint64_t key) const {
-    __builtin_prefetch(&buckets_[HashMix64(key) & mask_], 0, 3);
-  }
-
-  /// Calls fn(row_id) for each entry with this key; fn returns false to
-  /// stop. Returns matches visited.
-  template <typename Fn>
-  uint64_t ForEachMatch(uint64_t key, Fn&& fn) const {
-    uint64_t n = 0;
-    const uint64_t b = HashMix64(key) & mask_;
-    for (uint32_t e = buckets_[b]; e != kNil; e = next_[e]) {
-      if (keys_[e] == key) {
-        ++n;
-        if (!fn(row_ids_[e])) break;
-      }
-    }
-    return n;
+    Link(static_cast<uint32_t>(keys_.size() - 1));
   }
 
  private:
-  static constexpr uint32_t kNil = UINT32_MAX;
   static constexpr uint64_t kInitialBuckets = 64;
-
-  void Rebuild(uint64_t new_buckets) {
-    buckets_.assign(new_buckets, kNil);
-    mask_ = new_buckets - 1;
-    for (uint32_t e = 0; e < keys_.size(); ++e) {
-      const uint64_t b = HashMix64(keys_[e]) & mask_;
-      next_[e] = buckets_[b];
-      buckets_[b] = e;
-    }
-  }
-
-  uint64_t mask_ = 0;
-  std::vector<uint32_t> buckets_;
-  std::vector<uint32_t> next_;
-  std::vector<uint64_t> keys_;
-  std::vector<uint64_t> row_ids_;
 };
 
 }  // namespace dcdatalog

@@ -8,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/hot_path.h"
+#include "common/logging.h"
 
 namespace dcdatalog {
 
@@ -30,12 +31,12 @@ struct U128 {
 /// and, as the Distributor's partial-aggregation fold map,
 ///   min/max:   group key        → offset of the group's staged wire
 /// Linear probing over 32-byte slots (key + value + occupancy, two per
-/// cache line); tombstone-free (nothing deletes single keys); grows at
-/// ~60 % load. A slot is occupied when its `used` word equals the map's
-/// current epoch, so Clear() empties the map in O(1) and keeps its
-/// capacity. Values are updated in place through the returned pointer,
-/// which stays valid until the next FindOrInsert or Reserve (those may
-/// rehash).
+/// cache line); tombstone-free (the update path's Erase shifts the rest of
+/// the probe run back); grows at ~60 % load. A slot is occupied when its
+/// `used` word equals the map's current epoch, so Clear() empties the map
+/// in O(1) and keeps its capacity. Values are updated in place through the
+/// returned pointer, which stays valid until the next FindOrInsert,
+/// Reserve or Erase (those may rehash or move slots).
 ///
 /// Not internally synchronized — one per worker partition or per-worker
 /// Distributor predicate.
@@ -88,6 +89,34 @@ class FlatGroupMap {
       const Slot& slot = slots_[s];
       if (slot.used != epoch_) return nullptr;
       if (slot.key == key) return &slot.value;
+    }
+  }
+
+  /// Removes `key`, which must be present (the update path; cold).
+  /// Backward-shift deletion, as in FlatTupleSet::Erase.
+  DCD_COLD_FN void Erase(const U128& key) {
+    uint64_t hole = Hash(key) & mask_;
+    for (;; hole = (hole + 1) & mask_) {
+      DCD_CHECK(slots_[hole].used == epoch_) << "erased key not in the map";
+      if (slots_[hole].key == key) break;
+    }
+    for (uint64_t s = (hole + 1) & mask_; slots_[s].used == epoch_;
+         s = (s + 1) & mask_) {
+      const uint64_t home = Hash(slots_[s].key) & mask_;
+      if (((s - home) & mask_) >= ((s - hole) & mask_)) {
+        slots_[hole] = slots_[s];
+        hole = s;
+      }
+    }
+    slots_[hole].used = 0;
+    --size_;
+  }
+
+  /// fn(key, value) for every entry (consistency checks).
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.used == epoch_) fn(slot.key, slot.value);
     }
   }
 

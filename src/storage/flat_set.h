@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/hot_path.h"
+#include "common/logging.h"
 #include "storage/relation.h"
 #include "storage/tuple.h"
 
@@ -17,9 +18,11 @@ namespace dcdatalog {
 /// recursion). Open addressing with linear probing over 16-byte
 /// (hash, row_id) slots — the cached hash lets a probe reject a colliding
 /// slot without dereferencing the backing row, and lets growth rehash
-/// without touching row storage at all. Tombstone-free (merge never
-/// deletes); grows at ~60 % load; `Reserve` presizes from EDB cardinality
-/// hints so first-iteration TC runs don't pay a rehash storm.
+/// without touching row storage at all. Tombstone-free: merge never
+/// deletes, and the update path's Erase shifts the rest of the probe run
+/// back instead of leaving a marker. Grows at ~60 % load; `Reserve`
+/// presizes from EDB cardinality hints so first-iteration TC runs don't
+/// pay a rehash storm.
 ///
 /// The caller supplies the hash (RecursiveTable hashes each wire batch up
 /// front for prefetch pipelining); tests exploit this to force collision
@@ -95,6 +98,38 @@ class FlatTupleSet {
     }
   }
 
+  /// Removes the entry of row `row_id`, stored under `hash` (the update
+  /// path; cold). Backward-shift deletion: each later entry of the probe
+  /// run whose home slot lies at or before the hole moves into it, so
+  /// probes never need a tombstone.
+  DCD_COLD_FN void Erase(uint64_t hash, uint64_t row_id) {
+    uint64_t hole = SlotOf(hash, row_id);
+    for (uint64_t s = (hole + 1) & mask_; slots_[s].row != kEmptyRow;
+         s = (s + 1) & mask_) {
+      const uint64_t home = slots_[s].hash & mask_;
+      if (((s - home) & mask_) >= ((s - hole) & mask_)) {
+        slots_[hole] = slots_[s];
+        hole = s;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+  }
+
+  /// Renames row `from`, stored under `hash`, to `to`: a fill from the
+  /// tail moved the row (Relation::RemoveRows).
+  DCD_COLD_FN void Renumber(uint64_t hash, uint64_t from, uint64_t to) {
+    slots_[SlotOf(hash, from)].row = to;
+  }
+
+  /// fn(hash, row_id) for every entry (consistency checks).
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.row != kEmptyRow) fn(slot.hash, slot.row);
+    }
+  }
+
   /// Inserts `row_id` under `hash`. The caller must have established via
   /// Find that no equal tuple is present (merge probes exactly once).
   DCD_HOT_ROOT void Insert(uint64_t hash, uint64_t row_id) {
@@ -114,6 +149,15 @@ class FlatTupleSet {
     uint64_t hash = 0;
     uint64_t row = kEmptyRow;
   };
+
+  /// The slot holding row `row_id` under `hash`; the entry must exist.
+  uint64_t SlotOf(uint64_t hash, uint64_t row_id) const {
+    for (uint64_t s = hash & mask_;; s = (s + 1) & mask_) {
+      DCD_CHECK(slots_[s].row != kEmptyRow)
+          << "row " << row_id << " is not in the set";
+      if (slots_[s].row == row_id) return s;
+    }
+  }
 
   // Kept out-of-line (DCD_COLD_FN) so the binary-level backstop can verify
   // the inlined bodies of Find/Insert contain no direct allocator call —

@@ -14,8 +14,8 @@ namespace dcdatalog {
 
 /// In-memory row store: fixed-width rows of `arity` 64-bit words packed into
 /// one flat vector. Rows are addressed by dense row id (insertion order).
-/// Semi-naive evaluation only ever appends; EraseRowsIf is the update
-/// path's in-place compaction.
+/// Semi-naive evaluation only ever appends; RemoveRows is the update path's
+/// removal, which fills each hole from the tail.
 ///
 /// Not internally synchronized: during parallel evaluation each worker owns
 /// its partitioned Relation exclusively (the whole point of the paper's
@@ -73,23 +73,28 @@ class Relation {
 
   void Clear() { data_.clear(); }
 
-  /// Removes every row for which `drop(TupleRef)` returns true, compacting
-  /// the survivors in place: they keep their relative order, and the
-  /// Relation keeps its address and buffer. `drop` sees each row once, in
-  /// row order.
-  template <typename Fn>
-  void EraseRowsIf(Fn&& drop) {
+  /// Removes row `id` by filling the hole from the tail: the last row moves
+  /// into it (unless `id` is the last row). Every other row keeps its id,
+  /// and the Relation keeps its address.
+  void RemoveRow(uint64_t id) {
+    DCD_DCHECK(id < size());
     const uint32_t a = arity();
-    if (a == 0) return;
-    size_t out = 0;
-    for (size_t in = 0; in < data_.size(); in += a) {
-      if (drop(TupleRef{data_.data() + in, a})) continue;
-      if (out != in) {
-        std::copy_n(data_.begin() + in, a, data_.begin() + out);
-      }
-      out += a;
+    const size_t last = data_.size() - a;
+    if (id * a != last) {
+      std::copy_n(data_.begin() + last, a, data_.begin() + id * a);
     }
-    data_.resize(out);
+    data_.resize(last);
+  }
+
+  /// Removes the rows `ids` (ascending, distinct) in O(|ids|) work:
+  /// RemoveRow on each, highest id first, so every row that moves into a
+  /// hole is a survivor. An index over the relation follows the same moves
+  /// (see e.g. ChainedIndex::RemoveRow).
+  void RemoveRows(const std::vector<uint64_t>& ids) {
+    for (size_t i = ids.size(); i-- > 0;) {
+      DCD_DCHECK(i == 0 || ids[i - 1] < ids[i]);
+      RemoveRow(ids[i]);
+    }
   }
 
   void Reserve(uint64_t rows) { data_.reserve(rows * arity()); }

@@ -23,9 +23,9 @@ bool IsSeparator(const std::string& line) {
 }
 
 /// Distinct tuples in first-seen order with hashed membership: the small
-/// probe side NetOutBatch (without an index) and ApplyDeltasToCatalog scan a
-/// whole relation against, so a batch costs one pass per relation instead
-/// of one per op.
+/// probe side NetOutBatch and ApplyDeltasToCatalog scan a whole relation
+/// against when no RowFinder answers, so a batch costs one pass per
+/// relation instead of one per op.
 class TupleIds {
  public:
   explicit TupleIds(const Relation& like)
@@ -57,6 +57,29 @@ class TupleIds {
 
 TupleRef RefOf(const std::vector<uint64_t>& row) {
   return TupleRef{row.data(), static_cast<uint32_t>(row.size())};
+}
+
+/// The ids of the stored copies of each of `tuples` in `rel`, the
+/// catalog's relation `name`: found through `finder` where it answers for
+/// all of them, else by one pass over the relation, counted into
+/// `finder->rows_scanned`.
+std::vector<std::vector<uint64_t>> FindCopies(const std::string& name,
+                                              const Relation& rel,
+                                              const TupleIds& tuples,
+                                              RowFinder* finder) {
+  std::vector<std::vector<uint64_t>> copies(tuples.size());
+  bool found = finder != nullptr;
+  for (uint64_t id = 0; found && id < tuples.size(); ++id) {
+    found = finder->find(name, rel, tuples.Row(id), &copies[id]);
+  }
+  if (found) return copies;
+  for (std::vector<uint64_t>& ids : copies) ids.clear();
+  for (uint64_t r = 0; r < rel.size(); ++r) {
+    const uint64_t id = tuples.Find(rel.Row(r));
+    if (id != FlatTupleSet::kNotFound) copies[id].push_back(r);
+  }
+  if (finder != nullptr) finder->rows_scanned += rel.size();
+  return copies;
 }
 
 }  // namespace
@@ -157,7 +180,7 @@ Result<ResolvedUpdateBatch> ResolveUpdateBatch(const UpdateBatch& batch,
 
 Result<std::vector<RelationDelta>> NetOutBatch(
     const ResolvedUpdateBatch& batch, const Catalog& catalog,
-    const CopyCounter& count_copies) {
+    RowFinder* finder) {
   // Per relation: the touched tuples in first-touch order and each one's
   // net presence after the ops seen so far (set semantics — the last op on
   // a tuple decides).
@@ -191,31 +214,20 @@ Result<std::vector<RelationDelta>> NetOutBatch(
 
   std::vector<RelationDelta> deltas;
   for (auto& [name, state] : states) {
-    // The stored copies of every touched tuple: probed one by one, or
-    // counted in one pass over the relation.
     const TupleIds& touched = *state.touched;
-    std::vector<uint64_t> base(touched.size(), 0);
-    bool probed = count_copies != nullptr;
-    for (uint64_t id = 0; probed && id < touched.size(); ++id) {
-      probed = count_copies(name, *state.rel, touched.Row(id), &base[id]);
-    }
-    if (!probed) {
-      std::fill(base.begin(), base.end(), 0);
-      for (uint64_t r = 0; r < state.rel->size(); ++r) {
-        const uint64_t id = touched.Find(state.rel->Row(r));
-        if (id != FlatTupleSet::kNotFound) ++base[id];
-      }
-    }
+    const std::vector<std::vector<uint64_t>> copies =
+        FindCopies(name, *state.rel, touched, finder);
     RelationDelta delta;
     delta.relation = name;
     for (uint64_t id = 0; id < touched.size(); ++id) {
       const TupleRef row = touched.Row(id);
-      if (state.present[id] != 0 && base[id] == 0) {
+      const uint64_t stored = copies[id].size();
+      if (state.present[id] != 0 && stored == 0) {
         delta.added.emplace_back(row.data, row.data + row.arity);
-      } else if (state.present[id] == 0 && base[id] > 0) {
+      } else if (state.present[id] == 0 && stored > 0) {
         // One removal entry per stored copy: each copy was driven through
         // the rules during evaluation and contributed its own derivations.
-        for (uint64_t k = 0; k < base[id]; ++k) {
+        for (uint64_t k = 0; k < stored; ++k) {
           delta.removed.emplace_back(row.data, row.data + row.arity);
         }
       }
@@ -228,7 +240,7 @@ Result<std::vector<RelationDelta>> NetOutBatch(
 }
 
 Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
-                            Catalog* catalog) {
+                            Catalog* catalog, RowFinder* finder) {
   for (const RelationDelta& delta : deltas) {
     Relation* rel = catalog->Find(delta.relation);
     if (rel == nullptr) {
@@ -236,9 +248,8 @@ Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
                               delta.relation + "'");
     }
     if (!delta.removed.empty()) {
-      // Compact the row store in place, dropping as many stored copies of
-      // each removed tuple as the delta lists; survivors keep their order
-      // and the Relation (so every cached Relation*) keeps its address.
+      // Drop as many stored copies of each removed tuple as the delta
+      // lists.
       TupleIds targets(*rel);
       std::vector<uint64_t> to_remove;
       for (const auto& row : delta.removed) {
@@ -246,12 +257,19 @@ Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
         if (id == to_remove.size()) to_remove.push_back(0);
         ++to_remove[id];
       }
-      rel->EraseRowsIf([&](TupleRef row) {
-        const uint64_t id = targets.Find(row);
-        if (id == FlatTupleSet::kNotFound || to_remove[id] == 0) return false;
-        --to_remove[id];
-        return true;
-      });
+      const std::vector<std::vector<uint64_t>> copies =
+          FindCopies(delta.relation, *rel, targets, finder);
+      std::vector<uint64_t> ids;
+      for (uint64_t id = 0; id < targets.size(); ++id) {
+        const std::vector<uint64_t>& c = copies[id];
+        ids.insert(ids.end(), c.begin(),
+                   c.begin() + std::min<size_t>(c.size(), to_remove[id]));
+      }
+      std::sort(ids.begin(), ids.end());
+      if (finder != nullptr && finder->will_remove) {
+        finder->will_remove(*rel, ids);
+      }
+      rel->RemoveRows(ids);
     }
     for (const auto& row : delta.added) rel->Append(RefOf(row));
   }

@@ -76,12 +76,29 @@ struct RelationDelta {
   std::vector<std::vector<uint64_t>> removed;
 };
 
-/// Counts the stored copies of `row` in `relation` (the catalog's relation
-/// named `name`) without scanning it, e.g. through an index over it.
-/// Returns false when it cannot.
-using CopyCounter = std::function<bool(
-    const std::string& name, const Relation& relation, TupleRef row,
-    uint64_t* copies)>;
+/// The update path's way to the stored copies of a tuple without scanning
+/// the relation — through an index over it — and the hook that keeps such
+/// an index in step when ApplyDeltasToCatalog removes rows. Callers without
+/// indexes (the reference oracle, EdbStore) pass none, and NetOutBatch and
+/// ApplyDeltasToCatalog scan instead.
+struct RowFinder {
+  /// Appends to `ids` the id of every row of `relation` (the catalog's
+  /// relation named `name`) equal to `row`, in any order. Returns false,
+  /// appending nothing, when it cannot answer without a scan.
+  std::function<bool(const std::string& name, const Relation& relation,
+                     TupleRef row, std::vector<uint64_t>* ids)>
+      find;
+
+  /// Called, when set, with the ids (ascending) ApplyDeltasToCatalog is
+  /// about to pass to `relation`.RemoveRows, before the rows move.
+  std::function<void(const Relation& relation,
+                     const std::vector<uint64_t>& ids)>
+      will_remove;
+
+  /// Rows NetOutBatch and ApplyDeltasToCatalog visited in a full pass over
+  /// a relation `find` could not answer for.
+  uint64_t rows_scanned = 0;
+};
 
 /// Nets out a batch against the catalog's current contents under set
 /// semantics in op order: inserting an already-present tuple is a no-op,
@@ -89,18 +106,22 @@ using CopyCounter = std::function<bool(
 /// tuple within the batch cancels. Returns one delta per touched relation
 /// (relations whose net effect is empty are omitted), sorted by name. Does
 /// not modify the catalog. The stored copies of the touched tuples come
-/// from `count_copies` where it answers for all of a relation's tuples,
-/// and from one scan of the relation otherwise.
+/// from `finder` where it answers for all of a relation's tuples, and from
+/// one scan of the relation otherwise.
 Result<std::vector<RelationDelta>> NetOutBatch(
     const ResolvedUpdateBatch& batch, const Catalog& catalog,
-    const CopyCounter& count_copies = nullptr);
+    RowFinder* finder = nullptr);
 
-/// Applies deltas to the catalog in place: removals compact the relation's
-/// row store (survivors keep their order, and the Relation object keeps its
-/// address, so cached pointers stay valid), additions append. Used identically by the incremental
-/// engine and by oracle recomputation, so both sides see the same EDB.
+/// Applies deltas to the catalog in place; additions append. Removals find
+/// the stored copies through `finder` where it answers for all of a
+/// relation's removed tuples, and by one scan of the relation otherwise,
+/// then drop them with Relation::RemoveRows: every other row keeps its id
+/// except that each hole is filled by a row from the tail, and the Relation
+/// keeps its address, so cached pointers stay valid. Used identically by
+/// the incremental engine, by oracle recomputation and by the server, so
+/// all of them see the same EDB.
 Status ApplyDeltasToCatalog(const std::vector<RelationDelta>& deltas,
-                            Catalog* catalog);
+                            Catalog* catalog, RowFinder* finder = nullptr);
 
 }  // namespace dcdatalog
 

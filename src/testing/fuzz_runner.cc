@@ -257,6 +257,11 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
       out = RunOutcome{OutcomeKind::kMismatch,
                        when + ": stamp invariant: " + stamps.ToString()};
     }
+    const Status indexes = db.CheckIndexes();
+    if (out.kind == OutcomeKind::kAgree && !indexes.ok()) {
+      out = RunOutcome{OutcomeKind::kMismatch,
+                       when + ": indexes: " + indexes.ToString()};
+    }
     out.agg_deletes_maintained = maintained;
     out.agg_deletes_recomputed = recomputed;
     return out;

@@ -92,8 +92,9 @@ RunOutcome RunCaseOnce(const FuzzCase& c, const RunConfig& config);
 /// oracle EDB is maintained by the same NetOutBatch/ApplyDeltasToCatalog
 /// code the engine uses, so both sides see identical relation contents.
 /// A mismatch's detail names the batch index it first appeared after. The
-/// stamp invariant of the session's min/max SCCs is checked at the same
-/// points; a violation is a mismatch.
+/// stamp invariant of the session's min/max SCCs and the indexes the
+/// update path patches in place (DCDatalog::CheckIndexes) are checked at
+/// the same points; a violation is a mismatch.
 RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config);
 
 }  // namespace testing_gen

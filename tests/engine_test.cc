@@ -435,13 +435,14 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
   s.update_recomputes = 125;
   s.delta_tuples_in = 119;
   s.rederived_tuples = 120;
+  s.update_rows_scanned = 126;
   s.morsels_published = 121;
   s.morsels_stolen = 122;
   s.tuples_stolen = 123;
   s.pool_fallback_gangs = 124;
   const std::string str = s.ToString();
   const auto counters = s.Counters();
-  ASSERT_EQ(counters.size(), 25u)
+  ASSERT_EQ(counters.size(), 26u)
       << "EvalStats grew a field: stamp it above and list it in Counters()";
   std::set<double> sentinels;
   for (const auto& [name, value] : counters) {
@@ -449,9 +450,9 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
         << "counter missing from ToString: " << name;
     sentinels.insert(value);
   }
-  // All 25 sentinels distinct → every field is wired to its own name, not
+  // All 26 sentinels distinct → every field is wired to its own name, not
   // copy-pasted from a neighbour.
-  EXPECT_EQ(sentinels.size(), 25u);
+  EXPECT_EQ(sentinels.size(), 26u);
   EXPECT_NE(str.find("tuples_emitted"), std::string::npos);
   EXPECT_NE(str.find("107"), std::string::npos);
 }

@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -531,7 +534,7 @@ TEST(RecursiveTableTest, MergesCountEveryArrivalAcceptsOnlyTheFirst) {
 
 // --- BaseIndexSet ----------------------------------------------------------
 
-TEST(BaseIndexSetTest, CountEqualRowsProbesOnlyItsOwnRelation) {
+TEST(BaseIndexSetTest, FindEqualRowsProbesOnlyItsOwnRelation) {
   Catalog catalog;
   Relation arc("arc", Schema::Ints(2));
   for (const auto& [a, b] : std::vector<std::pair<uint64_t, uint64_t>>{
@@ -541,20 +544,219 @@ TEST(BaseIndexSetTest, CountEqualRowsProbesOnlyItsOwnRelation) {
   catalog.Put(std::move(arc));
   Relation* rel = catalog.Find("arc");
   BaseIndexSet indexes({BaseIndexReq{"arc", 0}});
-  uint64_t copies = 7;
+  std::vector<uint64_t> ids;
   const uint64_t one_two[] = {1, 2};
   const TupleRef row{one_two, 2};
-  EXPECT_FALSE(indexes.CountEqualRows(0, *rel, row, &copies));  // Unbuilt.
-  EXPECT_EQ(copies, 7u);
+  const auto sorted = [&ids] {
+    std::vector<uint64_t> out = ids;
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_FALSE(indexes.FindEqualRows(0, *rel, row, &ids));  // Unbuilt.
+  EXPECT_TRUE(ids.empty());
   ASSERT_TRUE(indexes.EnsureBuilt(0, catalog).ok());
-  ASSERT_TRUE(indexes.CountEqualRows(0, *rel, row, &copies));
-  EXPECT_EQ(copies, 2u);
+  ASSERT_TRUE(indexes.FindEqualRows(0, *rel, row, &ids));
+  EXPECT_EQ(sorted(), (std::vector<uint64_t>{0, 2}));
   // Rows appended since the build are scanned, not missed.
   rel->Append({1, 2});
-  ASSERT_TRUE(indexes.CountEqualRows(0, *rel, row, &copies));
-  EXPECT_EQ(copies, 3u);
+  ids.clear();
+  ASSERT_TRUE(indexes.FindEqualRows(0, *rel, row, &ids));
+  EXPECT_EQ(sorted(), (std::vector<uint64_t>{0, 2, 4}));
   const Relation other = *rel;
-  EXPECT_FALSE(indexes.CountEqualRows(0, other, row, &copies));
+  ids.clear();
+  EXPECT_FALSE(indexes.FindEqualRows(0, other, row, &ids));
+  EXPECT_TRUE(ids.empty());
+}
+
+// --- Removal by fill from the tail: property tests -----------------------
+// RecursiveTable::RemoveRows and BaseIndexSet::RemoveRows patch their
+// indexes in place; each test compares the result with a fresh build over
+// the survivors (storage_test covers the structures one by one).
+
+/// Ascending distinct ids below `n`: a random share, only the tail row, or
+/// every row, by `shape`.
+std::vector<uint64_t> PickRows(Rng& rng, uint64_t n, uint64_t shape) {
+  std::vector<uint64_t> ids;
+  const uint64_t share = shape % 3 == 0 ? 1 + rng.Uniform(60) : 0;
+  for (uint64_t r = 0; r < n; ++r) {
+    if ((shape % 3 == 1 && r + 1 == n) || shape % 3 == 2 ||
+        rng.Uniform(100) < share) {
+      ids.push_back(r);
+    }
+  }
+  return ids;
+}
+
+/// Sorted contents of the rows `for_each` visits.
+template <typename ForEach>
+std::vector<std::vector<uint64_t>> SortedRows(ForEach&& for_each) {
+  std::vector<std::vector<uint64_t>> out;
+  for_each([&out](TupleRef row) {
+    out.emplace_back(row.data, row.data + row.arity);
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(RemoveRowsTest, NoneReplicasEqualAFreshMerge) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Two replicas of one predicate, partitioned and join-indexed on
+    // column 0 and on column 1, hold the same tuples; key 0 is a hub.
+    std::vector<TupleBuf> batch;
+    const uint64_t n = rng.Uniform(200);
+    for (uint64_t i = 0; i < n; ++i) {
+      batch.push_back({rng.Uniform(2) == 0 ? 0 : rng.Uniform(10),
+                       rng.Uniform(10)});
+    }
+    std::vector<std::unique_ptr<RecursiveTable>> reps;
+    for (uint32_t col : {0u, 1u}) {
+      reps.push_back(std::make_unique<RecursiveTable>(
+          "r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), col,
+          /*needs_join_index=*/true, EngineOptions()));
+      reps.back()->MergeBatch(batch);
+    }
+    const Relation& stored = reps[0]->rows();
+    std::vector<std::vector<uint64_t>> gone;
+    for (uint64_t r : PickRows(rng, stored.size(), seed)) {
+      gone.emplace_back(stored.Row(r).data, stored.Row(r).data + 2);
+    }
+    for (auto& rep : reps) {
+      std::vector<uint64_t> ids;
+      for (const auto& row : gone) {
+        ids.push_back(rep->FindRowId({row.data(), 2}));
+      }
+      std::sort(ids.begin(), ids.end());
+      rep->RemoveRows(ids);
+      ASSERT_TRUE(rep->CheckIndexes().ok()) << rep->CheckIndexes().ToString();
+      ASSERT_EQ(rep->rows().size(), reps[0]->rows().size());
+      for (const auto& row : gone) {
+        EXPECT_EQ(rep->FindRowId({row.data(), 2}), UINT64_MAX);
+      }
+      // A fresh merge of the survivors, in their new order.
+      RecursiveTable fresh("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2),
+                           rep->partition_col(), true, EngineOptions());
+      std::vector<TupleBuf> survivors;
+      for (uint64_t r = 0; r < rep->rows().size(); ++r) {
+        survivors.push_back(TupleBuf(rep->rows().Row(r)));
+      }
+      fresh.MergeBatch(survivors);
+      for (uint64_t r = 0; r < rep->rows().size(); ++r) {
+        EXPECT_EQ(rep->FindRowId(rep->rows().Row(r)),
+                  fresh.FindRowId(rep->rows().Row(r)));
+      }
+      for (uint64_t k = 0; k < 10; ++k) {
+        const auto visit = [k](const RecursiveTable& t) {
+          return SortedRows([&](auto&& fn) { t.ForEachJoinMatch(k, fn); });
+        };
+        EXPECT_EQ(visit(*rep), visit(fresh)) << "key " << k;
+      }
+    }
+  }
+}
+
+TEST(RemoveRowsTest, MinMaxKeepsEverySurvivorsRowAndStamp) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const AggFunc func = seed % 2 == 0 ? AggFunc::kMin : AggFunc::kMax;
+    RecursiveTable t("r", Schema::Ints(2), SpecFor(func, 2), 0,
+                     /*needs_join_index=*/true, EngineOptions());
+    for (uint32_t stamp = 1; stamp <= 5; ++stamp) {
+      t.SetMergeStamp(stamp);
+      std::vector<TupleBuf> batch;
+      for (uint64_t i = rng.Uniform(40); i > 0; --i) {
+        batch.push_back(
+            {rng.Uniform(60), WordFromInt(rng.UniformRange(-50, 50))});
+      }
+      t.MergeBatch(batch);
+    }
+    // Every group's value and stamp before the removal.
+    std::map<uint64_t, std::pair<uint64_t, uint32_t>> before;
+    for (uint64_t r = 0; r < t.rows().size(); ++r) {
+      before[t.rows().Row(r)[0]] = {t.rows().Row(r)[1], t.stamp(r)};
+    }
+    const std::vector<uint64_t> ids = PickRows(rng, t.rows().size(), seed / 2);
+    std::set<uint64_t> gone;
+    for (uint64_t r : ids) gone.insert(t.rows().Row(r)[0]);
+    t.RemoveRows(ids);
+    ASSERT_TRUE(t.CheckIndexes().ok()) << t.CheckIndexes().ToString();
+    EXPECT_EQ(t.rows().size(), before.size() - gone.size());
+    for (uint64_t r = 0; r < t.rows().size(); ++r) {
+      const TupleRef row = t.rows().Row(r);
+      EXPECT_EQ(gone.count(row[0]), 0u);
+      EXPECT_EQ(t.FindGroupRow(row.data), r);
+      EXPECT_EQ(row[1], before.at(row[0]).first);
+      EXPECT_EQ(t.stamp(r), before.at(row[0]).second);
+    }
+    for (uint64_t group : gone) {
+      const uint64_t wire[] = {group, 0};
+      EXPECT_EQ(t.FindGroupRow(wire), UINT64_MAX);
+    }
+    // Merging goes on over the patched indexes: a removed group comes back
+    // as a new row, a survivor improves in place.
+    t.SetMergeStamp(6);
+    std::vector<TupleBuf> more;
+    for (uint64_t group : gone) more.push_back({group, WordFromInt(0)});
+    if (t.rows().size() > 0) {
+      more.push_back({t.rows().Row(0)[0],
+                      WordFromInt(func == AggFunc::kMin ? -100 : 100)});
+    }
+    t.MergeBatch(more);
+    EXPECT_TRUE(t.CheckIndexes().ok()) << t.CheckIndexes().ToString();
+    EXPECT_EQ(t.rows().size(), before.size());
+  }
+}
+
+TEST(RemoveRowsTest, BaseIndexesFollowRemovalsAndRewritesWhileLagging) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Catalog catalog;
+    Relation arc("arc", Schema::Ints(2));
+    for (uint64_t i = rng.Uniform(150); i > 0; --i) {
+      arc.Append({rng.Uniform(2) == 0 ? 0 : rng.Uniform(10), rng.Uniform(10)});
+    }
+    catalog.Put(std::move(arc));
+    Relation* rel = catalog.Find("arc");
+    BaseIndexSet indexes({BaseIndexReq{"arc", 0}, BaseIndexReq{"arc", 1}});
+    ASSERT_TRUE(indexes.EnsureBuilt(0, catalog).ok());
+    ASSERT_TRUE(indexes.EnsureBuilt(1, catalog).ok());
+    // Rows appended after the build lag both indexes; the removal must
+    // index them first, or a row moved in from the tail is lost.
+    for (uint64_t i = rng.Uniform(20); i > 0; --i) {
+      rel->Append({rng.Uniform(10), rng.Uniform(10)});
+    }
+    const std::vector<uint64_t> ids = PickRows(rng, rel->size(), seed);
+    indexes.RemoveRows(*rel, ids);
+    rel->RemoveRows(ids);
+    for (int k = 0; k < 5 && rel->size() > 0; ++k) {
+      const uint64_t row = rng.Uniform(rel->size());
+      const uint64_t next[] = {rng.Uniform(10), rng.Uniform(10)};
+      indexes.RewriteRow(*rel, row, TupleRef{next, 2});
+      rel->SetRow(row, TupleRef{next, 2});
+    }
+    ASSERT_TRUE(indexes.CheckIndexes().ok())
+        << indexes.CheckIndexes().ToString();
+    BaseIndexSet fresh({BaseIndexReq{"arc", 0}, BaseIndexReq{"arc", 1}});
+    ASSERT_TRUE(fresh.EnsureBuilt(0, catalog).ok());
+    ASSERT_TRUE(fresh.EnsureBuilt(1, catalog).ok());
+    for (int id : {0, 1}) {
+      for (uint64_t key = 0; key < 10; ++key) {
+        const auto visit = [id, key](const BaseIndexSet& set) {
+          return SortedRows(
+              [&](auto&& fn) { set.ForEachMatch(id, key, fn); });
+        };
+        EXPECT_EQ(visit(indexes), visit(fresh)) << id << " key " << key;
+      }
+    }
+    for (uint64_t r = 0; r < rel->size(); ++r) {
+      std::vector<uint64_t> found;
+      ASSERT_TRUE(indexes.FindEqualRows(0, *rel, rel->Row(r), &found));
+      EXPECT_NE(std::find(found.begin(), found.end(), r), found.end());
+    }
+  }
 }
 
 // --- Distributor ---------------------------------------------------------

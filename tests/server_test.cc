@@ -293,11 +293,11 @@ TEST(DcdServerTest, SessionStatsAreIsolatedPerSession) {
   for (auto& t : clients) t.join();
 
   for (const QueryResult& qr : results) {
-    // The counter vocabulary is pinned: 25 counters per session (the same
+    // The counter vocabulary is pinned: 26 counters per session (the same
     // ones engine_test's sentinel test stamps). A counter added to
     // EvalStats must surface here too — and a session must never report
     // another session's totals.
-    EXPECT_EQ(qr.stats.Counters().size(), 25u);
+    EXPECT_EQ(qr.stats.Counters().size(), 26u);
     // 40-edge chain: every session derives exactly the same fixpoint, and
     // accepts counts exactly the fixpoint's tuples — identical across
     // sessions only if nobody's counters bled into anybody else's.

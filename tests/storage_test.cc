@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/random.h"
 #include "storage/catalog.h"
+#include "storage/chained_index.h"
 #include "storage/dyn_index.h"
 #include "storage/flat_map.h"
 #include "storage/flat_set.h"
@@ -168,7 +172,7 @@ TEST(DynIndexTest, IncrementalInsertWithGrowth) {
   Rng rng(11);
   for (uint64_t i = 0; i < 3000; ++i) {
     uint64_t k = rng.Uniform(100);
-    index.Insert(k, i);
+    index.Insert(k);
     oracle.emplace(k, i);
     // Interleave queries with inserts to exercise post-growth state.
     if (i % 257 == 0) {
@@ -198,7 +202,7 @@ TEST(DynIndexTest, ReservePresizesBuckets) {
   Rng rng(13);
   for (uint64_t i = 0; i < 3000; ++i) {
     uint64_t k = rng.Uniform(500);
-    index.Insert(k, i);
+    index.Insert(k);
     oracle.emplace(k, i);
   }
   // Insertion up to the hint never triggered an incremental rebuild.
@@ -413,6 +417,264 @@ TEST(FlatGroupMapTest, ReserveRoundsUpToPowerOfTwo) {
   EXPECT_EQ(map.slot_count(), 1024u);  // Never shrinks.
 }
 
+/// `rel`'s rows in row order.
+std::vector<std::vector<uint64_t>> Rows(const Relation& rel) {
+  std::vector<std::vector<uint64_t>> out;
+  for (uint64_t r = 0; r < rel.size(); ++r) {
+    TupleRef row = rel.Row(r);
+    out.emplace_back(row.data, row.data + row.arity);
+  }
+  return out;
+}
+
+// --- Removal by fill from the tail: property tests ---------------------
+// Each test removes random ascending ids, highest first, and moves the last
+// row into each hole (Relation::RemoveRows). The patched structure must
+// equal a fresh build over the survivors: the same matches per key, every
+// survivor found under its new id, and no entry left for a removed row.
+
+/// Ascending distinct ids below `n` in one of the shapes the removal must
+/// handle: a random share, only the tail row, every row, or a random run
+/// ending at the tail.
+std::vector<uint64_t> PickIds(Rng& rng, uint64_t n, uint64_t shape) {
+  std::vector<uint64_t> ids;
+  if (n == 0) return ids;
+  switch (shape % 4) {
+    case 0: {
+      const uint64_t share = 1 + rng.Uniform(60);  // Percent.
+      for (uint64_t r = 0; r < n; ++r) {
+        if (rng.Uniform(100) < share) ids.push_back(r);
+      }
+      break;
+    }
+    case 1:
+      ids.push_back(n - 1);
+      break;
+    case 2:
+      for (uint64_t r = 0; r < n; ++r) ids.push_back(r);
+      break;
+    case 3:
+      for (uint64_t r = rng.Uniform(n); r < n; ++r) {
+        if (rng.Uniform(2) == 0 || r + 1 == n) ids.push_back(r);
+      }
+      break;
+  }
+  return ids;
+}
+
+/// The survivors' layout RemoveRows must produce: `rows` with each id,
+/// highest first, overwritten by the last row.
+std::vector<std::vector<uint64_t>> FillFromTail(
+    std::vector<std::vector<uint64_t>> rows, const std::vector<uint64_t>& ids) {
+  for (size_t i = ids.size(); i-- > 0;) {
+    rows[ids[i]] = rows.back();
+    rows.pop_back();
+  }
+  return rows;
+}
+
+/// A relation of `n` two-column rows: column 0 is a hub key (0) for about
+/// half the rows and otherwise one of 8 keys, column 1 one of 4 values, so
+/// keys chain long and rows repeat.
+Relation HubRows(Rng& rng, uint64_t n) {
+  Relation rel("r", Schema::Ints(2));
+  for (uint64_t r = 0; r < n; ++r) {
+    rel.Append({rng.Uniform(2) == 0 ? 0 : rng.Uniform(8), rng.Uniform(4)});
+  }
+  return rel;
+}
+
+/// Row ids matching each key of columns 0 and 1, sorted, over keys < 8.
+std::vector<std::vector<uint64_t>> MatchesPerKey(const ChainedIndex& index) {
+  std::vector<std::vector<uint64_t>> out(8);
+  for (uint64_t k = 0; k < 8; ++k) {
+    index.ForEachMatch(k, [&](uint64_t row) {
+      out[k].push_back(row);
+      return true;
+    });
+    std::sort(out[k].begin(), out[k].end());
+  }
+  return out;
+}
+
+TEST(FillFromTailTest, RelationMovesTheTailIntoEachHole) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed);
+    Relation rel = HubRows(rng, rng.Uniform(40));
+    const auto before = Rows(rel);
+    const auto ids = PickIds(rng, rel.size(), seed);
+    const uint64_t* address = rel.raw().data();
+    rel.RemoveRows(ids);
+    EXPECT_EQ(Rows(rel), FillFromTail(before, ids)) << "seed " << seed;
+    if (!ids.empty() && !rel.empty()) {
+      EXPECT_EQ(rel.raw().data(), address);
+    }
+  }
+}
+
+TEST(FillFromTailTest, HashIndexEqualsAFreshBuild) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Relation rel = HubRows(rng, rng.Uniform(300));
+    for (uint32_t col : {0u, 1u}) {
+      Relation copy = rel;
+      HashIndex index;
+      index.Build(copy, col);
+      const auto ids = PickIds(rng, copy.size(), seed + col);
+      for (size_t i = ids.size(); i-- > 0;) index.RemoveRow(ids[i]);
+      copy.RemoveRows(ids);
+      HashIndex fresh;
+      fresh.Build(copy, col);
+      EXPECT_TRUE(index.Matches(copy, col, copy.size()));
+      EXPECT_EQ(index.size(), copy.size());
+      EXPECT_EQ(MatchesPerKey(index), MatchesPerKey(fresh));
+      // The patched index keeps growing like a built one.
+      copy.Append({0, 1});
+      index.Append(copy, col, copy.size() - 1);
+      EXPECT_TRUE(index.Matches(copy, col, copy.size()));
+    }
+  }
+}
+
+TEST(FillFromTailTest, HashIndexRekeyMovesTheRowToItsNewChain) {
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    Rng rng(seed);
+    Relation rel = HubRows(rng, 1 + rng.Uniform(100));
+    HashIndex index;
+    index.Build(rel, 0);
+    for (int k = 0; k < 20; ++k) {
+      const uint64_t row = rng.Uniform(rel.size());
+      const uint64_t next[] = {rng.Uniform(8), rel.Row(row)[1]};
+      index.Rekey(row, next[0]);
+      rel.SetRow(row, TupleRef{next, 2});
+    }
+    HashIndex fresh;
+    fresh.Build(rel, 0);
+    EXPECT_TRUE(index.Matches(rel, 0, rel.size())) << "seed " << seed;
+    EXPECT_EQ(MatchesPerKey(index), MatchesPerKey(fresh)) << "seed " << seed;
+  }
+}
+
+TEST(FillFromTailTest, DynIndexEqualsAFreshBuild) {
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Relation rel = HubRows(rng, rng.Uniform(300));
+    DynIndex index;
+    for (uint64_t r = 0; r < rel.size(); ++r) index.Insert(rel.Row(r)[0]);
+    const auto ids = PickIds(rng, rel.size(), seed);
+    for (size_t i = ids.size(); i-- > 0;) index.RemoveRow(ids[i]);
+    rel.RemoveRows(ids);
+    DynIndex fresh;
+    for (uint64_t r = 0; r < rel.size(); ++r) fresh.Insert(rel.Row(r)[0]);
+    EXPECT_TRUE(index.Matches(rel, 0, rel.size()));
+    EXPECT_EQ(MatchesPerKey(index), MatchesPerKey(fresh));
+  }
+}
+
+TEST(FillFromTailTest, FlatTupleSetErasesAcrossTheTableEnd) {
+  // Hashes 61..66 home every entry in a run that starts 3 slots before the
+  // end of the 64-slot table and wraps past it, so the backward shift
+  // crosses the end in both directions.
+  const auto hash_of = [](TupleRef row) { return 61 + row[0] % 6; };
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Relation rel("r", Schema::Ints(2));
+    FlatTupleSet set(&rel);
+    const uint64_t n = rng.Uniform(36);  // Below the 60 % growth point.
+    while (rel.size() < n) {
+      const uint64_t row[] = {rng.Uniform(12), rng.Uniform(12)};
+      const TupleRef ref{row, 2};
+      if (set.Find(hash_of(ref), ref) != FlatTupleSet::kNotFound) continue;
+      set.Insert(hash_of(ref), rel.Append(ref));
+    }
+    ASSERT_EQ(set.slot_count(), 64u);
+    const auto before = Rows(rel);
+    const auto ids = PickIds(rng, n, seed);
+    for (size_t i = ids.size(); i-- > 0;) {
+      const uint64_t last = rel.size() - 1;
+      set.Erase(hash_of(rel.Row(ids[i])), ids[i]);
+      if (ids[i] != last) set.Renumber(hash_of(rel.Row(last)), last, ids[i]);
+      rel.RemoveRow(ids[i]);
+    }
+    EXPECT_EQ(set.size(), rel.size());
+    uint64_t entries = 0;
+    set.ForEachEntry([&](uint64_t hash, uint64_t row) {
+      ++entries;
+      ASSERT_LT(row, rel.size());
+      EXPECT_EQ(hash, hash_of(rel.Row(row)));
+    });
+    EXPECT_EQ(entries, rel.size());
+    for (uint64_t r = 0; r < rel.size(); ++r) {
+      EXPECT_EQ(set.Lookup(hash_of(rel.Row(r)), rel.Row(r)), r);
+    }
+    // The removed tuples are gone (duplicates cannot be stored).
+    const auto survivors = Rows(rel);
+    for (const auto& row : before) {
+      const TupleRef ref{row.data(), 2};
+      const bool kept =
+          std::find(survivors.begin(), survivors.end(), row) !=
+          survivors.end();
+      EXPECT_EQ(set.Lookup(hash_of(ref), ref) != FlatTupleSet::kNotFound,
+                kept);
+    }
+  }
+}
+
+TEST(FillFromTailTest, FlatGroupMapErasesAcrossTheTableEndKeepingStamps) {
+  // Keys chosen to home in the last 4 of 64 slots, so every probe run
+  // wraps. Each value is a row id with a stamp in the high word, as in a
+  // min/max partition; the renumber keeps the stamp.
+  std::vector<U128> keys;
+  for (uint64_t k = 0; keys.size() < 36; ++k) {
+    if ((HashCombine(k, 0) & 63) >= 60) keys.push_back(U128{k, 0});
+  }
+  for (uint64_t seed = 0; seed < 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const uint64_t n = rng.Uniform(keys.size() + 1);
+    FlatGroupMap map;
+    std::vector<U128> row_key(keys.begin(), keys.begin() + n);
+    std::vector<uint64_t> stamp(n);
+    for (uint64_t r = 0; r < n; ++r) {
+      stamp[r] = rng.Uniform(1000) << 32;
+      bool inserted = false;
+      map.FindOrInsert(row_key[r], r | stamp[r], &inserted);
+      ASSERT_TRUE(inserted);
+    }
+    ASSERT_EQ(map.slot_count(), 64u);
+    const auto ids = PickIds(rng, n, seed);
+    std::vector<U128> removed;
+    for (size_t i = ids.size(); i-- > 0;) {
+      const uint64_t dead = ids[i];
+      const uint64_t last = row_key.size() - 1;
+      removed.push_back(row_key[dead]);
+      map.Erase(row_key[dead]);
+      if (dead != last) {
+        uint64_t* slot = map.Find(row_key[last]);
+        ASSERT_NE(slot, nullptr);
+        *slot = (*slot & ~0xffffffffULL) | dead;
+        row_key[dead] = row_key[last];
+        stamp[dead] = stamp[last];
+      }
+      row_key.pop_back();
+      stamp.pop_back();
+    }
+    EXPECT_EQ(map.size(), row_key.size());
+    uint64_t entries = 0;
+    map.ForEachEntry([&](const U128&, uint64_t) { ++entries; });
+    EXPECT_EQ(entries, row_key.size());
+    for (uint64_t r = 0; r < row_key.size(); ++r) {
+      const uint64_t* slot = map.Find(row_key[r]);
+      ASSERT_NE(slot, nullptr);
+      EXPECT_EQ(*slot, r | stamp[r]);
+    }
+    for (const U128& key : removed) EXPECT_EQ(map.Find(key), nullptr);
+  }
+}
+
 // --- Catalog -----------------------------------------------------------
 
 TEST(CatalogTest, CreateFindPut) {
@@ -442,15 +704,6 @@ ResolvedUpdateOp Op(bool insert, const std::string& rel,
   op.relation = rel;
   op.row = std::move(row);
   return op;
-}
-
-std::vector<std::vector<uint64_t>> Rows(const Relation& rel) {
-  std::vector<std::vector<uint64_t>> out;
-  for (uint64_t r = 0; r < rel.size(); ++r) {
-    TupleRef row = rel.Row(r);
-    out.emplace_back(row.data, row.data + row.arity);
-  }
-  return out;
 }
 
 void PutArc(Catalog* catalog,
@@ -533,11 +786,35 @@ TEST(NetOutBatchTest, TupleStoredKTimesYieldsKRemovals) {
   Relation* before = catalog.Find("arc");
   ASSERT_TRUE(ApplyDeltasToCatalog(deltas.value(), &catalog).ok());
   EXPECT_EQ(catalog.Find("arc"), before);
-  const std::vector<std::vector<uint64_t>> survivors = {{3, 4}, {5, 6}};
+  // Rows 4, 2 and 0 go, highest first: row 4 is the tail, then (5, 6)
+  // fills row 2 and moves on into row 0.
+  const std::vector<std::vector<uint64_t>> survivors = {{5, 6}, {3, 4}};
   EXPECT_EQ(Rows(*catalog.Find("arc")), survivors);
 }
 
-TEST(NetOutBatchTest, CopyCounterReplacesTheScan) {
+/// A RowFinder over plain scans that counts its calls in `finds`, records
+/// the ids its hook saw in `removed`, and declines unless `answer`.
+RowFinder CountingFinder(bool answer, int* finds,
+                         std::vector<uint64_t>* removed) {
+  RowFinder finder;
+  finder.find = [answer, finds](const std::string& name, const Relation& rel,
+                                TupleRef row, std::vector<uint64_t>* ids) {
+    EXPECT_EQ(name, "arc");
+    ++*finds;
+    if (!answer) return false;
+    for (uint64_t r = rel.size(); r-- > 0;) {
+      if (rel.Row(r) == row) ids->push_back(r);
+    }
+    return true;
+  };
+  finder.will_remove = [removed](const Relation&,
+                                 const std::vector<uint64_t>& ids) {
+    *removed = ids;
+  };
+  return finder;
+}
+
+TEST(NetOutBatchTest, RowFinderReplacesTheScan) {
   Catalog catalog;
   PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}});
   ResolvedUpdateBatch batch;
@@ -548,37 +825,57 @@ TEST(NetOutBatchTest, CopyCounterReplacesTheScan) {
   ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
   ASSERT_EQ(scanned.value().size(), 1u);
 
-  // A counter answering for every touched tuple is asked once per tuple,
-  // and its counts decide the delta.
-  int calls = 0;
-  const CopyCounter count = [&calls](const std::string& name,
-                                     const Relation& rel, TupleRef row,
-                                     uint64_t* copies) {
-    EXPECT_EQ(name, "arc");
-    ++calls;
-    *copies = 0;
-    for (uint64_t r = 0; r < rel.size(); ++r) *copies += rel.Row(r) == row;
-    return true;
-  };
-  auto probed = NetOutBatch(batch, catalog, count);
-  ASSERT_TRUE(probed.ok()) << probed.status().ToString();
-  EXPECT_EQ(calls, 3);
-  ASSERT_EQ(probed.value().size(), 1u);
-  EXPECT_EQ(probed.value()[0].added, scanned.value()[0].added);
-  EXPECT_EQ(probed.value()[0].removed, scanned.value()[0].removed);
-  EXPECT_EQ(probed.value()[0].removed.size(), 2u);
+  // A finder answering for every touched tuple is asked once per tuple,
+  // the number of ids it returns decides the delta, and nothing is
+  // scanned.
+  int finds = 0;
+  std::vector<uint64_t> removed;
+  RowFinder finder = CountingFinder(/*answer=*/true, &finds, &removed);
+  auto found = NetOutBatch(batch, catalog, &finder);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(finds, 3);
+  EXPECT_EQ(finder.rows_scanned, 0u);
+  ASSERT_EQ(found.value().size(), 1u);
+  EXPECT_EQ(found.value()[0].added, scanned.value()[0].added);
+  EXPECT_EQ(found.value()[0].removed, scanned.value()[0].removed);
+  EXPECT_EQ(found.value()[0].removed.size(), 2u);
 
-  // One that declines leaves the relation to the scan.
-  const CopyCounter decline = [](const std::string&, const Relation&,
-                                 TupleRef, uint64_t* copies) {
-    *copies = 99;
-    return false;
-  };
-  auto fallback = NetOutBatch(batch, catalog, decline);
+  // One that declines leaves the relation to one counted scan.
+  RowFinder decline = CountingFinder(/*answer=*/false, &finds, &removed);
+  auto fallback = NetOutBatch(batch, catalog, &decline);
   ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(decline.rows_scanned, 3u);
   ASSERT_EQ(fallback.value().size(), 1u);
   EXPECT_EQ(fallback.value()[0].added, scanned.value()[0].added);
   EXPECT_EQ(fallback.value()[0].removed, scanned.value()[0].removed);
+}
+
+TEST(ApplyDeltasTest, RowFinderPicksTheRemovedCopies) {
+  Catalog catalog;
+  PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}, {5, 6}});
+  RelationDelta d;
+  d.relation = "arc";
+  d.removed = {{1, 2}, {5, 6}};  // One of the two (1, 2) copies.
+  int finds = 0;
+  std::vector<uint64_t> removed;
+  RowFinder finder = CountingFinder(/*answer=*/true, &finds, &removed);
+  ASSERT_TRUE(ApplyDeltasToCatalog({d}, &catalog, &finder).ok());
+  EXPECT_EQ(finds, 2);
+  EXPECT_EQ(finder.rows_scanned, 0u);
+  // The finder lists row 2 before row 0, so row 2 goes; its hook saw the
+  // ids in ascending order before the rows moved.
+  EXPECT_EQ(removed, (std::vector<uint64_t>{2, 3}));
+  const std::vector<std::vector<uint64_t>> survivors = {{1, 2}, {3, 4}};
+  EXPECT_EQ(Rows(*catalog.Find("arc")), survivors);
+
+  // Declined: one counted scan takes the first copies in row order.
+  PutArc(&catalog, {{1, 2}, {3, 4}, {1, 2}, {5, 6}});
+  RowFinder decline = CountingFinder(/*answer=*/false, &finds, &removed);
+  ASSERT_TRUE(ApplyDeltasToCatalog({d}, &catalog, &decline).ok());
+  EXPECT_EQ(decline.rows_scanned, 4u);
+  EXPECT_EQ(removed, (std::vector<uint64_t>{0, 3}));
+  const std::vector<std::vector<uint64_t>> scanned = {{1, 2}, {3, 4}};
+  EXPECT_EQ(Rows(*catalog.Find("arc")), scanned);
 }
 
 TEST(NetOutBatchTest, InsertThenDeleteInOneBatchCancels) {
@@ -643,7 +940,7 @@ TEST(NetOutBatchTest, DeltasInTouchOrderPerRelationSortedByName) {
   EXPECT_FALSE(NetOutBatch(unknown, catalog).ok());
 }
 
-TEST(ApplyDeltasTest, CompactionKeepsSurvivorOrderAndAddress) {
+TEST(ApplyDeltasTest, RemovalFillsHolesFromTheTailAndKeepsAddress) {
   Catalog catalog;
   PutArc(&catalog, {{5, 1}, {1, 2}, {4, 4}, {3, 0}, {1, 2}, {2, 9}, {0, 7}});
   Relation* before = catalog.Find("arc");
@@ -653,8 +950,11 @@ TEST(ApplyDeltasTest, CompactionKeepsSurvivorOrderAndAddress) {
   d.added = {{8, 8}};
   ASSERT_TRUE(ApplyDeltasToCatalog({d}, &catalog).ok());
   EXPECT_EQ(catalog.Find("arc"), before);
+  // The scan picks rows 1, 2 and 6. Highest first: row 6 is the tail;
+  // (2, 9) fills row 2, then the second (1, 2) fills row 1. Every other
+  // row keeps its id, and the insert appends.
   const std::vector<std::vector<uint64_t>> expected = {
-      {5, 1}, {3, 0}, {1, 2}, {2, 9}, {8, 8}};
+      {5, 1}, {1, 2}, {2, 9}, {3, 0}, {8, 8}};
   EXPECT_EQ(Rows(*before), expected);
 
   RelationDelta missing;

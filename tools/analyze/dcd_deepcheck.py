@@ -150,6 +150,7 @@ EVALSTATS_COUNTER_SITES = {
     "update_recomputes": None,  # set by ApplyUpdates' fallback (cold driver)
     "delta_tuples_in": None,    # per-batch aggregate in the cold driver
     "rederived_tuples": None,   # per delete-phase batch (cold driver)
+    "update_rows_scanned": None,  # update path's full passes (cold driver)
     # Always 0 since morsel stealing was removed; kept only for perfbench's
     # frozen core.steal_* metrics, so no hot function feeds them.
     "morsels_published": None,
