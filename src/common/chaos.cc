@@ -41,10 +41,8 @@ const char* ChaosSiteName(ChaosSite site) {
       return "strategy_loop";
     case ChaosSite::kGather:
       return "gather";
-    case ChaosSite::kDeleteShard:
-      return "delete_shard";
-    case ChaosSite::kAggregateDelete:
-      return "aggregate_delete";
+    case ChaosSite::kDelete:
+      return "delete";
     case ChaosSite::kNumSites:
       break;
   }

@@ -40,8 +40,7 @@ enum class ChaosSite : uint8_t {
   kWorkerStart,      // RunWorkers thread entry (staggers start-up).
   kStrategyLoop,     // Top of a Global/SSP/DWS loop body.
   kGather,           // SccExecutor::GatherAll entry.
-  kDeleteShard,      // A Backward/Forward shard's candidate pop.
-  kAggregateDelete,  // The aggregate delete's candidate pop.
+  kDelete,           // The delete's candidate pop (core/delete.cc).
   kNumSites,
 };
 

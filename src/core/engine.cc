@@ -21,8 +21,7 @@
 #include "concurrent/spsc_queue.h"
 #include "concurrent/termination.h"
 #include "concurrent/worker_pool.h"
-#include "core/aggregate_delete.h"
-#include "core/backward_forward.h"
+#include "core/delete.h"
 #include "core/dws_controller.h"
 #include "datalog/analysis.h"
 #include "planner/logical_plan.h"
@@ -487,7 +486,7 @@ class SccExecutor {
   /// there). Returns the number of ring tuples consumed — the quantity
   /// charged to the termination detector.
   ///
-  /// The merge stamps its min/max rows one past this worker's clock and
+  /// The merge stamps its rows one past this worker's clock and
   /// the clock each sender drained from published before pushing: every
   /// row an instance read was stamped at most at its reader's clock, so a
   /// row's stamp exceeds those of the same-SCC rows its instance read.
@@ -1035,7 +1034,7 @@ struct Engine::IncrementalState {
   };
   std::map<std::string, CatalogLayout> layouts;
 
-  /// The stamp clock of the retained min/max rows: the highest stamp any
+  /// The stamp clock of the retained rows: the highest stamp any
   /// of them carries. A full run restarts it from 0.
   uint32_t clock = 0;
 
@@ -1286,7 +1285,7 @@ struct Engine::IncrementalState {
   }
 
   /// True when SCC `s`'s retained tables hold rows awaiting a semi-naive
-  /// step: an aggregate delete's reseeded groups.
+  /// step: a delete's reseeded facts.
   bool HasPendingDelta(size_t s) const {
     for (const auto& per_worker : replicas[s]) {
       for (const auto& table : per_worker) {
@@ -1296,21 +1295,23 @@ struct Engine::IncrementalState {
     return false;
   }
 
-  /// Fills `in` for a delete through SCC `s`: catches up the base indexes
-  /// its delta and check versions probe (the check-only ones are built on
-  /// the first delete) and builds `old_indexes` over the pre-batch copies
-  /// its update versions read. The caller sets `in->run_gang`.
+  /// Fills `in` for a delete through SCC `s`: catches up the `indexes`
+  /// its delta and check versions probe (in the session's set, the
+  /// check-only ones are built on the first delete) and builds
+  /// `old_indexes` over the pre-batch copies its update versions read. The
+  /// caller sets `in->run_gang`.
   Status PrepareDelete(size_t s, const Catalog& catalog,
                        const std::map<std::string, Relation>& old_copies,
                        const std::map<std::string, Relation>& removed_rows,
-                       BaseIndexSet* old_indexes, BackwardForwardInput* in) {
+                       BaseIndexSet* indexes, BaseIndexSet* old_indexes,
+                       DeleteInput* in) {
     const SccPlan& scc = plan.sccs[s];
     for (const auto* rules : {&scc.delta_rules, &scc.check_rules}) {
       for (const PhysicalRule& rule : *rules) {
         for (const Step& step : rule.steps) {
           if (step.base_index_id < 0) continue;
           DCD_RETURN_IF_ERROR(
-              base_indexes->SyncAppended(step.base_index_id, catalog));
+              indexes->SyncAppended(step.base_index_id, catalog));
         }
       }
     }
@@ -1334,7 +1335,7 @@ struct Engine::IncrementalState {
     in->tables = &replicas[s];
     in->removed = &removed_rows;
     in->catalog = &catalog;
-    in->indexes = base_indexes.get();
+    in->indexes = indexes;
     in->old_indexes = old_indexes;
     in->old_relations = &old_copies;
     return Status::OK();
@@ -1504,8 +1505,8 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
                   p) != st->plan.update_ineligible_rels.end()) {
       fallback = true;
     }
-    // Both delete paths need a check version of every rule of the SCC:
-    // count, sum and non-copy min/max SCCs have none.
+    // The delete needs a check version of every rule of the SCC: count,
+    // sum and non-copy min/max SCCs have none.
     if (removals && std::find(st->plan.check_ineligible_preds.begin(),
                               st->plan.check_ineligible_preds.end(),
                               p) != st->plan.check_ineligible_preds.end()) {
@@ -1569,7 +1570,7 @@ Result<EvalStats> Engine::ApplyUpdates(const ResolvedUpdateBatch& batch) {
   }
 
   // --- Insert phase: append, then re-drive from the new rows and from
-  // the groups an aggregate delete reseeded. ---
+  // the facts a delete reseeded. ---
   for (const RelationDelta& d : deltas) {
     if (d.added.empty()) continue;
     Relation* rel = catalog_->Find(d.relation);
@@ -1651,43 +1652,40 @@ Result<bool> Engine::RunDeletePhase(
     }
     if (removed_names.empty()) break;
     if (!st->SccConsumesAny(scc, removed_names)) continue;
-    // The planner admits a delete into an aggregate SCC only when every
-    // predicate is min/max (check_ineligible_preds).
-    const bool aggregate =
-        st->plan.agg_specs.at(scc.derived_preds.front()).func !=
-        AggFunc::kNone;
-    DCD_ASSIGN_OR_RETURN(
-        bool done, aggregate
-                       ? AggregateDelete(s, old_copies, removed_rows, stats)
-                       : BackwardForwardDelete(s, old_copies, removed_rows,
-                                               stats));
+    DCD_ASSIGN_OR_RETURN(bool done,
+                         DeleteFromScc(s, old_copies, removed_rows, stats));
     if (!done) return false;
   }
   return true;
 }
 
-Result<bool> Engine::BackwardForwardDelete(
+Result<bool> Engine::DeleteFromScc(
     size_t scc_idx, std::map<std::string, Relation>* old_copies,
     std::map<std::string, Relation>* removed_rows, EvalStats* stats) {
   IncrementalState* st = inc_.get();
+  // Stamps stay far from wrapping: a session this old recomputes, which
+  // restarts its clock.
+  if (st->clock >= (1u << 31)) return false;
   const SccPlan& scc = st->plan.sccs[scc_idx];
   const uint32_t n = options_.num_workers;
   auto& tables = st->replicas[scc_idx];
 
   BaseIndexSet old_indexes(st->plan.base_indexes);
-  BackwardForwardInput in;
+  DeleteInput in;
   DCD_RETURN_IF_ERROR(st->PrepareDelete(scc_idx, *catalog_, *old_copies,
-                                        *removed_rows, &old_indexes, &in));
+                                        *removed_rows, st->base_indexes.get(),
+                                        &old_indexes, &in));
   in.run_gang = [this, stats](uint32_t k,
                               const std::function<void(uint32_t)>& fn) {
     RunGang(options_, k, stats, fn);
   };
-  const BackwardForwardResult bf = RunBackwardForward(in);
-  stats->rederived_tuples += bf.checked;
-  if (!bf.completed) return false;
+  const DeleteResult del = RunDelete(in);
+  stats->rederived_tuples += del.checked;
+  if (!del.completed) return false;
 
-  // Commit: D leaves every replica partition and the catalog relation, and
-  // goes downstream as this SCC's removed rows.
+  // Commit: the invalidated facts leave every replica partition and the
+  // catalog relation, and their old rows go downstream as this SCC's
+  // removed rows.
   for (uint32_t w = 0; w < n; ++w) {
     for (auto& table : tables[w]) table->RebindWriter();
   }
@@ -1696,13 +1694,27 @@ Result<bool> Engine::BackwardForwardDelete(
     const std::vector<int> reps = scc.ReplicasOf(pred);
     Relation gone(pred, st->plan.schemas.at(pred));
     for (uint32_t w = 0; w < n; ++w) {
-      for (uint64_t row : bf.deleted[p][w]) {
+      for (uint64_t row : del.invalidated[p][w]) {
         gone.Append(tables[w][reps[0]]->rows().Row(row));
       }
     }
     if (gone.empty()) continue;
+    Relation* rel = catalog_->Find(pred);
+    st->KeepOldCopy(pred, *rel, old_copies, stats);
+    if (st->plan.agg_specs.at(pred).func == AggFunc::kNone) {
+      std::vector<RelationDelta> removal(1);
+      removal[0].relation = pred;
+      for (uint64_t r = 0; r < gone.size(); ++r) {
+        const TupleRef row = gone.Row(r);
+        removal[0].removed.emplace_back(row.data, row.data + row.arity);
+      }
+      DCD_RETURN_IF_ERROR(st->RemoveFromCatalog(removal, catalog_, stats));
+    } else {
+      DCD_RETURN_IF_ERROR(
+          st->EraseFromCatalog(scc, scc_idx, pred, del.invalidated[p], rel));
+    }
     for (uint32_t w = 0; w < n; ++w) {
-      tables[w][reps[0]]->RemoveRows(bf.deleted[p][w]);
+      tables[w][reps[0]]->RemoveRows(del.invalidated[p][w]);
     }
     // The other replicas hold the same rows, partitioned on other columns.
     for (size_t k = 1; k < reps.size(); ++k) {
@@ -1720,81 +1732,34 @@ Result<bool> Engine::BackwardForwardDelete(
         tables[w][reps[k]]->RemoveRows(ids[w]);
       }
     }
-    Relation* rel = catalog_->Find(pred);
-    st->KeepOldCopy(pred, *rel, old_copies, stats);
-    std::vector<RelationDelta> removal(1);
-    removal[0].relation = pred;
-    for (uint64_t r = 0; r < gone.size(); ++r) {
-      const TupleRef row = gone.Row(r);
-      removal[0].removed.emplace_back(row.data, row.data + row.arity);
-    }
-    DCD_RETURN_IF_ERROR(st->RemoveFromCatalog(removal, catalog_, stats));
-    st->rel_watermarks[pred] = rel->size();
-    removed_rows->emplace(pred, std::move(gone));
-  }
-  st->RecordSccWatermarks(scc_idx);
-  return true;
-}
-
-Result<bool> Engine::AggregateDelete(
-    size_t scc_idx, std::map<std::string, Relation>* old_copies,
-    std::map<std::string, Relation>* removed_rows, EvalStats* stats) {
-  IncrementalState* st = inc_.get();
-  // Stamps stay far from wrapping: a session this old recomputes, which
-  // restarts its clock.
-  if (st->clock >= (1u << 31)) return false;
-  const SccPlan& scc = st->plan.sccs[scc_idx];
-  const uint32_t n = options_.num_workers;
-  auto& tables = st->replicas[scc_idx];
-
-  BaseIndexSet old_indexes(st->plan.base_indexes);
-  BackwardForwardInput in;
-  DCD_RETURN_IF_ERROR(st->PrepareDelete(scc_idx, *catalog_, *old_copies,
-                                        *removed_rows, &old_indexes, &in));
-  const AggregateDeleteResult ad = RunAggregateDelete(in);
-  stats->rederived_tuples += ad.checked;
-  if (!ad.completed) return false;
-
-  // Commit: the invalidated groups leave their partition and the catalog
-  // relation, and their old rows go downstream as this SCC's removed rows.
-  for (uint32_t w = 0; w < n; ++w) {
-    for (auto& table : tables[w]) table->RebindWriter();
-  }
-  for (size_t p = 0; p < scc.derived_preds.size(); ++p) {
-    const std::string& pred = scc.derived_preds[p];
-    const int canonical = scc.ReplicasOf(pred).front();
-    Relation gone(pred, st->plan.schemas.at(pred));
-    for (uint32_t w = 0; w < n; ++w) {
-      for (uint64_t row : ad.invalidated[p][w]) {
-        gone.Append(tables[w][canonical]->rows().Row(row));
-      }
-    }
-    if (gone.empty()) continue;
-    Relation* rel = catalog_->Find(pred);
-    st->KeepOldCopy(pred, *rel, old_copies, stats);
-    DCD_RETURN_IF_ERROR(
-        st->EraseFromCatalog(scc, scc_idx, pred, ad.invalidated[p], rel));
-    for (uint32_t w = 0; w < n; ++w) {
-      tables[w][canonical]->RemoveRows(ad.invalidated[p][w]);
-    }
     st->rel_watermarks[pred] = rel->size();
     removed_rows->emplace(pred, std::move(gone));
   }
   st->RecordSccWatermarks(scc_idx);
 
-  // Reseed: each invalidated group's fold over its surviving instances
-  // re-enters its partition as a new row, stamped above every row the
-  // session holds; the insert phase runs the SCC on from there.
+  // Reseed: each reseed row re-enters every replica of its predicate as a
+  // new row, stamped above every row the session holds; the insert phase
+  // runs the SCC on from there.
   ++st->clock;
   for (size_t p = 0; p < scc.derived_preds.size(); ++p) {
-    const int canonical = scc.ReplicasOf(scc.derived_preds[p]).front();
-    for (uint32_t w = 0; w < n; ++w) {
-      const std::vector<uint64_t>& rows = ad.reseed[p][w];
-      if (rows.empty()) continue;
-      RecursiveTable& table = *tables[w][canonical];
-      const uint32_t arity = table.stored_arity();
-      table.SetMergeStamp(st->clock);
-      table.MergeBatch(rows.data(), rows.size() / arity, arity);
+    const std::vector<uint64_t>& rows = del.reseed[p];
+    if (rows.empty()) continue;
+    for (int r : scc.ReplicasOf(scc.derived_preds[p])) {
+      const ReplicaSpec& spec = scc.replicas[r];
+      const uint32_t arity = tables[0][r]->stored_arity();
+      std::vector<std::vector<uint64_t>> parts(n);
+      for (size_t i = 0; i < rows.size(); i += arity) {
+        const uint32_t w = spec.partition_constant
+                               ? 0
+                               : PartitionOf(rows[i + spec.partition_col], n);
+        parts[w].insert(parts[w].end(), &rows[i], &rows[i] + arity);
+      }
+      for (uint32_t w = 0; w < n; ++w) {
+        if (parts[w].empty()) continue;
+        RecursiveTable& table = *tables[w][r];
+        table.SetMergeStamp(st->clock);
+        table.MergeBatch(parts[w].data(), parts[w].size() / arity, arity);
+      }
     }
   }
   return true;
@@ -1809,15 +1774,12 @@ Status Engine::CheckStampInvariant() {
   const std::map<std::string, Relation> none;
   for (size_t s = 0; s < st->plan.sccs.size(); ++s) {
     const SccPlan& scc = st->plan.sccs[s];
-    const AggFunc func = st->plan.agg_specs.at(scc.derived_preds.front()).func;
-    if (scc.check_rules.empty() ||
-        (func != AggFunc::kMin && func != AggFunc::kMax)) {
-      continue;
-    }
-    BaseIndexSet old_indexes(st->plan.base_indexes);
-    BackwardForwardInput in;
-    DCD_RETURN_IF_ERROR(
-        st->PrepareDelete(s, *catalog_, none, none, &old_indexes, &in));
+    if (scc.check_rules.empty()) continue;
+    // Indexes of its own: the check leaves the session's as they are.
+    BaseIndexSet indexes(st->plan.base_indexes);
+    DeleteInput in;
+    DCD_RETURN_IF_ERROR(st->PrepareDelete(s, *catalog_, none, none, &indexes,
+                                          &indexes, &in));
     DCD_RETURN_IF_ERROR(dcdatalog::CheckStampInvariant(in));
   }
   return Status::OK();

@@ -144,9 +144,8 @@ class Engine {
 
   /// Applies one batch of EDB inserts/deletes and incrementally restores
   /// the fixpoint. Inserts re-enter the retained semi-naive loop through
-  /// the update rules; deletes run Backward/Forward in every set-semantics
-  /// SCC that consumes a removed relation, and the aggregate delete in
-  /// every min/max one.
+  /// the update rules; deletes run the stamp-ordered delete
+  /// (core/delete.h) in every SCC that consumes a removed relation.
   /// Batches the planner or eligibility analysis cannot handle
   /// incrementally fall back to a transparent full recompute — either way
   /// the maintained fixpoint is identical to a from-scratch Run over the
@@ -155,9 +154,9 @@ class Engine {
 
   bool incremental_active() const { return inc_ != nullptr; }
 
-  /// Verifies the stamp invariant of every min/max SCC of the incremental
-  /// session (core/aggregate_delete.h), which the aggregate delete relies
-  /// on. A test and fuzzing check: it runs every group's check versions.
+  /// Verifies the stamp invariant of every SCC with check versions in the
+  /// incremental session (core/delete.h), which the delete relies on. A
+  /// test and fuzzing check: it runs every fact's check versions.
   Status CheckStampInvariant();
 
   /// Verifies that every structure the update path edits in place agrees
@@ -178,17 +177,14 @@ class Engine {
   Result<EvalStats> RunRetaining();
 
   /// Restores the fixpoint under the batch's removals, SCC by SCC. False
-  /// when Backward/Forward gave up on an SCC: the caller must recompute.
+  /// when the delete gave up on an SCC: the caller must recompute.
   Result<bool> RunDeletePhase(std::map<std::string, Relation>* old_copies,
                               std::map<std::string, Relation>* removed_rows,
                               EvalStats* stats);
-  Result<bool> BackwardForwardDelete(
-      size_t scc_idx, std::map<std::string, Relation>* old_copies,
-      std::map<std::string, Relation>* removed_rows, EvalStats* stats);
-  /// The delete through a min/max SCC (core/aggregate_delete.h): commits
-  /// the invalidated groups and merges their reseed rows, which the
-  /// insert phase propagates.
-  Result<bool> AggregateDelete(
+  /// The delete through one SCC (core/delete.h): commits the invalidated
+  /// facts and merges their reseed rows, which the insert phase
+  /// propagates. False when it gave up.
+  Result<bool> DeleteFromScc(
       size_t scc_idx, std::map<std::string, Relation>* old_copies,
       std::map<std::string, Relation>* removed_rows, EvalStats* stats);
 

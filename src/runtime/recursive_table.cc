@@ -96,7 +96,7 @@ bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
   const uint64_t found = exist_set_.Find(hash, tuple);
   if (found != FlatTupleSet::kNotFound) return false;
   const uint64_t row_id = AppendRow(wire);
-  exist_set_.Insert(hash, row_id);
+  exist_set_.Insert(hash, row_id, merge_stamp_);
   PushDelta(row_id);
   return true;
 }

@@ -25,9 +25,10 @@ namespace dcdatalog {
 /// iteration.
 ///
 /// Merge semantics by aggregate function (wire → stored):
-///   none:   insert if the full tuple is new (existence index).
+///   none:   insert if the full tuple is new (existence index), and stamp
+///           the row (SetMergeStamp).
 ///   min/max: group key (≤ 2 columns) → keep best value, update in place,
-///           and stamp the row (SetMergeStamp).
+///           and stamp the row.
 ///   count:  (group ≤ 1 column, contributor) → count distinct contributors.
 ///   sum:    (group ≤ 1 column, contributor, value) → each contributor's
 ///           latest value replaces its previous one (the PageRank pattern);
@@ -138,16 +139,21 @@ class RecursiveTable {
   /// True when min/max value `candidate` beats `current`.
   bool BetterValue(uint64_t candidate, uint64_t current) const;
 
-  /// Derivation stamp of a min/max row: the merge stamp in force when the
-  /// row's group was created or last bettered (see SetMergeStamp).
+  /// Derivation stamp of a kNone, min or max row: the merge stamp in force
+  /// when the row was appended or its group last bettered (see
+  /// SetMergeStamp). It rides in the high word of the row's entry in the
+  /// existence set or the group index, so reading it costs one lookup.
   uint32_t stamp(uint64_t row_id) const {
-    return static_cast<uint32_t>(
-        *flat_group_.Find(GroupKey(rows_.Row(row_id).data)) >> 32);
+    const TupleRef row = rows_.Row(row_id);
+    if (spec_.func == AggFunc::kNone) {
+      return exist_set_.Tag(row.Hash(), row_id);
+    }
+    return static_cast<uint32_t>(*flat_group_.Find(GroupKey(row.data)) >> 32);
   }
 
-  /// The stamp every later min/max merge writes. The engine raises it per
-  /// gathered batch so that a row's stamp exceeds the stamp of every
-  /// same-SCC row its deriving instance read (docs/INTERNALS.md §8).
+  /// The stamp every later kNone, min or max merge writes. The engine
+  /// raises it per gathered batch so that a row's stamp exceeds the stamp
+  /// of every same-SCC row its first instance read (docs/INTERNALS.md §8).
   void SetMergeStamp(uint32_t stamp) { merge_stamp_ = stamp; }
 
   /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash`: the
@@ -159,8 +165,9 @@ class RecursiveTable {
 
   /// Removes the given rows (ascending, distinct row ids) in O(|ids|) work
   /// and clears the delta. Like Relation::RemoveRows, the last row fills
-  /// each hole, highest id first; the existence set, the group index (with
-  /// each survivor's stamp) and the join index follow the moves in place.
+  /// each hole, highest id first; the existence set and the group index
+  /// (with each survivor's stamp) and the join index follow the moves in
+  /// place.
   /// Every other row keeps its id. kNone, min and max only: count and sum
   /// deletes recompute.
   void RemoveRows(const std::vector<uint64_t>& ids);

@@ -18,9 +18,11 @@ namespace dcdatalog {
 /// recursion). Open addressing with linear probing over 16-byte
 /// (hash, row_id) slots — the cached hash lets a probe reject a colliding
 /// slot without dereferencing the backing row, and lets growth rehash
-/// without touching row storage at all. Tombstone-free: merge never
-/// deletes, and the update path's Erase shifts the rest of the probe run
-/// back instead of leaving a marker. Grows at ~60 % load; `Reserve`
+/// without touching row storage at all. A row id fits the low 32 bits of
+/// its word; the high 32 hold the entry's tag (a recursive table's
+/// derivation stamp), in the slot the merge already writes.
+/// Tombstone-free: merge never deletes, and the update path's Erase shifts
+/// the rest of the probe run back instead of leaving a marker. Grows at ~60 % load; `Reserve`
 /// presizes from EDB cardinality hints so first-iteration TC runs don't
 /// pay a rehash storm.
 ///
@@ -67,7 +69,7 @@ class FlatTupleSet {
       const Slot& slot = slots_[s];
       if (slot.row == kEmptyRow) return;
       if (slot.hash == hash) {
-        __builtin_prefetch(backing_->Row(slot.row).data, 0, 3);
+        __builtin_prefetch(backing_->Row(slot.row & kRowMask).data, 0, 3);
         return;
       }
     }
@@ -81,7 +83,8 @@ class FlatTupleSet {
       if (slot.row == kEmptyRow) return kNotFound;
       if (slot.hash == hash) {
         ++probe_cmps_;
-        if (backing_->Row(slot.row) == tuple) return slot.row;
+        const uint64_t row = slot.row & kRowMask;
+        if (backing_->Row(row) == tuple) return row;
       }
     }
   }
@@ -92,8 +95,8 @@ class FlatTupleSet {
     for (uint64_t s = hash & mask_;; s = (s + 1) & mask_) {
       const Slot& slot = slots_[s];
       if (slot.row == kEmptyRow) return kNotFound;
-      if (slot.hash == hash && backing_->Row(slot.row) == tuple) {
-        return slot.row;
+      if (slot.hash == hash && backing_->Row(slot.row & kRowMask) == tuple) {
+        return slot.row & kRowMask;
       }
     }
   }
@@ -116,38 +119,49 @@ class FlatTupleSet {
     --size_;
   }
 
-  /// Renames row `from`, stored under `hash`, to `to`: a fill from the
-  /// tail moved the row (Relation::RemoveRows).
+  /// Renames row `from`, stored under `hash`, to `to`, keeping its tag: a
+  /// fill from the tail moved the row (Relation::RemoveRows).
   DCD_COLD_FN void Renumber(uint64_t hash, uint64_t from, uint64_t to) {
-    slots_[SlotOf(hash, from)].row = to;
+    uint64_t& row = slots_[SlotOf(hash, from)].row;
+    row = (row & ~kRowMask) | to;
+  }
+
+  /// The tag of row `row_id`, stored under `hash`; the entry must exist.
+  uint32_t Tag(uint64_t hash, uint64_t row_id) const {
+    return static_cast<uint32_t>(slots_[SlotOf(hash, row_id)].row >> 32);
   }
 
   /// fn(hash, row_id) for every entry (consistency checks).
   template <typename Fn>
   void ForEachEntry(Fn&& fn) const {
     for (const Slot& slot : slots_) {
-      if (slot.row != kEmptyRow) fn(slot.hash, slot.row);
+      if (slot.row != kEmptyRow) fn(slot.hash, slot.row & kRowMask);
     }
   }
 
-  /// Inserts `row_id` under `hash`. The caller must have established via
-  /// Find that no equal tuple is present (merge probes exactly once).
-  DCD_HOT_ROOT void Insert(uint64_t hash, uint64_t row_id) {
+  /// Inserts `row_id` (below UINT32_MAX) under `hash`, tagged `tag`. The
+  /// caller must have established via Find that no equal tuple is present
+  /// (merge probes exactly once).
+  DCD_HOT_ROOT void Insert(uint64_t hash, uint64_t row_id, uint32_t tag = 0) {
+    DCD_DCHECK(row_id < kRowMask);
     uint64_t s = hash & mask_;
     while (slots_[s].row != kEmptyRow) s = (s + 1) & mask_;
-    slots_[s] = Slot{hash, row_id};
+    slots_[s] = Slot{hash, (static_cast<uint64_t>(tag) << 32) | row_id};
     ++size_;
     DCD_COLD_CALL("amortized growth: one rehash doubles capacity, O(1) per insert");
     if (size_ * 5 >= slots_.size() * 3) Rehash(slots_.size() * 2);
   }
 
  private:
+  // A row id's low word is never all ones, so no tag makes an entry read
+  // as empty.
   static constexpr uint64_t kEmptyRow = UINT64_MAX;
+  static constexpr uint64_t kRowMask = 0xffffffffULL;
   static constexpr uint64_t kInitialSlots = 64;
 
   struct Slot {
     uint64_t hash = 0;
-    uint64_t row = kEmptyRow;
+    uint64_t row = kEmptyRow;  // Tag in the high word, row id in the low.
   };
 
   /// The slot holding row `row_id` under `hash`; the entry must exist.
@@ -155,7 +169,7 @@ class FlatTupleSet {
     for (uint64_t s = hash & mask_;; s = (s + 1) & mask_) {
       DCD_CHECK(slots_[s].row != kEmptyRow)
           << "row " << row_id << " is not in the set";
-      if (slots_[s].row == row_id) return s;
+      if ((slots_[s].row & kRowMask) == row_id) return s;
     }
   }
 

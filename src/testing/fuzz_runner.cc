@@ -1,7 +1,6 @@
 #include "testing/fuzz_runner.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "common/string_dict.h"
@@ -192,31 +191,6 @@ RunOutcome DiffAgainstReference(const FuzzCase& c, DCDatalog* db,
   return RunOutcome{OutcomeKind::kAgree, ""};
 }
 
-/// True when a removal from one of `removed` reaches a min/max head of
-/// `program` through positive body atoms.
-bool ReachesMinMax(const Program& program, std::set<std::string> removed) {
-  std::vector<std::string> frontier(removed.begin(), removed.end());
-  while (!frontier.empty()) {
-    const std::string rel = std::move(frontier.back());
-    frontier.pop_back();
-    for (const Rule& rule : program.rules) {
-      bool reads = false;
-      for (const BodyLiteral& lit : rule.body) {
-        reads |= lit.kind == BodyLiteral::Kind::kAtom && !lit.negated &&
-                 lit.atom.predicate == rel;
-      }
-      if (!reads) continue;
-      const AggFunc agg =
-          rule.head.args.empty() ? AggFunc::kNone : rule.head.args.back().agg;
-      if (agg == AggFunc::kMin || agg == AggFunc::kMax) return true;
-      if (removed.insert(rule.head.predicate).second) {
-        frontier.push_back(rule.head.predicate);
-      }
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
@@ -242,11 +216,6 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
   oracle_catalog.Put(c.graph.ToWeightedArcRelation("warc"));
   StringDict oracle_dict;
 
-  StringDict dict;
-  auto program = ParseProgram(c.program, &dict);
-  if (!program.ok()) {
-    return RunOutcome{OutcomeKind::kLoadError, program.status().ToString()};
-  }
   uint64_t maintained = 0;
   uint64_t recomputed = 0;
   const auto diff = [&](const std::string& when) {
@@ -262,8 +231,8 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
       out = RunOutcome{OutcomeKind::kMismatch,
                        when + ": indexes: " + indexes.ToString()};
     }
-    out.agg_deletes_maintained = maintained;
-    out.agg_deletes_recomputed = recomputed;
+    out.deletes_maintained = maintained;
+    out.deletes_recomputed = recomputed;
     return out;
   };
   RunOutcome out = diff("initial fixpoint");
@@ -292,11 +261,10 @@ RunOutcome RunIncrementalCase(const FuzzCase& c, const RunConfig& config) {
       return RunOutcome{OutcomeKind::kLoadError,
                         when + ": " + applied.ToString()};
     }
-    std::set<std::string> removed;
-    for (const RelationDelta& d : deltas.value()) {
-      if (!d.removed.empty()) removed.insert(d.relation);
-    }
-    if (!removed.empty() && ReachesMinMax(program.value(), removed)) {
+    const bool removals = std::any_of(
+        deltas.value().begin(), deltas.value().end(),
+        [](const RelationDelta& d) { return !d.removed.empty(); });
+    if (removals) {
       ++(stats.value().update_recomputes > 0 ? recomputed : maintained);
     }
     out = diff(when);

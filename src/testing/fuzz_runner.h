@@ -41,10 +41,10 @@ struct RunOutcome {
   OutcomeKind kind = OutcomeKind::kAgree;
   /// Failure detail: status message, or a per-predicate diff excerpt.
   std::string detail;
-  /// Streaming-update runs: batches whose removals reached a min/max
-  /// predicate, by whether the engine maintained them or recomputed.
-  uint64_t agg_deletes_maintained = 0;
-  uint64_t agg_deletes_recomputed = 0;
+  /// Streaming-update runs: batches with removals, by whether the engine
+  /// maintained them or recomputed.
+  uint64_t deletes_maintained = 0;
+  uint64_t deletes_recomputed = 0;
 };
 
 /// Sorted multiset of rows, one entry per output predicate.

@@ -3,10 +3,10 @@
 // over the same (post-update) EDB. The broad randomized coverage lives in
 // the update-sequence fuzzer (dcd_fuzz --updates); these are the handwritten
 // corners: empty batches, self-cancelling batches, deletes of absent rows,
-// Backward/Forward deletes (a disconnected component, deletes inside one
-// SCC, cyclic self-support, two removed facts in one rule instance, gone
-// rows flowing into a downstream recursive SCC, non-recursive SCCs whose
-// facts have many derivations, a ~100K-deep proof search,
+// stamp-ordered deletes (a disconnected component, deletes inside one SCC,
+// cyclic self-support, two removed facts in one rule instance, gone rows
+// flowing into a downstream recursive SCC, non-recursive SCCs whose facts
+// have many derivations, rings whose survivors are reseeded and re-derived,
 // a bridge delete that trips the recompute guard, and deletes split into
 // one shard per worker with the guard counting over all of them), sessions
 // that start from an empty EDB, duplicate inserts under count/sum, and
@@ -771,9 +771,10 @@ void RunOnSmallStack(const std::function<void()>& fn) {
 
 void CheckDeepRingDelete(CoordinationMode mode) {
   // Deleting s->0 leaves every reach fact proved through the other entry,
-  // but the backward search from reach(0) walks at least 100K facts deep
-  // around the ring before it gets there — on an explicit stack, not the
-  // C++ call stack.
+  // but the surviving proof of reach(0 .. kRing/2 - 1) runs through
+  // higher-stamped facts: the delete invalidates those ~100K facts, reseeds
+  // reach(0) and lets the insert loop re-derive the rest, with no
+  // recursion on the C++ call stack.
   // The reference evaluator is far too slow for a 100K-round fixpoint; the
   // expected result is known: s and every ring vertex.
   EngineOptions opts = Opts(4);
@@ -811,6 +812,46 @@ TEST(IncrementalTest, BackwardForwardDeepProofUnderSsp) {
 }
 TEST(IncrementalTest, BackwardForwardDeepProofUnderDws) {
   CheckDeepRingDelete(CoordinationMode::kDws);
+}
+
+TEST(IncrementalTest, StampDeleteReseedsARingFromItsOtherEntry) {
+  // s = 64 enters a 64-vertex ring at 0 and at 16. Deleting s->0 leaves
+  // reach(0 .. 15) only the proof around the ring, through facts stamped
+  // above them: they are invalidated, reach(0) is reseeded from reach(63),
+  // and the insert loop re-derives the rest. Once re-derived, reach(0)'s
+  // stamp is above reach(63)'s, so deleting s->0 again after re-adding it
+  // keeps every fact on the first check.
+  constexpr uint64_t kN = 64;
+  std::vector<std::vector<uint64_t>> arcs = {{kN, 0}, {kN, 16}};
+  for (uint64_t i = 0; i < kN; ++i) arcs.push_back({i, (i + 1) % kN});
+  const std::vector<Relation> edb = {Rows("arc", 2, arcs),
+                                     Rows("start", 1, {{kN}})};
+  constexpr char kReach[] =
+      "reach(X) :- start(X).\n"
+      "reach(Y) :- reach(X), arc(X, Y).\n";
+  const std::vector<std::string> scripts = {"- arc 64 0\n", "+ arc 64 0\n",
+                                            "- arc 64 0\n"};
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    for (CoordinationMode mode : kAllModes) {
+      SCOPED_TRACE(std::to_string(workers) + " workers");
+      EngineOptions opts = Opts(workers);
+      opts.coordination = mode;
+      DCDatalog db(opts);
+      const auto stats = ApplyAndDiff(mode, kReach, edb, scripts, &db);
+      ASSERT_EQ(stats.size(), scripts.size());
+      for (size_t b : {0u, 2u}) {
+        EXPECT_EQ(stats[b].update_recomputes, 0u) << "batch " << b;
+        EXPECT_GT(stats[b].rederived_tuples, 0u) << "batch " << b;
+      }
+      // The first delete invalidates reach(0 .. 15) and re-derives them
+      // through the insert loop; the second checks reach(0) alone.
+      EXPECT_GE(stats[0].rederived_tuples, 16u);
+      EXPECT_GT(stats[0].accepts, 0u);
+      EXPECT_EQ(stats[2].rederived_tuples, 1u);
+      EXPECT_EQ(stats[2].accepts, 0u);
+      EXPECT_EQ(db.ResultFor("reach")->size(), kN + 1);
+    }
+  }
 }
 
 TEST(IncrementalTest, BackwardForwardGuardRecomputesBridgeDelete) {

@@ -461,6 +461,32 @@ TEST_F(PlannerTest, MinMaxCheckVersionsNeedCopyForm) {
   }
 }
 
+TEST_F(PlannerTest, SameGenerationChecksBothRulesOverTwoReplicas) {
+  // The update version driven by the second arc probes sg on column 1, so
+  // the augmented plan keeps a second sg replica beside the canonical one.
+  // The delete then stamps a fact with the lowest stamp over both copies,
+  // and needs a check version of each rule.
+  Load(
+      "sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.\n"
+      "sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan.value().check_ineligible_preds.empty());
+  ASSERT_EQ(plan.value().sccs.size(), 1u);
+  const SccPlan& scc = plan.value().sccs[0];
+  const std::vector<int> reps = scc.ReplicasOf("sg");
+  ASSERT_EQ(reps.size(), 2u);
+  EXPECT_NE(scc.replicas[reps[0]].partition_col,
+            scc.replicas[reps[1]].partition_col);
+  ASSERT_EQ(scc.check_rules.size(), 2u);
+  EXPECT_TRUE(scc.check_rules[0].check_atoms.empty());
+  ASSERT_EQ(scc.check_rules[1].check_atoms.size(), 1u);
+  EXPECT_EQ(scc.check_rules[1].check_atoms[0].pred_id, scc.PredIdOf("sg"));
+}
+
 TEST_F(PlannerTest, ShardColumnIsTheLowestProofInvariantColumn) {
   struct Case {
     const char* program;

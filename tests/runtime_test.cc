@@ -657,12 +657,23 @@ TEST(RemoveRowsTest, NoneReplicasEqualAFreshMerge) {
 }
 
 TEST(RemoveRowsTest, MinMaxKeepsEverySurvivorsRowAndStamp) {
-  for (uint64_t seed = 0; seed < 200; ++seed) {
+  // Min, max and plain (kNone) tables alike: every row carries a stamp.
+  const AggFunc funcs[] = {AggFunc::kMin, AggFunc::kMax, AggFunc::kNone};
+  for (uint64_t seed = 0; seed < 300; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    const AggFunc func = seed % 2 == 0 ? AggFunc::kMin : AggFunc::kMax;
+    const AggFunc func = funcs[seed % 3];
+    const bool none = func == AggFunc::kNone;
     RecursiveTable t("r", Schema::Ints(2), SpecFor(func, 2), 0,
                      /*needs_join_index=*/true, EngineOptions());
+    // A row's key: its group, or under kNone the whole tuple.
+    const auto key = [none](TupleRef row) {
+      return none ? std::vector<uint64_t>{row[0], row[1]}
+                  : std::vector<uint64_t>{row[0]};
+    };
+    const auto find = [&t, none](TupleRef row) {
+      return none ? t.FindRowId(row) : t.FindGroupRow(row.data);
+    };
     for (uint32_t stamp = 1; stamp <= 5; ++stamp) {
       t.SetMergeStamp(stamp);
       std::vector<TupleBuf> batch;
@@ -672,40 +683,46 @@ TEST(RemoveRowsTest, MinMaxKeepsEverySurvivorsRowAndStamp) {
       }
       t.MergeBatch(batch);
     }
-    // Every group's value and stamp before the removal.
-    std::map<uint64_t, std::pair<uint64_t, uint32_t>> before;
+    // Every row's value and stamp before the removal.
+    std::map<std::vector<uint64_t>, std::pair<uint64_t, uint32_t>> before;
     for (uint64_t r = 0; r < t.rows().size(); ++r) {
-      before[t.rows().Row(r)[0]] = {t.rows().Row(r)[1], t.stamp(r)};
+      before[key(t.rows().Row(r))] = {t.rows().Row(r)[1], t.stamp(r)};
     }
-    const std::vector<uint64_t> ids = PickRows(rng, t.rows().size(), seed / 2);
-    std::set<uint64_t> gone;
-    for (uint64_t r : ids) gone.insert(t.rows().Row(r)[0]);
+    const std::vector<uint64_t> ids = PickRows(rng, t.rows().size(), seed / 3);
+    std::set<std::vector<uint64_t>> gone;
+    std::vector<TupleBuf> gone_rows;
+    for (uint64_t r : ids) {
+      gone.insert(key(t.rows().Row(r)));
+      gone_rows.push_back(TupleBuf(t.rows().Row(r)));
+    }
     t.RemoveRows(ids);
     ASSERT_TRUE(t.CheckIndexes().ok()) << t.CheckIndexes().ToString();
     EXPECT_EQ(t.rows().size(), before.size() - gone.size());
     for (uint64_t r = 0; r < t.rows().size(); ++r) {
       const TupleRef row = t.rows().Row(r);
-      EXPECT_EQ(gone.count(row[0]), 0u);
-      EXPECT_EQ(t.FindGroupRow(row.data), r);
-      EXPECT_EQ(row[1], before.at(row[0]).first);
-      EXPECT_EQ(t.stamp(r), before.at(row[0]).second);
+      EXPECT_EQ(gone.count(key(row)), 0u);
+      EXPECT_EQ(find(row), r);
+      EXPECT_EQ(row[1], before.at(key(row)).first);
+      EXPECT_EQ(t.stamp(r), before.at(key(row)).second);
     }
-    for (uint64_t group : gone) {
-      const uint64_t wire[] = {group, 0};
-      EXPECT_EQ(t.FindGroupRow(wire), UINT64_MAX);
+    for (const TupleBuf& row : gone_rows) {
+      EXPECT_EQ(find(TupleRef{row.v, 2}), UINT64_MAX);
     }
-    // Merging goes on over the patched indexes: a removed group comes back
-    // as a new row, a survivor improves in place.
+    // Merging goes on over the patched indexes: a removed row comes back
+    // as a new row with the new stamp, and a min/max survivor improves in
+    // place, restamped.
     t.SetMergeStamp(6);
-    std::vector<TupleBuf> more;
-    for (uint64_t group : gone) more.push_back({group, WordFromInt(0)});
-    if (t.rows().size() > 0) {
+    std::vector<TupleBuf> more = gone_rows;
+    if (!none && t.rows().size() > 0) {
       more.push_back({t.rows().Row(0)[0],
                       WordFromInt(func == AggFunc::kMin ? -100 : 100)});
     }
     t.MergeBatch(more);
     EXPECT_TRUE(t.CheckIndexes().ok()) << t.CheckIndexes().ToString();
     EXPECT_EQ(t.rows().size(), before.size());
+    for (const TupleBuf& row : more) {
+      EXPECT_EQ(t.stamp(find(TupleRef{row.v, 2})), 6u);
+    }
   }
 }
 

@@ -24,8 +24,8 @@
 //                      batches per case and diff incremental maintenance
 //                      after every batch against a from-scratch reference
 //                      recompute (default 0: no update axis); the summary
-//                      counts the batches whose removals reached a min/max
-//                      predicate, maintained and recomputed
+//                      counts the batches with removals, maintained and
+//                      recomputed
 //   --updates-file=P   with --replay: apply this update script after the
 //                      initial fixpoint, diffing after every batch
 //   --timeout-ms=N     per-run wall clock before a child counts as hung
@@ -258,15 +258,15 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
   return true;
 }
 
-/// Aggregate deletes of the sweep's streaming-update runs. It lives in a
+/// Delete batches of the sweep's streaming-update runs. It lives in a
 /// shared mapping: each forked child adds its run's counts before exiting.
 struct DeleteTally {
   uint64_t maintained = 0;
   uint64_t recomputed = 0;
 
   void Add(const RunOutcome& outcome) {
-    maintained += outcome.agg_deletes_maintained;
-    recomputed += outcome.agg_deletes_recomputed;
+    maintained += outcome.deletes_maintained;
+    recomputed += outcome.deletes_recomputed;
   }
 };
 
@@ -358,7 +358,7 @@ RunResult MapExitCode(int code) {
 
 /// Runs one engine evaluation against precomputed oracle rows, forked
 /// unless --no-fork. `run_index` decorrelates chaos schedules across runs;
-/// `tally`, when given, counts the run's aggregate deletes.
+/// `tally`, when given, counts the run's delete batches.
 RunResult RunIsolated(const FuzzCase& c, const RunConfig& config,
                       const OracleRows& oracle, const FuzzFlags& flags,
                       uint64_t run_index, DeleteTally* tally = nullptr) {
@@ -721,8 +721,7 @@ int FuzzMain(int argc, char** argv) {
     }
   }
   if (flags.update_batches > 0) {
-    std::printf("dcd_fuzz: aggregate deletes: %llu maintained, %llu "
-                "recomputed\n",
+    std::printf("dcd_fuzz: deletes: %llu maintained, %llu recomputed\n",
                 static_cast<unsigned long long>(tally->maintained),
                 static_cast<unsigned long long>(tally->recomputed));
   }
