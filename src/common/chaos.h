@@ -38,7 +38,7 @@ enum class ChaosSite : uint8_t {
   kQueuePop,         // SpscQueue::TryPop / PopBatch.
   kTermination,      // TerminationDetector::CheckTermination round.
   kWorkerStart,      // RunWorkers thread entry (staggers start-up).
-  kStrategyLoop,     // Top of a Global/SSP/DWS loop body.
+  kStrategyLoop,     // Top of the fixpoint loop body, every strategy.
   kGather,           // SccExecutor::GatherAll entry.
   kDelete,           // The delete's candidate pop (core/delete.cc).
   kNumSites,

@@ -33,9 +33,6 @@ struct EngineOptions {
   /// resumes unconditionally after this many microseconds.
   uint32_t dws_timeout_us = 2000;
 
-  /// Upper bound DWS places on a single wait slice, microseconds.
-  uint32_t dws_max_wait_slice_us = 200;
-
   /// Per-(producer, consumer) SPSC ring capacity in tuples (§6.1).
   uint32_t spsc_capacity = 1 << 14;
 

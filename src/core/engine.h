@@ -72,9 +72,9 @@ struct EvalStats {
   /// Net EDB tuples in the applied batches after set-semantics netting
   /// (inserts of absent tuples + removed stored copies).
   uint64_t delta_tuples_in = 0;
-  /// Facts the delete paths had to re-prove, summed over the SCCs a
-  /// deletion reached: Backward/Forward's checked set C, and the candidate
-  /// groups the aggregate delete checked.
+  /// Facts the delete had to re-prove, summed over the SCCs a deletion
+  /// reached: the candidate facts and min/max groups the stamp-ordered
+  /// delete checked.
   uint64_t rederived_tuples = 0;
   /// Rows the update path visited in a full pass over a relation: the
   /// scans that find removed copies where no base index answers, and the
@@ -171,6 +171,9 @@ class Engine {
 
  private:
   struct IncrementalState;
+
+  /// Tears the incremental session down, if one is live.
+  void EndIncremental();
 
   /// Full evaluation of the incremental session's plan, retaining worker
   /// state into inc_. Used by BeginIncremental and by the fallback path.

@@ -54,10 +54,10 @@ struct LogicalRulePlan {
   /// *non-recursive* body atom, and the driving scan ranges over that
   /// relation's newly-arrived rows instead of a recursive table's δ.
   bool is_update = false;
-  /// Backward/Forward check version: the driving scan is the rule's head
-  /// atom (bound from one fact), the body keeps every literal over another
-  /// SCC, and the same-SCC atoms move to `check_atoms`, to be built from
-  /// the registers once the body has bound them (see BuildCheckVersion).
+  /// Delete check version: the driving scan is the rule's head atom (bound
+  /// from one fact), the body keeps every literal over another SCC, and
+  /// the same-SCC atoms move to `check_atoms`, to be built from the
+  /// registers once the body has bound them (see BuildCheckVersion).
   bool is_check = false;
   std::vector<Atom> check_atoms;
   std::unique_ptr<LogicalOp> root;
@@ -86,13 +86,13 @@ Result<LogicalRulePlan> BuildUpdateVersion(const Program& program,
                                            const ProgramAnalysis& analysis,
                                            int rule_index, int update_atom);
 
-/// Builds the head-bound "check version" of one rule for Backward/Forward
-/// deletion: driven by a candidate fact F of the head predicate, it
-/// enumerates the rule instances deriving F. Literals over other SCCs stay
-/// in the body and are joined as usual; the positive same-SCC atoms are
-/// not joined but returned in check_atoms, since each instance's
-/// same-SCC facts are looked up (and recursively checked) one by one by
-/// the caller. A min/max head binds only its group columns; its instances
+/// Builds the head-bound "check version" of one rule for the stamp-ordered
+/// delete (core/delete.h): driven by a candidate fact F of the head
+/// predicate, it enumerates the rule instances deriving F. Literals over
+/// other SCCs stay in the body and are joined as usual; the positive
+/// same-SCC atoms are not joined but returned in check_atoms, since the
+/// caller looks each instance's same-SCC facts up one by one (present,
+/// not invalidated, stamped lower than F). A min/max head binds only its group columns; its instances
 /// yield their own values. Planning fails for a count or sum head, and
 /// when a same-SCC atom holds a wildcard, or a variable or constraint that
 /// neither the head nor the other-SCC body binds — such a rule has no

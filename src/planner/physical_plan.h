@@ -211,17 +211,17 @@ struct SccPlan {
   std::vector<PhysicalRule> update_rules;
 
   /// Check versions (augmented plans only): one per rule of the SCC, read
-  /// by the delete paths (Backward/Forward, and the aggregate delete of a
-  /// min/max SCC). Their base indexes are built on the first delete, never
-  /// by a plain evaluation.
+  /// by the stamp-ordered delete (core/delete.h) of a set or min/max SCC.
+  /// Their base indexes are built on the first delete, never by a plain
+  /// evaluation.
   std::vector<PhysicalRule> check_rules;
 
   /// The lowest proof-invariant column of a set-semantics SCC, or -1 (an
   /// aggregate SCC, or no such column). Column c is proof-invariant when
   /// every same-SCC body atom of every rule carries the head's column-c
   /// variable in its own column c: TC's `tc(X, Y) :- tc(X, Z), arc(Z, Y)`
-  /// keeps X in column 0. Check and Forward from a fact then only touch
-  /// facts with the same column-c value, so Backward/Forward splits its
+  /// keeps X in column 0. Checking a fact and forwarding from it then only
+  /// touch facts with the same column-c value, so the delete splits its
   /// work into one shard per worker keyed on that column.
   int shard_col = -1;
 
@@ -275,7 +275,7 @@ struct PhysicalPlan {
 /// validates that recursive probes stay partition-local.
 /// With build_update_rules, each SCC additionally carries the compiled
 /// update versions of its rules (incremental-maintenance driving) and
-/// their check versions (Backward/Forward deletion); rules whose update or
+/// their check versions (the stamp-ordered delete); rules whose update or
 /// check version cannot be compiled are recorded in
 /// PhysicalPlan::update_ineligible_rels / check_ineligible_preds rather
 /// than failing the plan, and the plan lists insert_recompute_preds.

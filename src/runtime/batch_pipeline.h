@@ -115,9 +115,9 @@ struct BatchEmitSink {
 };
 
 /// Vectorized batch-at-a-time pipeline executor, the only rule executor:
-/// the workers run every rule through it, and so does Backward/Forward
-/// (the removed rows in batches, and one single-row batch per fact it
-/// checks or deletes).
+/// the workers run every rule through it, and so does the stamp-ordered
+/// delete (core/delete.h: the removed rows in batches, and one single-row
+/// batch per fact it checks or invalidates).
 ///
 /// Driving tuples are gathered into fixed-size batches of
 /// kBatchPipelineLanes rows. Registers are columnar banks — register r of

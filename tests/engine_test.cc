@@ -103,22 +103,38 @@ TEST(EngineTest, StatsAreMeaningful) {
 }
 
 TEST(EngineTest, MaxIterationsAborts) {
-  // PageRank with epsilon 0 never converges; the guard must fire.
-  DCDatalog db(Opts(2, CoordinationMode::kDws));
-  db.options().max_global_iterations = 20;
-  db.options().sum_epsilon = 0.0;
-  Relation matrix("matrix", Schema::Ints(3));
-  matrix.Append({0, 1, WordFromInt(1)});
-  matrix.Append({1, 0, WordFromInt(1)});
-  db.catalog().Put(std::move(matrix));
-  ASSERT_TRUE(db.LoadProgramText(
-                    "rank(X, sum<(X, I)>) :- matrix(X, _, _), I = 0.5.\n"
-                    "rank(X, sum<(Y, K)>) :- rank(Y, C), matrix(Y, X, D), "
-                    "K = 0.85 * (C / D).")
-                  .ok());
-  auto stats = db.Run();
-  ASSERT_FALSE(stats.ok());
-  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+  // PageRank with epsilon 0 never converges, and `up` counts forever; the
+  // guard must fire in every mode. Global leaves through the barrier's
+  // serial section, so every worker must exit in the same round; SSP and
+  // DWS see the abort in their waits and in InactiveWait.
+  const char* const programs[] = {
+      "rank(X, sum<(X, I)>) :- matrix(X, _, _), I = 0.5.\n"
+      "rank(X, sum<(Y, K)>) :- rank(Y, C), matrix(Y, X, D), "
+      "K = 0.85 * (C / D).",
+      "up(X, C) :- matrix(X, _, _), C = 0.\n"
+      "up(X, C) :- up(X, C1), C = C1 + 1.",
+  };
+  for (const char* program : programs) {
+    for (CoordinationMode mode : {CoordinationMode::kGlobal,
+                                  CoordinationMode::kSsp,
+                                  CoordinationMode::kDws}) {
+      for (uint32_t workers : {1u, 4u}) {
+        SCOPED_TRACE(std::string(CoordinationModeName(mode)) + " x" +
+                     std::to_string(workers) + ": " + program);
+        DCDatalog db(Opts(workers, mode));
+        db.options().max_global_iterations = 20;
+        db.options().sum_epsilon = 0.0;
+        Relation matrix("matrix", Schema::Ints(3));
+        matrix.Append({0, 1, WordFromInt(1)});
+        matrix.Append({1, 0, WordFromInt(1)});
+        db.catalog().Put(std::move(matrix));
+        ASSERT_TRUE(db.LoadProgramText(program).ok());
+        auto stats = db.Run();
+        ASSERT_FALSE(stats.ok());
+        EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+      }
+    }
+  }
 }
 
 TEST(EngineTest, MultiSccPipeline) {
@@ -300,39 +316,56 @@ TEST(EngineTest, TinyQueueCapacityStillCompletes) {
 }
 
 TEST(EngineTest, TraceEventsCoverRun) {
-  EngineOptions opts = Opts(3, CoordinationMode::kGlobal);
-  opts.enable_trace = true;
-  DCDatalog db(opts);
   Graph g = GenerateGnp(40, 0.06, 5);
-  db.AddGraph(g, "arc");
-  ASSERT_TRUE(db.LoadProgramText(kTc).ok());
-  auto stats = db.Run();
-  ASSERT_TRUE(stats.ok());
-  const auto& trace = stats.value().trace;
-  ASSERT_FALSE(trace.empty());
-  bool saw_iteration = false, saw_barrier = false, saw_drain = false;
-  std::set<uint32_t> workers;
-  std::set<uint32_t> scc_begins;
-  for (const TraceEvent& ev : trace) {
-    EXPECT_LE(ev.start_ns, ev.end_ns);
-    if (!TraceEventIsSpan(ev.kind)) {
-      EXPECT_EQ(ev.start_ns, ev.end_ns);
+  // The wait kinds each mode must never emit: a strategy's waits are its
+  // own.
+  const std::map<CoordinationMode, std::set<TraceEventKind>> foreign = {
+      {CoordinationMode::kGlobal,
+       {TraceEventKind::kPark, TraceEventKind::kSspWait,
+        TraceEventKind::kDwsWait, TraceEventKind::kDwsDecision}},
+      {CoordinationMode::kSsp,
+       {TraceEventKind::kBarrierWait, TraceEventKind::kDwsWait,
+        TraceEventKind::kDwsDecision}},
+      {CoordinationMode::kDws,
+       {TraceEventKind::kBarrierWait, TraceEventKind::kSspWait}},
+  };
+  for (const auto& [mode, banned] : foreign) {
+    SCOPED_TRACE(CoordinationModeName(mode));
+    EngineOptions opts = Opts(3, mode);
+    opts.enable_trace = true;
+    DCDatalog db(opts);
+    db.AddGraph(g, "arc");
+    ASSERT_TRUE(db.LoadProgramText(kTc).ok());
+    auto stats = db.Run();
+    ASSERT_TRUE(stats.ok());
+    const auto& trace = stats.value().trace;
+    ASSERT_FALSE(trace.empty());
+    bool saw_iteration = false, saw_barrier = false, saw_drain = false;
+    std::set<uint32_t> workers;
+    std::set<uint32_t> scc_begins;
+    for (const TraceEvent& ev : trace) {
+      EXPECT_LE(ev.start_ns, ev.end_ns);
+      if (!TraceEventIsSpan(ev.kind)) {
+        EXPECT_EQ(ev.start_ns, ev.end_ns);
+      }
+      EXPECT_EQ(banned.count(ev.kind), 0u)
+          << "unexpected " << TraceEventKindName(ev.kind);
+      workers.insert(ev.worker);
+      saw_iteration |= ev.kind == TraceEventKind::kIteration;
+      saw_barrier |= ev.kind == TraceEventKind::kBarrierWait;
+      saw_drain |= ev.kind == TraceEventKind::kDrain;
+      if (ev.kind == TraceEventKind::kSccBegin) scc_begins.insert(ev.worker);
     }
-    workers.insert(ev.worker);
-    saw_iteration |= ev.kind == TraceEventKind::kIteration;
-    saw_barrier |= ev.kind == TraceEventKind::kBarrierWait;
-    saw_drain |= ev.kind == TraceEventKind::kDrain;
-    if (ev.kind == TraceEventKind::kSccBegin) scc_begins.insert(ev.worker);
+    EXPECT_TRUE(saw_iteration);
+    // Global always parks someone at a barrier.
+    EXPECT_EQ(saw_barrier, mode == CoordinationMode::kGlobal);
+    EXPECT_TRUE(saw_drain);
+    EXPECT_EQ(workers.size(), 3u);
+    EXPECT_EQ(scc_begins.size(), 3u);  // Every worker marks SCC entry.
   }
-  EXPECT_TRUE(saw_iteration);
-  EXPECT_TRUE(saw_barrier);  // Global always parks someone at a barrier.
-  EXPECT_TRUE(saw_drain);
-  EXPECT_EQ(workers.size(), 3u);
-  EXPECT_EQ(scc_begins.size(), 3u);  // Every worker marks SCC entry.
 
   // Tracing off → no events, and no drop accounting.
-  opts.enable_trace = false;
-  DCDatalog db2(opts);
+  DCDatalog db2(Opts(3, CoordinationMode::kGlobal));
   db2.AddGraph(g, "arc");
   ASSERT_TRUE(db2.LoadProgramText(kTc).ok());
   auto stats2 = db2.Run();
@@ -351,7 +384,9 @@ TEST(EngineTest, DwsTraceCarriesDecisionTelemetry) {
   auto stats = db.Run();
   ASSERT_TRUE(stats.ok());
   size_t decisions = 0;
+  size_t iterations = 0;
   for (const TraceEvent& ev : stats.value().trace) {
+    iterations += ev.kind == TraceEventKind::kIteration;
     if (ev.kind != TraceEventKind::kDwsDecision) continue;
     ++decisions;
     // Model state must be finite; the controller clamps omega and tau.
@@ -365,7 +400,9 @@ TEST(EngineTest, DwsTraceCarriesDecisionTelemetry) {
   // Every DWS local iteration is preceded by exactly one Update → there
   // are as many decisions as iterations (modulo ring overwrite, absent
   // here at default capacity).
+  ASSERT_EQ(stats.value().trace_dropped, 0u);
   EXPECT_GT(decisions, 0u);
+  EXPECT_EQ(decisions, iterations);
 }
 
 TEST(EngineTest, TinyTraceRingDropsOldestButCounts) {

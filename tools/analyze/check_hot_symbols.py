@@ -14,7 +14,11 @@ justification — the binary-level analog of DCD_COLD_CALL. Locks, waits,
 and sleeps have no allowance mechanism: a `call pthread_mutex_lock`
 inside a hot body fails unconditionally.
 
-Usage: check_hot_symbols.py <binary> [--objdump TOOL] [--min-symbols N]
+Every pattern in HOT_SYMBOL_PATTERNS must select at least one symbol: a
+pattern that matches nothing (a rename, a move out of a namespace) fails
+the check instead of silently auditing less.
+
+Usage: check_hot_symbols.py <binary> [--objdump TOOL] [--list]
 
 Exit codes: 0 clean, 1 violation, 2 environment problem (no objdump,
 unreadable binary) — callers treat 2 as "skipped", mirroring the
@@ -36,10 +40,13 @@ HOT_SYMBOL_PATTERNS = [
     r"^dcdatalog::Distributor::(EmitBatch|EmitResolved|Flush|Route|"
     r"SendBlock)\(",
     r"^dcdatalog::BatchPipelineRunner::(Push|RunBatch|Finish|FlushLevel)\(",
-    r"^dcdatalog::\(anonymous namespace\)::SccExecutor::"
+    r"^dcdatalog::SccExecutor::"
     r"(LocalIteration|GatherAll|PushWithBackpressure|RunUpdateRules|"
-    r"GlobalLoop|SspLoop|DwsLoop|InactiveWait|EmitBatchThunk|"
-    r"DistSinkThunk|DistSelfSinkThunk)\(",
+    r"InactiveWait|EmitBatchThunk|DistSinkThunk|DistSelfSinkThunk)\(",
+    # The fixpoint loop, one out-of-line body per strategy, and whichever
+    # strategy hooks (core/strategy.h) the compiler did not inline into it.
+    r"^(void )?dcdatalog::(SccExecutor::Fixpoint<|(Global|Ssp|Dws)Strategy::"
+    r"(Next|AfterIteration|Barrier<|MinActiveIteration|UpdateModel)\b)",
     r"^dcdatalog::DwsController::(Update|OnDrain|OnIteration)\(",
 ]
 
@@ -69,6 +76,10 @@ ALLOWED_CALLS = [
      "branch inlined — amortized O(1) per tuple, capacity retained across "
      "iterations; LocalIteration's per-replica delta snapshots, allocated "
      "and freed once per iteration"),
+    (r"SccExecutor::RunUpdateRules\(",
+     r"^operator delete",
+     "frees the PipelineContext's relation table, which PreparePipeline "
+     "fills once per update rule per batch, never per driven row"),
     (r"Distributor::EmitResolved\(",
      r"^operator (new|delete)",
      "staged-wire vector<uint64_t> doubling branch inlined — one append "
@@ -113,10 +124,6 @@ def main():
     parser.add_argument("binary")
     parser.add_argument("--objdump", default=None)
     parser.add_argument(
-        "--min-symbols", type=int, default=10,
-        help="fail unless at least this many hot symbols were found and "
-             "audited — a rename must not let the check pass vacuously")
-    parser.add_argument(
         "--list", action="store_true",
         help="print every audited symbol and each allowed call")
     args = parser.parse_args()
@@ -136,16 +143,18 @@ def main():
     hot_res = [re.compile(p) for p in HOT_SYMBOL_PATTERNS]
     current = None          # demangled name of the hot symbol being scanned
     audited = []
+    matched = set()         # indexes of the patterns that selected a symbol
     violations = []
     allowed_hits = []
     for line in dis.splitlines():
         m = SYMBOL_HEADER_RE.match(line)
         if m:
             name = m.group(1)
-            if any(r.search(name) for r in hot_res) and \
-                    not COLD_CLONE_RE.search(name):
+            hits = [i for i, r in enumerate(hot_res) if r.search(name)]
+            if hits and not COLD_CLONE_RE.search(name):
                 current = name
                 audited.append(name)
+                matched.update(hits)
             else:
                 current = None
             continue
@@ -164,13 +173,14 @@ def main():
         else:
             violations.append((current, base, line.strip()))
 
-    if len(audited) < args.min_symbols:
-        print(f"check_hot_symbols: only {len(audited)} hot symbol(s) found "
-              f"(need >= {args.min_symbols}) — a rename or pattern rot "
-              "would make this check vacuous; update HOT_SYMBOL_PATTERNS "
-              "in tools/analyze/check_hot_symbols.py")
-        for name in audited:
-            print(f"  audited: {name}")
+    unmatched = [p for i, p in enumerate(HOT_SYMBOL_PATTERNS)
+                 if i not in matched]
+    if unmatched:
+        print(f"check_hot_symbols: {len(unmatched)} pattern(s) select no "
+              "symbol — a rename or move would make them vacuous; update "
+              "HOT_SYMBOL_PATTERNS in tools/analyze/check_hot_symbols.py")
+        for pattern in unmatched:
+            print(f"  unmatched: {pattern}")
         return 1
 
     if args.list:

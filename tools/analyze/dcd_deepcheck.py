@@ -94,16 +94,22 @@ HOT_ROOTS = [
     # Distribute (§5.2.3): per derived tuple.
     "Distributor::EmitBatch",
     "Distributor::Flush",
-    # Engine strategy loops and the per-iteration helpers (RunUpdateRules
-    # drives the inserts of an incremental update batch).
+    # The engine's fixpoint loop and the per-iteration helpers
+    # (RunUpdateRules drives the inserts of an incremental update batch).
+    "SccExecutor::Fixpoint",
     "SccExecutor::LocalIteration",
     "SccExecutor::GatherAll",
     "SccExecutor::PushWithBackpressure",
     "SccExecutor::InactiveWait",
-    "SccExecutor::GlobalLoop",
-    "SccExecutor::SspLoop",
-    "SccExecutor::DwsLoop",
     "SccExecutor::RunUpdateRules",
+    # The strategies the loop calls through its template parameter: the
+    # textual frontend cannot type that receiver, so each hook is a root.
+    "GlobalStrategy::Next",
+    "GlobalStrategy::AfterIteration",
+    "SspStrategy::Next",
+    "SspStrategy::AfterIteration",
+    "DwsStrategy::Next",
+    "DwsStrategy::AfterIteration",
     # Emit sinks: function-pointer boundary, see note above.
     "SccExecutor::EmitBatchThunk",
     "SccExecutor::DistSinkThunk",

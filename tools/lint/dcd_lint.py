@@ -19,6 +19,10 @@ analysis cannot express:
                     inside the per-iteration hot functions.
   tsa-suppression   DCD_NO_THREAD_SAFETY_ANALYSIS needs a justification
                     comment on the same or previous line.
+  registry          (whole-repo runs) Every file the scopes below name must
+                    exist, and every HOT_LOOP_FUNCTIONS entry must have a
+                    body in its file: a stale entry would otherwise drop
+                    its file or function from a rule without notice.
   hot-virtual       No unannotated calls to virtual-declared methods in the
                     hot-path files: virtual dispatch defeats inlining and
                     adds an indirect branch per tuple. The engine's step
@@ -85,7 +89,9 @@ HOT_PATH_FILES = {
     "src/storage/hash_index.h",
     "src/storage/updates.h",
     "src/storage/updates.cc",
-    "src/core/engine.cc",
+    "src/core/scc_executor.h",
+    "src/core/scc_executor.cc",
+    "src/core/strategy.h",
     "src/core/dws_controller.h",
     "src/core/dws_controller.cc",
     "src/common/trace.h",
@@ -103,7 +109,7 @@ CHAOS_ALLOWLIST_FILES = {
     "src/concurrent/termination.h",
     "src/concurrent/worker_pool.cc",
     "src/core/delete.cc",
-    "src/core/engine.cc",
+    "src/core/scc_executor.cc",
     "src/runtime/distributor.h",
     "src/runtime/distributor.cc",
 }
@@ -136,9 +142,15 @@ HOT_LOOP_FUNCTIONS = {
     # RunUpdateRules drives every post-watermark EDB row through a rule
     # pipeline per incremental batch; PreparePipeline inside it is
     # once-per-rule and allocation there does not match textually.
-    "src/core/engine.cc": [
+    "src/core/scc_executor.cc": [
         "GatherAll", "PushWithBackpressure", "LocalIteration", "InactiveWait",
-        "GlobalLoop", "SspLoop", "DwsLoop", "UpdateDws", "RunUpdateRules",
+        "Fixpoint", "RunUpdateRules",
+    ],
+    # Each strategy's per-turn decision and after-iteration hook. Begin is
+    # deliberately absent: it runs once per worker and builds DWS's model.
+    "src/core/strategy.h": [
+        "Next", "AfterIteration", "Barrier", "MinActiveIteration",
+        "UpdateModel",
     ],
     # The trace ring's Append and the histogram's Add run inside every one
     # of the engine hot loops above; they must stay allocation-free.
@@ -521,6 +533,41 @@ def check_tsa_suppression(sf, findings):
                 "comment on the same or previous line")
 
 
+# --- Registry check --------------------------------------------------------
+
+def check_registries(repo_root, hot_path_files=None, chaos_files=None,
+                     hot_loop_functions=None):
+    """Reports registry entries that name a missing file or function."""
+    if hot_path_files is None:
+        hot_path_files = HOT_PATH_FILES
+    if chaos_files is None:
+        chaos_files = CHAOS_ALLOWLIST_FILES
+    if hot_loop_functions is None:
+        hot_loop_functions = HOT_LOOP_FUNCTIONS
+    findings = []
+    for registry, files in (("HOT_PATH_FILES", hot_path_files),
+                            ("CHAOS_ALLOWLIST_FILES", chaos_files),
+                            ("HOT_LOOP_FUNCTIONS", hot_loop_functions)):
+        for rel in sorted(files):
+            if not os.path.exists(os.path.join(repo_root, rel)):
+                findings.append(Finding(
+                    "registry", rel, 0,
+                    f"{registry} names a file that does not exist (moved? "
+                    "update tools/lint/dcd_lint.py)"))
+    for rel, functions in sorted(hot_loop_functions.items()):
+        path = os.path.join(repo_root, rel)
+        if not os.path.exists(path):
+            continue
+        code = SourceFile(path, rel).code
+        for fname in functions:
+            if next(find_function_body(code, fname), None) is None:
+                findings.append(Finding(
+                    "registry", rel, 0,
+                    f"HOT_LOOP_FUNCTIONS names {fname}(), which this file "
+                    "does not define (renamed or moved?)"))
+    return findings
+
+
 # --- File discovery --------------------------------------------------------
 
 def discover_files(repo_root, build_dir):
@@ -787,13 +834,28 @@ def run_selftest():
                 failures.append(
                     f"{name}: expected exit {want}, got {run.returncode}\n"
                     f"{run.stdout}")
+        # Registry mechanics: an entry naming a missing file or function is
+        # an error, not a silently skipped scope.
+        os.makedirs(os.path.join(tmp, "src"))
+        with open(os.path.join(tmp, "src", "loop.cc"), "w") as f:
+            f.write("void Present() { }\n")
+        stale = check_registries(tmp, {"src/loop.cc", "src/gone.cc"}, set(),
+                                 {"src/loop.cc": ["Present", "Absent"]})
+        fresh = check_registries(tmp, {"src/loop.cc"}, set(),
+                                 {"src/loop.cc": ["Present"]})
+        if len(stale) != 2 or fresh:
+            failures.append(
+                "registry: expected the missing file and the missing "
+                "function only, got\n" +
+                "\n".join(str(f) for f in stale + fresh))
     if failures:
         print("lint self-test FAILED:")
         for f in failures:
             print("  " + f.replace("\n", "\n  "))
         return 1
     print(f"lint self-test OK: {len(SELFTEST_CASES)} seeded violations "
-          "caught, clean twins pass, suppressions enforced")
+          "caught, clean twins pass, suppressions enforced, stale registry "
+          "entries reported")
     return 0
 
 
@@ -839,6 +901,8 @@ def main():
         rel_files = discover_files(repo_root, build_dir)
 
     findings = run_python_rules(repo_root, rel_files, rules, explicit)
+    if not explicit:
+        findings += check_registries(repo_root)
     if not explicit and not args.no_clang_tools:
         findings += run_clang_tidy(repo_root, build_dir, rel_files)
         findings += run_clang_query(repo_root, build_dir, rel_files)
