@@ -104,6 +104,7 @@ void SccExecutor::RunWith(EvalStats* stats) {
     // model dies with the strategy.
     ctx->gather_scratch = {};
     ctx->block_scratch = {};
+    ctx->delta_scratch = {};
     ctx->arrivals = nullptr;
   });
 }
@@ -172,6 +173,8 @@ void SccExecutor::StartWorker(uint32_t wid, WorkerContext* ctx) {
     }
   }
   ctx->gather_scratch.resize(replicas.size());
+  ctx->delta_scratch.resize(replicas.size());
+  ctx->pipeline = {catalog_, base_indexes_, &ctx->replicas, {}};
 
   // Sink thunks take the WorkerContext through the {fn, ctx} pair — ctx
   // outlives the worker's SCC run, and carries
@@ -226,13 +229,12 @@ DCD_HOT_ROOT void SccExecutor::DistSelfSinkThunk(void* c, uint32_t replica,
 }
 
 void SccExecutor::RunBaseRules(WorkerContext* ctx) {
-  PipelineContext pctx{catalog_, base_indexes_, &ctx->replicas, {}};
-
+  PipelineContext* pctx = &ctx->pipeline;
   const BatchEmitSink emit{&EmitBatchThunk, ctx};
   for (const PhysicalRule& rule : scc_.base_rules) {
-    PreparePipeline(rule, &pctx);
+    PreparePipeline(rule, pctx);
     if (rule.driving_is_unit) {
-      if (ctx->wid == 0) ctx->batch_runner.RunUnit(rule, &pctx, emit);
+      if (ctx->wid == 0) ctx->batch_runner.RunUnit(rule, pctx, emit);
       continue;
     }
     const Relation* rel = catalog_->Find(rule.driving_relation);
@@ -240,7 +242,7 @@ void SccExecutor::RunBaseRules(WorkerContext* ctx) {
     const uint64_t size = rel->size();
     const uint64_t begin = size * ctx->wid / n_;
     const uint64_t end = size * (ctx->wid + 1) / n_;
-    ctx->batch_runner.Begin(rule, &pctx, emit);
+    ctx->batch_runner.Begin(rule, pctx, emit);
     for (uint64_t r = begin; r < end; ++r) {
       ctx->batch_runner.Push(rel->Row(r));
     }
@@ -255,8 +257,7 @@ void SccExecutor::RunBaseRules(WorkerContext* ctx) {
 /// hash-partitioned, a worker only holds its own slice). Rules with no
 /// recursive probes split the new rows by range instead.
 DCD_HOT_ROOT void SccExecutor::RunUpdateRules(WorkerContext* ctx) {
-  PipelineContext pctx{catalog_, base_indexes_, &ctx->replicas, {}};
-
+  PipelineContext* pctx = &ctx->pipeline;
   const BatchEmitSink emit{&EmitBatchThunk, ctx};
   for (const PhysicalRule& rule : scc_.update_rules) {
     DCD_COLD_CALL("catalog lookup once per update rule per batch, never per driven row");
@@ -266,8 +267,8 @@ DCD_HOT_ROOT void SccExecutor::RunUpdateRules(WorkerContext* ctx) {
     auto it = hooks_->watermarks->find(rule.driving_relation);
     const uint64_t wm = it != hooks_->watermarks->end() ? it->second : size;
     if (wm >= size) continue;
-    PreparePipeline(rule, &pctx);
-    ctx->batch_runner.Begin(rule, &pctx, emit);
+    PreparePipeline(rule, pctx);
+    ctx->batch_runner.Begin(rule, pctx, emit);
     if (rule.update_partition_col >= 0) {
       const uint32_t col = static_cast<uint32_t>(rule.update_partition_col);
       for (uint64_t r = wm; r < size; ++r) {
@@ -382,31 +383,30 @@ uint64_t SccExecutor::DeltaTotal(const WorkerContext& ctx) const {
   return total;
 }
 
-/// One local semi-naive iteration: snapshot the deltas, run every delta
-/// rule against its driving snapshot, flush the distributor.
+/// One local semi-naive iteration: snapshot the deltas' row ids, run
+/// every delta rule over the rows its driving snapshot names, flush the
+/// distributor.
 DCD_HOT_ROOT SccExecutor::IterationSample SccExecutor::LocalIteration(
     WorkerContext* ctx) {
   const int64_t start = MonotonicNanos();
-  std::vector<std::vector<TupleBuf>> snapshots(ctx->replicas.size());
   uint64_t processed = 0;
   for (size_t r = 0; r < ctx->replicas.size(); ++r) {
-    snapshots[r] = ctx->replicas[r]->TakeDelta();
-    processed += snapshots[r].size();
+    ctx->replicas[r]->TakeDelta(&ctx->delta_scratch[r]);
+    processed += ctx->delta_scratch[r].size();
   }
 
-  PipelineContext pctx{catalog_, base_indexes_, &ctx->replicas, {}};
-
+  PipelineContext* pctx = &ctx->pipeline;
   const BatchEmitSink emit{&EmitBatchThunk, ctx};
   for (const PhysicalRule& rule : scc_.delta_rules) {
     const size_t dr = rule.driving_replica;
-    const auto& snapshot = snapshots[dr];
+    const std::vector<uint32_t>& snapshot = ctx->delta_scratch[dr];
     if (snapshot.empty()) continue;
-    PreparePipeline(rule, &pctx);
-    const uint32_t arity = ctx->replicas[dr]->stored_arity();
-    ctx->batch_runner.Begin(rule, &pctx, emit);
-    for (const TupleBuf& t : snapshot) {
-      ctx->batch_runner.Push(t.Ref(arity));
-    }
+    PreparePipeline(rule, pctx);
+    const Relation& rows = ctx->replicas[dr]->rows();
+    ctx->batch_runner.Begin(rule, pctx, emit);
+    // Row() on every push: a backpressure gather inside a push may merge
+    // into this table and move its rows.
+    for (const uint32_t id : snapshot) ctx->batch_runner.Push(rows.Row(id));
     ctx->batch_runner.Finish();
   }
   ctx->distributor->Flush();
@@ -448,6 +448,11 @@ void SccExecutor::MaterializeResults() {
     DCD_CHECK(!replica_ids.empty());
     const int canonical = replica_ids.front();
     Relation merged(pred, plan_.schemas.at(pred));
+    uint64_t total = 0;
+    for (uint32_t w = 0; w < n_; ++w) {
+      total += contexts_[w]->replicas[canonical]->rows().size();
+    }
+    merged.Reserve(total);
     for (uint32_t w = 0; w < n_; ++w) {
       merged.AppendAll(contexts_[w]->replicas[canonical]->rows());
     }

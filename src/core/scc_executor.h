@@ -95,6 +95,14 @@ class SccExecutor {
     /// reused across rules and iterations so steady-state batches never
     /// allocate.
     BatchPipelineRunner batch_runner;
+    /// The pipelines' catalog, index and replica bindings, set up once in
+    /// StartWorker; its scan-relation table keeps its capacity across
+    /// rules and iterations.
+    PipelineContext pipeline;
+    /// Per replica: the row ids one local iteration drives, swapped with
+    /// the table's delta (RecursiveTable::TakeDelta) so both keep their
+    /// capacity.
+    std::vector<std::vector<uint32_t>> delta_scratch;
     std::unique_ptr<Distributor> distributor;
     /// DWS's arrival model, fed by every drain; null under Global and SSP.
     DwsController* arrivals = nullptr;

@@ -73,6 +73,7 @@ void RecursiveTable::InsertGroup(const U128& group, uint64_t value) {
 uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
   const uint64_t row_id =
       rows_.Append(TupleRef{stored, spec_.stored_arity});
+  DCD_DCHECK(row_id < kRowMask);
   if (use_join_index_) {
     join_index_.Insert(stored[partition_col_]);
   }
@@ -82,11 +83,12 @@ uint64_t RecursiveTable::AppendRow(const uint64_t* stored) {
 void RecursiveTable::PushDelta(uint64_t row_id) {
   ++accepts_;
   if (row_id < change_floor_) changed_rows_.push_back(row_id);
+  const uint32_t id = static_cast<uint32_t>(row_id);
   if (batch_mode_) {
-    batch_changed_rows_.push_back(row_id);
+    batch_changed_rows_.push_back(id);
     return;
   }
-  delta_.push_back(TupleBuf(rows_.Row(row_id)));
+  delta_.push_back(id);
 }
 
 bool RecursiveTable::MergeNone(const uint64_t* wire, uint64_t hash) {
@@ -109,7 +111,6 @@ bool RecursiveTable::MergeMinMax(const uint64_t* wire) {
   uint64_t* slot = flat_group_.Find(group);
   if (slot == nullptr) {
     const uint64_t row_id = AppendRow(wire);
-    DCD_DCHECK(row_id <= kRowMask);
     InsertGroup(group, row_id | stamp);
     PushDelta(row_id);
     return true;
@@ -251,7 +252,8 @@ void RecursiveTable::RemoveRows(const std::vector<uint64_t>& ids) {
     if (use_join_index_) join_index_.RemoveRow(dead);
     rows_.RemoveRow(dead);
   }
-  // Pending deltas name rows by value and may hold removed ones.
+  // Pending deltas name rows by id, and the fill from the tail renamed
+  // some of them.
   delta_.clear();
   batch_changed_rows_.clear();
 }
@@ -350,9 +352,8 @@ DCD_HOT_ROOT void RecursiveTable::MergeBatch(const uint64_t* words,
   batch_changed_rows_.erase(
       std::unique(batch_changed_rows_.begin(), batch_changed_rows_.end()),
       batch_changed_rows_.end());
-  for (uint64_t row_id : batch_changed_rows_) {
-    delta_.push_back(TupleBuf(rows_.Row(row_id)));
-  }
+  delta_.insert(delta_.end(), batch_changed_rows_.begin(),
+                batch_changed_rows_.end());
 }
 
 }  // namespace dcdatalog

@@ -41,8 +41,11 @@ namespace dcdatalog {
 /// §6.2.2 existence cache in front of these lookups is not implemented: on
 /// the flat structures it measured slower than the plain probe it skips.
 ///
-/// Every state change appends the new stored row to the delta. Not
-/// internally synchronized — each worker owns its tables.
+/// Every state change appends the changed row's id to the delta; the
+/// next local iteration reads each row through rows() when it reaches it,
+/// so an aggregate row drives at its value at that moment, never older
+/// than the one that entered the delta. Not internally synchronized —
+/// each worker owns its tables.
 class RecursiveTable {
  public:
   RecursiveTable(const std::string& name, Schema stored_schema, AggSpec spec,
@@ -72,21 +75,26 @@ class RecursiveTable {
   void ReserveHint(uint64_t expected_rows);
 
   // --- Delta (δR_i) ---
-  const std::vector<TupleBuf>& delta() const { return delta_; }
+  /// Ids of the rows accepted or changed since the last TakeDelta, in
+  /// merge order; rows().Row(id) reads each. A group changed in two
+  /// separate merges appears twice.
+  const std::vector<uint32_t>& delta() const { return delta_; }
   uint64_t delta_size() const { return delta_.size(); }
   void ClearDelta() {
     DCD_AFFINITY_GUARD(writer_affinity_);
     delta_.clear();
   }
 
-  /// Moves the current delta out and leaves an empty one. The worker
+  /// Swaps the current delta into `*out` and leaves the table an empty
+  /// delta with `*out`'s old capacity, so a caller that keeps `*out`
+  /// across iterations allocates on neither side once warm. The worker
   /// iterates the snapshot while backpressure-driven gathers may grow the
-  /// fresh delta concurrently (same thread, interleaved calls).
-  std::vector<TupleBuf> TakeDelta() {
+  /// fresh delta concurrently (same thread, interleaved calls); a row id
+  /// stays valid across those merges, a row pointer does not.
+  void TakeDelta(std::vector<uint32_t>* out) {
     DCD_AFFINITY_GUARD(writer_affinity_);
-    std::vector<TupleBuf> out = std::move(delta_);
-    delta_.clear();
-    return out;
+    out->clear();
+    out->swap(delta_);
   }
 
   // --- Stored rows ---
@@ -246,7 +254,9 @@ class RecursiveTable {
   const double sum_epsilon_;
 
   Relation rows_;
-  std::vector<TupleBuf> delta_;
+  // Row ids: every row id fits the low 32 bits of its existence-set or
+  // group slot (AppendRow checks), so it fits here too.
+  std::vector<uint32_t> delta_;
 
   FlatTupleSet exist_set_;    // kNone existence, keyed (hash, row id).
   // Aggregate group key → row id. A min/max row id fits the low 32 bits;
@@ -265,7 +275,7 @@ class RecursiveTable {
 
   // Batch-mode delta deduplication (see PushDelta).
   bool batch_mode_ = false;
-  std::vector<uint64_t> batch_changed_rows_;
+  std::vector<uint32_t> batch_changed_rows_;
 
   // Debug-only single-writer stamp: the owning worker's thread claims the
   // partition on its first mutation; any foreign write dies (empty in

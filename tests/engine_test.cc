@@ -7,6 +7,8 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/dcdatalog.h"
@@ -299,20 +301,71 @@ TEST(EngineTest, SspSlackRespected) {
 }
 
 TEST(EngineTest, TinyQueueCapacityStillCompletes) {
-  // Exercises the backpressure path heavily.
-  DCDatalog db(Opts(4, CoordinationMode::kDws));
-  db.options().spsc_capacity = 2;  // Engine clamps to a tiny ring.
-  Graph g = GenerateGnp(50, 0.05, 3);
-  db.AddGraph(g, "arc");
-  ASSERT_TRUE(db.LoadProgramText(kTc).ok());
-  auto stats = db.Run();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-
-  DCDatalog oracle(Opts(1, CoordinationMode::kGlobal));
-  oracle.AddGraph(g, "arc");
-  ASSERT_TRUE(oracle.LoadProgramText(kTc).ok());
-  ASSERT_TRUE(oracle.Run().ok());
-  EXPECT_EQ(RowSet(*db.ResultFor("tc")), RowSet(*oracle.ResultFor("tc")));
+  // spsc_capacity = 2 clamps every ring to its minimum, so pushes inside a
+  // local iteration keep finding full rings and gather: under TC they
+  // append to the very table the iteration drives from while it walks its
+  // delta's row ids. CC's min head folds its wires until the iteration's
+  // flush, so its gathers fall between iterations; there a group bettered
+  // twice enters the delta twice and drives at its latest value both times.
+  const std::string cc =
+      "cc2(Y, min<Y>) :- arc(Y, _).\n"
+      "cc2(Y, min<Y>) :- arc(_, Y).\n"
+      "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n"
+      "cc2(Y, min<Z>) :- cc2(X, Z), arc(Y, X).\n"
+      "cc(Y, min<Z>)  :- cc2(Y, Z).\n";
+  struct Case {
+    std::string program;
+    std::string pred;
+    Graph graph;
+    bool ships_mid_iteration;
+  };
+  const std::vector<Case> cases = {
+      {kTc, "tc", GenerateGnp(100, 0.035, 41), true},
+      {cc, "cc", GenerateGnp(400, 0.006, 41), false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.pred);
+    std::set<std::vector<uint64_t>> oracle;
+    {
+      DCDatalog db(Opts(1, CoordinationMode::kGlobal));
+      db.AddGraph(c.graph, "arc");
+      ASSERT_TRUE(db.LoadProgramText(c.program).ok());
+      auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+      ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+      oracle = RowSet(ref.value().at(c.pred));
+    }
+    ASSERT_FALSE(oracle.empty());
+    // Drains that landed inside one of the same worker's iteration spans:
+    // the schedule this test is about.
+    uint64_t drains_inside_iterations = 0;
+    for (CoordinationMode mode : {CoordinationMode::kGlobal,
+                                  CoordinationMode::kSsp,
+                                  CoordinationMode::kDws}) {
+      for (uint32_t workers : {2u, 4u}) {
+        EngineOptions opts = Opts(workers, mode);
+        opts.spsc_capacity = 2;
+        opts.enable_trace = true;
+        DCDatalog db(opts);
+        db.AddGraph(c.graph, "arc");
+        ASSERT_TRUE(db.LoadProgramText(c.program).ok());
+        auto stats = db.Run();
+        ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+        EXPECT_EQ(RowSet(*db.ResultFor(c.pred)), oracle)
+            << CoordinationModeName(mode) << " x" << workers;
+        const std::vector<TraceEvent>& trace = stats.value().trace;
+        for (const TraceEvent& it : trace) {
+          if (it.kind != TraceEventKind::kIteration) continue;
+          for (const TraceEvent& d : trace) {
+            drains_inside_iterations +=
+                d.kind == TraceEventKind::kDrain && d.worker == it.worker &&
+                d.start_ns > it.start_ns && d.start_ns < it.end_ns;
+          }
+        }
+      }
+    }
+    if (c.ships_mid_iteration) {
+      EXPECT_GT(drains_inside_iterations, 0u);
+    }
+  }
 }
 
 TEST(EngineTest, TraceEventsCoverRun) {

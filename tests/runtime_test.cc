@@ -147,6 +147,117 @@ TEST(RecursiveTableTest, NoneDeduplicates) {
   EXPECT_EQ(t.delta_size(), 1u);
 }
 
+TEST(RecursiveTableTest, NoneDeltaHoldsAppendedIdsInOrder) {
+  RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
+                   false, EngineOptions());
+  std::vector<TupleBuf> batch = {{5, 6}, {1, 2}, {5, 6}, {3, 4}};
+  t.MergeBatch(batch);
+  ASSERT_EQ(t.delta(), (std::vector<uint32_t>{0, 1, 2}));
+  const std::vector<std::vector<uint64_t>> want = {{5, 6}, {1, 2}, {3, 4}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    const TupleRef row = t.rows().Row(t.delta()[i]);
+    EXPECT_EQ(std::vector<uint64_t>(row.data, row.data + row.arity), want[i]);
+  }
+  std::vector<TupleBuf> batch2 = {{1, 2}, {7, 8}};
+  t.MergeBatch(batch2);
+  EXPECT_EQ(t.delta(), (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(t.rows().Row(t.delta()[3])[0], 7u);
+}
+
+TEST(RecursiveTableTest, GroupBetteredTwiceReadsLatestValue) {
+  // A group bettered in two separate merges enters the delta once per
+  // merge, and both entries name the same row, which holds the newer value.
+  for (AggFunc func : {AggFunc::kMin, AggFunc::kMax}) {
+    SCOPED_TRACE(static_cast<int>(func));
+    RecursiveTable t("r", Schema::Ints(2), SpecFor(func, 2), 0, false,
+                     EngineOptions());
+    const int64_t first = 9;
+    const int64_t second = func == AggFunc::kMin ? 4 : 12;
+    std::vector<TupleBuf> b1 = {{1, WordFromInt(first)}};
+    t.MergeBatch(b1);
+    std::vector<TupleBuf> b2 = {{1, WordFromInt(second)}};
+    t.MergeBatch(b2);
+    ASSERT_EQ(t.delta(), (std::vector<uint32_t>{0, 0}));
+    for (const uint32_t id : t.delta()) {
+      EXPECT_EQ(IntFromWord(t.rows().Row(id)[1]), second);
+    }
+  }
+}
+
+TEST(RecursiveTableTest, RemoveRowsClearsDelta) {
+  for (AggFunc func : {AggFunc::kNone, AggFunc::kMin}) {
+    SCOPED_TRACE(static_cast<int>(func));
+    RecursiveTable t("r", Schema::Ints(2), SpecFor(func, 2), 0, false,
+                     EngineOptions());
+    std::vector<TupleBuf> batch = {{1, 2}, {3, 4}, {5, 6}};
+    t.MergeBatch(batch);
+    ASSERT_EQ(t.delta_size(), 3u);
+    // Removing row 0 moves row 2 into its place: a pending id 2 would name
+    // no row at all.
+    t.RemoveRows({0});
+    EXPECT_EQ(t.delta_size(), 0u);
+    EXPECT_TRUE(t.CheckIndexes().ok());
+    std::vector<TupleBuf> more = {{7, 8}};
+    t.MergeBatch(more);
+    ASSERT_EQ(t.delta(), (std::vector<uint32_t>{2}));
+    EXPECT_EQ(t.rows().Row(2)[0], 7u);
+  }
+}
+
+TEST(RecursiveTableTest, TakeDeltaKeepsBothCapacities) {
+  RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
+                   false, EngineOptions());
+  std::vector<TupleBuf> batch = {{1, 2}, {3, 4}, {5, 6}};
+  t.MergeBatch(batch);
+  const uint32_t* delta_buf = t.delta().data();
+  const size_t delta_cap = t.delta().capacity();
+  std::vector<uint32_t> out = {42};
+  out.reserve(100);
+  const uint32_t* out_buf = out.data();
+  const size_t out_cap = out.capacity();
+
+  t.TakeDelta(&out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(out.data(), delta_buf);
+  EXPECT_EQ(out.capacity(), delta_cap);
+  EXPECT_TRUE(t.delta().empty());
+  EXPECT_EQ(t.delta().data(), out_buf);
+  EXPECT_EQ(t.delta().capacity(), out_cap);
+
+  // Swapping back hands each buffer to its first owner, still allocation
+  // free while the delta fits.
+  std::vector<TupleBuf> batch2 = {{7, 8}};
+  t.MergeBatch(batch2);
+  EXPECT_EQ(t.delta().data(), out_buf);
+  t.TakeDelta(&out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{3}));
+  EXPECT_EQ(out.data(), out_buf);
+  EXPECT_EQ(t.delta().data(), delta_buf);
+}
+
+TEST(RecursiveTableTest, SnapshotIdsSurviveRowReallocation) {
+  // A local iteration walks a taken snapshot while backpressure gathers
+  // keep merging into the same table. Ids taken before those merges must
+  // name the same rows after the row storage moved.
+  RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kNone, 2), 0,
+                   false, EngineOptions());
+  std::vector<TupleBuf> batch = {{10, 11}, {12, 13}, {14, 15}};
+  t.MergeBatch(batch);
+  std::vector<uint32_t> snapshot;
+  t.TakeDelta(&snapshot);
+  const uint64_t* before = t.rows().raw().data();
+  std::vector<TupleBuf> growth;
+  for (uint64_t i = 0; i < 5000; ++i) growth.push_back({100 + i, i});
+  t.MergeBatch(growth);
+  ASSERT_NE(t.rows().raw().data(), before) << "rows did not reallocate";
+  ASSERT_EQ(snapshot, (std::vector<uint32_t>{0, 1, 2}));
+  for (size_t i = 0; i < snapshot.size(); ++i) {
+    EXPECT_EQ(t.rows().Row(snapshot[i])[0], batch[i].v[0]);
+    EXPECT_EQ(t.rows().Row(snapshot[i])[1], batch[i].v[1]);
+  }
+  EXPECT_EQ(t.delta_size(), growth.size());
+}
+
 TEST(RecursiveTableTest, MinKeepsBestAndUpdatesInPlace) {
   RecursiveTable t("r", Schema::Ints(2), SpecFor(AggFunc::kMin, 2), 0,
                    false, EngineOptions());
@@ -162,7 +273,7 @@ TEST(RecursiveTableTest, MinKeepsBestAndUpdatesInPlace) {
   t.MergeBatch(batch2);
   EXPECT_EQ(t.rows().size(), 2u);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 3);
+  EXPECT_EQ(IntFromWord(t.rows().Row(t.delta()[0])[1]), 3);
   // Stored row reflects the best.
   bool found = false;
   for (uint64_t r = 0; r < t.rows().size(); ++r) {
@@ -185,7 +296,7 @@ TEST(RecursiveTableTest, BatchDeltaIsPerGroup) {
   }
   t.MergeBatch(batch);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 1);
+  EXPECT_EQ(IntFromWord(t.rows().Row(t.delta()[0])[1]), 1);
 }
 
 TEST(RecursiveTableTest, MaxMirrorsMin) {
@@ -200,7 +311,7 @@ TEST(RecursiveTableTest, MaxMirrorsMin) {
   std::vector<TupleBuf> b3 = {{1, WordFromInt(8)}};
   t.MergeBatch(b3);
   ASSERT_EQ(t.delta_size(), 1u);
-  EXPECT_EQ(IntFromWord(t.delta()[0].v[1]), 8);
+  EXPECT_EQ(IntFromWord(t.rows().Row(t.delta()[0])[1]), 8);
 }
 
 TEST(RecursiveTableTest, MinDoubleValues) {
@@ -378,8 +489,10 @@ TEST(RecursiveTableTest, StridedMergeMatchesTupleBufAdapter) {
       }
       ASSERT_EQ(dense.delta_size(), boxed.delta_size());
       for (size_t d = 0; d < dense.delta_size(); ++d) {
+        ASSERT_EQ(dense.delta()[d], boxed.delta()[d]);
         for (uint32_t col = 0; col < stored; ++col) {
-          ASSERT_EQ(dense.delta()[d].v[col], boxed.delta()[d].v[col]);
+          ASSERT_EQ(dense.rows().Row(dense.delta()[d])[col],
+                    boxed.rows().Row(boxed.delta()[d])[col]);
         }
       }
       dense.ClearDelta();

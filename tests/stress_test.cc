@@ -26,8 +26,9 @@ namespace {
 using testing_util::RowSet;
 
 TEST(SpscStress, CacheLinePayloadTwoThreads) {
-  // The engine's actual element type (64-byte TupleBuf) under sustained
-  // two-thread traffic with a small ring (constant wraparound).
+  // A one-cache-line payload (64-byte TupleBuf) under sustained two-thread
+  // traffic with a small ring (constant wraparound). The engine's rings
+  // carry MsgBlocks; BlockBatchedFixpointBalancesCounters drives those.
   SpscQueue<TupleBuf> q(64);
   constexpr uint64_t kN = 200000;
   std::thread producer([&q] {

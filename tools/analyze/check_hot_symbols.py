@@ -70,16 +70,11 @@ BANNED_TARGET_RE = re.compile(
 # Allocator family only; adding a lock/wait/sleep entry here is a review
 # failure, not a supported escape hatch.
 ALLOWED_CALLS = [
-    (r"SccExecutor::(DistSelfSinkThunk|LocalIteration|GatherAll)\(",
+    (r"SccExecutor::(DistSelfSinkThunk|GatherAll)\(",
      r"^operator (new|delete)",
      "gather scratch (vector<uint64_t> of packed wire words) doubling "
      "branch inlined — amortized O(1) per tuple, capacity retained across "
-     "iterations; LocalIteration's per-replica delta snapshots, allocated "
-     "and freed once per iteration"),
-    (r"SccExecutor::RunUpdateRules\(",
-     r"^operator delete",
-     "frees the PipelineContext's relation table, which PreparePipeline "
-     "fills once per update rule per batch, never per driven row"),
+     "iterations"),
     (r"Distributor::EmitResolved\(",
      r"^operator (new|delete)",
      "staged-wire vector<uint64_t> doubling branch inlined — one append "
