@@ -4,6 +4,8 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/affinity.h"
@@ -24,11 +26,18 @@ namespace dcdatalog {
 /// power of two.
 template <typename T>
 class SpscQueue {
+  // Slots are raw storage (see slots_), which only a trivially copyable,
+  // trivially destructible element may live in.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
  public:
   explicit SpscQueue(uint32_t capacity)
       : capacity_(std::bit_ceil(std::max<uint32_t>(capacity, 2))),
         mask_(capacity_ - 1),
-        slots_(capacity_) {}
+        slots_(std::allocator<T>().allocate(capacity_)) {}
+
+  ~SpscQueue() { std::allocator<T>().deallocate(slots_, capacity_); }
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
@@ -107,7 +116,12 @@ class SpscQueue {
 
   const uint32_t capacity_;
   const uint64_t mask_;
-  std::vector<T> slots_;
+  // Uninitialised: TryPush writes a slot before a pop reads it, so a ring
+  // touches only the pages its pushes reach. The engine builds an n x n
+  // grid of rings (512 KiB each at the default capacity) for every SCC it
+  // runs, update batches included; initialising the slots would write all
+  // of it (8 MiB at 4 workers) each time.
+  T* const slots_;
 
   // Producer-owned line: tail plus its cached view of head.
   alignas(kCacheLine) std::atomic<uint64_t> tail_{0};

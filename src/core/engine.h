@@ -34,6 +34,8 @@ struct EvalStats {
   uint64_t num_sccs = 0;
   uint64_t total_local_iterations = 0;  // Summed over workers and SCCs.
   uint64_t max_local_iterations = 0;    // Slowest worker's count, any SCC.
+  /// Local rules' derivations (PhysicalRule::local_replica) skip
+  /// Distribute but count as emitted, routed and self-loop tuples.
   uint64_t tuples_routed = 0;           // Routed by Distribute (incl. self).
   uint64_t tuples_folded = 0;           // Removed by partial aggregation.
   uint64_t tuples_emitted = 0;          // Derivations handed to Distribute.

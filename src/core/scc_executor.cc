@@ -209,6 +209,24 @@ DCD_HOT_ROOT void SccExecutor::EmitBatchThunk(void* c, const HeadSpec& head,
   ctx->distributor->EmitBatch(head, wires, count, wire_arity);
 }
 
+/// Emit thunk of a local rule (PhysicalRule::local_replica): every tuple
+/// of the batch belongs to this worker's partition, so the batch skips
+/// Distribute and merges at once, while it is still in cache, through the
+/// one merge path and its stamp rule.
+DCD_HOT_ROOT void SccExecutor::LocalEmitThunk(void* c,
+                                              const HeadSpec& /*head*/,
+                                              const uint64_t* wires,
+                                              uint32_t count,
+                                              uint32_t wire_arity) {
+  auto* ctx = static_cast<WorkerContext*>(c);
+  DCD_DCHECK(ctx->local_replica >= 0);
+  std::vector<uint64_t>& batch = ctx->gather_scratch[ctx->local_replica];
+  batch.insert(batch.end(), wires,
+               wires + static_cast<size_t>(count) * wire_arity);
+  ctx->local_tuples += count;
+  ctx->exec->GatherAll(ctx);
+}
+
 /// Distributor sink thunks (BlockSink / SelfLoopSink): ctx is the
 /// emitting worker's WorkerContext.
 DCD_HOT_ROOT void SccExecutor::DistSinkThunk(void* c, uint32_t dest,
@@ -396,16 +414,19 @@ DCD_HOT_ROOT SccExecutor::IterationSample SccExecutor::LocalIteration(
   }
 
   PipelineContext* pctx = &ctx->pipeline;
-  const BatchEmitSink emit{&EmitBatchThunk, ctx};
+  const BatchEmitSink distribute{&EmitBatchThunk, ctx};
+  const BatchEmitSink merge_local{&LocalEmitThunk, ctx};
   for (const PhysicalRule& rule : scc_.delta_rules) {
     const size_t dr = rule.driving_replica;
     const std::vector<uint32_t>& snapshot = ctx->delta_scratch[dr];
     if (snapshot.empty()) continue;
     PreparePipeline(rule, pctx);
     const Relation& rows = ctx->replicas[dr]->rows();
-    ctx->batch_runner.Begin(rule, pctx, emit);
-    // Row() on every push: a backpressure gather inside a push may merge
-    // into this table and move its rows.
+    ctx->local_replica = rule.local_replica;
+    ctx->batch_runner.Begin(rule, pctx,
+                            rule.local_replica >= 0 ? merge_local : distribute);
+    // Row() on every push: a local rule's merge or a backpressure gather
+    // inside a push may merge into this table and move its rows.
     for (const uint32_t id : snapshot) ctx->batch_runner.Push(rows.Row(id));
     ctx->batch_runner.Finish();
   }
@@ -469,11 +490,11 @@ void SccExecutor::CollectStats(EvalStats* stats) {
     stats->total_local_iterations += ctx->local_iter;
     stats->max_local_iterations =
         std::max(stats->max_local_iterations, ctx->local_iter);
-    stats->tuples_routed += dist.tuples_routed();
+    stats->tuples_routed += dist.tuples_routed() + ctx->local_tuples;
     stats->tuples_folded += dist.tuples_folded();
-    stats->tuples_emitted += dist.tuples_emitted();
+    stats->tuples_emitted += dist.tuples_emitted() + ctx->local_tuples;
     stats->blocks_sent += dist.blocks_sent();
-    stats->self_loop_tuples += dist.self_loop_tuples();
+    stats->self_loop_tuples += dist.self_loop_tuples() + ctx->local_tuples;
     for (const auto& table : ctx->replicas) {
       stats->merges += table->merges();
       stats->accepts += table->accepts();

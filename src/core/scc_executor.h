@@ -110,6 +110,12 @@ class SccExecutor {
     /// back at the replica's wire arity (self-loop tuples and drained ring
     /// blocks alike).
     std::vector<std::vector<uint64_t>> gather_scratch;
+    /// The running delta rule's PhysicalRule::local_replica, read by
+    /// LocalEmitThunk.
+    int local_replica = -1;
+    /// Tuples local rules merged without Distribute (counted as routed
+    /// through the self-loop, like the tuples Distribute keeps here).
+    uint64_t local_tuples = 0;
     std::vector<MsgBlock> block_scratch;
     uint64_t local_iter = 0;
     int64_t idle_ns = 0;
@@ -188,6 +194,9 @@ class SccExecutor {
   [[gnu::noinline]] void Fixpoint(WorkerContext* ctx, Strategy* strategy);
   void StartWorker(uint32_t wid, WorkerContext* ctx);
   static void EmitBatchThunk(void* c, const HeadSpec& head,
+                             const uint64_t* wires, uint32_t count,
+                             uint32_t wire_arity);
+  static void LocalEmitThunk(void* c, const HeadSpec& head,
                              const uint64_t* wires, uint32_t count,
                              uint32_t wire_arity);
   static void DistSinkThunk(void* c, uint32_t dest, const MsgBlock& block);

@@ -182,9 +182,15 @@ AggSpec MakeAggSpec(const Program& program, const ProgramAnalysis& analysis,
 /// Compiles rule versions of one SCC; owns the register state per rule.
 class RuleCompiler {
  public:
+  /// `partition_col` >= 0 partitions every delta driving replica that
+  /// needs no probe locality on that column instead of the join key.
   RuleCompiler(const Program& program, const ProgramAnalysis& analysis,
-               PhysicalPlan* plan, SccPlan* scc)
-      : program_(program), analysis_(analysis), plan_(plan), scc_(scc) {}
+               PhysicalPlan* plan, SccPlan* scc, int partition_col)
+      : program_(program),
+        analysis_(analysis),
+        plan_(plan),
+        scc_(scc),
+        partition_col_(partition_col) {}
 
   Result<PhysicalRule> Compile(const LogicalRulePlan& logical) {
     rule_ = &program_.rules[logical.rule_index];
@@ -343,6 +349,8 @@ class RuleCompiler {
       driving_partition_col_ =
           static_cast<uint32_t>(ColOfVar(d_atom, locality_var));
       driving_needs_locality_ = true;
+    } else if (partition_col_ >= 0) {
+      driving_partition_col_ = static_cast<uint32_t>(partition_col_);
     } else {
       // Free choice: prefer the first driving column whose variable also
       // appears in another atom (the join key), mirroring the paper's
@@ -799,6 +807,7 @@ class RuleCompiler {
   const ProgramAnalysis& analysis_;
   PhysicalPlan* plan_;
   SccPlan* scc_;
+  const int partition_col_;
 
   const Rule* rule_ = nullptr;
   PhysicalRule out_;
@@ -839,6 +848,27 @@ int ShardColumn(const Program& program, const ProgramAnalysis& analysis,
   return -1;
 }
 
+/// PhysicalRule::local_replica of delta rule `rule`: the head's one
+/// replica when the head is set-semantics and its partition column holds
+/// the register the driving replica's partition column binds, else -1.
+/// Every derived fact then hashes to the worker whose δ row derived it.
+int LocalReplica(const SccPlan& scc, const PhysicalRule& rule) {
+  if (rule.head.agg.func != AggFunc::kNone) return -1;
+  const std::vector<int> heads = scc.ReplicasOf(rule.head.predicate);
+  if (heads.size() != 1) return -1;
+  const CompiledExpr& key =
+      rule.head.wire_exprs[scc.replicas[heads[0]].partition_col];
+  if (key.op != ExprOp::kVar) return -1;
+  const uint32_t col = scc.replicas[rule.driving_replica].partition_col;
+  for (const OutputBinding& b : rule.scan_outputs) {
+    if (b.col == col && b.reg == key.reg) return heads[0];
+  }
+  for (const EqCheck& c : rule.scan_eq_checks) {
+    if (c.col == col && c.reg == key.reg) return heads[0];
+  }
+  return -1;
+}
+
 }  // namespace
 
 std::vector<int> SccPlan::ReplicasOf(const std::string& pred) const {
@@ -868,6 +898,7 @@ std::string PhysicalRule::ToString() const {
     if (driving_replica >= 0) os << " (replica " << driving_replica << ")";
   }
   os << " steps=" << steps.size() << " head=" << head.predicate;
+  if (local_replica >= 0) os << " local";
   return os.str();
 }
 
@@ -946,7 +977,14 @@ Result<PhysicalPlan> BuildPhysicalPlan(
     scc.derived_preds = info.predicates;
     scc.shard_col = ShardColumn(program, analysis, plan, info);
 
-    RuleCompiler compiler(program, analysis, &plan, &scc);
+    // A plain plan partitions a linear set SCC on its proof-invariant
+    // column: every derivation then lands on the worker that made it. An
+    // incremental plan keeps the join key, because its update versions
+    // probe the replicas on it (TC's probes `tc` on Z), and a second
+    // partitioning would route every tuple twice.
+    const int partition_col =
+        !build_update_rules && !info.nonlinear ? scc.shard_col : -1;
+    RuleCompiler compiler(program, analysis, &plan, &scc, partition_col);
     for (const LogicalRulePlan& logical : logical_plans) {
       if (analysis.rule_infos()[logical.rule_index].head_scc !=
           static_cast<int>(s)) {
@@ -1075,6 +1113,9 @@ Result<PhysicalPlan> BuildPhysicalPlan(
       }
     }
 
+    for (PhysicalRule& rule : scc.delta_rules) {
+      rule.local_replica = LocalReplica(scc, rule);
+    }
     plan.sccs.push_back(std::move(scc));
   }
   return plan;

@@ -166,6 +166,14 @@ struct PhysicalRule {
   bool is_check = false;
   std::vector<CheckAtom> check_atoms;
 
+  /// Delta versions only: the replica every derivation of this rule merges
+  /// into on the worker that derived it, or -1. Set when the head is
+  /// set-semantics with exactly one replica whose partition column holds
+  /// the variable the driving replica is partitioned on, so the head
+  /// hashes to this worker by construction; the executor then skips
+  /// Distribute and merges each emitted batch at once.
+  int local_replica = -1;
+
   /// Driving source: a recursive replica's delta (delta versions), a base
   /// relation scanned in chunks (base rules), or the implicit unit row.
   std::string driving_relation;
@@ -222,7 +230,9 @@ struct SccPlan {
   /// variable in its own column c: TC's `tc(X, Y) :- tc(X, Z), arc(Z, Y)`
   /// keeps X in column 0. Checking a fact and forwarding from it then only
   /// touch facts with the same column-c value, so the delete splits its
-  /// work into one shard per worker keyed on that column.
+  /// work into one shard per worker keyed on that column. A plan built
+  /// without update versions also partitions a linear SCC's replicas on
+  /// it, which makes every delta rule local (PhysicalRule::local_replica).
   int shard_col = -1;
 
   /// Replica ids for a predicate, in registration order (the first one is

@@ -71,6 +71,15 @@ TEST(CliTest, GenerateRunExplainRoundTrip) {
   ASSERT_EQ(explain.exit_code, 0) << explain.output;
   EXPECT_NE(explain.output.find("physical plan"), std::string::npos);
   EXPECT_NE(explain.output.find("recursive"), std::string::npos);
+  // TC is partitioned on its source X, so its delta rule derives only
+  // facts of the deriving worker's partition: it is marked local.
+  EXPECT_NE(explain.output.find("replicas: [0]tc@0\n"), std::string::npos)
+      << explain.output;
+  EXPECT_NE(explain.output.find(
+                "delta rule#1 δ@0 drive=tc (replica 0) steps=1 head=tc "
+                "local\n"),
+            std::string::npos)
+      << explain.output;
 
   // run with --out; arity inferred from the program (no :ii needed).
   CmdResult run = RunCli("run " + program + " --rel arc=" + edges +

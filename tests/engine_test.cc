@@ -302,9 +302,10 @@ TEST(EngineTest, SspSlackRespected) {
 
 TEST(EngineTest, TinyQueueCapacityStillCompletes) {
   // spsc_capacity = 2 clamps every ring to its minimum, so pushes inside a
-  // local iteration keep finding full rings and gather: under TC they
-  // append to the very table the iteration drives from while it walks its
-  // delta's row ids. CC's min head folds its wires until the iteration's
+  // local iteration keep finding full rings and gather: under non-linear
+  // TC they append to the very table the iteration drives from while it
+  // walks its delta's row ids (TC's local rule merges there through no
+  // ring at all). CC's min head folds its wires until the iteration's
   // flush, so its gathers fall between iterations; there a group bettered
   // twice enters the delta twice and drives at its latest value both times.
   const std::string cc =
@@ -319,8 +320,14 @@ TEST(EngineTest, TinyQueueCapacityStillCompletes) {
     Graph graph;
     bool ships_mid_iteration;
   };
+  // Non-linear TC routes every derivation on a join key; TC's own delta
+  // rule is local and merges without Distribute.
+  const std::string nonlinear_tc =
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), tc(Z, Y).\n";
   const std::vector<Case> cases = {
       {kTc, "tc", GenerateGnp(100, 0.035, 41), true},
+      {nonlinear_tc, "tc", GenerateGnp(100, 0.035, 41), true},
       {cc, "cc", GenerateGnp(400, 0.006, 41), false}};
   for (const Case& c : cases) {
     SCOPED_TRACE(c.pred);
@@ -366,6 +373,97 @@ TEST(EngineTest, TinyQueueCapacityStillCompletes) {
       EXPECT_GT(drains_inside_iterations, 0u);
     }
   }
+}
+
+TEST(EngineTest, LocalRulesMatchOracle) {
+  // A local rule (`local` in the physical plan) derives only facts of its
+  // own worker's partition: each emitted batch skips Distribute and merges
+  // at once, into the table the iteration drives from. The last program's
+  // rule also probes that table while it merges into it. Tiny rings make
+  // the base rules' shipments gather inside those iterations too.
+  struct Case {
+    const char* program;
+    const char* pred;
+  };
+  const Case cases[] = {
+      {kTc, "tc"},
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- arc(X, Z), tc(Z, Y).\n",
+       "tc"},
+      {"odd(X, Y) :- arc(X, Y).\n"
+       "even(X, Y) :- odd(X, Z), arc(Z, Y).\n"
+       "odd(X, Y) :- even(X, Z), arc(Z, Y).\n",
+       "even"},
+      // examples/queries/unreachable.dl: negation over a local SCC.
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n"
+       "node(X) :- arc(X, _).\n"
+       "node(X) :- arc(_, X).\n"
+       "unreach(X, Y) :- node(X), node(Y), !tc(X, Y).\n",
+       "unreach"},
+      {"p(X, Y) :- arc(X, Y).\n"
+       "p(X, Y) :- p(X, Z), p(X, W), arc(W, Y), Z != Y.\n",
+       "p"},
+  };
+  const Graph graphs[] = {GenerateGnp(40, 0.06, 13), GenerateStarHub(32, 9)};
+  for (const Graph& g : graphs) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.program);
+      std::set<std::vector<uint64_t>> oracle;
+      {
+        DCDatalog db(Opts(1, CoordinationMode::kGlobal));
+        db.AddGraph(g, "arc");
+        ASSERT_TRUE(db.LoadProgramText(c.program).ok());
+        auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+        ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+        oracle = RowSet(ref.value().at(c.pred));
+        auto plan = db.ExplainPhysical();
+        ASSERT_TRUE(plan.ok());
+        EXPECT_NE(plan.value().find(" local"), std::string::npos);
+      }
+      ASSERT_FALSE(oracle.empty());
+      for (CoordinationMode mode : {CoordinationMode::kGlobal,
+                                    CoordinationMode::kSsp,
+                                    CoordinationMode::kDws}) {
+        for (uint32_t workers : {1u, 2u, 4u}) {
+          for (uint32_t capacity : {EngineOptions().spsc_capacity, 2u}) {
+            EngineOptions opts = Opts(workers, mode);
+            opts.spsc_capacity = capacity;
+            DCDatalog db(opts);
+            db.AddGraph(g, "arc");
+            ASSERT_TRUE(db.LoadProgramText(c.program).ok());
+            auto stats = db.Run();
+            ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+            EXPECT_EQ(RowSet(*db.ResultFor(c.pred)), oracle)
+                << CoordinationModeName(mode) << " x" << workers
+                << " capacity " << capacity;
+            const EvalStats& s = stats.value();
+            EXPECT_EQ(s.merges, s.tuples_routed);
+            if (workers == 1) {
+              EXPECT_EQ(s.self_loop_tuples, s.tuples_routed);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineTest, TcDerivationsStayOnTheirWorker) {
+  // Only TC's base rule routes by hash; every derivation of its local
+  // delta rule is counted as a self-loop tuple.
+  Graph g = GenerateGnp(80, 0.05, 3);
+  DCDatalog db(Opts(4, CoordinationMode::kDws));
+  db.AddGraph(g, "arc");
+  ASSERT_TRUE(db.LoadProgramText(kTc).ok());
+  auto stats = db.Run();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const EvalStats& s = stats.value();
+  const uint64_t arcs = db.catalog().Find("arc")->size();
+  EXPECT_GT(s.tuples_routed, 2 * arcs);
+  EXPECT_EQ(s.tuples_emitted, s.tuples_routed);
+  EXPECT_LE(s.tuples_routed - s.self_loop_tuples, arcs);
+  EXPECT_EQ(s.merges, s.tuples_routed);
 }
 
 TEST(EngineTest, TraceEventsCoverRun) {

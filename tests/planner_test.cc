@@ -149,9 +149,162 @@ TEST_F(PlannerTest, LinearRecursionSingleReplica) {
   const SccPlan& scc = plan.value().sccs.back();
   auto ids = scc.ReplicasOf("tc");
   ASSERT_EQ(ids.size(), 1u);
-  // Partitioned on the join key Z = column 1 of tc(X, Z).
-  EXPECT_EQ(scc.replicas[ids[0]].partition_col, 1u);
+  // Partitioned on the proof-invariant source X = column 0 of tc(X, Z),
+  // not on the join key Z: a derived tc(X, Y) stays where tc(X, Z) was.
+  EXPECT_EQ(scc.replicas[ids[0]].partition_col, 0u);
   EXPECT_FALSE(scc.replicas[ids[0]].needs_join_index);
+  ASSERT_EQ(scc.delta_rules.size(), 1u);
+  EXPECT_EQ(scc.delta_rules[0].local_replica, ids[0]);
+}
+
+/// The replica list of `scc`, as `dcd explain` prints it.
+std::string ReplicaList(const SccPlan& scc) {
+  const std::string s = scc.ToString();
+  const size_t begin = s.find("replicas:");
+  return s.substr(begin, s.find('\n', begin) - begin);
+}
+
+/// The SCC of the plan that defines `pred`.
+const SccPlan& SccOf(const PhysicalPlan& plan, const std::string& pred) {
+  for (const SccPlan& scc : plan.sccs) {
+    if (scc.PredIdOf(pred) >= 0) return scc;
+  }
+  ADD_FAILURE() << "no SCC defines " << pred;
+  return plan.sccs.front();
+}
+
+TEST_F(PlannerTest, IncrementalTcKeepsTheJoinKey) {
+  // The update version driven by arc probes tc on Z; partitioning on X
+  // would add a second replica and route every tuple twice.
+  Load(
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), arc(Z, Y).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& scc = plan.value().sccs.back();
+  EXPECT_EQ(ReplicaList(scc), "replicas: [0]tc@1+idx");
+  ASSERT_EQ(scc.delta_rules.size(), 1u);
+  EXPECT_EQ(scc.delta_rules[0].local_replica, -1);
+  EXPECT_EQ(scc.delta_rules[0].ToString().find("local"), std::string::npos);
+}
+
+TEST_F(PlannerTest, IncrementalPlanMarksAJoinKeyLocalRule) {
+  // The join key X is also the head's partition column: the incremental
+  // plan's delta rule is local without any change of partitioning.
+  catalog_.Put(Relation("q", Schema::Ints(2)));
+  Load(
+      "p(X, Y) :- arc(X, Y).\n"
+      "p(X, Y) :- p(X, Z), q(X, Y).");
+  auto logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  auto plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                                /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& scc = plan.value().sccs.back();
+  EXPECT_EQ(ReplicaList(scc), "replicas: [0]p@0+idx");
+  ASSERT_EQ(scc.delta_rules.size(), 1u);
+  EXPECT_EQ(scc.delta_rules[0].local_replica, 0);
+
+  // Per-source reachability (incremental_test): step's update version
+  // probes p on X too, so the one replica stays p@0.
+  catalog_.Put(Relation("step", Schema::Ints(3)));
+  Load(
+      "p(X, Y) :- arc(X, Y).\n"
+      "p(X, Y) :- p(X, Z), step(X, Z, Y).");
+  logical = Logical();
+  ASSERT_TRUE(logical.ok());
+  plan = BuildPhysicalPlan(program_, *analysis_, logical.value(),
+                           /*build_update_rules=*/true);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& steps = plan.value().sccs.back();
+  EXPECT_EQ(ReplicaList(steps), "replicas: [0]p@0+idx");
+  ASSERT_EQ(steps.delta_rules.size(), 1u);
+  EXPECT_EQ(steps.delta_rules[0].local_replica, 0);
+}
+
+TEST_F(PlannerTest, RightRecursiveTcPartitionsOnItsTarget) {
+  Load(
+      "tc(X, Y) :- arc(X, Y).\n"
+      "tc(X, Y) :- arc(X, Z), tc(Z, Y).");
+  auto plan = Physical();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& scc = plan.value().sccs.back();
+  EXPECT_EQ(scc.shard_col, 1);
+  EXPECT_EQ(ReplicaList(scc), "replicas: [0]tc@1");
+  ASSERT_EQ(scc.delta_rules.size(), 1u);
+  EXPECT_EQ(scc.delta_rules[0].local_replica, 0);
+  EXPECT_NE(scc.delta_rules[0].ToString().find(" local"), std::string::npos);
+}
+
+TEST_F(PlannerTest, MutualRecursionPartitionsEveryPredicateOnTheShardColumn) {
+  Load(
+      "odd(X, Y) :- arc(X, Y).\n"
+      "even(X, Y) :- odd(X, Z), arc(Z, Y).\n"
+      "odd(X, Y) :- even(X, Z), arc(Z, Y).");
+  auto plan = Physical();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& scc = plan.value().sccs.back();
+  EXPECT_EQ(scc.shard_col, 0);
+  EXPECT_EQ(ReplicaList(scc), "replicas: [0]odd@0 [1]even@0");
+  ASSERT_EQ(scc.delta_rules.size(), 2u);
+  for (const PhysicalRule& rule : scc.delta_rules) {
+    EXPECT_EQ(rule.local_replica, scc.ReplicasOf(rule.head.predicate)[0])
+        << rule.ToString();
+  }
+}
+
+TEST_F(PlannerTest, PlansWithoutAShardColumnKeepTheirReplicasAndRouting) {
+  catalog_.Put(Relation("matrix", Schema({{"x", ColumnType::kInt},
+                                          {"y", ColumnType::kInt},
+                                          {"d", ColumnType::kDouble}})));
+  struct Case {
+    const char* program;
+    const char* pred;
+    const char* replicas;
+  };
+  const Case cases[] = {
+      {"tc(X, Y) :- arc(X, Y).\n"
+       "tc(X, Y) :- tc(X, Z), tc(Z, Y).",
+       "tc", "replicas: [0]tc@1+idx [1]tc@0+idx"},
+      {"sg(X, Y) :- arc(P, X), arc(P, Y), X != Y.\n"
+       "sg(X, Y) :- arc(A, X), sg(A, B), arc(B, Y).",
+       "sg", "replicas: [0]sg@0"},
+      {"cc2(Y, min<Y>) :- arc(Y, _).\n"
+       "cc2(Y, min<Y>) :- arc(_, Y).\n"
+       "cc2(Y, min<Z>) :- cc2(X, Z), arc(X, Y).\n"
+       "cc2(Y, min<Z>) :- cc2(X, Z), arc(Y, X).\n"
+       "cc(Y, min<Z>) :- cc2(Y, Z).",
+       "cc2", "replicas: [0]cc2@0"},
+      {"sp(To, min<C>) :- To = 0, C = 0.\n"
+       "sp(To2, min<C>) :- sp(To1, C1), warc(To1, To2, C2), C = C1 + C2.",
+       "sp", "replicas: [0]sp@0"},
+      {"path(A, B, min<D>) :- warc(A, B, D).\n"
+       "path(A, B, min<D>) :- path(A, C, D1), path(C, B, D2), D = D1 + D2.",
+       "path", "replicas: [0]path@1+idx [1]path@0+idx"},
+      {"delivery(P, max<D>) :- basic(P, D).\n"
+       "delivery(P, max<D>) :- assbl(P, S), delivery(S, D).",
+       "delivery", "replicas: [0]delivery@0"},
+      {"rank(X, sum<(X, I)>) :- matrix(X, _, _), I = 0.15 / 10000.0.\n"
+       "rank(X, sum<(Y, K)>) :- rank(Y, C), matrix(Y, X, D), "
+       "K = 0.85 * (C / D).",
+       "rank", "replicas: [0]rank@0"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.program);
+    Load(c.program);
+    auto plan = Physical();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const SccPlan& scc = SccOf(plan.value(), c.pred);
+    EXPECT_EQ(ReplicaList(scc), c.replicas);
+    for (const SccPlan& s : plan.value().sccs) {
+      for (const PhysicalRule& rule : s.delta_rules) {
+        EXPECT_EQ(rule.local_replica, -1) << rule.ToString();
+      }
+    }
+  }
 }
 
 TEST_F(PlannerTest, HashJoinHeuristicForSharedKeyVariable) {

@@ -42,7 +42,8 @@ HOT_SYMBOL_PATTERNS = [
     r"^dcdatalog::BatchPipelineRunner::(Push|RunBatch|Finish|FlushLevel)\(",
     r"^dcdatalog::SccExecutor::"
     r"(LocalIteration|GatherAll|PushWithBackpressure|RunUpdateRules|"
-    r"InactiveWait|EmitBatchThunk|DistSinkThunk|DistSelfSinkThunk)\(",
+    r"InactiveWait|EmitBatchThunk|LocalEmitThunk|DistSinkThunk|"
+    r"DistSelfSinkThunk)\(",
     # The fixpoint loop, one out-of-line body per strategy, and whichever
     # strategy hooks (core/strategy.h) the compiler did not inline into it.
     r"^(void )?dcdatalog::(SccExecutor::Fixpoint<|(Global|Ssp|Dws)Strategy::"
@@ -70,11 +71,11 @@ BANNED_TARGET_RE = re.compile(
 # Allocator family only; adding a lock/wait/sleep entry here is a review
 # failure, not a supported escape hatch.
 ALLOWED_CALLS = [
-    (r"SccExecutor::(DistSelfSinkThunk|GatherAll)\(",
+    (r"SccExecutor::(DistSelfSinkThunk|LocalEmitThunk|GatherAll)\(",
      r"^operator (new|delete)",
      "gather scratch (vector<uint64_t> of packed wire words) doubling "
      "branch inlined — amortized O(1) per tuple, capacity retained across "
-     "iterations"),
+     "iterations; a local rule's batch appends to the same scratch"),
     (r"Distributor::EmitResolved\(",
      r"^operator (new|delete)",
      "staged-wire vector<uint64_t> doubling branch inlined — one append "

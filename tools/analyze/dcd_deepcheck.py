@@ -112,6 +112,7 @@ HOT_ROOTS = [
     "DwsStrategy::AfterIteration",
     # Emit sinks: function-pointer boundary, see note above.
     "SccExecutor::EmitBatchThunk",
+    "SccExecutor::LocalEmitThunk",
     "SccExecutor::DistSinkThunk",
     "SccExecutor::DistSelfSinkThunk",
     # SPSC rings: per block.
@@ -127,8 +128,9 @@ HOT_ROOTS = [
     "LogHistogram::Add",
 ]
 
-# Every EvalStats counter must name the hot function that feeds it (None
-# for aggregates maintained by the cold per-SCC / per-batch drivers).
+# Every EvalStats counter must name the hot function that feeds it, or a
+# tuple of them when several do (None for aggregates maintained by the
+# cold per-SCC / per-batch drivers).
 # --check-roots parses EvalStats::Counters() and fails when a counter is
 # missing here — a new per-tuple counter cannot ship without registering
 # the loop that bumps it, and that loop must be hot-reachable.
@@ -137,11 +139,14 @@ EVALSTATS_COUNTER_SITES = {
     "num_sccs": None,
     "total_local_iterations": "SccExecutor::LocalIteration",
     "max_local_iterations": "SccExecutor::LocalIteration",
-    "tuples_routed": "Distributor::Route",
+    # A local rule's batches skip Distribute; LocalEmitThunk counts them.
+    "tuples_routed": ("Distributor::Route", "SccExecutor::LocalEmitThunk"),
     "tuples_folded": "Distributor::EmitResolved",
-    "tuples_emitted": "Distributor::EmitResolved",
+    "tuples_emitted": ("Distributor::EmitResolved",
+                       "SccExecutor::LocalEmitThunk"),
     "blocks_sent": "Distributor::SendBlock",
-    "self_loop_tuples": "Distributor::Route",
+    "self_loop_tuples": ("Distributor::Route",
+                         "SccExecutor::LocalEmitThunk"),
     "merges": "RecursiveTable::MergeWire",
     "accepts": "RecursiveTable::MergeWire",
     # Always 0 since the existence cache was removed; kept only for
@@ -994,20 +999,21 @@ def check_roots(program):
                 "EVALSTATS_COUNTER_SITES — register the hot loop that "
                 "feeds it (or map it to None if a cold driver owns it)"))
             continue
-        site = EVALSTATS_COUNTER_SITES[counter]
-        if site is None:
+        sites = EVALSTATS_COUNTER_SITES[counter]
+        if sites is None:
             continue
-        if site not in program.by_qname:
-            findings.append(Finding(
-                "root-pin", "<registry>", 0,
-                f"counter '{counter}' maps to '{site}' which does not "
-                "exist in the parsed tree"))
-        elif site not in reachable:
-            findings.append(Finding(
-                "root-pin", "<registry>", 0,
-                f"counter '{counter}' is fed by '{site}' which is not "
-                "hot-reachable — a per-tuple counter outside the proven "
-                "hot-path set means an unregistered hot loop"))
+        for site in sites if isinstance(sites, tuple) else (sites,):
+            if site not in program.by_qname:
+                findings.append(Finding(
+                    "root-pin", "<registry>", 0,
+                    f"counter '{counter}' maps to '{site}' which does not "
+                    "exist in the parsed tree"))
+            elif site not in reachable:
+                findings.append(Finding(
+                    "root-pin", "<registry>", 0,
+                    f"counter '{counter}' is fed by '{site}' which is not "
+                    "hot-reachable — a per-tuple counter outside the proven "
+                    "hot-path set means an unregistered hot loop"))
     for counter in EVALSTATS_COUNTER_SITES:
         if counters and counter not in counters:
             findings.append(Finding(
