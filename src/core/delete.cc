@@ -138,10 +138,7 @@ class Shard {
 
   /// The worker whose partition of `replica` holds `tuple`.
   uint32_t WorkerOf(int replica, const uint64_t* tuple) const {
-    const ReplicaSpec& spec = scc_.replicas[replica];
-    return spec.partition_constant
-               ? 0
-               : PartitionOf(tuple[spec.partition_col], n_);
+    return scc_.replicas[replica].WorkerOf(tuple, n_);
   }
 
   /// A fact's stamp: the lowest over its copies, one per replica.
@@ -411,11 +408,8 @@ void DeleteRules::Forward(int pred_id, TupleRef tuple, BatchEmitSink emit) {
   const SccPlan& scc = *in_.scc;
   for (size_t d : delta_by_pred_[pred_id]) {
     const PhysicalRule& rule = scc.delta_rules[d];
-    const ReplicaSpec& spec = scc.replicas[rule.driving_replica];
-    const uint32_t w = spec.partition_constant
-                           ? 0
-                           : PartitionOf(tuple[spec.partition_col],
-                                         in_.num_workers);
+    const uint32_t w = scc.replicas[rule.driving_replica].WorkerOf(
+        tuple.data, in_.num_workers);
     PipelineContext& ctx = delta_ctx_[d];
     ctx.replicas = &(*in_.tables)[w];
     RunOne(rule, ctx, tuple, emit);

@@ -737,7 +737,7 @@ Result<bool> Engine::DeleteFromScc(
       std::vector<std::vector<uint64_t>> ids(n);
       for (uint64_t r = 0; r < gone.size(); ++r) {
         const TupleRef row = gone.Row(r);
-        const uint32_t w = PartitionOf(row[spec.partition_col], n);
+        const uint32_t w = spec.WorkerOf(row.data, n);
         const uint64_t id = tables[w][reps[k]]->FindRowId(row);
         DCD_DCHECK(id != UINT64_MAX);
         if (id != UINT64_MAX) ids[w].push_back(id);
@@ -764,9 +764,7 @@ Result<bool> Engine::DeleteFromScc(
       const uint32_t arity = tables[0][r]->stored_arity();
       std::vector<std::vector<uint64_t>> parts(n);
       for (size_t i = 0; i < rows.size(); i += arity) {
-        const uint32_t w = spec.partition_constant
-                               ? 0
-                               : PartitionOf(rows[i + spec.partition_col], n);
+        const uint32_t w = spec.WorkerOf(&rows[i], n);
         parts[w].insert(parts[w].end(), &rows[i], &rows[i] + arity);
       }
       for (uint32_t w = 0; w < n; ++w) {

@@ -849,17 +849,21 @@ int ShardColumn(const Program& program, const ProgramAnalysis& analysis,
 }
 
 /// PhysicalRule::local_replica of delta rule `rule`: the head's one
-/// replica when the head is set-semantics and its partition column holds
-/// the register the driving replica's partition column binds, else -1.
-/// Every derived fact then hashes to the worker whose δ row derived it.
+/// replica when the head is set-semantics and its key column holds the
+/// register the driving replica's key column binds, else -1. Every
+/// derived fact then hashes to the worker whose δ row derived it. A
+/// constant replica (ReplicaSpec::KeyCol() < 0) on either side keeps the
+/// rule routed: its rows sit on worker 0 whatever their column values.
 int LocalReplica(const SccPlan& scc, const PhysicalRule& rule) {
   if (rule.head.agg.func != AggFunc::kNone) return -1;
   const std::vector<int> heads = scc.ReplicasOf(rule.head.predicate);
   if (heads.size() != 1) return -1;
-  const CompiledExpr& key =
-      rule.head.wire_exprs[scc.replicas[heads[0]].partition_col];
+  const int head_col = scc.replicas[heads[0]].KeyCol();
+  const int driving_col = scc.replicas[rule.driving_replica].KeyCol();
+  if (head_col < 0 || driving_col < 0) return -1;
+  const CompiledExpr& key = rule.head.wire_exprs[head_col];
   if (key.op != ExprOp::kVar) return -1;
-  const uint32_t col = scc.replicas[rule.driving_replica].partition_col;
+  const uint32_t col = static_cast<uint32_t>(driving_col);
   for (const OutputBinding& b : rule.scan_outputs) {
     if (b.col == col && b.reg == key.reg) return heads[0];
   }

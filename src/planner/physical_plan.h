@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "datalog/analysis.h"
@@ -116,6 +117,19 @@ struct ReplicaSpec {
   /// Global aggregates (no group-by columns) have a single logical group;
   /// all their tuples route to one fixed worker instead of by column.
   bool partition_constant = false;
+
+  /// The column a row's worker hashes on, or -1 when every row sits on
+  /// worker 0 (`partition_constant`).
+  int KeyCol() const {
+    return partition_constant ? -1 : static_cast<int>(partition_col);
+  }
+  /// The worker whose partition holds `row` (a stored or wire row: the
+  /// key column is a group column, so both layouts agree on it). Every
+  /// site that places or looks up a row uses this one rule.
+  uint32_t WorkerOf(const uint64_t* row, uint32_t num_workers) const {
+    const int col = KeyCol();
+    return col < 0 ? 0 : PartitionOf(row[col], num_workers);
+  }
 };
 
 /// The head side of a physical rule: wire-tuple construction and routing.

@@ -79,9 +79,7 @@ void Distributor::Route(const PerPredicate& pp, const uint64_t* wire) {
   const uint32_t capacity = pp.block_capacity;
   for (int rid : pp.replica_ids) {
     const ReplicaSpec& replica = scc_->replicas[rid];
-    const uint64_t key =
-        replica.partition_constant ? 0 : wire[replica.partition_col];
-    uint32_t dest = PartitionOf(key, num_workers_);
+    uint32_t dest = replica.WorkerOf(wire, num_workers_);
 #if DCD_CHAOS_ENABLED
     // Misroute every 8th routed tuple. Crucially this is inconsistent per
     // key — a consistent misroute would just be a different (still correct)

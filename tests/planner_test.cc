@@ -256,6 +256,36 @@ TEST_F(PlannerTest, MutualRecursionPartitionsEveryPredicateOnTheShardColumn) {
   }
 }
 
+TEST_F(PlannerTest, ConstantReplicaKeepsItsRulesRouted) {
+  // low has no group column: every row of its replica sits on worker 0,
+  // although column 0 holds the aggregate value X that seen is
+  // partitioned on. seen(X) :- low(X) binds the same variable on both
+  // sides, yet its derivation belongs to PartitionOf(X), so the rule must
+  // go through Distribute.
+  Load(
+      "low(min<Y>) :- seen(X), arc(X, Y).\n"
+      "seen(X) :- low(X).\n"
+      "seen(X) :- arc(X, _).");
+  auto plan = Physical();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const SccPlan& scc = SccOf(plan.value(), "seen");
+  const int low = scc.ReplicasOf("low")[0];
+  EXPECT_TRUE(scc.replicas[low].partition_constant);
+  EXPECT_EQ(scc.replicas[low].KeyCol(), -1);
+  const int seen = scc.ReplicasOf("seen")[0];
+  EXPECT_EQ(scc.replicas[seen].KeyCol(), 0);
+  ASSERT_EQ(scc.delta_rules.size(), 2u);
+  for (const PhysicalRule& rule : scc.delta_rules) {
+    EXPECT_EQ(rule.local_replica, -1) << rule.ToString();
+  }
+  const uint64_t row[] = {7};
+  for (uint32_t workers : {1u, 2u, 4u}) {
+    EXPECT_EQ(scc.replicas[low].WorkerOf(row, workers), 0u);
+    EXPECT_EQ(scc.replicas[seen].WorkerOf(row, workers),
+              PartitionOf(7, workers));
+  }
+}
+
 TEST_F(PlannerTest, PlansWithoutAShardColumnKeepTheirReplicasAndRouting) {
   catalog_.Put(Relation("matrix", Schema({{"x", ColumnType::kInt},
                                           {"y", ColumnType::kInt},
