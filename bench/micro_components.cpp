@@ -20,10 +20,8 @@
 #include "common/trace.h"
 #include "concurrent/spsc_queue.h"
 #include "concurrent/termination.h"
-#include "core/dcdatalog.h"
 #include "datalog/analysis.h"
 #include "datalog/parser.h"
-#include "graph/generators.h"
 #include "planner/logical_plan.h"
 #include "runtime/base_index_set.h"
 #include "runtime/batch_pipeline.h"
@@ -404,14 +402,12 @@ BENCHMARK(BM_DistributeGatherBlocked)
 
 // --- Trace-ring / metrics overhead ---------------------------------------
 //
-// The observability layer must be invisible when tracing is off. Three
-// levels of proof: (1) Append behind a disabled ring is one predictable
-// branch (compare *_Disabled against *_Enabled); (2) a LogHistogram::Add is
-// counter-cheap, which is why the histograms stay on unconditionally; and
-// (3) the engine-level pair runs the same TC evaluation with tracing off vs
-// on — the off case is the configuration every benchmark and production run
-// uses, and its delta against pre-trace-ring builds must stay at noise
-// level (the hot loops gained only `if (!ring.enabled()) return` guards).
+// The observability layer must be invisible when tracing is off. Two
+// component-level proofs: (1) Append behind a disabled ring is one
+// predictable branch (compare *_Disabled against *_Enabled); (2) a
+// LogHistogram::Add is counter-cheap, which is why the histograms stay on
+// unconditionally. The end-to-end cost of tracing a whole evaluation is
+// perfbench's `trace.overhead_pct`.
 
 void BM_TraceRingAppendDisabled(benchmark::State& state) {
   TraceRing ring;  // Capacity 0: the trace-off configuration.
@@ -450,118 +446,6 @@ void BM_LogHistogramAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LogHistogramAdd);
-
-void EngineTraceBench(benchmark::State& state, bool trace) {
-  EngineOptions opts;
-  opts.num_workers = 4;
-  opts.coordination = CoordinationMode::kDws;
-  opts.enable_trace = trace;
-  const Graph g = GenerateGnp(300, 0.01, 17);
-  for (auto _ : state) {
-    DCDatalog db(opts);
-    db.AddGraph(g, "arc");
-    if (!db.LoadProgramText("tc(X, Y) :- arc(X, Y).\n"
-                            "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n")
-             .ok()) {
-      state.SkipWithError("program load failed");
-      return;
-    }
-    auto stats = db.Run();
-    if (!stats.ok()) {
-      state.SkipWithError("engine run failed");
-      return;
-    }
-    benchmark::DoNotOptimize(stats.value().tuples_routed);
-  }
-}
-
-void BM_EngineTcTraceOff(benchmark::State& state) {
-  EngineTraceBench(state, false);
-}
-BENCHMARK(BM_EngineTcTraceOff)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_EngineTcTraceOn(benchmark::State& state) {
-  EngineTraceBench(state, true);
-}
-BENCHMARK(BM_EngineTcTraceOn)->Unit(benchmark::kMillisecond)->UseRealTime();
-
-// --- Incremental maintenance ---------------------------------------------
-//
-// The incremental-vs-recompute comparison: a single fresh-endpoint edge
-// insert into a large precomputed TC fixpoint, maintained through the
-// retained semi-naive loop, against recomputing that fixpoint from scratch.
-// Same graph, same options. Not gated here: perfbench's tc-updates
-// `insert_ms` is the bound on the insert path.
-
-const Graph& IncrementalBenchGraph() {
-  static const Graph g = GenerateGnp(1000, 0.003, 17);
-  return g;
-}
-
-EngineOptions IncrementalBenchOpts() {
-  EngineOptions opts;
-  opts.num_workers = 4;
-  opts.coordination = CoordinationMode::kDws;
-  return opts;
-}
-
-constexpr char kIncrementalTcProgram[] =
-    "tc(X, Y) :- arc(X, Y).\n"
-    "tc(X, Y) :- tc(X, Z), arc(Z, Y).\n";
-
-/// Session setup (initial fixpoint) runs outside the timed region; each
-/// iteration streams one insert whose source vertex is globally fresh, so
-/// every batch derives a genuinely new (small) set of tc facts instead of
-/// hitting the duplicate-netting fast path.
-void BM_EngineTcIncrementalInsert(benchmark::State& state) {
-  DCDatalog db(IncrementalBenchOpts());
-  db.AddGraph(IncrementalBenchGraph(), "arc");
-  if (!db.LoadProgramText(kIncrementalTcProgram).ok() ||
-      !db.BeginIncremental().ok()) {
-    state.SkipWithError("incremental session setup failed");
-    return;
-  }
-  uint64_t fresh = 5000000;
-  for (auto _ : state) {
-    ResolvedUpdateBatch batch;
-    ResolvedUpdateOp op;
-    op.is_insert = true;
-    op.relation = "arc";
-    op.row = {fresh++, fresh % 1000};
-    batch.ops.push_back(std::move(op));
-    auto stats = db.ApplyUpdates(batch);
-    if (!stats.ok()) {
-      state.SkipWithError("ApplyUpdates failed");
-      return;
-    }
-    benchmark::DoNotOptimize(stats.value().delta_tuples_in);
-  }
-}
-BENCHMARK(BM_EngineTcIncrementalInsert)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/// The from-scratch baseline the insert is compared against: one full
-/// fixpoint over the same graph per iteration.
-void BM_EngineTcScratchRecompute(benchmark::State& state) {
-  for (auto _ : state) {
-    DCDatalog db(IncrementalBenchOpts());
-    db.AddGraph(IncrementalBenchGraph(), "arc");
-    if (!db.LoadProgramText(kIncrementalTcProgram).ok()) {
-      state.SkipWithError("program load failed");
-      return;
-    }
-    auto stats = db.Run();
-    if (!stats.ok()) {
-      state.SkipWithError("engine run failed");
-      return;
-    }
-    benchmark::DoNotOptimize(stats.value().tuples_routed);
-  }
-}
-BENCHMARK(BM_EngineTcScratchRecompute)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // --- Rule-pipeline executor -----------------------------------------------
 //

@@ -3,9 +3,10 @@
 
 Starts a server over a generated EDB with a live update stream, fires
 concurrent query sessions at it while scraping health/metrics, validates
-the metrics JSON schema, pulls every session's per-session metrics and
-Chrome trace plus the admission decision trace, writes the traces to an
-artifact directory, and shuts the server down over HTTP.
+the metrics JSON schema and that the worker pool (the server's only
+admission control) drained, runs one session wider than the pool, pulls
+every session's per-session metrics and Chrome trace, writes the traces to
+an artifact directory, and shuts the server down over HTTP.
 
 Stdlib only; exits non-zero with a message on the first violated check.
 
@@ -40,6 +41,8 @@ UPDATE_SCRIPT = "".join(
     f"+ arc {1000 + b} {b}\n+ arc {b} {1000 + b}\n---\n" for b in range(6))
 
 NUM_SESSIONS = 6  # >= 4 concurrent queries required by the smoke contract.
+POOL = 8
+WIDE_WORKERS = 64  # Wider than POOL: the engine caps the gang at the pool.
 
 
 def fail(msg):
@@ -85,7 +88,7 @@ def main():
 
     server = subprocess.Popen(
         [dcd, "serve", "--rel", f"arc={edges}:ii", "--port", "0",
-         "--port-file", port_file, "--pool", "8",
+         "--port-file", port_file, "--pool", str(POOL),
          "--updates", updates, "--update-interval-ms", "50"])
     try:
         deadline = time.time() + 30
@@ -143,8 +146,7 @@ def main():
 
         sessions = []
         for i, result in enumerate(results):
-            expect_keys(result, ("session", "snapshot_version",
-                                 "admitted_immediately", "seconds",
+            expect_keys(result, ("session", "snapshot_version", "seconds",
                                  "outputs"), f"query {i} response")
             expected = "tc" if i % 2 == 0 else "hop2"
             if expected not in result["outputs"]:
@@ -160,45 +162,45 @@ def main():
         if status != 200:
             fail(f"/metrics returned {status}: {body}")
         metrics = json.loads(body)
-        expect_keys(metrics, ("pool", "admission", "store", "sessions"),
-                    "/metrics")
+        expect_keys(metrics, ("pool", "store", "sessions"), "/metrics")
         expect_keys(metrics["pool"], ("capacity", "in_use", "waiting",
                                       "jobs_run"), "/metrics pool")
-        expect_keys(metrics["admission"], ("admitted", "queued", "lambda",
-                                           "mu", "rho"), "/metrics admission")
         expect_keys(metrics["store"], ("version", "relations"),
                     "/metrics store")
         expect_keys(metrics["sessions"], ("active", "completed", "failed"),
                     "/metrics sessions")
-        adm = metrics["admission"]
-        if adm["admitted"] + adm["queued"] != NUM_SESSIONS:
-            fail(f"admission decisions ({adm}) do not account for "
-                 f"{NUM_SESSIONS} sessions")
         if metrics["sessions"]["completed"] != NUM_SESSIONS:
             fail(f"expected {NUM_SESSIONS} completed sessions: {metrics}")
         if metrics["sessions"]["failed"] != 0:
             fail(f"failed sessions reported: {metrics}")
-        if metrics["pool"]["jobs_run"] < NUM_SESSIONS:
+        # The pool is the only admission control: once every session has
+        # finished, no slot is claimed and no gang waits.
+        pool = metrics["pool"]
+        if pool["in_use"] != 0 or pool["waiting"] != 0:
+            fail(f"pool not drained after all sessions finished: {metrics}")
+        if pool["jobs_run"] < NUM_SESSIONS:
             fail(f"pool ran fewer jobs than sessions: {metrics}")
         print(f"serve_smoke: metrics OK: {json.dumps(metrics)}")
 
-        # Admission decision trace: one kind=admission event per session,
-        # each carrying the rho/lambda/mu queueing state.
-        status, body = request(port, "GET", "/trace")
+        # A session wider than the pool runs as wide as the pool.
+        status, body = request(port, "POST", f"/query?workers={WIDE_WORKERS}",
+                               body=TC_PROGRAM)
         if status != 200:
-            fail(f"/trace returned {status}: {body}")
-        trace = json.loads(body)
-        decisions = [e for e in trace.get("traceEvents", [])
-                     if e.get("name") == "admission"]
-        if len(decisions) != NUM_SESSIONS:
-            fail(f"expected {NUM_SESSIONS} admission events, "
-                 f"got {len(decisions)}")
-        for e in decisions:
-            for key in ("proceed", "rho", "lambda", "mu"):
-                if key not in e.get("args", {}):
-                    fail(f"admission event missing arg {key!r}: {e}")
-        with open(os.path.join(out_dir, "admission_trace.json"), "w") as f:
-            f.write(body)
+            fail(f"/query?workers={WIDE_WORKERS} returned {status}: {body}")
+        wide = json.loads(body)
+        if wide["outputs"].get("tc", 0) <= 0:
+            fail(f"wide query produced no tc: {wide}")
+        status, body = request(port, "GET",
+                               f"/sessions/{wide['session']}/trace")
+        if status != 200:
+            fail(f"wide session trace returned {status}: {body}")
+        tids = {e["tid"] for e in json.loads(body)["traceEvents"]
+                if "tid" in e}
+        if not tids or max(tids) >= POOL:
+            fail(f"wide session ran workers {sorted(tids)} on a pool of "
+                 f"{POOL}")
+        print(f"serve_smoke: workers={WIDE_WORKERS} ran as "
+              f"{len(tids)} pool workers")
 
         # Per-session exports: metrics counters and a loadable Chrome trace.
         for sid in sessions:

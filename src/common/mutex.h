@@ -63,7 +63,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void Wait(Mutex* mu) DCD_REQUIRES(mu) { cv_.wait(*mu); }
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

@@ -21,6 +21,7 @@ const char* CoordinationModeName(CoordinationMode mode);
 /// evaluates (DWS coordination).
 struct EngineOptions {
   /// Worker (thread) count; 0 means std::thread::hardware_concurrency().
+  /// With a worker_pool, the Engine caps it at the pool's capacity.
   uint32_t num_workers = 0;
 
   CoordinationMode coordination = CoordinationMode::kDws;
@@ -61,8 +62,9 @@ struct EngineOptions {
   /// owned; nullptr = spawn dedicated threads per run, the one-shot
   /// `dcd run` behavior). The serving path points every session's engine
   /// at one pool so concurrent queries share the machine's cores instead
-  /// of oversubscribing them. The engine's worker-count contract is
-  /// unchanged — all num_workers gang members run concurrently either way.
+  /// of oversubscribing them. The Engine caps num_workers at the pool's
+  /// capacity (there is no dedicated-thread bypass for wider gangs); all
+  /// num_workers gang members run concurrently either way.
   WorkerPool* worker_pool = nullptr;
 
   /// Validated copy with num_workers resolved to a concrete count.

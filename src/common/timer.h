@@ -18,8 +18,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
   int64_t ElapsedNanos() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                                 start_)

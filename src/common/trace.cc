@@ -26,8 +26,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "scc_end";
     case TraceEventKind::kDwsDecision:
       return "dws_decision";
-    case TraceEventKind::kAdmission:
-      return "admission";
   }
   return "unknown";
 }
@@ -45,7 +43,6 @@ bool TraceEventIsSpan(TraceEventKind kind) {
     case TraceEventKind::kSccBegin:
     case TraceEventKind::kSccEnd:
     case TraceEventKind::kDwsDecision:
-    case TraceEventKind::kAdmission:
       return false;
   }
   return false;

@@ -23,10 +23,6 @@ enum class TraceEventKind : uint8_t {
   kSccBegin,       // Instant: worker entered an SCC's evaluation.
   kSccEnd,         // Instant: worker left an SCC's evaluation.
   kDwsDecision,    // Instant: DwsController::Update recomputed omega/tau.
-  kAdmission,      // Instant: the serving front end admitted (proceed=true)
-                   // or queued (proceed=false) a session, carrying the same
-                   // rho/lambda/mu queueing-model state the DWS decisions
-                   // report — one vocabulary for both decision layers.
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

@@ -78,10 +78,6 @@ class TerminationDetector {
     Activate(dest);
   }
 
-  bool IsActive(uint32_t worker) const {
-    return active_[worker].v.load(std::memory_order_acquire);
-  }
-
   uint64_t produced() const {
     return produced_.load(std::memory_order_acquire);
   }

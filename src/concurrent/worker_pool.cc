@@ -141,20 +141,10 @@ void WorkerPool::ThreadMain() {
 void WorkerPool::Run(uint32_t num_workers,
                      const std::function<void(uint32_t)>& fn) {
   DCD_CHECK(!t_inside_pool_worker);
+  // A gang wider than the pool could never be granted.
+  DCD_CHECK(num_workers <= capacity_)
+      << "gang of " << num_workers << " exceeds pool capacity " << capacity_;
   if (num_workers == 0) return;
-  if (num_workers > capacity_) {
-    // A gang wider than the pool can never be granted; run it on dedicated
-    // threads instead of deadlocking. Admission control is expected to keep
-    // sessions inside the pool budget, so this is a correctness backstop,
-    // not a sizing strategy — counted, so the overload is visible instead
-    // of silently oversubscribing the machine.
-    {
-      MutexLock lock(&mu_);
-      ++fallback_gangs_;
-    }
-    RunWorkers(num_workers, fn);
-    return;
-  }
   Job job;
   job.fn = &fn;
   job.remaining = num_workers;
@@ -187,11 +177,6 @@ uint32_t WorkerPool::InUse() const {
 uint32_t WorkerPool::Waiting() const {
   MutexLock lock(&mu_);
   return static_cast<uint32_t>(next_ticket_ - serving_ticket_);
-}
-
-uint64_t WorkerPool::FallbackGangs() const {
-  MutexLock lock(&mu_);
-  return fallback_gangs_;
 }
 
 uint64_t WorkerPool::JobsRun() const {

@@ -47,7 +47,10 @@ void ParallelFor(uint32_t num_workers, uint64_t n,
 /// throws is rethrown on the calling thread after the whole gang finished.
 ///
 /// Run() must not be called from inside a pool thread — the caller would
-/// hold its gang's slots while waiting for slots (checked, fails fast).
+/// hold its gang's slots while waiting for slots — and a gang must fit the
+/// pool, which could never grant a wider one (both checked, fail fast).
+/// There is no dedicated-thread bypass: an Engine given a pool caps its
+/// num_workers at capacity(), so the pool is the only admission control.
 class WorkerPool {
  public:
   /// Spawns `capacity` resident threads (at least 1).
@@ -61,10 +64,8 @@ class WorkerPool {
   WorkerPool& operator=(const WorkerPool&) = delete;
 
   /// Runs fn(0) .. fn(n-1) on pool threads and returns when all finished.
-  /// Blocks until a gang of `n` threads is granted (FIFO). A gang wider
-  /// than the pool capacity falls back to dedicated RunWorkers threads —
-  /// admission control should prevent that, but a misconfigured session
-  /// must not deadlock the server.
+  /// Blocks until a gang of `n` threads is granted (FIFO). Requires
+  /// n <= capacity() (checked).
   void Run(uint32_t num_workers, const std::function<void(uint32_t)>& fn)
       DCD_EXCLUDES(mu_);
 
@@ -78,12 +79,6 @@ class WorkerPool {
 
   /// Total gangs completed since construction.
   uint64_t JobsRun() const DCD_EXCLUDES(mu_);
-
-  /// Gangs wider than the pool that ran on dedicated fallback threads.
-  /// These oversubscribe the machine behind admission control's back, so
-  /// the count is surfaced through /metrics and EvalStats — a nonzero
-  /// value means session worker budgets exceed the pool size.
-  uint64_t FallbackGangs() const DCD_EXCLUDES(mu_);
 
  private:
   /// One granted gang's control block, owned by the Run() stack frame.
@@ -103,7 +98,6 @@ class WorkerPool {
   uint64_t next_ticket_ DCD_GUARDED_BY(mu_) = 0;   // Arrival order.
   uint64_t serving_ticket_ DCD_GUARDED_BY(mu_) = 0;  // Head of the queue.
   uint64_t jobs_run_ DCD_GUARDED_BY(mu_) = 0;
-  uint64_t fallback_gangs_ DCD_GUARDED_BY(mu_) = 0;
   bool stop_ DCD_GUARDED_BY(mu_) = false;
   std::vector<std::thread> threads_;
 };

@@ -38,7 +38,6 @@ std::vector<std::pair<const char*, double>> EvalStats::Counters() const {
       {"morsels_published", static_cast<double>(morsels_published)},
       {"morsels_stolen", static_cast<double>(morsels_stolen)},
       {"tuples_stolen", static_cast<double>(tuples_stolen)},
-      {"pool_fallback_gangs", static_cast<double>(pool_fallback_gangs)},
   };
 }
 

@@ -89,10 +89,6 @@ struct EvalStats {
   uint64_t morsels_published = 0;
   uint64_t morsels_stolen = 0;
   uint64_t tuples_stolen = 0;
-  /// Evaluation gangs that exceeded the shared WorkerPool's capacity and
-  /// fell back to dedicated threads (oversubscription signal; 0 when no
-  /// pool is configured or the gang fit).
-  uint64_t pool_fallback_gangs = 0;
 
   /// Populated only when EngineOptions::enable_trace is set: the merged
   /// snapshot of every worker's trace ring, in per-worker append order.

@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "concurrent/worker_pool.h"
 #include "core/delete.h"
 #include "core/scc_executor.h"
 #include "datalog/analysis.h"
@@ -388,7 +389,14 @@ struct Engine::IncrementalState {
 // The constructor and destructor live here, where IncrementalState is
 // complete: both may destroy inc_.
 Engine::Engine(Catalog* catalog, EngineOptions options)
-    : catalog_(catalog), options_(options.Resolved()) {}
+    : catalog_(catalog), options_(options.Resolved()) {
+  // The pool grants whole gangs only, so no gang may outgrow it. Results
+  // do not depend on the worker count.
+  if (options_.worker_pool != nullptr) {
+    options_.num_workers =
+        std::min(options_.num_workers, options_.worker_pool->capacity());
+  }
+}
 
 Engine::~Engine() = default;
 
@@ -690,9 +698,8 @@ Result<bool> Engine::DeleteFromScc(
   DCD_RETURN_IF_ERROR(st->PrepareDelete(scc_idx, *catalog_, *old_copies,
                                         *removed_rows, st->base_indexes.get(),
                                         &old_indexes, &in));
-  in.run_gang = [this, stats](uint32_t k,
-                              const std::function<void(uint32_t)>& fn) {
-    RunGang(options_, k, stats, fn);
+  in.run_gang = [this](uint32_t k, const std::function<void(uint32_t)>& fn) {
+    RunGang(options_, k, fn);
   };
   const DeleteResult del = RunDelete(in);
   stats->rederived_tuples += del.checked;

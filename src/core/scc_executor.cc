@@ -12,10 +12,9 @@
 
 namespace dcdatalog {
 
-void RunGang(const EngineOptions& options, uint32_t n, EvalStats* stats,
+void RunGang(const EngineOptions& options, uint32_t n,
              const std::function<void(uint32_t)>& fn) {
   if (options.worker_pool != nullptr) {
-    if (n > options.worker_pool->capacity()) ++stats->pool_fallback_gangs;
     options.worker_pool->Run(n, fn);
   } else {
     RunWorkers(n, fn);
@@ -62,13 +61,13 @@ Status SccExecutor::Run(EvalStats* stats) {
   // The one place a strategy is picked; each instantiates the same loop.
   switch (options_.coordination) {
     case CoordinationMode::kGlobal:
-      RunWith<GlobalStrategy>(stats);
+      RunWith<GlobalStrategy>();
       break;
     case CoordinationMode::kSsp:
-      RunWith<SspStrategy>(stats);
+      RunWith<SspStrategy>();
       break;
     case CoordinationMode::kDws:
-      RunWith<DwsStrategy>(stats);
+      RunWith<DwsStrategy>();
       break;
   }
   // Relaxed: the gang joined every worker, which already orders their
@@ -91,9 +90,9 @@ Status SccExecutor::Run(EvalStats* stats) {
 }
 
 template <typename Strategy>
-void SccExecutor::RunWith(EvalStats* stats) {
+void SccExecutor::RunWith() {
   Strategy strategy(n_, options_);
-  RunGang(options_, n_, stats, [this, &strategy](uint32_t wid) {
+  RunGang(options_, n_, [this, &strategy](uint32_t wid) {
     contexts_[wid] = std::make_unique<WorkerContext>(this, wid);
     WorkerContext* ctx = contexts_[wid].get();
     StartWorker(wid, ctx);

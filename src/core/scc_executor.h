@@ -66,7 +66,7 @@ struct IncrementalHooks {
 /// Runs fn(0) .. fn(n-1) on the engine's thread source: a gang of the
 /// shared resident pool in serving mode (so concurrent sessions time-share
 /// the cores), dedicated threads for one-shot runs.
-void RunGang(const EngineOptions& options, uint32_t n, EvalStats* stats,
+void RunGang(const EngineOptions& options, uint32_t n,
              const std::function<void(uint32_t)>& fn);
 
 /// Runs one SCC of the plan with n workers, around one fixpoint loop that
@@ -188,7 +188,7 @@ class SccExecutor {
   }
 
   template <typename Strategy>
-  void RunWith(EvalStats* stats);
+  void RunWith();
   // Out of line: the binary audit (check_hot_symbols.py) audits its body.
   template <typename Strategy>
   [[gnu::noinline]] void Fixpoint(WorkerContext* ctx, Strategy* strategy);

@@ -93,8 +93,7 @@ void WriteChromeTrace(const EvalStats& stats, std::ostream& os) {
       os << ", \"ph\": \"i\", \"s\": \"t\"";
     }
     os << ", \"args\": {\"scc\": " << ev.scc << ", \"tuples\": " << ev.tuples;
-    if (ev.kind == TraceEventKind::kDwsDecision ||
-        ev.kind == TraceEventKind::kAdmission) {
+    if (ev.kind == TraceEventKind::kDwsDecision) {
       os << ", \"proceed\": " << (ev.proceed ? "true" : "false")
          << ", \"omega\": ";
       JsonNumber(os, ev.omega);

@@ -38,8 +38,6 @@ class BaseIndexSet {
   /// the relation must have gone through RemoveRows.
   Status SyncAppended(int id, const Catalog& catalog);
 
-  bool IsBuilt(int id) const { return entries_[id].built; }
-
   /// Appends to `ids` the id of every row of `relation` equal to `row` when
   /// index `id` is built over that very relation: probes the indexed prefix
   /// and scans only the rows appended since the last sync. Returns false,

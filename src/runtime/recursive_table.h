@@ -164,13 +164,6 @@ class RecursiveTable {
   /// of every same-SCC row its first instance read (docs/INTERNALS.md §8).
   void SetMergeStamp(uint32_t stamp) { merge_stamp_ = stamp; }
 
-  /// Two-stage prefetch for a FindRowId of a tuple hashing to `hash`: the
-  /// existence slot first, then — once that is cached — the row it names.
-  /// Lookups that resolve a batch of tuples issue each stage for the whole
-  /// batch so the misses overlap.
-  void PrefetchFindSlot(uint64_t hash) const { exist_set_.Prefetch(hash); }
-  void PrefetchFindRow(uint64_t hash) const { exist_set_.PrefetchRow(hash); }
-
   /// Removes the given rows (ascending, distinct row ids) in O(|ids|) work
   /// and clears the delta. Like Relation::RemoveRows, the last row fills
   /// each hole, highest id first; the existence set and the group index

@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -74,8 +72,6 @@ class EdbStore {
   /// On error nothing is published.
   Result<ApplyResult> ApplyBatch(const UpdateBatch& batch)
       DCD_EXCLUDES(apply_mu_);
-
-  std::vector<std::string> RelationNames() const { return base_.Names(); }
 
   uint64_t RelationCount() const { return base_.Names().size(); }
 

@@ -74,8 +74,7 @@ DcdServer::DcdServer(ServerOptions options)
     : options_(std::move(options)),
       pool_(options_.pool_capacity != 0
                 ? options_.pool_capacity
-                : EngineOptions{}.Resolved().num_workers),
-      admission_(pool_.capacity(), options_.admission_trace_capacity) {}
+                : EngineOptions{}.Resolved().num_workers) {}
 
 DcdServer::~DcdServer() { Stop(); }
 
@@ -97,22 +96,14 @@ Result<QueryResult> DcdServer::ExecuteQuery(const std::string& program_text,
 
   EngineOptions eo = options_.engine;
   if (num_workers != 0) eo.num_workers = num_workers;
-  eo = eo.Resolved();
-  // A gang wider than the pool bypasses it (WorkerPool::Run's
-  // dedicated-thread backstop). The requested width is NOT clamped: the
-  // fallback gang's threads load the machine all the same, so admission's
-  // ρ numerator must count them — a ρ above 1 is the visible overload
-  // signal, and the pool's fallback_gangs counter names the culprit.
+  // The Engine caps the width at the pool's capacity.
   eo.worker_pool = &pool_;
   eo.enable_trace = true;  // Per-session trace export is part of serving.
-
-  const AdmissionDecision decision = admission_.OnArrival(eo.num_workers);
 
   // Session-local state: nothing here outlives the call except the pinned
   // shared relations and the record of the exports.
   QueryResult result;
   result.session_id = id;
-  result.admitted_immediately = decision.admitted;
 
   SessionRecord record;
   auto finish = [&](const Status& st) {
@@ -131,7 +122,6 @@ Result<QueryResult> DcdServer::ExecuteQuery(const std::string& program_text,
 
   Result<Program> program = ParseProgram(program_text, store_.dict());
   if (!program.ok()) {
-    admission_.OnComplete(eo.num_workers, 0.0);
     record.error = program.status().ToString();
     RecordSession(id, std::move(record));
     finish(program.status());
@@ -140,8 +130,6 @@ Result<QueryResult> DcdServer::ExecuteQuery(const std::string& program_text,
 
   Engine engine(&session_catalog, eo);
   Result<EvalStats> stats = engine.Run(program.value());
-  admission_.OnComplete(eo.num_workers,
-                        stats.ok() ? stats.value().seconds : 0.0);
   if (!stats.ok()) {
     record.error = stats.status().ToString();
     RecordSession(id, std::move(record));
@@ -224,29 +212,12 @@ std::string DcdServer::MetricsJson() const {
   os << "{\"pool\": {\"capacity\": " << pool_.capacity()
      << ", \"in_use\": " << pool_.InUse()
      << ", \"waiting\": " << pool_.Waiting()
-     << ", \"jobs_run\": " << pool_.JobsRun()
-     << ", \"fallback_gangs\": " << pool_.FallbackGangs() << "},\n"
-     << "\"admission\": {\"admitted\": " << admission_.admitted_count()
-     << ", \"queued\": " << admission_.queued_count()
-     << ", \"lambda\": " << admission_.lambda()
-     << ", \"mu\": " << admission_.mu_rate()
-     << ", \"rho\": " << admission_.rho() << "},\n"
+     << ", \"jobs_run\": " << pool_.JobsRun() << "},\n"
      << "\"store\": {\"version\": " << store_.version()
      << ", \"relations\": " << store_.RelationCount() << "},\n"
      << "\"sessions\": {\"active\": " << active
      << ", \"completed\": " << completed << ", \"failed\": " << failed
      << "}}\n";
-  return os.str();
-}
-
-std::string DcdServer::AdmissionTraceJson() const {
-  // Reuse the engine's Chrome-trace exporter: admission decisions are
-  // TraceEvents (kind=admission) like any DWS decision, just produced by
-  // the serving layer instead of a worker.
-  EvalStats stats;
-  stats.trace = admission_.TraceSnapshot();
-  std::ostringstream os;
-  WriteChromeTrace(stats, os);
   return os.str();
 }
 
@@ -285,11 +256,6 @@ HttpResponse DcdServer::Handle(const HttpRequest& req) {
     resp.body = MetricsJson();
     return resp;
   }
-  if (req.path == "/trace" && req.method == "GET") {
-    HttpResponse resp;
-    resp.body = AdmissionTraceJson();
-    return resp;
-  }
   if (req.path == "/query") {
     if (req.method != "POST") return JsonError(405, "POST /query");
     return HandleQuery(req);
@@ -326,8 +292,6 @@ HttpResponse DcdServer::HandleQuery(const HttpRequest& req) {
   std::ostringstream os;
   os << "{\"session\": " << qr.session_id
      << ", \"snapshot_version\": " << qr.snapshot_version
-     << ", \"admitted_immediately\": "
-     << (qr.admitted_immediately ? "true" : "false")
      << ", \"seconds\": " << qr.stats.seconds << ", \"outputs\": {";
   bool first = true;
   for (const Relation& rel : qr.outputs) {

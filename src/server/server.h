@@ -13,7 +13,6 @@
 #include "common/thread_annotations.h"
 #include "concurrent/worker_pool.h"
 #include "core/engine.h"
-#include "server/admission.h"
 #include "server/edb_store.h"
 #include "server/http.h"
 #include "storage/relation.h"
@@ -26,21 +25,21 @@ struct ServerOptions {
 
   /// Shared worker-pool capacity; 0 = hardware concurrency. Every query
   /// session's evaluation gang is scheduled onto this one pool, so N
-  /// resident sessions never oversubscribe the machine.
+  /// resident sessions never oversubscribe the machine. The pool is the
+  /// server's only admission control: a session waits for its gang's FIFO
+  /// grant, and no session runs wider than the pool.
   uint32_t pool_capacity = 0;
 
   /// Per-session engine defaults. num_workers is the default gang width a
-  /// query gets when it does not ask for one; worker_pool and enable_trace
-  /// are overridden per session (the pool is the server's, and per-session
-  /// trace/metrics export is part of the serving contract).
+  /// query gets when it does not ask for one (the engine caps any width at
+  /// pool_capacity); worker_pool and enable_trace are overridden per
+  /// session (the pool is the server's, and per-session trace/metrics
+  /// export is part of the serving contract).
   EngineOptions engine;
 
   /// Completed-session exports kept for /sessions/<id>/{metrics,trace};
   /// oldest are evicted beyond this.
   uint32_t max_sessions_retained = 256;
-
-  /// Admission decision ring capacity.
-  uint32_t admission_trace_capacity = 1 << 12;
 };
 
 /// One query's execution, as seen by callers of ExecuteQuery (the HTTP
@@ -48,16 +47,15 @@ struct ServerOptions {
 struct QueryResult {
   uint64_t session_id = 0;
   uint64_t snapshot_version = 0;  // EdbStore version the session pinned.
-  bool admitted_immediately = false;
   EvalStats stats;                // The session's own stats, nobody else's.
   std::vector<Relation> outputs;  // Copies of the output relations.
 };
 
 /// The resident multi-query server: a persistent EdbStore of shared
 /// immutable EDB snapshots, per-query Engine instances scheduled onto one
-/// shared WorkerPool, admission control driven by ρ/λ/μ statistics, and an
-/// HTTP control plane exposing health, metrics, per-session trace/metrics
-/// exports, queries, and streaming updates.
+/// shared WorkerPool (whose FIFO gang grant is the only admission control),
+/// and an HTTP control plane exposing health, metrics, per-session
+/// trace/metrics exports, queries, and streaming updates.
 ///
 /// Isolation contract (the tentpole's bugfix surface): each session gets
 /// its own Catalog seeded with pinned shared_ptr snapshots from the store,
@@ -89,8 +87,9 @@ class DcdServer {
 
   // --- In-process session API (the HTTP handler is a thin veneer) ---------
 
-  /// Runs one query session end to end: admission, snapshot pin, parse
-  /// against the shared dict, evaluate on the shared pool, export the
+  /// Runs one query session end to end: snapshot pin, parse against the
+  /// shared dict, evaluate on the shared pool (num_workers is capped at
+  /// the pool's capacity; 0 = the engine default), export the
   /// session's metrics/trace for later retrieval. Thread-safe; concurrent
   /// callers are concurrent sessions.
   Result<QueryResult> ExecuteQuery(const std::string& program_text,
@@ -103,20 +102,14 @@ class DcdServer {
   /// {"status": "ok", ...} summary for load balancers and the CI smoke.
   std::string HealthJson() const;
 
-  /// Server-level metrics: pool, admission, store, session counts.
+  /// Server-level metrics: pool, store, session counts.
   std::string MetricsJson() const;
-
-  /// Chrome trace-event JSON of the admission decisions (kind=admission,
-  /// args carrying rho/lambda/mu) — the serving layer's analogue of the
-  /// engine's DWS decision trace, written by the same exporter.
-  std::string AdmissionTraceJson() const;
 
   /// Per-session exports captured when the session finished.
   Result<std::string> SessionMetricsJson(uint64_t session_id) const;
   Result<std::string> SessionTraceJson(uint64_t session_id) const;
 
   WorkerPool* pool() { return &pool_; }
-  AdmissionController* admission() { return &admission_; }
 
  private:
   struct SessionRecord {
@@ -138,7 +131,6 @@ class DcdServer {
   ServerOptions options_;
   EdbStore store_;
   WorkerPool pool_;
-  AdmissionController admission_;
   HttpServer http_;
   std::atomic<bool> shutdown_requested_{false};
 

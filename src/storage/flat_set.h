@@ -61,20 +61,6 @@ class FlatTupleSet {
     __builtin_prefetch(&slots_[hash & mask_], 0 /*read*/, 3 /*high locality*/);
   }
 
-  /// Second prefetch stage, once the home slot is cached: prefetches the
-  /// backing row of the first slot holding `hash`, which the Find that
-  /// follows compares against.
-  void PrefetchRow(uint64_t hash) const {
-    for (uint64_t s = hash & mask_;; s = (s + 1) & mask_) {
-      const Slot& slot = slots_[s];
-      if (slot.row == kEmptyRow) return;
-      if (slot.hash == hash) {
-        __builtin_prefetch(backing_->Row(slot.row & kRowMask).data, 0, 3);
-        return;
-      }
-    }
-  }
-
   /// Returns the row id of the stored tuple equal to `tuple`, or kNotFound.
   /// `hash` must be `tuple.Hash()` (or the caller's consistent choice).
   DCD_HOT_ROOT uint64_t Find(uint64_t hash, TupleRef tuple) const {

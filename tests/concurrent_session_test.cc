@@ -172,11 +172,11 @@ TEST(ConcurrentSessionTest, SessionsMatchOraclesAcrossUpdateStream) {
     }
   }
 
-  // The sessions really shared one pool and the decision trace saw them.
+  // The sessions really shared one pool and released every slot of it.
   EXPECT_GE(server.pool()->JobsRun(),
             static_cast<uint64_t>(kSessionThreads * kQueriesPerThread));
-  EXPECT_EQ(server.admission()->TraceSnapshot().size(),
-            static_cast<size_t>(kSessionThreads * kQueriesPerThread));
+  EXPECT_EQ(server.pool()->InUse(), 0u);
+  EXPECT_EQ(server.pool()->Waiting(), 0u);
 }
 
 }  // namespace

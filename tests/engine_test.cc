@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "concurrent/worker_pool.h"
 #include "core/dcdatalog.h"
 #include "core/dws_controller.h"
 #include "core/reference.h"
@@ -83,6 +84,37 @@ TEST(EngineTest, StarHubTcMatchesOracle) {
           << CoordinationModeName(mode) << " x" << workers;
     }
   }
+}
+
+TEST(EngineTest, WorkerPoolCapsTheWorkerCount) {
+  // A pool grants whole gangs only, so an engine given a 2-thread pool runs
+  // a 4-worker request as 2 workers — with the oracle's result, since no
+  // result depends on the worker count.
+  Graph g = GenerateGnp(50, 0.05, 77);
+  WorkerPool pool(2);
+  for (CoordinationMode mode : {CoordinationMode::kGlobal,
+                                CoordinationMode::kSsp,
+                                CoordinationMode::kDws}) {
+    SCOPED_TRACE(CoordinationModeName(mode));
+    DCDatalog db(Opts(1, mode));
+    db.AddGraph(g, "arc");
+    ASSERT_TRUE(db.LoadProgramText(kTc).ok());
+    auto ref = ReferenceEvaluate(*db.program(), db.catalog());
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+
+    EngineOptions o = Opts(4, mode);
+    o.worker_pool = &pool;
+    Engine engine(&db.catalog(), o);
+    EXPECT_EQ(engine.options().num_workers, 2u);
+    auto stats = engine.Run(*db.program());
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(stats.value().worker_metrics.size(), 2u);
+    const Relation* tc = db.catalog().Find("tc");
+    ASSERT_NE(tc, nullptr);
+    EXPECT_EQ(tc->size(), ref.value().at("tc").size());
+    EXPECT_EQ(RowSet(*tc), RowSet(ref.value().at("tc")));
+  }
+  EXPECT_EQ(pool.InUse(), 0u);
 }
 
 TEST(EngineTest, StatsAreMeaningful) {
@@ -622,10 +654,9 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
   s.morsels_published = 121;
   s.morsels_stolen = 122;
   s.tuples_stolen = 123;
-  s.pool_fallback_gangs = 124;
   const std::string str = s.ToString();
   const auto counters = s.Counters();
-  ASSERT_EQ(counters.size(), 26u)
+  ASSERT_EQ(counters.size(), 25u)
       << "EvalStats grew a field: stamp it above and list it in Counters()";
   std::set<double> sentinels;
   for (const auto& [name, value] : counters) {
@@ -633,9 +664,9 @@ TEST(EngineTest, ToStringCoversEveryCounter) {
         << "counter missing from ToString: " << name;
     sentinels.insert(value);
   }
-  // All 26 sentinels distinct → every field is wired to its own name, not
+  // All 25 sentinels distinct → every field is wired to its own name, not
   // copy-pasted from a neighbour.
-  EXPECT_EQ(sentinels.size(), 26u);
+  EXPECT_EQ(sentinels.size(), 25u);
   EXPECT_NE(str.find("tuples_emitted"), std::string::npos);
   EXPECT_NE(str.find("107"), std::string::npos);
 }

@@ -1,7 +1,7 @@
 // Unit and end-to-end tests of the resident serving layer: the shared
-// gang-scheduled WorkerPool, the copy-on-write EdbStore, the admission
-// controller's decision trace, per-session stats/trace isolation, and the
-// HTTP front end.
+// gang-scheduled WorkerPool (the server's only admission control), the
+// copy-on-write EdbStore, per-session stats/trace isolation, and the HTTP
+// front end.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "concurrent/worker_pool.h"
-#include "server/admission.h"
 #include "server/edb_store.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -106,19 +105,16 @@ TEST(WorkerPoolTest, PropagatesFirstWorkerException) {
   EXPECT_EQ(pool.JobsRun(), 2u);
 }
 
-TEST(WorkerPoolTest, OversizedGangFallsBackToDedicatedThreads) {
+TEST(WorkerPoolDeathTest, GangWiderThanThePoolAborts) {
+  // The pool's resident threads exist when the death statement runs, so
+  // the child must re-execute the test rather than fork this process.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // No gang wider than the pool could ever be granted, and there is no
+  // dedicated-thread bypass: the Engine caps its width at the capacity, so
+  // a wider Run() is a programming error that fails fast.
   WorkerPool pool(2);
-  std::atomic<uint32_t> ran{0};
-  EXPECT_EQ(pool.FallbackGangs(), 0u);
-  pool.Run(6, [&](uint32_t) { ran.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(ran.load(std::memory_order_relaxed), 6u);
-  EXPECT_EQ(pool.InUse(), 0u);
-  // The dedicated-thread bypass is counted: admission control's ρ and the
-  // /metrics fallback_gangs field both build on this (a silent bypass was
-  // the bug — threads loading the machine outside every accounting).
-  EXPECT_EQ(pool.FallbackGangs(), 1u);
-  pool.Run(2, [](uint32_t) {});  // In-capacity gangs leave it untouched.
-  EXPECT_EQ(pool.FallbackGangs(), 1u);
+  EXPECT_DEATH(pool.Run(3, [](uint32_t) {}),
+               "gang of 3 exceeds pool capacity 2");
 }
 
 // --- EdbStore --------------------------------------------------------------
@@ -205,36 +201,6 @@ TEST(EdbStoreTest, RejectsMalformedBatchesAtomically) {
   EXPECT_EQ(store.version(), v);  // Nothing published.
 }
 
-// --- AdmissionController ---------------------------------------------------
-
-TEST(AdmissionTest, DecisionsCarryQueueingStateAndLandInTrace) {
-  AdmissionController ac(4, 64);
-  AdmissionDecision d1 = ac.OnArrival(3);
-  EXPECT_TRUE(d1.admitted);
-  EXPECT_DOUBLE_EQ(d1.rho, 0.75);
-
-  AdmissionDecision d2 = ac.OnArrival(3);  // 6 > 4: queued.
-  EXPECT_FALSE(d2.admitted);
-  EXPECT_GT(d2.rho, 1.0);
-  EXPECT_GT(d2.lambda, 0.0);  // Two arrivals → an interarrival sample.
-
-  ac.OnComplete(3, 0.5);
-  ac.OnComplete(3, 0.25);
-  EXPECT_GT(ac.mu_rate(), 0.0);
-  EXPECT_DOUBLE_EQ(ac.rho(), 0.0);
-  EXPECT_EQ(ac.admitted_count(), 1u);
-  EXPECT_EQ(ac.queued_count(), 1u);
-
-  const std::vector<TraceEvent> trace = ac.TraceSnapshot();
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].kind, TraceEventKind::kAdmission);
-  EXPECT_TRUE(trace[0].proceed);
-  EXPECT_FALSE(trace[1].proceed);
-  EXPECT_DOUBLE_EQ(trace[0].rho, 0.75);
-  EXPECT_FALSE(TraceEventIsSpan(TraceEventKind::kAdmission));
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kAdmission), "admission");
-}
-
 // --- DcdServer sessions ----------------------------------------------------
 
 ServerOptions SmallServer(uint32_t pool = 4, uint32_t workers = 2) {
@@ -244,21 +210,18 @@ ServerOptions SmallServer(uint32_t pool = 4, uint32_t workers = 2) {
   return so;
 }
 
-TEST(DcdServerTest, OversizedSessionIsCountedNotClamped) {
-  // A session asking for more workers than the pool holds runs on fallback
-  // threads. Those threads load the machine, so the request must flow into
-  // admission's ρ numerator unclamped, the engine's EvalStats must flag the
-  // bypass, and /metrics must name the culprit via fallback_gangs.
+TEST(DcdServerTest, OversizedSessionIsCappedAtThePool) {
+  // A session asking for more workers than the pool holds runs as wide as
+  // the pool, on the pool: the pool is the only admission control, and no
+  // request can make the server spawn threads beyond it.
   DcdServer server(SmallServer(/*pool=*/2));
   server.store()->PutRelation(ChainArc("arc", 6));
   auto result = server.ExecuteQuery(kTc, /*num_workers=*/4);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().outputs[0].size(), 21u);
-  EXPECT_EQ(result.value().stats.pool_fallback_gangs, 1u);
-  EXPECT_EQ(server.pool()->FallbackGangs(), 1u);
-  const std::string metrics = server.MetricsJson();
-  EXPECT_NE(metrics.find("\"fallback_gangs\": 1"), std::string::npos)
-      << metrics;
+  EXPECT_EQ(result.value().stats.worker_metrics.size(), 2u);
+  EXPECT_EQ(server.pool()->InUse(), 0u);
+  EXPECT_GE(server.pool()->JobsRun(), 1u);
 }
 
 TEST(DcdServerTest, ExecutesQueryOverSnapshot) {
@@ -293,11 +256,11 @@ TEST(DcdServerTest, SessionStatsAreIsolatedPerSession) {
   for (auto& t : clients) t.join();
 
   for (const QueryResult& qr : results) {
-    // The counter vocabulary is pinned: 26 counters per session (the same
+    // The counter vocabulary is pinned: 25 counters per session (the same
     // ones engine_test's sentinel test stamps). A counter added to
     // EvalStats must surface here too — and a session must never report
     // another session's totals.
-    EXPECT_EQ(qr.stats.Counters().size(), 26u);
+    EXPECT_EQ(qr.stats.Counters().size(), 25u);
     // 40-edge chain: every session derives exactly the same fixpoint, and
     // accepts counts exactly the fixpoint's tuples — identical across
     // sessions only if nobody's counters bled into anybody else's.
@@ -307,11 +270,10 @@ TEST(DcdServerTest, SessionStatsAreIsolatedPerSession) {
     for (const TraceEvent& ev : qr.stats.trace) EXPECT_LT(ev.worker, 2u);
     EXPECT_EQ(qr.stats.worker_metrics.size(), 2u);
   }
-  // All four sessions really ran on the one pool.
+  // All four sessions really ran on the one pool, and released it.
   EXPECT_GE(server.pool()->JobsRun(), 4u);
-  EXPECT_EQ(server.admission()->admitted_count() +
-                server.admission()->queued_count(),
-            4u);
+  EXPECT_EQ(server.pool()->InUse(), 0u);
+  EXPECT_EQ(server.pool()->Waiting(), 0u);
 }
 
 TEST(DcdServerTest, SessionExportsAreRetrievableAndWellFormed) {
@@ -350,25 +312,6 @@ TEST(DcdServerTest, UpdatesAdvanceVersionWithoutDisturbingSessions) {
   // Chain grew 4 → 6 edges: 10 pairs → 21 pairs.
   EXPECT_EQ(before.value().outputs[0].size(), 10u);
   EXPECT_EQ(after.value().outputs[0].size(), 21u);
-}
-
-TEST(DcdServerTest, AdmissionDecisionsObservableInDecisionTrace) {
-  DcdServer server(SmallServer(2, 2));
-  server.store()->PutRelation(ChainArc("arc", 30));
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 4; ++c) {
-    clients.emplace_back([&server] {
-      auto r = server.ExecuteQuery(kTc, 2);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-    });
-  }
-  for (auto& t : clients) t.join();
-  const std::string trace = server.AdmissionTraceJson();
-  EXPECT_NE(trace.find("\"admission\""), std::string::npos);
-  EXPECT_NE(trace.find("\"rho\""), std::string::npos);
-  EXPECT_NE(trace.find("\"lambda\""), std::string::npos);
-  EXPECT_NE(trace.find("\"mu\""), std::string::npos);
-  EXPECT_EQ(server.admission()->TraceSnapshot().size(), 4u);
 }
 
 TEST(DcdServerTest, ParseErrorsFailTheSessionNotTheServer) {
@@ -443,6 +386,39 @@ TEST(HttpServerTest, EndToEndQueryAgainstDcdServer) {
   const std::string missing =
       HttpRoundTrip(port, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
   EXPECT_NE(missing.find("404"), std::string::npos);
+  server.Stop();
+}
+
+TEST(HttpServerTest, WorkersBeyondThePoolRunOnThePool) {
+  // ?workers= wider than the pool neither fails nor spawns threads outside
+  // it: the session runs as wide as the pool, with the same outputs.
+  DcdServer server(SmallServer(/*pool=*/2));
+  server.store()->PutRelation(ChainArc("arc", 5));
+  ASSERT_TRUE(server.Start().ok());
+  const uint16_t port = server.port();
+
+  const std::string program(kTc);
+  auto query = [&](const std::string& workers) {
+    const std::string resp = HttpRoundTrip(
+        port, "POST /query?workers=" + workers +
+                  " HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+                  std::to_string(program.size()) + "\r\n\r\n" + program);
+    EXPECT_NE(resp.find("200 OK"), std::string::npos) << resp;
+    const size_t outputs = resp.find("\"outputs\"");
+    return outputs == std::string::npos ? resp : resp.substr(outputs);
+  };
+  const std::string narrow = query("2");
+  const uint64_t jobs_narrow = server.pool()->JobsRun();
+  ASSERT_GT(jobs_narrow, 0u);
+  EXPECT_EQ(query("64"), narrow);
+  EXPECT_NE(narrow.find("\"tc\": 15"), std::string::npos) << narrow;
+  // The wide session took as many pool gangs as the narrow one.
+  EXPECT_EQ(server.pool()->JobsRun(), 2 * jobs_narrow);
+  EXPECT_EQ(server.pool()->InUse(), 0u);
+
+  const std::string trace =
+      HttpRoundTrip(port, "GET /trace HTTP/1.1\r\nHost: x\r\n\r\n");
+  EXPECT_NE(trace.find("404"), std::string::npos);
   server.Stop();
 }
 

@@ -167,7 +167,6 @@ EVALSTATS_COUNTER_SITES = {
     "morsels_published": None,
     "morsels_stolen": None,
     "tuples_stolen": None,
-    "pool_fallback_gangs": None,  # once per oversized gang (cold dispatch)
 }
 
 

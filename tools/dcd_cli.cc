@@ -21,14 +21,17 @@
 //       Starts the resident multi-query server: base relations are loaded
 //       once into a shared store, then HTTP clients POST programs to
 //       /query (each runs as its own session over a pinned EDB snapshot,
-//       scheduled onto one shared worker pool). Endpoints: POST /query
+//       scheduled onto one shared worker pool, which is the only admission
+//       control: a session waits for its FIFO gang grant, and ?workers= is
+//       capped at the pool's capacity). Endpoints: POST /query
 //       [?workers=N&dump=pred], POST /update (update-script body),
-//       GET /healthz, /metrics, /trace (admission decisions),
-//       /sessions/<id>/metrics, /sessions/<id>/trace; POST /shutdown.
+//       GET /healthz, /metrics, /sessions/<id>/metrics,
+//       /sessions/<id>/trace; POST /shutdown.
 //       serve-only options:
 //         --port N            listen port (default 0 = ephemeral)
 //         --port-file FILE    write the bound port for scripted clients
-//         --pool N            shared worker-pool capacity (default: hw)
+//         --pool N            shared worker-pool capacity, and so the
+//                             widest session (default: hw)
 //         --updates FILE      stream the script's batches into the store,
 //                             one batch per --update-interval-ms (def 100)
 //       --rel specs are mandatory in serve mode (no program to infer
