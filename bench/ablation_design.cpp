@@ -1,13 +1,11 @@
 // Ablations for the design choices DESIGN.md §5 calls out:
 //
-//   B. SSP slack s: the hyper-parameter the paper argues is hard to tune
-//      (§4.2 motivates DWS with exactly this); a sweep shows the U-shape /
-//      plateau and that no single s dominates across workloads.
 //   C. DWS deadlock-avoidance timeout: sensitivity of DWS to its one knob.
 //   D. SPSC ring capacity: backpressure-frequency vs memory.
 //
 // Part A, partial aggregation on/off, went with the switch: Fig. 7 folding
-// always runs. Its last numbers are in EXPERIMENTS.md.
+// always runs. Part B, the stale-synchronous slack sweep, went with that
+// strategy. The last numbers of both are in EXPERIMENTS.md.
 
 #include <cstdio>
 #include <vector>
@@ -17,45 +15,6 @@
 namespace dcdatalog {
 namespace bench {
 namespace {
-
-void SspSlackSweep() {
-  std::printf(
-      "B. SSP slack s (the knob DWS replaces; paper uses s=5):\n\n");
-  std::printf("%-14s", "workload");
-  const std::vector<uint32_t> slacks = {1, 2, 5, 10, 50};
-  for (uint32_t s : slacks) std::printf("     s=%-3u", s);
-  std::printf("\n");
-
-  const Graph& g = SocialDataset("social-L");
-  const uint64_t parts = Scaled(400000);
-  struct Workload {
-    const char* name;
-    std::function<void(DCDatalog*)> setup;
-    const char* program;
-    const char* result;
-  };
-  const Workload workloads[] = {
-      {"CC/social-L", [&g](DCDatalog* db) { LoadGraphRelations(db, g); },
-       kCcProgram, "cc"},
-      {"SSSP/social-L", [&g](DCDatalog* db) { LoadGraphRelations(db, g); },
-       kSsspProgram, "results"},
-      {"Delivery",
-       [parts](DCDatalog* db) { LoadDeliveryRelations(db, parts); },
-       kDeliveryProgram, "results"},
-  };
-  for (const Workload& wl : workloads) {
-    std::printf("%-14s", wl.name);
-    for (uint32_t s : slacks) {
-      EngineOptions options = BaseOptions(CoordinationMode::kSsp);
-      options.ssp_slack = s;
-      RunResult r = RunMedian(options, wl.setup, wl.program, wl.result);
-      std::printf(r.ok ? " %8.3fs" : "      ERR", r.seconds);
-      std::fflush(stdout);
-    }
-    std::printf("\n");
-  }
-  std::printf("\n");
-}
 
 void DwsTimeoutSweep() {
   std::printf(
@@ -100,7 +59,6 @@ void QueueCapacitySweep() {
 
 void Main() {
   std::printf("Design-choice ablations (DESIGN.md §5)\n\n");
-  SspSlackSweep();
   DwsTimeoutSweep();
   QueueCapacitySweep();
 }

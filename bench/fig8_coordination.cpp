@@ -1,6 +1,7 @@
 // Reproduces Figure 8: parallel coordination strategies — Global (Alg. 1
-// barrier), SSP (s = 5, the paper's best setting), and DWS (Alg. 2) — on
-// CC, SSSP and Delivery. The expected shape: DWS <= SSP <= Global.
+// barrier) and DWS (Alg. 2) — on CC, SSSP and Delivery. The paper's third
+// column, stale-synchronous coordination, is no longer built; its last
+// numbers are frozen in EXPERIMENTS.md. The expected shape: DWS <= Global.
 
 #include <cstdio>
 
@@ -19,13 +20,13 @@ struct Workload {
 
 void Main() {
   std::printf(
-      "Figure 8 — coordination strategies (s=5 for SSP). Each cell shows\n"
+      "Figure 8 — coordination strategies. Each cell shows\n"
       "wall seconds and, in brackets, cumulative worker idle-wait seconds —\n"
       "the coordination overhead the strategies trade off (on machines with\n"
       "fewer cores than workers, wall time alone hides the effect because\n"
       "the OS gives blocked slices to other workers).\n\n");
-  std::printf("%-10s %-12s %19s %19s %19s   %s\n", "query", "dataset",
-              "Global", "SSP", "DWS", "DWS iters(max)");
+  std::printf("%-10s %-12s %19s %19s   %s\n", "query", "dataset",
+              "Global", "DWS", "DWS iters(max)");
 
   const Graph& lj = SocialDataset("social-S");
   const Graph& ar = SocialDataset("social-L");
@@ -54,11 +55,9 @@ void Main() {
     std::printf("%-10s %-12s", wl.name, datasets[w]);
     RunResult dws;
     for (CoordinationMode mode :
-         {CoordinationMode::kGlobal, CoordinationMode::kSsp,
-          CoordinationMode::kDws}) {
-      EngineOptions options = BaseOptions(mode);
-      options.ssp_slack = 5;
-      RunResult r = RunMedian(options, wl.setup, wl.program, wl.result);
+         {CoordinationMode::kGlobal, CoordinationMode::kDws}) {
+      RunResult r =
+          RunMedian(BaseOptions(mode), wl.setup, wl.program, wl.result);
       if (r.ok) {
         std::printf(" %8.3f [%7.3f]", r.seconds,
                     r.stats.idle_wait_seconds);

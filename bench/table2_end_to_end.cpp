@@ -3,7 +3,6 @@
 //
 // Engine columns (substitutions documented in DESIGN.md / EXPERIMENTS.md):
 //   DWS        — DCDatalog proper (dynamic weight-based strategy).
-//   SSP        — stale-synchronous coordination, s = 5.
 //   Global     — barrier-per-iteration coordination; this is DeALS-MC's
 //                scheme running on our engine (the paper itself equates
 //                them in §7.3).
@@ -14,6 +13,8 @@
 //                run. Cells where the rewrite provably materializes a
 //                quadratic intermediate print OOM* unrun, like the paper's
 //                OOM entries; queries with no safe rewrite print NS.
+// The stale-synchronous column is no longer built; its last numbers are
+// frozen in EXPERIMENTS.md.
 //
 // Datasets are scaled-down stand-ins (see bench_util.h); REPRO_SCALE
 // multiplies sizes.
@@ -62,14 +63,13 @@ bool RunFullSuite() {
 void RunRow(const Row& row) {
   std::printf("%-9s %-12s", row.query.c_str(), row.dataset.c_str());
   if (row.over_budget && !RunFullSuite()) {
-    std::printf(" %9s %9s %9s %9s %9s\n", "TO*", "TO*", "TO*", "TO*",
+    std::printf(" %9s %9s %9s %9s\n", "TO*", "TO*", "TO*",
                 row.stratified_program.empty() ? "NS" : "TO*");
     std::fflush(stdout);
     return;
   }
   for (CoordinationMode mode :
-       {CoordinationMode::kDws, CoordinationMode::kSsp,
-        CoordinationMode::kGlobal}) {
+       {CoordinationMode::kDws, CoordinationMode::kGlobal}) {
     EngineOptions options = BaseOptions(mode);
     options.sum_epsilon = row.sum_epsilon;
     PrintCell(RunProgram(options, row.setup, row.program, row.result_pred));
@@ -101,8 +101,8 @@ void Main() {
       "engines; see EXPERIMENTS.md. OOM* = stratified rewrite needs a\n"
       "quadratic intermediate and is not run; NS = not expressible without\n"
       "aggregates in recursion; '=' = query already aggregate-free.\n\n");
-  std::printf("%-9s %-12s %9s %9s %9s %9s %9s\n", "query", "dataset", "DWS",
-              "SSP", "Global", "1-worker", "Stratif.");
+  std::printf("%-9s %-12s %9s %9s %9s %9s\n", "query", "dataset", "DWS",
+              "Global", "1-worker", "Stratif.");
 
   std::vector<Row> rows;
 

@@ -1,9 +1,9 @@
 // Walkthrough of the paper's running example (Figure 3): the connected-
-// component query on the 10-vertex example graph, executed under all three
-// coordination strategies. Prints per-strategy wall time and iteration
-// counts so the Global ≥ SSP ≥ DWS ordering of the paper's worked example
-// can be observed live (on a larger instance of the same shape, so the
-// differences are measurable).
+// component query on the 10-vertex example graph, executed under the Global
+// and DWS coordination strategies. Prints per-strategy wall time and
+// iteration counts so the Global ≥ DWS ordering of the paper's worked
+// example can be observed live (on a larger instance of the same shape, so
+// the differences are measurable).
 //
 //   ./coordination_walkthrough [scale]
 
@@ -57,8 +57,7 @@ int main(int argc, char** argv) {
 
   uint64_t expected = 0;
   for (CoordinationMode mode :
-       {CoordinationMode::kGlobal, CoordinationMode::kSsp,
-        CoordinationMode::kDws}) {
+       {CoordinationMode::kGlobal, CoordinationMode::kDws}) {
     EngineOptions options;
     options.num_workers = 3;  // As in the worked example W1..W3.
     options.coordination = mode;
@@ -88,19 +87,18 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nAll strategies agree on %llu component labels. DWS avoids the\n"
-      "per-iteration global barrier (Global) and the fixed staleness bound\n"
-      "(SSP) by letting each worker decide, from its queueing statistics,\n"
-      "whether waiting for more tuples beats starting the next iteration.\n",
+      "\nBoth strategies agree on %llu component labels. DWS avoids the\n"
+      "per-iteration global barrier (Global) by letting each worker decide,\n"
+      "from its queueing statistics, whether waiting for more tuples beats\n"
+      "starting the next iteration.\n",
       static_cast<unsigned long long>(expected));
 
   // Second act: render each strategy's execution timeline (the live
   // version of the paper's Figure 3(b) diagrams). '#' = computing an
-  // iteration, '.' = idle waiting (barrier / slack / ω-τ wait / parked).
+  // iteration, '.' = idle waiting (barrier / ω-τ wait / parked).
   std::printf("\nExecution timelines (%u columns = full run):\n", 72u);
   for (CoordinationMode mode :
-       {CoordinationMode::kGlobal, CoordinationMode::kSsp,
-        CoordinationMode::kDws}) {
+       {CoordinationMode::kGlobal, CoordinationMode::kDws}) {
     EngineOptions options;
     options.num_workers = 3;
     options.coordination = mode;

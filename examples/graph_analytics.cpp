@@ -2,7 +2,7 @@
 // single-source shortest paths, and PageRank — the three graph workloads
 // of the paper's evaluation (§7.1.1), on one generated dataset.
 //
-//   ./graph_analytics [num_vertices] [num_workers] [global|ssp|dws]
+//   ./graph_analytics [num_vertices] [num_workers] [global|dws]
 
 #include <cstdio>
 #include <cstdlib>
@@ -20,7 +20,6 @@ using namespace dcdatalog;
 
 CoordinationMode ParseMode(const char* s) {
   if (std::strcmp(s, "global") == 0) return CoordinationMode::kGlobal;
-  if (std::strcmp(s, "ssp") == 0) return CoordinationMode::kSsp;
   return CoordinationMode::kDws;
 }
 

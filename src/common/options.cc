@@ -9,8 +9,6 @@ const char* CoordinationModeName(CoordinationMode mode) {
   switch (mode) {
     case CoordinationMode::kGlobal:
       return "Global";
-    case CoordinationMode::kSsp:
-      return "SSP";
     case CoordinationMode::kDws:
       return "DWS";
   }
@@ -24,7 +22,6 @@ EngineOptions EngineOptions::Resolved() const {
     out.num_workers = hw == 0 ? 4 : hw;
   }
   if (out.spsc_capacity < 2) out.spsc_capacity = 2;
-  if (out.ssp_slack < 1) out.ssp_slack = 1;
   return out;
 }
 
@@ -32,7 +29,7 @@ std::string EngineOptions::ToString() const {
   std::ostringstream os;
   os << "EngineOptions{workers=" << num_workers
      << ", coordination=" << CoordinationModeName(coordination)
-     << ", ssp_slack=" << ssp_slack << ", dws_timeout_us=" << dws_timeout_us
+     << ", dws_timeout_us=" << dws_timeout_us
      << ", spsc_capacity=" << spsc_capacity
      << ", trace=" << (enable_trace ? "on" : "off") << "}";
   return os.str();

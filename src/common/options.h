@@ -11,8 +11,7 @@ class WorkerPool;
 /// Which parallel coordination strategy the evaluation loop runs (paper §4).
 enum class CoordinationMode : uint8_t {
   kGlobal = 0,  // Algorithm 1: barrier after every global iteration.
-  kSsp = 1,     // Stale-synchronous: fast workers may run `ssp_slack` ahead.
-  kDws = 2,     // Algorithm 2: dynamic weight-based strategy (the paper's).
+  kDws = 1,     // Algorithm 2: dynamic weight-based strategy (the paper's).
 };
 
 const char* CoordinationModeName(CoordinationMode mode);
@@ -25,10 +24,6 @@ struct EngineOptions {
   uint32_t num_workers = 0;
 
   CoordinationMode coordination = CoordinationMode::kDws;
-
-  /// SSP slack s: a worker may be at most this many local iterations ahead
-  /// of the slowest worker (paper §4.1; the evaluation uses s = 5).
-  uint32_t ssp_slack = 5;
 
   /// DWS deadlock-avoidance timeout (Algorithm 2 line 8): a waiting worker
   /// resumes unconditionally after this many microseconds.

@@ -12,8 +12,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "park";
     case TraceEventKind::kBarrierWait:
       return "barrier_wait";
-    case TraceEventKind::kSspWait:
-      return "ssp_wait";
     case TraceEventKind::kDwsWait:
       return "dws_wait";
     case TraceEventKind::kDrain:
@@ -35,7 +33,6 @@ bool TraceEventIsSpan(TraceEventKind kind) {
     case TraceEventKind::kIteration:
     case TraceEventKind::kPark:
     case TraceEventKind::kBarrierWait:
-    case TraceEventKind::kSspWait:
     case TraceEventKind::kDwsWait:
       return true;
     case TraceEventKind::kDrain:

@@ -16,7 +16,6 @@ enum class TraceEventKind : uint8_t {
   kIteration = 0,  // Span: one local semi-naive iteration.
   kPark,           // Span: parked at local fixpoint (InactiveWait).
   kBarrierWait,    // Span: blocked at the Global barrier.
-  kSspWait,        // Span: blocked on the SSP slack bound.
   kDwsWait,        // Span: DWS bounded wait (Algorithm 2 lines 5-8).
   kDrain,          // Instant: one GatherAll that consumed ring tuples.
   kBlockPush,      // Instant: one MsgBlock pushed to a remote ring.

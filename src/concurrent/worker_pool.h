@@ -36,10 +36,10 @@ void ParallelFor(uint32_t num_workers, uint64_t n,
 /// oversubscribe the machine with N * num_workers transient threads.
 ///
 /// Scheduling is a FIFO *gang* grant: one evaluation's `n` workers
-/// synchronize with each other (barriers, SSP slack waits, DWS termination
-/// detection), so dispatching fewer than `n` at once could deadlock the
-/// fixpoint. Run(n, fn) therefore waits until it is at the head of the
-/// arrival queue AND `n` threads are free, then claims all `n` atomically.
+/// synchronize with each other (Global barriers, DWS termination detection),
+/// so dispatching fewer than `n` at once could deadlock the fixpoint.
+/// Run(n, fn) therefore waits until it is at the head of the arrival queue
+/// AND `n` threads are free, then claims all `n` atomically.
 /// FIFO order makes the grant starvation-free: a wide gang at the head
 /// blocks later narrow gangs from stealing its slots forever.
 ///

@@ -57,7 +57,7 @@ struct EvalStats {
   /// (the lanes the vectorized steps actually processed).
   uint64_t pipeline_rows_selected = 0;
   /// Cumulative time workers spent blocked in coordination — barrier spins
-  /// (Global), slack waits (SSP), ω/τ waits and inactive parking (DWS).
+  /// (Global), ω/τ waits and inactive parking (DWS).
   /// This is the quantity the coordination strategies trade off; on
   /// machines with fewer cores than workers it is the observable signal
   /// (wall time alone hides it because the OS reuses blocked slices).
@@ -111,7 +111,7 @@ struct EvalStats {
 
 /// The DCDatalog execution engine: evaluates a compiled physical plan over
 /// a catalog, SCC by SCC, running each recursive SCC with the configured
-/// coordination strategy (Global / SSP / DWS). Results are materialized
+/// coordination strategy (Global or DWS). Results are materialized
 /// back into the catalog under their predicate names.
 class Engine {
  public:

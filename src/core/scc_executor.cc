@@ -63,9 +63,6 @@ Status SccExecutor::Run(EvalStats* stats) {
     case CoordinationMode::kGlobal:
       RunWith<GlobalStrategy>();
       break;
-    case CoordinationMode::kSsp:
-      RunWith<SspStrategy>();
-      break;
     case CoordinationMode::kDws:
       RunWith<DwsStrategy>();
       break;

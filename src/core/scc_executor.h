@@ -104,7 +104,7 @@ class SccExecutor {
     /// capacity.
     std::vector<std::vector<uint32_t>> delta_scratch;
     std::unique_ptr<Distributor> distributor;
-    /// DWS's arrival model, fed by every drain; null under Global and SSP.
+    /// DWS's arrival model, fed by every drain; null under Global.
     DwsController* arrivals = nullptr;
     /// Per replica: wire tuples awaiting the next merge, packed back to
     /// back at the replica's wire arity (self-loop tuples and drained ring
@@ -173,8 +173,6 @@ class SccExecutor {
 
   uint32_t scc_ordinal() const { return scc_ordinal_; }
   bool Aborted() const { return aborted_.load(std::memory_order_acquire); }
-  /// True once the termination detector saw the global fixpoint.
-  bool Terminated() const { return detector_.Done(); }
   uint64_t DeltaTotal(const WorkerContext& ctx) const;
   uint64_t GatherAll(WorkerContext* ctx);
   bool InactiveWait(WorkerContext* ctx);

@@ -6,7 +6,6 @@
 // state, Begin (per worker, after phase 0), Next (wait, then answer) and
 // AfterIteration. Waits drain the worker's rings; async ones see aborts.
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -69,55 +68,6 @@ class GlobalStrategy {
   SpinBarrier barrier_;
   std::atomic<uint64_t> delta_sum_{0};
   std::atomic<bool> done_{false};
-};
-
-/// Stale-synchronous parallel: a worker may run at most `ssp_slack` local
-/// iterations ahead of the slowest active worker (paper §4.1 / [14]).
-class SspStrategy {
- public:
-  SspStrategy(uint32_t n, const EngineOptions& options)
-      : slack_(options.ssp_slack), iters_(n) {}
-
-  void Begin(SccExecutor*, WorkerContext*) {}
-
-  DCD_HOT_ROOT Turn Next(SccExecutor* exec, WorkerContext* ctx) {
-    if (exec->Aborted()) return Turn::kStop;
-    std::atomic<uint64_t>& mine = iters_[ctx->wid].v;
-    if (exec->DeltaTotal(*ctx) == 0) {
-      // A parked worker holds nobody back.
-      mine.store(UINT64_MAX, std::memory_order_release);
-      if (!exec->InactiveWait(ctx)) return Turn::kStop;
-      mine.store(ctx->local_iter, std::memory_order_release);
-      return Turn::kGather;
-    }
-    // Slack check; our own slot keeps the slowest active worker finite.
-    IdleScope idle(ctx, TraceEventKind::kSspWait);
-    while (!exec->Aborted() &&
-           ctx->local_iter > MinActiveIteration() + slack_) {
-      exec->GatherAll(ctx);  // Keep collecting while blocked.
-      if (exec->Terminated()) return Turn::kStop;
-      std::this_thread::yield();
-    }
-    return Turn::kIterate;
-  }
-
-  DCD_HOT_ROOT void AfterIteration(SccExecutor*, WorkerContext* ctx,
-                                   const SccExecutor::IterationSample&) {
-    iters_[ctx->wid].v.store(ctx->local_iter, std::memory_order_release);
-  }
-
- private:
-  uint64_t MinActiveIteration() const {
-    uint64_t min_iter = UINT64_MAX;
-    for (const PaddedU64& it : iters_) {
-      min_iter = std::min(min_iter, it.v.load(std::memory_order_acquire));
-    }
-    return min_iter;
-  }
-
-  const uint64_t slack_;
-  /// Per worker: its local iteration count, UINT64_MAX while parked.
-  std::vector<PaddedU64> iters_;
 };
 
 /// Algorithm 2: the Dynamic Weight-based Strategy. After gathering, a

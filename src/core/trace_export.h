@@ -12,7 +12,7 @@ namespace dcdatalog {
 /// Serializes EvalStats::trace as Chrome trace-event JSON (the
 /// `{"traceEvents": [...]}` object form), loadable in Perfetto or
 /// chrome://tracing. One track per worker (thread_name metadata); span
-/// events (iteration, park, barrier/SSP/DWS waits) become ph:"X" complete
+/// events (iteration, park, barrier and DWS waits) become ph:"X" complete
 /// events with microsecond ts/dur normalized to the run's earliest event;
 /// instants (drain, block_push, scc_begin/end, dws_decision) become ph:"i"
 /// thread-scoped markers. kDwsDecision events carry the full queueing-model

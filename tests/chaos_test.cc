@@ -122,8 +122,7 @@ TEST(ChaosStressTest, GeneratedCaseUnderAggressiveChaos) {
   gen.seed = 7;  // Aggregates + recursion (min-dist over warc).
   const testing_gen::FuzzCase c = testing_gen::GenerateCase(gen);
   for (CoordinationMode mode :
-       {CoordinationMode::kGlobal, CoordinationMode::kSsp,
-        CoordinationMode::kDws}) {
+       {CoordinationMode::kGlobal, CoordinationMode::kDws}) {
     testing_gen::RunConfig config;
     config.mode = mode;
     config.num_workers = 4;

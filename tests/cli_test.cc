@@ -155,17 +155,26 @@ TEST(CliTest, RejectsMalformedNumericFlags) {
   // number; all must now fail before any evaluation starts.
   for (const char* flags :
        {"--workers abc", "--workers 2x", "--workers 0", "--workers -3",
-        "--workers 999999", "--slack abc", "--slack 0", "--seed 12junk",
-        "--weights -1",
+        "--workers 999999", "--seed 12junk", "--weights -1",
         // strtol leniencies the checked parsers must not inherit: leading
         // whitespace, explicit '+', trailing whitespace.
         "--workers=\" 5\"", "--workers=+5", "--workers=\"5 \"",
-        "--seed=+1", "--weights=\" 2\""}) {
+        "--seed=+1", "--weights=\" 2\"",
+        // --mode names its choices too; a valueless flag is the last one.
+        "--mode ssp", "--mode bogus", "--mode"}) {
     CmdResult r = RunCli("run " + program + " " + flags);
     EXPECT_NE(r.exit_code, 0) << flags << ": " << r.output;
     EXPECT_NE(r.output.find("expects"), std::string::npos)
         << flags << " did not fail loudly: " << r.output;
   }
+  EXPECT_NE(RunCli("run " + program + " --mode bogus")
+                .output.find("--mode expects global or dws, got 'bogus'"),
+            std::string::npos);
+  // No option takes a slack: the flag must fail, not be ignored.
+  CmdResult slack = RunCli("run " + program + " --slack 5");
+  EXPECT_NE(slack.exit_code, 0) << slack.output;
+  EXPECT_NE(slack.output.find("unknown option: --slack"), std::string::npos)
+      << slack.output;
   std::remove(program.c_str());
 }
 
@@ -267,7 +276,8 @@ TEST(CliTest, FuzzerRejectsMalformedNumericFlags) {
        {"--seeds=abc", "--seeds=-1", "--seeds=+3", "--seeds=1e2",
         "--start-seed=1x", "--max-vertices=ten", "--update-batches=4.5",
         "--timeout-ms=\" 5\"", "--max-iters=abc", "--chaos-seed=x",
-        "--max-failures=-2"}) {
+        "--max-failures=-2", "--modes=ssp", "--modes=global,ssp",
+        "--modes=bogus"}) {
     CmdResult r = RunTool(DCD_FUZZ_PATH, flag);
     EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
     EXPECT_NE(r.output.find("bad value for"), std::string::npos)

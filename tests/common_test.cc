@@ -230,14 +230,15 @@ TEST(OptionsTest, ResolvedFillsWorkerCount) {
 
 TEST(OptionsTest, ModeNames) {
   EXPECT_STREQ(CoordinationModeName(CoordinationMode::kGlobal), "Global");
-  EXPECT_STREQ(CoordinationModeName(CoordinationMode::kSsp), "SSP");
   EXPECT_STREQ(CoordinationModeName(CoordinationMode::kDws), "DWS");
 }
 
 TEST(OptionsTest, ToStringMentionsStrategy) {
   EngineOptions o;
-  o.coordination = CoordinationMode::kSsp;
-  EXPECT_NE(o.ToString().find("SSP"), std::string::npos);
+  o.coordination = CoordinationMode::kGlobal;
+  EXPECT_NE(o.ToString().find("coordination=Global"), std::string::npos);
+  o.coordination = CoordinationMode::kDws;
+  EXPECT_NE(o.ToString().find("coordination=DWS"), std::string::npos);
 }
 
 TEST(OptionsTest, ToStringMentionsTrace) {

@@ -19,7 +19,7 @@ namespace {
 using testing_util::RowSet;
 
 constexpr CoordinationMode kAllModes[] = {
-    CoordinationMode::kGlobal, CoordinationMode::kSsp, CoordinationMode::kDws};
+    CoordinationMode::kGlobal, CoordinationMode::kDws};
 
 constexpr char kTc[] =
     "tc(X, Y) :- arc(X, Y).\n"

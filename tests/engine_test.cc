@@ -72,7 +72,6 @@ TEST(EngineTest, StarHubTcMatchesOracle) {
   }
   ASSERT_FALSE(oracle.empty());
   for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                CoordinationMode::kSsp,
                                 CoordinationMode::kDws}) {
     for (uint32_t workers : {1u, 2u, 4u}) {
       DCDatalog db(Opts(workers, mode));
@@ -93,7 +92,6 @@ TEST(EngineTest, WorkerPoolCapsTheWorkerCount) {
   Graph g = GenerateGnp(50, 0.05, 77);
   WorkerPool pool(2);
   for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                CoordinationMode::kSsp,
                                 CoordinationMode::kDws}) {
     SCOPED_TRACE(CoordinationModeName(mode));
     DCDatalog db(Opts(1, mode));
@@ -139,8 +137,8 @@ TEST(EngineTest, StatsAreMeaningful) {
 TEST(EngineTest, MaxIterationsAborts) {
   // PageRank with epsilon 0 never converges, and `up` counts forever; the
   // guard must fire in every mode. Global leaves through the barrier's
-  // serial section, so every worker must exit in the same round; SSP and
-  // DWS see the abort in their waits and in InactiveWait.
+  // serial section, so every worker must exit in the same round; DWS sees
+  // the abort in its wait and in InactiveWait.
   const char* const programs[] = {
       "rank(X, sum<(X, I)>) :- matrix(X, _, _), I = 0.5.\n"
       "rank(X, sum<(Y, K)>) :- rank(Y, C), matrix(Y, X, D), "
@@ -150,7 +148,6 @@ TEST(EngineTest, MaxIterationsAborts) {
   };
   for (const char* program : programs) {
     for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                  CoordinationMode::kSsp,
                                   CoordinationMode::kDws}) {
       for (uint32_t workers : {1u, 4u}) {
         SCOPED_TRACE(std::string(CoordinationModeName(mode)) + " x" +
@@ -320,18 +317,6 @@ TEST(EngineTest, PartialAggregationReducesTraffic) {
   EXPECT_GT(stats.value().tuples_folded, 0u);
 }
 
-TEST(EngineTest, SspSlackRespected) {
-  // Just a smoke check that extreme slacks work.
-  for (uint32_t slack : {1u, 100u}) {
-    DCDatalog db(Opts(4, CoordinationMode::kSsp));
-    db.options().ssp_slack = slack;
-    Graph g = GenerateGnp(40, 0.06, 99);
-    db.AddGraph(g, "arc");
-    ASSERT_TRUE(db.LoadProgramText(kTc).ok());
-    ASSERT_TRUE(db.Run().ok()) << "slack " << slack;
-  }
-}
-
 TEST(EngineTest, TinyQueueCapacityStillCompletes) {
   // spsc_capacity = 2 clamps every ring to its minimum, so pushes inside a
   // local iteration keep finding full rings and gather: under non-linear
@@ -377,7 +362,6 @@ TEST(EngineTest, TinyQueueCapacityStillCompletes) {
     // the schedule this test is about.
     uint64_t drains_inside_iterations = 0;
     for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                  CoordinationMode::kSsp,
                                   CoordinationMode::kDws}) {
       for (uint32_t workers : {2u, 4u}) {
         EngineOptions opts = Opts(workers, mode);
@@ -455,7 +439,6 @@ TEST(EngineTest, LocalRulesMatchOracle) {
       }
       ASSERT_FALSE(oracle.empty());
       for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                    CoordinationMode::kSsp,
                                     CoordinationMode::kDws}) {
         for (uint32_t workers : {1u, 2u, 4u}) {
           for (uint32_t capacity : {EngineOptions().spsc_capacity, 2u}) {
@@ -499,13 +482,9 @@ TEST(EngineTest, TraceEventsCoverRun) {
   // own.
   const std::map<CoordinationMode, std::set<TraceEventKind>> foreign = {
       {CoordinationMode::kGlobal,
-       {TraceEventKind::kPark, TraceEventKind::kSspWait,
-        TraceEventKind::kDwsWait, TraceEventKind::kDwsDecision}},
-      {CoordinationMode::kSsp,
-       {TraceEventKind::kBarrierWait, TraceEventKind::kDwsWait,
+       {TraceEventKind::kPark, TraceEventKind::kDwsWait,
         TraceEventKind::kDwsDecision}},
-      {CoordinationMode::kDws,
-       {TraceEventKind::kBarrierWait, TraceEventKind::kSspWait}},
+      {CoordinationMode::kDws, {TraceEventKind::kBarrierWait}},
   };
   for (const auto& [mode, banned] : foreign) {
     SCOPED_TRACE(CoordinationModeName(mode));
@@ -741,7 +720,6 @@ TEST_P(EnginePipelines, TcMatchesOracleAcrossWorkerCounts) {
   auto oracle = OracleRows(g, kTc, "tc");
   ASSERT_FALSE(oracle.empty());
   for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                CoordinationMode::kSsp,
                                 CoordinationMode::kDws}) {
     for (uint32_t workers : {1, 2, 4}) {
       EXPECT_EQ(RunRows(Opts(workers, mode), g, kTc, "tc"), oracle)
@@ -870,7 +848,6 @@ TEST(EngineTest, ConstantReplicaDrivingASetHeadMatchesOracle) {
       oracle = std::move(ref).value();
     }
     for (CoordinationMode mode : {CoordinationMode::kGlobal,
-                                  CoordinationMode::kSsp,
                                   CoordinationMode::kDws}) {
       for (uint32_t workers : {1u, 2u, 4u}) {
         SCOPED_TRACE(std::string(CoordinationModeName(mode)) + " x" +

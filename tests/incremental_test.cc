@@ -180,7 +180,6 @@ TEST(IncrementalTest, DeletesInsideOneSccReproveTheSurvivors) {
   WorkerPool pool(4);
   const std::vector<std::pair<CoordinationMode, WorkerPool*>> configs = {
       {CoordinationMode::kGlobal, nullptr},
-      {CoordinationMode::kSsp, nullptr},
       {CoordinationMode::kDws, nullptr},
       {CoordinationMode::kDws, &pool},
   };
@@ -237,7 +236,7 @@ TEST(IncrementalTest, DeletesInsideOneSccReproveTheSurvivors) {
 // batch.
 
 constexpr CoordinationMode kAllModes[] = {
-    CoordinationMode::kGlobal, CoordinationMode::kSsp, CoordinationMode::kDws};
+    CoordinationMode::kGlobal, CoordinationMode::kDws};
 
 Relation Rows(const std::string& name, uint32_t arity,
               const std::vector<std::vector<uint64_t>>& rows) {
@@ -804,14 +803,11 @@ TEST(IncrementalTest, BackwardForwardDeepProofUsesNoRecursion) {
   CheckDeepRingDelete(CoordinationMode::kGlobal);
 }
 
-// Under SSP and DWS the 100K-round initial fixpoint of this ring is also
-// a regression test for termination detection: a thin frontier passes
-// from worker to worker, so a round that counts drained tuples as
-// consumed while the consumer's active flag is down ends the SCC early
-// and loses rows (see TerminationDetector).
-TEST(IncrementalTest, BackwardForwardDeepProofUnderSsp) {
-  CheckDeepRingDelete(CoordinationMode::kSsp);
-}
+// Under DWS, whose workers park and rely on termination detection, the
+// 100K-round initial fixpoint of this ring is also a regression test for
+// that detection: a thin frontier passes from worker to worker, so a round
+// that counts drained tuples as consumed while the consumer's active flag
+// is down ends the SCC early and loses rows (see TerminationDetector).
 TEST(IncrementalTest, BackwardForwardDeepProofUnderDws) {
   CheckDeepRingDelete(CoordinationMode::kDws);
 }

@@ -245,8 +245,7 @@ TEST_P(EngineVsReference, PageRankApprox) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategies, EngineVsReference,
-    ::testing::Values(CoordinationMode::kGlobal, CoordinationMode::kSsp,
-                      CoordinationMode::kDws),
+    ::testing::Values(CoordinationMode::kGlobal, CoordinationMode::kDws),
     [](const ::testing::TestParamInfo<CoordinationMode>& info) {
       return CoordinationModeName(info.param);
     });

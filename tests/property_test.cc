@@ -110,8 +110,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         Config{CoordinationMode::kGlobal, 1, 4096},
         Config{CoordinationMode::kGlobal, 5, 512},
-        Config{CoordinationMode::kSsp, 2, 4096},
-        Config{CoordinationMode::kSsp, 7, 512},
+        Config{CoordinationMode::kGlobal, 2, 4096},
+        Config{CoordinationMode::kDws, 7, 512},
         Config{CoordinationMode::kDws, 3, 512},
         Config{CoordinationMode::kDws, 6, 4096},
         Config{CoordinationMode::kDws, 4, 2}),
@@ -140,7 +140,8 @@ TEST_P(RandomProgramTest, RandomReachabilityVariant) {
 
   EngineOptions opts;
   opts.num_workers = 1 + static_cast<uint32_t>(rng.Uniform(6));
-  opts.coordination = static_cast<CoordinationMode>(rng.Uniform(3));
+  opts.coordination = rng.Uniform(2) == 0 ? CoordinationMode::kGlobal
+                                           : CoordinationMode::kDws;
   DCDatalog db(opts);
   db.AddGraph(g, "arc");
   ASSERT_TRUE(db.LoadProgramText(program).ok());
@@ -166,15 +167,14 @@ TEST_P(GeneratedCorpus, AllConfigsMatchReference) {
   testing_gen::GenOptions gen;
   gen.seed = GetParam();
   const testing_gen::FuzzCase c = testing_gen::GenerateCase(gen);
-  // The oracle is configuration-independent: compute once, diff nine runs.
+  // The oracle is configuration-independent: compute once, diff six runs.
   testing_gen::OracleRows oracle;
   const auto ref = testing_gen::ComputeOracle(c, /*max_rounds=*/100000,
                                               &oracle);
   ASSERT_EQ(ref.kind, testing_gen::OutcomeKind::kAgree)
       << ref.detail << "\n" << c.ToString();
   for (CoordinationMode mode :
-       {CoordinationMode::kGlobal, CoordinationMode::kSsp,
-        CoordinationMode::kDws}) {
+       {CoordinationMode::kGlobal, CoordinationMode::kDws}) {
     for (uint32_t workers : {1u, 2u, 4u}) {
       testing_gen::RunConfig config;
       config.mode = mode;

@@ -181,9 +181,9 @@ TEST(EngineStress, RepeatedRandomizedCcRuns) {
   for (int run = 0; run < 25; ++run) {
     EngineOptions o;
     o.num_workers = 1 + static_cast<uint32_t>(rng.Uniform(8));
-    o.coordination = static_cast<CoordinationMode>(rng.Uniform(3));
+    o.coordination = rng.Uniform(2) == 0 ? CoordinationMode::kGlobal
+                                         : CoordinationMode::kDws;
     o.spsc_capacity = 2u << rng.Uniform(8);
-    o.ssp_slack = 1 + static_cast<uint32_t>(rng.Uniform(8));
     o.dws_timeout_us = 100 + static_cast<uint32_t>(rng.Uniform(3000));
     DCDatalog db(o);
     db.AddGraph(g, "arc");

@@ -92,10 +92,10 @@ TEST(TraceVocabularyTest, NamesAndSpanKindsAgree) {
   // split matches the documented vocabulary.
   const TraceEventKind kinds[] = {
       TraceEventKind::kIteration, TraceEventKind::kPark,
-      TraceEventKind::kBarrierWait, TraceEventKind::kSspWait,
-      TraceEventKind::kDwsWait, TraceEventKind::kDrain,
-      TraceEventKind::kBlockPush, TraceEventKind::kSccBegin,
-      TraceEventKind::kSccEnd, TraceEventKind::kDwsDecision,
+      TraceEventKind::kBarrierWait, TraceEventKind::kDwsWait,
+      TraceEventKind::kDrain, TraceEventKind::kBlockPush,
+      TraceEventKind::kSccBegin, TraceEventKind::kSccEnd,
+      TraceEventKind::kDwsDecision,
   };
   std::set<std::string> names;
   for (TraceEventKind k : kinds) {
@@ -103,7 +103,7 @@ TEST(TraceVocabularyTest, NamesAndSpanKindsAgree) {
     EXPECT_NE(name, "unknown");
     names.insert(name);
   }
-  EXPECT_EQ(names.size(), 10u);
+  EXPECT_EQ(names.size(), 9u);
   EXPECT_TRUE(TraceEventIsSpan(TraceEventKind::kIteration));
   EXPECT_TRUE(TraceEventIsSpan(TraceEventKind::kDwsWait));
   EXPECT_FALSE(TraceEventIsSpan(TraceEventKind::kDwsDecision));

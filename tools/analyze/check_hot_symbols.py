@@ -46,8 +46,8 @@ HOT_SYMBOL_PATTERNS = [
     r"DistSelfSinkThunk)\(",
     # The fixpoint loop, one out-of-line body per strategy, and whichever
     # strategy hooks (core/strategy.h) the compiler did not inline into it.
-    r"^(void )?dcdatalog::(SccExecutor::Fixpoint<|(Global|Ssp|Dws)Strategy::"
-    r"(Next|AfterIteration|Barrier<|MinActiveIteration|UpdateModel)\b)",
+    r"^(void )?dcdatalog::(SccExecutor::Fixpoint<|(Global|Dws)Strategy::"
+    r"(Next|AfterIteration|Barrier<|UpdateModel)\b)",
     r"^dcdatalog::DwsController::(Update|OnDrain|OnIteration)\(",
 ]
 

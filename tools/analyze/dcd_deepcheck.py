@@ -106,8 +106,6 @@ HOT_ROOTS = [
     # textual frontend cannot type that receiver, so each hook is a root.
     "GlobalStrategy::Next",
     "GlobalStrategy::AfterIteration",
-    "SspStrategy::Next",
-    "SspStrategy::AfterIteration",
     "DwsStrategy::Next",
     "DwsStrategy::AfterIteration",
     # Emit sinks: function-pointer boundary, see note above.

@@ -39,8 +39,7 @@
 //
 // Common options (--flag value and --flag=value are both accepted):
 //   --workers N        worker threads, 1..4096 (default: hardware)
-//   --mode global|ssp|dws
-//   --slack N          SSP slack (default 5)
+//   --mode global|dws  coordination strategy (default dws)
 //   --out pred=path    write one predicate to a file (repeatable)
 //   --updates FILE     after the initial fixpoint, stream EDB update
 //                      batches from FILE ("+ rel v..." / "- rel v..." per
@@ -149,26 +148,15 @@ bool ParseCommon(int argc, char** argv, int start, Options* opts) {
       opts->engine.num_workers = workers;
     } else if (arg == "--mode") {
       const char* v = next();
-      if (!v) return false;
-      if (std::strcmp(v, "global") == 0) {
+      if (v && std::strcmp(v, "global") == 0) {
         opts->engine.coordination = CoordinationMode::kGlobal;
-      } else if (std::strcmp(v, "ssp") == 0) {
-        opts->engine.coordination = CoordinationMode::kSsp;
-      } else if (std::strcmp(v, "dws") == 0) {
+      } else if (v && std::strcmp(v, "dws") == 0) {
         opts->engine.coordination = CoordinationMode::kDws;
       } else {
+        std::fprintf(stderr, "--mode expects global or dws, got '%s'\n",
+                     v ? v : "(nothing)");
         return false;
       }
-    } else if (arg == "--slack") {
-      const char* v = next();
-      uint32_t slack = 0;
-      if (!v || !ParseUint32Checked(v, 1, 1000000, &slack)) {
-        std::fprintf(
-            stderr, "--slack expects an integer in [1, 1000000], got '%s'\n",
-            v ? v : "(nothing)");
-        return false;
-      }
-      opts->engine.ssp_slack = slack;
     } else if (arg == "--stats") {
       opts->stats = true;
     } else if (arg == "--seed") {

@@ -17,7 +17,7 @@
 // Flags:
 //   --seeds=N          cases to generate (default 100)
 //   --start-seed=N     first seed (default 1)
-//   --modes=a,b        subset of global,ssp,dws (default all)
+//   --modes=a,b        subset of global,dws (default both)
 //   --workers=a,b      worker counts per case (default 1,2,4)
 //   --max-vertices=N   EDB size cap for the generator (default 60)
 //   --update-batches=N generate a streaming-update script of up to N EDB
@@ -124,9 +124,8 @@ constexpr int kExitLoadError = 13;
 struct FuzzFlags {
   uint64_t seeds = 100;
   uint64_t start_seed = 1;
-  std::vector<CoordinationMode> modes = {
-      CoordinationMode::kGlobal, CoordinationMode::kSsp,
-      CoordinationMode::kDws};
+  std::vector<CoordinationMode> modes = {CoordinationMode::kGlobal,
+                                         CoordinationMode::kDws};
   std::vector<uint32_t> workers = {1, 2, 4};
   uint64_t max_vertices = 60;
   uint64_t update_batches = 0;
@@ -146,7 +145,7 @@ struct FuzzFlags {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: dcd_fuzz [--seeds=N] [--modes=global,ssp,dws] "
+               "usage: dcd_fuzz [--seeds=N] [--modes=global,dws] "
                "[--workers=1,2,4] [--chaos] [--inject-bug=NAME] ...\n"
                "see the header of tools/dcd_fuzz.cc for all flags\n");
   return 2;
@@ -161,8 +160,6 @@ bool ParseModes(const std::string& list, std::vector<CoordinationMode>* out) {
     const std::string m = list.substr(pos, comma - pos);
     if (m == "global") {
       out->push_back(CoordinationMode::kGlobal);
-    } else if (m == "ssp") {
-      out->push_back(CoordinationMode::kSsp);
     } else if (m == "dws") {
       out->push_back(CoordinationMode::kDws);
     } else {
@@ -231,7 +228,10 @@ bool ParseFlags(int argc, char** argv, FuzzFlags* flags) {
     if (matched) continue;
     const char* v = nullptr;
     if ((v = value("--modes"))) {
-      if (!ParseModes(v, &flags->modes)) return false;
+      if (!ParseModes(v, &flags->modes)) {
+        std::fprintf(stderr, "bad value for --modes: '%s'\n", v);
+        return false;
+      }
     } else if ((v = value("--workers"))) {
       if (!ParseWorkers(v, &flags->workers)) return false;
     } else if ((v = value("--updates-file"))) {
@@ -408,8 +408,6 @@ std::string ModeFlag(CoordinationMode mode) {
   switch (mode) {
     case CoordinationMode::kGlobal:
       return "global";
-    case CoordinationMode::kSsp:
-      return "ssp";
     case CoordinationMode::kDws:
       return "dws";
   }

@@ -149,8 +149,7 @@ HOT_LOOP_FUNCTIONS = {
     # Each strategy's per-turn decision and after-iteration hook. Begin is
     # deliberately absent: it runs once per worker and builds DWS's model.
     "src/core/strategy.h": [
-        "Next", "AfterIteration", "Barrier", "MinActiveIteration",
-        "UpdateModel",
+        "Next", "AfterIteration", "Barrier", "UpdateModel",
     ],
     # The trace ring's Append and the histogram's Add run inside every one
     # of the engine hot loops above; they must stay allocation-free.
